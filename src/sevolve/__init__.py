@@ -15,7 +15,7 @@ from sevolve.graph import (
     aggregate_node_values,
     project_to_base,
 )
-from sevolve.cell import CellParams, cell_forward, cell_backward, average_neighbor_hidden
+from sevolve.cell import CellParams, cell_forward, cell_backward
 from sevolve.evolve import (
     EvolveConfig,
     ProposalTrace,

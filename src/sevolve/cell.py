@@ -8,6 +8,12 @@ neighbor j the previous hidden state plus the memory state selected by
 j's visit flag. It produces the new hidden/memory state and one merging
 probability per neighbor.
 
+The reverse pass has two parts. cell_backward_node does the node-local
+work, which needs the node's upstream gradients: a sweep calls it once
+per node in reverse visit order. cell_backward_batch does the
+order-independent rest, parameter and input gradients, for many nodes at
+once. cell_backward composes the two for a single node.
+
 Everything is float64 and purely functional: same inputs, bit-identical
 outputs.
 """
@@ -117,7 +123,8 @@ class CellParams:
 
 class CellCache:
     """Intermediate activations of one cell update, kept for the backward
-    pass. Written once by cell_forward and read-only afterwards."""
+    pass. Written once by cell_forward and read-only afterwards. The
+    per-neighbor fields hold zero rows for a node without neighbors."""
 
     __slots__ = (
         "params", "x", "h_prev", "m_prev", "navg",
@@ -125,18 +132,6 @@ class CellCache:
         "sig_gates", "g_c", "nb_gate", "merge_probs",
         "memory", "hidden", "inv_k",
     )
-
-
-def average_neighbor_hidden(graph, visited, updated_hidden, prev_hidden, i):
-    """Mean hidden state over i's neighbors, taking the updated state for
-    visited neighbors and the previous state otherwise. Nodes without
-    neighbors get the zero vector."""
-    nbrs = graph.neighbors(i)
-    if not nbrs:
-        return np.zeros(prev_hidden.shape[1])
-    idx = list(nbrs)
-    sel = np.where(np.asarray(visited)[idx, None], updated_hidden[idx], prev_hidden[idx])
-    return sel.sum(axis=0) / len(idx)
 
 
 def cell_forward(params, x, h_prev, m_prev, neighbor_avg,
@@ -202,10 +197,8 @@ def cell_forward(params, x, h_prev, m_prev, neighbor_avg,
     else:
         memory = g_f * m_prev + g_u * g_c
         merge_probs = np.zeros(0)
-        cache.nbr_visited = None
-        cache.nbr_h_prev = None
-        cache.m_sel = None
-        cache.nb_gate = None
+        cache.nbr_visited = np.zeros(0, dtype=bool)
+        cache.nbr_h_prev = cache.m_sel = cache.nb_gate = np.zeros((0, h))
         cache.inv_k = 0.0
     hidden = np.tanh(g_o * memory)
 
@@ -225,27 +218,37 @@ def cell_forward(params, x, h_prev, m_prev, neighbor_avg,
     return hidden, memory, merge_probs, cache
 
 
-def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
-    """Exact reverse of cell_forward.
+def cell_backward_node(cache, d_hidden, d_memory, d_edge_probs):
+    """Node-local part of the reverse of cell_forward: everything that
+    needs the node's upstream gradients, and only those.
 
     Args:
         cache: CellCache from the forward call.
         d_hidden, d_memory: upstream gradients wrt the node's new state (H,).
-        d_edge_probs: upstream gradients wrt the merging probabilities (k,).
-        grads: CellParams accumulator; allocated fresh when None.
+        d_edge_probs: upstream gradients wrt the merging probabilities
+            (k,), or None for zeros.
 
     Returns:
-        (grads, d_x, d_h_prev, d_m_prev, d_neighbor_avg, d_nbr_h_prev, d_nbr_m)
-        where d_nbr_m is the gradient wrt the flag-selected neighbor memory
-        (route it to the updated state for visited neighbors, the previous
-        state otherwise — same selection as the forward pass).
+        (d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m): the
+        gradient wrt the packed gate pre-activations (4H,), the node's
+        previous memory (H,) and the neighbor average (H,); then per
+        neighbor the gradients wrt the merge-probability score (k,), the
+        neighbor forget-gate pre-activations (k, H) and the flag-selected
+        neighbor memory (k, H). cell_backward_batch turns d_pre, d_score
+        and d_prenb into parameter and input gradients.
     """
     params = cache.params
     h = params.hidden_dim
-    if grads is None:
-        grads = params.zeros_like()
     if d_hidden.shape != (h,) or d_memory.shape != (h,):
         raise ValueError("upstream gradient shape mismatch")
+    nb_gate = cache.nb_gate
+    k = nb_gate.shape[0]
+    if d_edge_probs is None:
+        d_edge_probs = np.zeros(k)
+    elif d_edge_probs.shape != (k,):
+        raise ValueError(
+            f"edge-probability gradient has shape {d_edge_probs.shape}, "
+            f"node has {k} neighbors")
 
     sig = cache.sig_gates
     g_u = sig[:h]
@@ -268,47 +271,84 @@ def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
     d_pre[h:2 * h] = d_gf * g_f * (1.0 - g_f)
     d_pre[2 * h:3 * h] = d_go * g_o * (1.0 - g_o)
     d_pre[3 * h:] = d_gc * (1.0 - g_c * g_c)
+    d_navg = params.un.T @ np.concatenate((d_pre[:h], d_pre[2 * h:]))
 
-    nb_gate = cache.nb_gate
-    if nb_gate is not None:
-        k = nb_gate.shape[0]
-        if d_edge_probs is None:
-            d_edge_probs = np.zeros(k)
-        elif d_edge_probs.shape != (k,):
-            raise ValueError("edge-probability gradient shape mismatch")
-        p = cache.merge_probs
-        d_score = d_edge_probs * p * (1.0 - p)
-        d_nbgate = (dm * cache.inv_k) * cache.m_sel
-        d_nbgate += np.outer(d_score, params.w_e)
-        d_nbr_m = (dm * cache.inv_k) * nb_gate
-        grads.w_e += nb_gate.T @ d_score
-        d_prenb = d_nbgate * nb_gate * (1.0 - nb_gate)
-        grads.u_fn += d_prenb.T @ cache.nbr_h_prev
-        d_nbr_h_prev = d_prenb @ params.u_fn
-        sum_d_prenb = d_prenb.sum(axis=0)
-    else:
-        if d_edge_probs is not None and len(d_edge_probs):
-            raise ValueError("edge-probability gradient given for a node without neighbors")
-        d_nbr_h_prev = None
-        d_nbr_m = None
-        sum_d_prenb = None
+    p = cache.merge_probs
+    d_score = d_edge_probs * p * (1.0 - p)
+    dmk = dm * cache.inv_k
+    d_nbgate = dmk * cache.m_sel + d_score[:, None] * params.w_e
+    d_prenb = d_nbgate * nb_gate * (1.0 - nb_gate)
+    d_nbr_m = dmk * nb_gate
+    return d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m
 
-    grads.uh += np.outer(d_pre, cache.h_prev)
-    d_unpre = np.concatenate((d_pre[:h], d_pre[2 * h:]))
-    grads.un += np.outer(d_unpre, cache.navg)
-    grads.b += d_pre
-    d_h_prev = params.uh.T @ d_pre
-    d_navg = params.un.T @ d_unpre
-    if sum_d_prenb is not None:
-        # w_f and b_f are shared between the own forget gate and every
-        # per-neighbor forget gate, so both pre-activations contribute
-        grads.b[h:2 * h] += sum_d_prenb
-        d_wx_rows = d_pre.copy()
-        d_wx_rows[h:2 * h] += sum_d_prenb
-        grads.wx += np.outer(d_wx_rows, cache.x)
-        d_x = params.wx.T @ d_wx_rows
-    else:
-        grads.wx += np.outer(d_pre, cache.x)
-        d_x = params.wx.T @ d_pre
 
-    return grads, d_x, d_h_prev, d_m_prev, d_navg, d_nbr_h_prev, d_nbr_m
+def cell_backward_batch(params, grads, x, h_prev, navg, d_pre,
+                        nb_gate, nbr_h_prev, owner, d_score, d_prenb):
+    """Order-independent part of the reverse of B cell updates over S
+    neighbor slots in total.
+
+    Accumulates every parameter gradient into `grads` and returns the
+    gradients wrt the inputs.
+
+    Args:
+        params: CellParams of the forward calls.
+        grads: CellParams accumulator.
+        x, h_prev, navg: (B, D), (B, H), (B, H) per-node forward inputs.
+        d_pre: (B, 4H) from cell_backward_node.
+        nb_gate, nbr_h_prev: (S, H) per-slot neighbor forget gates (from
+            the caches) and previous neighbor hidden states.
+        owner: (S,) index of the node, 0..B-1, that owns each slot.
+        d_score, d_prenb: (S,) and (S, H) from cell_backward_node.
+
+    Returns:
+        (d_x, d_h_prev, d_nbr_h_prev) of shapes (B, D), (B, H), (S, H).
+    """
+    h = params.hidden_dim
+    grads.w_e += nb_gate.T @ d_score
+    grads.u_fn += d_prenb.T @ nbr_h_prev
+    d_nbr_h_prev = d_prenb @ params.u_fn
+    # w_f and b_f are shared between the own forget gate and every
+    # per-neighbor forget gate, so both pre-activations contribute
+    sum_prenb = np.zeros((d_pre.shape[0], h))
+    np.add.at(sum_prenb, owner, d_prenb)
+
+    grads.uh += d_pre.T @ h_prev
+    d_unpre = np.concatenate((d_pre[:, :h], d_pre[:, 2 * h:]), axis=1)
+    grads.un += d_unpre.T @ navg
+    grads.b += d_pre.sum(axis=0)
+    grads.b[h:2 * h] += sum_prenb.sum(axis=0)
+    d_wx_rows = d_pre.copy()
+    d_wx_rows[:, h:2 * h] += sum_prenb
+    grads.wx += d_wx_rows.T @ x
+    return d_wx_rows @ params.wx, d_pre @ params.uh, d_nbr_h_prev
+
+
+def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
+    """Exact reverse of cell_forward: cell_backward_node followed by
+    cell_backward_batch over this one node.
+
+    Args:
+        cache: CellCache from the forward call.
+        d_hidden, d_memory: upstream gradients wrt the node's new state (H,).
+        d_edge_probs: upstream gradients wrt the merging probabilities (k,).
+        grads: CellParams accumulator; allocated fresh when None.
+
+    Returns:
+        (grads, d_x, d_h_prev, d_m_prev, d_neighbor_avg, d_nbr_h_prev, d_nbr_m)
+        where d_nbr_m is the gradient wrt the flag-selected neighbor memory
+        (route it to the updated state for visited neighbors, the previous
+        state otherwise — same selection as the forward pass). The two
+        neighbor gradients are None for a node without neighbors.
+    """
+    params = cache.params
+    if grads is None:
+        grads = params.zeros_like()
+    d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m = cell_backward_node(
+        cache, d_hidden, d_memory, d_edge_probs)
+    k = d_score.shape[0]
+    d_x, d_h_prev, d_nbr_h_prev = cell_backward_batch(
+        params, grads, cache.x[None], cache.h_prev[None], cache.navg[None], d_pre[None],
+        cache.nb_gate, cache.nbr_h_prev, np.zeros(k, dtype=np.intp), d_score, d_prenb)
+    if not k:
+        d_nbr_h_prev = d_nbr_m = None
+    return grads, d_x[0], d_h_prev[0], d_m_prev, d_navg, d_nbr_h_prev, d_nbr_m

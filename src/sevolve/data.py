@@ -157,7 +157,7 @@ class DatasetFile:
 
 
 def save_dataset(path, dataset: DatasetFile):
-    """Text format, documented byte-exactly in the README:
+    """Text format:
 
     header line  `SEVOLVE-DS v1 D=<d> K=<k>`
     per sample:  `sample nodes=<n> edges=<m>`, m edge lines `a b` in

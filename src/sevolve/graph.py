@@ -16,9 +16,13 @@ class LevelGraph:
     tuple sorted lexicographically. That order is the "canonical edge
     order" used everywhere an rng draw or probability is associated with
     an edge.
+
+    Neighbourhoods come from one compressed sparse row (CSR) index, see
+    `csr`. Each undirected edge owns two directed slots in it, one in
+    each endpoint's row.
     """
 
-    __slots__ = ("num_nodes", "edges", "_adj", "_edge_set", "_edge_arr", "_edge_index")
+    __slots__ = ("num_nodes", "edges", "_edge_arr", "_csr")
 
     def __init__(self, num_nodes: int, edge_list=()):
         if num_nodes < 1:
@@ -35,10 +39,8 @@ class LevelGraph:
             canon.add((a, b) if a < b else (b, a))
         self.num_nodes = num_nodes
         self.edges = tuple(sorted(canon))
-        self._adj = None
-        self._edge_set = None
         self._edge_arr = None
-        self._edge_index = None
+        self._csr = None
 
     @classmethod
     def _from_canonical(cls, num_nodes, edges):
@@ -47,36 +49,20 @@ class LevelGraph:
         g = object.__new__(cls)
         g.num_nodes = num_nodes
         g.edges = edges
-        g._adj = None
-        g._edge_set = None
         g._edge_arr = None
-        g._edge_index = None
+        g._csr = None
         return g
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def adjacency(self):
-        """Tuple of sorted neighbor tuples, one per node."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.num_nodes)]
-            for a, b in self.edges:
-                adj[a].append(b)
-                adj[b].append(a)
-            self._adj = tuple(tuple(sorted(x)) for x in adj)
-        return self._adj
-
     def neighbors(self, i: int):
+        """Sorted neighbor ids of node i, as a tuple."""
         if not (0 <= i < self.num_nodes):
             raise ValueError(f"node {i} out of range for {self.num_nodes} nodes")
-        return self.adjacency[i]
-
-    def edge_set(self):
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.edges)
-        return self._edge_set
+        indptr, indices, _ = self.csr()
+        return tuple(indices[indptr[i]:indptr[i + 1]].tolist())
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) int array in canonical order (read-only)."""
@@ -86,11 +72,27 @@ class LevelGraph:
             self._edge_arr = arr
         return self._edge_arr
 
-    def edge_index(self):
-        """Mapping canonical edge pair -> position in `edges`."""
-        if self._edge_index is None:
-            self._edge_index = {e: k for k, e in enumerate(self.edges)}
-        return self._edge_index
+    def csr(self):
+        """Read-only (indptr, indices, slot_edge), built on first use.
+
+        Node i's sorted neighbors are indices[indptr[i]:indptr[i+1]];
+        positions in `indices` are the directed slots, and slot_edge[s]
+        is the canonical edge id of slot s. Because rows ascend, the slot
+        of an edge's lower endpoint precedes that of its upper endpoint.
+        """
+        if self._csr is None:
+            ea = self.edge_array()
+            src = np.concatenate((ea[:, 0], ea[:, 1]))
+            dst = np.concatenate((ea[:, 1], ea[:, 0]))
+            order = np.lexsort((dst, src))
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.intp)
+            np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
+            indices = dst[order]
+            slot_edge = np.concatenate((np.arange(len(ea)),) * 2)[order]
+            for arr in (indptr, indices, slot_edge):
+                arr.setflags(write=False)
+            self._csr = (indptr, indices, slot_edge)
+        return self._csr
 
     def __eq__(self, other):
         if not isinstance(other, LevelGraph):
@@ -191,13 +193,13 @@ def coarsen(g: LevelGraph, selected_edges) -> tuple[CliquePartition, LevelGraph]
     a simple edge between two cliques iff any edge of `g` crosses them.
     Clique ids follow ascending minimum member id.
     """
-    edge_set = g.edge_set()
+    indptr, indices, _ = g.csr()
     canon = []
     for e in selected_edges:
         a, b = e
         if a > b:
             a, b = b, a
-        if (a, b) not in edge_set:
+        if not (0 <= a < g.num_nodes and b in indices[indptr[a]:indptr[a + 1]]):
             raise ValueError(f"selected edge ({a}, {b}) is not an edge of the graph")
         canon.append((a, b))
     return _coarsen_canonical(g, canon)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from sevolve.cell import CellParams, cell_forward
+from sevolve.cell import CellParams, cell_backward_batch, cell_backward_node, cell_forward
 from sevolve.evolve import EvolveConfig, evolve_deterministic, evolve_step
 from sevolve.graph import (
     CliquePartition,
@@ -156,8 +156,7 @@ class StructurePlan:
 class _LayerBook:
     """Per-layer bookkeeping needed by the backward pass."""
 
-    __slots__ = ("nbr_idx", "offsets", "ia", "ib", "caches", "order",
-                 "inputs", "h_prev", "m_prev", "hidden", "memory")
+    __slots__ = ("caches", "order", "inputs", "h_prev", "m_prev", "hidden", "memory")
 
 
 class ForwardResult:
@@ -188,28 +187,6 @@ def _mean_cross_entropy(logits, labels):
     z = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     return float(np.mean(lse - z[np.arange(len(labels)), labels]))
-
-
-def _directed_slots(g: LevelGraph):
-    """Index arrays mapping each canonical edge to its two directed
-    merge-probability slots in the concatenation of per-node outputs."""
-    adj = g.adjacency
-    degrees = np.array([len(nb) for nb in adj], dtype=np.intp)
-    offsets = np.zeros(g.num_nodes, dtype=np.intp)
-    if g.num_nodes > 1:
-        offsets[1:] = np.cumsum(degrees)[:-1]
-    eidx = g.edge_index()
-    m = g.num_edges
-    ia = np.zeros(m, dtype=np.intp)
-    ib = np.zeros(m, dtype=np.intp)
-    for i, nb in enumerate(adj):
-        base = offsets[i]
-        for s, j in enumerate(nb):
-            if i < j:
-                ia[eidx[(i, j)]] = base + s
-            else:
-                ib[eidx[(j, i)]] = base + s
-    return offsets, degrees, ia, ib
 
 
 def _make_loss_eval(node_logits, amap, labels):
@@ -275,20 +252,20 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     hh = h_dim
     for t in range(n_layers):
         n = g.num_nodes
-        adj = g.adjacency
-        nbr_idx = [np.asarray(nb, dtype=np.intp) for nb in adj]
+        indptr, indices, slot_edge = g.csr()
         order = plan.visit_orders[t] if plan is not None else rng.permutation(n)
         visited = np.zeros(n, dtype=bool)
         h_new = np.zeros((n, h_dim))
         m_new = np.zeros((n, h_dim))
         caches = [None] * n
-        dir_probs = [None] * n
+        slot_probs = np.zeros(indices.size)
         # visit-order independent pre-activations, batched for the layer
         pre_static = feats @ cell.wx.T + h_prev @ cell.uh.T + cell.b
         forget_base = feats @ cell.wx[hh:2 * hh].T + cell.b[hh:2 * hh]
         nbr_base = h_prev @ cell.u_fn.T
         for i in order:
-            idx = nbr_idx[i]
+            lo, hi = indptr[i], indptr[i + 1]
+            idx = indices[lo:hi]
             if idx.size:
                 vis = visited.take(idx)
                 hp_rows = h_prev.take(idx, axis=0)
@@ -306,32 +283,23 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
                     vis, hp_rows, mc_rows, mp_rows,
                     pre_static=pre_static[i],
                     nbr_pre=forget_base[i] + nbr_base.take(idx, axis=0))
+                slot_probs[lo:hi] = probs_i
             else:
-                hid, mem, probs_i, cache = cell_forward(
+                hid, mem, _, cache = cell_forward(
                     cell, feats[i], h_prev[i], m_prev[i], zero_h,
                     pre_static=pre_static[i])
             h_new[i] = hid
             m_new[i] = mem
             caches[i] = cache
-            dir_probs[i] = probs_i
             visited[i] = True
 
-        offsets, degrees, ia, ib = _directed_slots(g)
-        if g.num_edges:
-            flat = np.concatenate(dir_probs)
-            # one probability per undirected edge: mean of the two
-            # directed evaluations
-            p_edge = 0.5 * (flat[ia] + flat[ib])
-        else:
-            p_edge = np.zeros(0)
+        # one probability per undirected edge: mean of the two directed
+        # evaluations, lower endpoint's slot first
+        p_edge = 0.5 * np.bincount(slot_edge, slot_probs, g.num_edges)
         head_w, head_b = params.heads[t]
         logits = h_new @ head_w.T + head_b
 
         book = _LayerBook()
-        book.nbr_idx = nbr_idx
-        book.offsets = offsets
-        book.ia = ia
-        book.ib = ib
         book.caches = caches
         book.order = order
         book.inputs = feats
@@ -431,11 +399,13 @@ def compute_loss(result: ForwardResult, sample: Sample, cfg: NetworkConfig):
 def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> ModelParams:
     """Exact gradients of the total loss over the realized structure.
 
-    Nodes are processed in reverse visit order so that every gradient
-    into a node's new state is accumulated before that node's own cell
-    is reversed; all order-independent accumulations (parameter
-    gradients, layer-input gradients) are batched per layer. Cell
-    gradients of every layer land in the single shared cell block.
+    Per layer, cell_backward_node reverses the nodes in reverse visit
+    order, so that every gradient into a node's new state is accumulated
+    before that node's own cell is reversed. One cell_backward_batch call
+    then does the order-independent rest (parameter gradients,
+    layer-input gradients) for the whole layer, with the level graph's
+    CSR slots as the neighbor index. Cell gradients of every layer land
+    in the single shared cell block.
     """
     params = result.params
     cell = params.cell
@@ -467,7 +437,8 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     d_mprev_next = None
     for t in range(n_layers - 1, -1, -1):
         book = result.layers[t]
-        n = result.trace.levels[t].num_nodes
+        g = result.trace.levels[t]
+        n = g.num_nodes
         caches = book.caches
 
         # head path
@@ -491,100 +462,44 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         else:
             d_feats_t = np.zeros((n, sample.features.shape[1]))
 
-        # directed merge-probability gradients
-        total_dir = int(book.offsets[-1] + len(book.nbr_idx[-1])) if n else 0
-        d_flat = np.zeros(total_dir)
-        if d_p_levels[t].size:
-            half = 0.5 * d_p_levels[t]
-            d_flat[book.ia] += half
-            d_flat[book.ib] += half
+        # each edge probability is the mean of its two directed slots
+        indptr, indices, slot_edge = g.csr()
+        d_slot_probs = (0.5 * d_p_levels[t])[slot_edge]
 
-        d_h_prev_t = np.zeros((n, hh))
         d_m_prev_t = np.zeros((n, hh))
-        d_pre_all = np.zeros((n, 4 * hh))
-        sum_prenb = np.zeros((n, hh))
-        d_score_flat = np.zeros(total_dir)
-        d_prenb_flat = np.zeros((total_dir, hh))
-        d_mnb_flat = np.zeros((total_dir, hh))
-        contrib_flat = np.zeros((total_dir, hh))
-        w_e = cell.w_e
-        un_T = cell.un.T
+        d_pre = np.zeros((n, 4 * hh))
+        d_score = np.zeros(indices.size)
+        d_prenb = np.zeros((indices.size, hh))
+        d_nbr_m = np.zeros((indices.size, hh))
+        d_nbr_h = np.zeros((indices.size, hh))
         for i in reversed(book.order):
             cache = caches[i]
-            sig = cache.sig_gates
-            g_u = sig[:hh]
-            g_f = sig[hh:2 * hh]
-            g_o = sig[2 * hh:]
-            g_c = cache.g_c
-            hid = cache.hidden
+            lo, hi = indptr[i], indptr[i + 1]
+            (d_pre[i], d_m_prev_t[i], d_navg, d_score[lo:hi], d_prenb[lo:hi],
+             d_nbr_m[lo:hi]) = cell_backward_node(
+                 cache, d_h_new[i], d_m_new[i], d_slot_probs[lo:hi])
+            contrib = d_navg * cache.inv_k
+            d_nbr_h[lo:hi] = contrib
+            vis = cache.nbr_visited
+            if vis.any():
+                vi = indices[lo:hi][vis]
+                d_h_new[vi] += contrib
+                d_m_new[vi] += d_nbr_m[lo:hi][vis]
 
-            dz = d_h_new[i] * (1.0 - hid * hid)
-            d_go = dz * cache.memory
-            dm = d_m_new[i] + dz * g_o
-            d_m_prev_t[i] += dm * g_f
-
-            row = d_pre_all[i]
-            row[:hh] = (dm * g_c) * g_u * (1.0 - g_u)
-            row[hh:2 * hh] = (dm * cache.m_prev) * g_f * (1.0 - g_f)
-            row[2 * hh:3 * hh] = d_go * g_o * (1.0 - g_o)
-            row[3 * hh:] = (dm * g_u) * (1.0 - g_c * g_c)
-
-            nb_gate = cache.nb_gate
-            if nb_gate is not None:
-                off = book.offsets[i]
-                k = nb_gate.shape[0]
-                sl = slice(off, off + k)
-                p = cache.merge_probs
-                d_score = d_flat[sl] * p * (1.0 - p)
-                d_score_flat[sl] = d_score
-                dmk = dm * cache.inv_k
-                d_nbgate = dmk * cache.m_sel + d_score[:, None] * w_e
-                d_prenb = d_nbgate * nb_gate * (1.0 - nb_gate)
-                d_prenb_flat[sl] = d_prenb
-                sum_prenb[i] = d_prenb.sum(axis=0)
-                m_rows = dmk * nb_gate
-                d_mnb_flat[sl] = m_rows
-
-                d_navg = un_T @ np.concatenate((row[:hh], row[2 * hh:]))
-                contrib = d_navg * cache.inv_k
-                contrib_flat[sl] = contrib
-                vis = cache.nbr_visited
-                if vis.any():
-                    idx = book.nbr_idx[i]
-                    vi = idx[vis]
-                    d_h_new[vi] += contrib
-                    d_m_new[vi] += m_rows[vis]
-
-        # deferred neighbor routing (order-independent accumulations)
-        if total_dir:
-            big_idx = np.concatenate(book.nbr_idx)
-            flags_flat = np.concatenate(
-                [caches[i].nbr_visited for i in range(n)
-                 if caches[i].nbr_visited is not None])
-            nb_gate_flat = np.concatenate(
-                [caches[i].nb_gate for i in range(n)
-                 if caches[i].nb_gate is not None])
-            grads.cell.w_e += nb_gate_flat.T @ d_score_flat
-            hp_rows = d_prenb_flat @ cell.u_fn
-            unv = ~flags_flat
-            if unv.any():
-                hp_rows[unv] += contrib_flat[unv]
-                np.add.at(d_m_prev_t, big_idx[unv], d_mnb_flat[unv])
-            np.add.at(d_h_prev_t, big_idx, hp_rows)
-            grads.cell.u_fn += d_prenb_flat.T @ book.h_prev[big_idx]
-
-        # batched parameter and layer-input gradients
-        navg_all = np.array([caches[i].navg for i in range(n)])
-        grads.cell.uh += d_pre_all.T @ book.h_prev
-        d_unpre_all = np.concatenate((d_pre_all[:, :hh], d_pre_all[:, 2 * hh:]), axis=1)
-        grads.cell.un += d_unpre_all.T @ navg_all
-        grads.cell.b += d_pre_all.sum(axis=0)
-        grads.cell.b[hh:2 * hh] += sum_prenb.sum(axis=0)
-        d_wx_rows = d_pre_all.copy()
-        d_wx_rows[:, hh:2 * hh] += sum_prenb
-        grads.cell.wx += d_wx_rows.T @ book.inputs
-        d_feats_t += d_wx_rows @ cell.wx
-        d_h_prev_t += d_pre_all @ cell.uh
+        # order-independent part, batched over the layer; gradients into
+        # unvisited neighbors reach their previous state
+        d_x, d_h_own, d_nbr_hp = cell_backward_batch(
+            cell, grads.cell, book.inputs, book.h_prev,
+            np.array([c.navg for c in caches]), d_pre,
+            np.concatenate([c.nb_gate for c in caches]), book.h_prev[indices],
+            np.repeat(np.arange(n), np.diff(indptr)), d_score, d_prenb)
+        unv = ~np.concatenate([c.nbr_visited for c in caches])
+        d_nbr_hp[unv] += d_nbr_h[unv]
+        np.add.at(d_m_prev_t, indices[unv], d_nbr_m[unv])
+        d_h_prev_t = np.zeros((n, hh))
+        np.add.at(d_h_prev_t, indices, d_nbr_hp)
+        d_h_prev_t += d_h_own
+        d_feats_t += d_x
 
         d_feats_next = d_feats_t
         d_hprev_next = d_h_prev_t
@@ -630,16 +545,24 @@ def load_checkpoint(path):
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC + " "):
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-    fields = dict(kv.split("=", 1) for kv in lines[0].split()[2:])
-    try:
-        meta = {
-            "input_dim": int(fields["D"]),
-            "hidden_dim": int(fields["H"]),
-            "num_classes": int(fields["C"]),
-            "num_layers": int(fields["layers"]),
-        }
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint header missing field {exc}") from exc
+    fields = {}
+    for token in lines[0].split()[2:]:
+        key, sep, value = token.partition("=")
+        if not (key and sep):
+            raise ValueError(f"{path}:1: malformed header token {token!r}")
+        fields[key] = value
+    meta = {}
+    for key, name in (("D", "input_dim"), ("H", "hidden_dim"),
+                      ("C", "num_classes"), ("layers", "num_layers")):
+        if key not in fields:
+            raise ValueError(f"{path}:1: checkpoint header missing field {key!r}")
+        try:
+            meta[name] = int(fields[key])
+        except ValueError:
+            raise ValueError(
+                f"{path}:1: header field {key}={fields[key]!r} is not an integer") from None
+        if meta[name] < 1:
+            raise ValueError(f"{path}:1: header field {key}={meta[name]} must be positive")
     cell = CellParams(meta["input_dim"], meta["hidden_dim"])
     heads = [(np.zeros((meta["num_classes"], meta["hidden_dim"])),
               np.zeros(meta["num_classes"])) for _ in range(meta["num_layers"])]

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sevolve.cell import CellParams, average_neighbor_hidden, cell_backward, cell_forward
-from sevolve.graph import build_graph
+from sevolve.cell import CellParams, cell_backward, cell_forward
 
 
 def random_params(rng, d, h, scale=0.5):
@@ -28,38 +27,6 @@ def random_cell_inputs(rng, d, h, k):
         visited = nbr_h_prev = nbr_m_cur = nbr_m_prev = None
         navg = np.zeros(h)
     return x, h_prev, m_prev, navg, visited, nbr_h_prev, nbr_m_cur, nbr_m_prev
-
-
-class TestAverageNeighborHidden:
-    def test_all_unvisited_gives_mean_of_previous(self):
-        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        prev = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        new = np.full((4, 2), 99.0)
-        out = average_neighbor_hidden(g, np.zeros(4, bool), new, prev, 0)
-        np.testing.assert_allclose(out, [3.0, 4.0])
-
-    def test_no_neighbors_gives_zero(self):
-        g = build_graph(2, [])
-        prev = np.ones((2, 3))
-        out = average_neighbor_hidden(g, np.zeros(2, bool), prev, prev, 0)
-        assert np.array_equal(out, np.zeros(3))
-
-    def test_mixed_flags_hand_evaluated(self):
-        # node 0 with neighbors 1, 2, 3 and flags (1, 0, 1):
-        # mean of (new_1, old_2, new_3), worked out by hand at H=2
-        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        new = np.array([[0.0, 0.0], [0.3, -0.3], [9.0, 9.0], [0.6, 0.9]])
-        old = np.array([[0.0, 0.0], [8.0, 8.0], [-0.6, 0.3], [7.0, 7.0]])
-        visited = np.array([False, True, False, True])
-        expected = np.array([(0.3 - 0.6 + 0.6) / 3.0, (-0.3 + 0.3 + 0.9) / 3.0])
-        out = average_neighbor_hidden(g, visited, new, old, 0)
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
-
-    def test_invalid_node(self):
-        g = build_graph(2, [(0, 1)])
-        with pytest.raises(ValueError, match="out of range"):
-            average_neighbor_hidden(g, np.zeros(2, bool), np.zeros((2, 1)),
-                                    np.zeros((2, 1)), 5)
 
 
 class TestCellForward:

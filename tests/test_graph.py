@@ -72,6 +72,36 @@ class TestBuildGraph:
             build_graph(0, [])
 
 
+class TestCSR:
+    @staticmethod
+    def check_csr(g):
+        indptr, indices, slot_edge = g.csr()
+        assert not (indptr.flags.writeable or indices.flags.writeable
+                    or slot_edge.flags.writeable)
+        adjacency = [[] for _ in range(g.num_nodes)]
+        for a, b in g.edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        for i in range(g.num_nodes):
+            assert indices[indptr[i]:indptr[i + 1]].tolist() == sorted(adjacency[i])
+            assert g.neighbors(i) == tuple(sorted(adjacency[i]))
+        owner = np.repeat(np.arange(g.num_nodes), np.diff(indptr))
+        for s, e in enumerate(slot_edge):
+            assert g.edges[e] == tuple(sorted((int(owner[s]), int(indices[s]))))
+        assert np.bincount(slot_edge, minlength=g.num_edges).tolist() == [2] * g.num_edges
+
+    def test_matches_edges_on_all_small_graphs(self):
+        for g in all_graphs(5):
+            self.check_csr(g)
+
+    def test_single_node_isolated_nodes_and_disconnected(self):
+        for g in (build_graph(1, []),
+                  build_graph(4, []),
+                  build_graph(5, [(1, 3)]),
+                  build_graph(7, [(0, 1), (1, 2), (4, 5), (4, 6), (5, 6)])):
+            self.check_csr(g)
+
+
 class TestCoarsen:
     def test_triangle_full_merge(self):
         g = build_graph(3, [(0, 1), (0, 2), (1, 2)])

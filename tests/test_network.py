@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from sevolve.cell import CellParams
+from sevolve.cell import CellParams, cell_forward
 from sevolve.evolve import EvolveConfig
 from sevolve.graph import CliquePartition, build_graph
 from sevolve.network import (
@@ -130,6 +131,32 @@ class TestForward:
         assert np.array_equal(res.combined_logits, replay.combined_logits)
         for a, b in zip(res.level_edge_probs, replay.level_edge_probs):
             assert np.array_equal(a, b)
+
+    def test_sweep_reads_new_state_of_visited_neighbors(self):
+        # star 0-{1, 2, 3}; layer 1 visits 2, 1, 0, 3, so node 0 averages
+        # the new hidden state of 1 and 2 with the previous state of 3
+        rng = np.random.default_rng(7)
+        cfg = tiny_cfg(layers=2)
+        sample = Sample(build_graph(4, [(0, 1), (0, 2), (0, 3)]),
+                        rng.normal(size=(4, 3)), [0, 1, 2, 0])
+        params = random_model(rng, cfg)
+        plan = StructurePlan(visit_orders=[np.array([3, 1, 0, 2]), np.array([2, 1, 0, 3])],
+                             partitions=[CliquePartition.identity(4)])
+        res = forward(sample, params, cfg, None, plan=plan)
+        prev, new = res.layers[0], res.layers[1]
+        nbrs = [1, 2, 3]
+
+        def node0(navg):
+            hidden, *_ = cell_forward(
+                params.cell, sample.features[0], prev.hidden[0], prev.memory[0], navg,
+                np.array([True, True, False]), prev.hidden[nbrs], new.memory[nbrs],
+                prev.memory[nbrs])
+            return hidden
+
+        navg = (new.hidden[1] + new.hidden[2] + prev.hidden[3]) / 3.0
+        np.testing.assert_allclose(new.hidden[0], node0(navg), rtol=1e-12, atol=0)
+        assert not np.allclose(new.hidden[0], node0(prev.hidden[nbrs].mean(axis=0)),
+                               rtol=1e-6, atol=0)
 
     def test_validates_dimensions(self):
         rng = np.random.default_rng(5)
@@ -393,4 +420,23 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:10]) + "\n")
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new, problem", [
+        ("H=3", "H", "malformed header token"),
+        ("H=3", "=3", "malformed header token"),
+        ("D=3", "D=x", "not an integer"),
+        ("C=3", "C=2.5", "not an integer"),
+        ("D=3", "D=0", "must be positive"),
+        ("layers=2", "layers=-1", "must be positive"),
+        (" D=3", "", "missing field"),
+    ])
+    def test_rejects_bad_header(self, tmp_path, old, new, problem):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(cfg, np.random.default_rng(5)), cfg)
+        header, rest = path.read_text().split("\n", 1)
+        assert header == "SEVOLVE-CKPT v1 D=3 H=3 C=3 layers=2"
+        path.write_text(header.replace(old, new, 1) + "\n" + rest)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: .*{problem}"):
             load_checkpoint(path)
