@@ -15,7 +15,7 @@ from sevolve.graph import (
     aggregate_node_values,
     project_to_base,
 )
-from sevolve.cell import CellParams, cell_forward, cell_backward
+from sevolve.cell import CellParams, cell_update, cell_backward
 from sevolve.evolve import (
     EvolveConfig,
     ProposalTrace,

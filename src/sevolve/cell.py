@@ -8,11 +8,16 @@ neighbor j the previous hidden state plus the memory state selected by
 j's visit flag. It produces the new hidden/memory state and one merging
 probability per neighbor.
 
-The reverse pass has two parts. cell_backward_node does the node-local
-work, which needs the node's upstream gradients: a sweep calls it once
-per node in reverse visit order. cell_backward_batch does the
-order-independent rest, parameter and input gradients, for many nodes at
-once. cell_backward composes the two for a single node.
+Both passes have two parts. cell_forward_batch computes what does not
+depend on the visit order (the static gate pre-activations, the
+per-neighbor forget gates and the merging probabilities) for many nodes
+at once; cell_forward does the node-local rest, which needs the
+neighbor average, and a sweep calls it once per node in visit order.
+In reverse, cell_backward_node does the node-local work, once per node
+in reverse visit order, and cell_backward_batch the order-independent
+rest, parameter and input gradients. A CellCache holds the activations
+of all the nodes of one such batch. cell_update and cell_backward
+compose the parts for a single node.
 
 Everything is float64 and purely functional: same inputs, bit-identical
 outputs.
@@ -21,6 +26,7 @@ outputs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,32 +118,95 @@ class CellParams:
     def zeros_like(self) -> "CellParams":
         return CellParams(self.input_dim, self.hidden_dim)
 
-    def validate(self):
-        for name, t in self.tensors():
-            if not np.isfinite(t).all():
-                raise ValueError(f"non-finite entries in cell tensor {name}")
-
     def __repr__(self):
         return f"CellParams(input_dim={self.input_dim}, hidden_dim={self.hidden_dim})"
 
 
+@dataclass(frozen=True, slots=True)
 class CellCache:
-    """Intermediate activations of one cell update, kept for the backward
-    pass. Written once by cell_forward and read-only afterwards. The
-    per-neighbor fields hold zero rows for a node without neighbors."""
+    """Activations of B cell updates over S neighbor slots, kept for the
+    backward pass: one per layer of a sweep, or one for a single node.
 
-    __slots__ = (
-        "params", "x", "h_prev", "m_prev", "navg",
-        "nbr_visited", "nbr_h_prev", "m_sel",
-        "sig_gates", "g_c", "nb_gate", "merge_probs",
-        "memory", "hidden", "inv_k",
-    )
+    Node rows run 0..B-1. Node i owns slots indptr[i]:indptr[i + 1], and
+    owner[s] is the node of slot s. Written once by the caller that ran
+    the updates and read-only afterwards.
+    """
+
+    params: CellParams
+    indptr: np.ndarray       # (B + 1,)
+    owner: np.ndarray        # (S,)
+    x: np.ndarray            # (B, D) inputs
+    h_prev: np.ndarray       # (B, H) own previous hidden state
+    m_prev: np.ndarray       # (B, H) own previous memory
+    navg: np.ndarray         # (B, H) neighbor averages
+    nbr_h_prev: np.ndarray   # (S, H) previous hidden state of each neighbor
+    m_sel: np.ndarray        # (S, H) flag-selected memory of each neighbor
+    nb_gate: np.ndarray      # (S, H) neighbor forget gates
+    merge_probs: np.ndarray  # (S,)
+    gates: np.ndarray        # (B, 4H) activated gates [g_u, g_f, g_o, g_c]
+    memory: np.ndarray       # (B, H) new memory
+    hidden: np.ndarray       # (B, H) new hidden state
 
 
-def cell_forward(params, x, h_prev, m_prev, neighbor_avg,
-                 nbr_visited=None, nbr_h_prev=None, nbr_m_cur=None, nbr_m_prev=None,
-                 pre_static=None, nbr_pre=None):
-    """One node update.
+def cell_forward_batch(params, x, h_prev, owner, nbr_h_prev):
+    """Order-independent part of B cell updates over S neighbor slots.
+
+    Args:
+        params: CellParams.
+        x, h_prev: (B, D) inputs and (B, H) own previous hidden states.
+        owner: (S,) index of the node, 0..B-1, that owns each slot.
+        nbr_h_prev: (S, H) previous hidden state of each slot's neighbor.
+
+    Returns:
+        (pre, nb_gate, merge_probs): the static gate pre-activations
+        x @ wx.T + h_prev @ uh.T + b (B, 4H), the per-slot neighbor forget
+        gates (S, H) and the per-slot merging probabilities (S,).
+    """
+    h = params.hidden_dim
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(f"input has shape {x.shape}, expected (B, {params.input_dim})")
+    pre = x @ params.wx.T + h_prev @ params.uh.T + params.b
+    forget = x @ params.wx[h:2 * h].T + params.b[h:2 * h]
+    nb_gate = sigmoid(forget[owner] + nbr_h_prev @ params.u_fn.T)
+    return pre, nb_gate, sigmoid(nb_gate @ params.w_e)
+
+
+def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel):
+    """Node-local part of one cell update: the work that needs the
+    neighbor average, so a sweep runs it once per node in visit order.
+
+    Args:
+        params: CellParams.
+        pre: (4H,) the node's static pre-activations from cell_forward_batch.
+        m_prev: (H,) the node's own previous memory.
+        navg: (H,) mean of the neighbor hidden states, zero vector when
+            the node has no neighbors.
+        nb_gate: (k, H) the node's neighbor forget gates.
+        m_sel: (k, H) neighbor memory selected by the visit flags.
+
+    Returns:
+        (hidden, memory, gates) with the activated gates [g_u, g_f, g_o,
+        g_c] of shape (4H,).
+    """
+    h = params.hidden_dim
+    unv = params.un @ navg
+    gates = pre.copy()
+    gates[:h] += unv[:h]          # input gate
+    gates[2 * h:] += unv[h:]      # output + candidate gates
+    gates[:3 * h] = sigmoid(gates[:3 * h])
+    gates[3 * h:] = np.tanh(gates[3 * h:])
+    g_u, g_f, g_o, g_c = gates.reshape(4, h)
+    inv_k = 1.0 / max(nb_gate.shape[0], 1)
+    memory = (nb_gate * m_sel).sum(axis=0) * inv_k + g_f * m_prev + g_u * g_c
+    hidden = np.tanh(g_o * memory)
+    if not math.isfinite(memory.sum() + hidden.sum()):
+        raise ValueError("non-finite values in cell inputs or parameters")
+    return hidden, memory, gates
+
+
+def cell_update(params, x, h_prev, m_prev, neighbor_avg,
+                nbr_visited=None, nbr_h_prev=None, nbr_m_cur=None, nbr_m_prev=None):
+    """One node update: cell_forward_batch and cell_forward for B = 1.
 
     Args:
         params: CellParams.
@@ -149,84 +218,35 @@ def cell_forward(params, x, h_prev, m_prev, neighbor_avg,
         nbr_h_prev: (k, H) previous hidden states of the neighbors.
         nbr_m_cur / nbr_m_prev: (k, H) updated / previous neighbor memory;
             the visit flag picks which one enters the memory sum.
-        pre_static: optional precomputed wx @ x + uh @ h_prev + b, shape
-            (4H,). Callers sweeping a whole layer batch this per layer.
-        nbr_pre: optional precomputed (w_f @ x + b_f) + nbr_h_prev @ u_fn.T,
-            shape (k, H). Same values the function would compute itself.
 
     Returns:
         (hidden, memory, merge_probs, cache) with merge_probs of shape (k,).
     """
-    h = params.hidden_dim
-    if x.shape != (params.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({params.input_dim},)")
-    if h_prev.shape != (h,) or m_prev.shape != (h,) or neighbor_avg.shape != (h,):
-        raise ValueError("own-state or neighbor-average shape mismatch")
-
-    if pre_static is None:
-        pre = params.wx @ x + params.uh @ h_prev + params.b
+    if nbr_visited is None:
+        nbr_h_prev = m_sel = np.zeros((0, params.hidden_dim))
     else:
-        pre = pre_static.copy()
-    unv = params.un @ neighbor_avg
-    pre[:h] += unv[:h]          # input gate
-    pre[2 * h:] += unv[h:]      # output + candidate gates
-    sig = sigmoid(pre[:3 * h])  # [g_u, g_f, g_o]
-    g_u = sig[:h]
-    g_f = sig[h:2 * h]
-    g_o = sig[2 * h:]
-    g_c = np.tanh(pre[3 * h:])
-
-    cache = CellCache()
-    k = 0 if nbr_visited is None else len(nbr_visited)
-    if k:
-        if nbr_h_prev.shape != (k, h):
-            raise ValueError("neighbor hidden-state shape mismatch")
-        if nbr_pre is None:
-            nbr_pre = nbr_h_prev @ params.u_fn.T + (params.wx[h:2 * h] @ x
-                                                    + params.b[h:2 * h])
-        nb_gate = sigmoid(nbr_pre)
-        m_sel = np.where(nbr_visited[:, None], nbr_m_cur, nbr_m_prev)
-        inv_k = 1.0 / k
-        memory = (nb_gate * m_sel).sum(axis=0) * inv_k + g_f * m_prev + g_u * g_c
-        merge_probs = sigmoid(nb_gate @ params.w_e)
-        cache.nbr_visited = np.asarray(nbr_visited, dtype=bool)
-        cache.nbr_h_prev = nbr_h_prev
-        cache.m_sel = m_sel
-        cache.nb_gate = nb_gate
-        cache.inv_k = inv_k
-    else:
-        memory = g_f * m_prev + g_u * g_c
-        merge_probs = np.zeros(0)
-        cache.nbr_visited = np.zeros(0, dtype=bool)
-        cache.nbr_h_prev = cache.m_sel = cache.nb_gate = np.zeros((0, h))
-        cache.inv_k = 0.0
-    hidden = np.tanh(g_o * memory)
-
-    if not math.isfinite(memory.sum() + hidden.sum()):
-        raise ValueError("non-finite values in cell inputs or parameters")
-
-    cache.params = params
-    cache.x = x
-    cache.h_prev = h_prev
-    cache.m_prev = m_prev
-    cache.navg = neighbor_avg
-    cache.sig_gates = sig
-    cache.g_c = g_c
-    cache.merge_probs = merge_probs
-    cache.memory = memory
-    cache.hidden = hidden
+        m_sel = np.where(np.asarray(nbr_visited, dtype=bool)[:, None], nbr_m_cur, nbr_m_prev)
+    k = nbr_h_prev.shape[0]
+    owner = np.zeros(k, dtype=np.intp)
+    pre, nb_gate, merge_probs = cell_forward_batch(
+        params, x[None], h_prev[None], owner, nbr_h_prev)
+    hidden, memory, gates = cell_forward(params, pre[0], m_prev, neighbor_avg, nb_gate, m_sel)
+    cache = CellCache(params, np.array([0, k]), owner, x[None], h_prev[None], m_prev[None],
+                      neighbor_avg[None], nbr_h_prev, m_sel, nb_gate, merge_probs,
+                      gates[None], memory[None], hidden[None])
     return hidden, memory, merge_probs, cache
 
 
-def cell_backward_node(cache, d_hidden, d_memory, d_edge_probs):
-    """Node-local part of the reverse of cell_forward: everything that
+def cell_backward_node(cache, i, d_hidden, d_memory, d_edge_probs):
+    """Node-local part of the reverse of node i's update: everything that
     needs the node's upstream gradients, and only those.
 
     Args:
-        cache: CellCache from the forward call.
+        cache: CellCache of the forward updates.
+        i: the node's row in the cache.
         d_hidden, d_memory: upstream gradients wrt the node's new state (H,).
-        d_edge_probs: upstream gradients wrt the merging probabilities
-            (k,), or None for zeros.
+        d_edge_probs: upstream gradients wrt the node's merging
+            probabilities (k,).
 
     Returns:
         (d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m): the
@@ -241,29 +261,25 @@ def cell_backward_node(cache, d_hidden, d_memory, d_edge_probs):
     h = params.hidden_dim
     if d_hidden.shape != (h,) or d_memory.shape != (h,):
         raise ValueError("upstream gradient shape mismatch")
-    nb_gate = cache.nb_gate
-    k = nb_gate.shape[0]
-    if d_edge_probs is None:
-        d_edge_probs = np.zeros(k)
-    elif d_edge_probs.shape != (k,):
+    lo, hi = cache.indptr[i], cache.indptr[i + 1]
+    k = hi - lo
+    if d_edge_probs.shape != (k,):
         raise ValueError(
             f"edge-probability gradient has shape {d_edge_probs.shape}, "
             f"node has {k} neighbors")
 
-    sig = cache.sig_gates
-    g_u = sig[:h]
-    g_f = sig[h:2 * h]
-    g_o = sig[2 * h:]
-    g_c = cache.g_c
+    g_u, g_f, g_o, g_c = cache.gates[i].reshape(4, h)
+    hidden = cache.hidden[i]
+    memory = cache.memory[i]
 
     # hidden = tanh(g_o * memory)
-    dz = d_hidden * (1.0 - cache.hidden * cache.hidden)
-    d_go = dz * cache.memory
+    dz = d_hidden * (1.0 - hidden * hidden)
+    d_go = dz * memory
     dm = d_memory + dz * g_o
 
     d_gu = dm * g_c
     d_gc = dm * g_u
-    d_gf = dm * cache.m_prev
+    d_gf = dm * cache.m_prev[i]
     d_m_prev = dm * g_f
 
     d_pre = np.empty(4 * h)
@@ -273,64 +289,61 @@ def cell_backward_node(cache, d_hidden, d_memory, d_edge_probs):
     d_pre[3 * h:] = d_gc * (1.0 - g_c * g_c)
     d_navg = params.un.T @ np.concatenate((d_pre[:h], d_pre[2 * h:]))
 
-    p = cache.merge_probs
+    nb_gate = cache.nb_gate[lo:hi]
+    p = cache.merge_probs[lo:hi]
     d_score = d_edge_probs * p * (1.0 - p)
-    dmk = dm * cache.inv_k
-    d_nbgate = dmk * cache.m_sel + d_score[:, None] * params.w_e
+    dmk = dm * (1.0 / max(k, 1))
+    d_nbgate = dmk * cache.m_sel[lo:hi] + d_score[:, None] * params.w_e
     d_prenb = d_nbgate * nb_gate * (1.0 - nb_gate)
     d_nbr_m = dmk * nb_gate
     return d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m
 
 
-def cell_backward_batch(params, grads, x, h_prev, navg, d_pre,
-                        nb_gate, nbr_h_prev, owner, d_score, d_prenb):
-    """Order-independent part of the reverse of B cell updates over S
-    neighbor slots in total.
+def cell_backward_batch(grads, cache, d_pre, d_score, d_prenb):
+    """Order-independent part of the reverse of every update in `cache`.
 
     Accumulates every parameter gradient into `grads` and returns the
     gradients wrt the inputs.
 
     Args:
-        params: CellParams of the forward calls.
         grads: CellParams accumulator.
-        x, h_prev, navg: (B, D), (B, H), (B, H) per-node forward inputs.
+        cache: CellCache of the forward updates, B nodes and S slots.
         d_pre: (B, 4H) from cell_backward_node.
-        nb_gate, nbr_h_prev: (S, H) per-slot neighbor forget gates (from
-            the caches) and previous neighbor hidden states.
-        owner: (S,) index of the node, 0..B-1, that owns each slot.
         d_score, d_prenb: (S,) and (S, H) from cell_backward_node.
 
     Returns:
         (d_x, d_h_prev, d_nbr_h_prev) of shapes (B, D), (B, H), (S, H).
     """
+    params = cache.params
     h = params.hidden_dim
-    grads.w_e += nb_gate.T @ d_score
-    grads.u_fn += d_prenb.T @ nbr_h_prev
+    grads.w_e += cache.nb_gate.T @ d_score
+    grads.u_fn += d_prenb.T @ cache.nbr_h_prev
     d_nbr_h_prev = d_prenb @ params.u_fn
     # w_f and b_f are shared between the own forget gate and every
     # per-neighbor forget gate, so both pre-activations contribute
     sum_prenb = np.zeros((d_pre.shape[0], h))
-    np.add.at(sum_prenb, owner, d_prenb)
+    np.add.at(sum_prenb, cache.owner, d_prenb)
 
-    grads.uh += d_pre.T @ h_prev
+    grads.uh += d_pre.T @ cache.h_prev
     d_unpre = np.concatenate((d_pre[:, :h], d_pre[:, 2 * h:]), axis=1)
-    grads.un += d_unpre.T @ navg
+    grads.un += d_unpre.T @ cache.navg
     grads.b += d_pre.sum(axis=0)
     grads.b[h:2 * h] += sum_prenb.sum(axis=0)
     d_wx_rows = d_pre.copy()
     d_wx_rows[:, h:2 * h] += sum_prenb
-    grads.wx += d_wx_rows.T @ x
+    grads.wx += d_wx_rows.T @ cache.x
     return d_wx_rows @ params.wx, d_pre @ params.uh, d_nbr_h_prev
 
 
 def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
-    """Exact reverse of cell_forward: cell_backward_node followed by
-    cell_backward_batch over this one node.
+    """Exact reverse of cell_update: cell_backward_node followed by
+    cell_backward_batch over its one node.
 
     Args:
-        cache: CellCache from the forward call.
+        cache: CellCache from cell_update.
         d_hidden, d_memory: upstream gradients wrt the node's new state (H,).
-        d_edge_probs: upstream gradients wrt the merging probabilities (k,).
+        d_edge_probs: upstream gradients wrt the merging probabilities
+            (k,), or None for zeros.
         grads: CellParams accumulator; allocated fresh when None.
 
     Returns:
@@ -340,15 +353,15 @@ def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
         state otherwise — same selection as the forward pass). The two
         neighbor gradients are None for a node without neighbors.
     """
-    params = cache.params
     if grads is None:
-        grads = params.zeros_like()
+        grads = cache.params.zeros_like()
+    k = cache.owner.shape[0]
+    if d_edge_probs is None:
+        d_edge_probs = np.zeros(k)
     d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m = cell_backward_node(
-        cache, d_hidden, d_memory, d_edge_probs)
-    k = d_score.shape[0]
+        cache, 0, d_hidden, d_memory, d_edge_probs)
     d_x, d_h_prev, d_nbr_h_prev = cell_backward_batch(
-        params, grads, cache.x[None], cache.h_prev[None], cache.navg[None], d_pre[None],
-        cache.nb_gate, cache.nbr_h_prev, np.zeros(k, dtype=np.intp), d_score, d_prenb)
+        grads, cache, d_pre[None], d_score, d_prenb)
     if not k:
         d_nbr_h_prev = d_nbr_m = None
     return grads, d_x[0], d_h_prev[0], d_m_prev, d_navg, d_nbr_h_prev, d_nbr_m

@@ -196,6 +196,8 @@ def load_dataset(path) -> DatasetFile:
         num_labels = int(head[3].removeprefix("K="))
     except ValueError:
         fail(1, f"bad header fields {lines[0]!r}")
+    if dim < 1 or num_labels < 1:
+        fail(1, f"header needs D >= 1 and K >= 1, got {lines[0]!r}")
 
     samples = []
     pos = 1
@@ -208,6 +210,8 @@ def load_dataset(path) -> DatasetFile:
             m = int(parts[2].removeprefix("edges="))
         except ValueError:
             fail(pos + 1, f"bad sample record {lines[pos]!r}")
+        if n < 1 or m < 0:
+            fail(pos + 1, f"sample needs nodes >= 1 and edges >= 0, got {lines[pos]!r}")
         pos += 1
         if pos + m + n + 1 > len(lines):
             fail(len(lines), f"truncated sample {len(samples)} "

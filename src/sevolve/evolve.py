@@ -23,30 +23,20 @@ from sevolve.graph import (
     quotient_graph,
 )
 
-MODES = ("train", "test")
-
-
 @dataclass
 class EvolveConfig:
     """Settings for one structure-evolution step.
 
     `threshold` switches to the deterministic ablation: edges with
     probability >= threshold merge, no sampling and no acceptance loop.
-    `loss_floor`, when set, promises that loss_eval never returns less
-    than this value; it tightens the bound used to skip posterior
-    evaluations that cannot change a trial's outcome.
     """
 
     max_trials: int = 50
-    mode: str = "train"
     threshold: float | None = None
-    loss_floor: float | None = None
 
     def __post_init__(self):
         if self.max_trials < 1:
             raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.threshold is not None and not (0.0 < self.threshold <= 1.0):
             raise ValueError(f"threshold must lie in (0, 1], got {self.threshold}")
 
@@ -61,8 +51,8 @@ class ProposalTrace:
 
     When `posterior_evaluated` is False the trial was rejected without
     calling the loss callback: the acceptance draw exceeded the largest
-    alpha any admissible posterior ratio could produce (bounded by the
-    exponent clamp and, when configured, the loss floor), so
+    alpha any admissible posterior ratio could produce (losses are
+    non-negative, so that ratio is posterior_ratio(loss_old, 0)), so
     `posterior_ratio` and `alpha` hold that upper bound instead of
     evaluated values. The accept/reject decision is identical either way.
     """
@@ -202,9 +192,13 @@ def transition_ratio(g: LevelGraph, partition: CliquePartition, edge_probs) -> f
 def posterior_ratio(loss_old: float, loss_new: float) -> float:
     """exp(loss_old - loss_new): the Gibbs posterior ratio of the candidate
     graph to the current one (partition function cancels). The exponent is
-    clamped to +-50, which preserves ordering while preventing overflow."""
+    clamped to +-50, which preserves ordering while preventing overflow.
+    Losses must be finite and non-negative: evolve_step skips posterior
+    evaluations by a bound that takes 0 as the lowest loss."""
     if not (math.isfinite(loss_old) and math.isfinite(loss_new)):
         raise ValueError(f"losses must be finite, got {loss_old}, {loss_new}")
+    if loss_old < 0.0 or loss_new < 0.0:
+        raise ValueError(f"losses must be non-negative, got {loss_old}, {loss_new}")
     return math.exp(min(50.0, max(-50.0, loss_old - loss_new)))
 
 
@@ -213,27 +207,23 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
 
     Proposes up to cfg.max_trials candidate coarsenings and accepts one
     with probability alpha = min(1, transition_ratio * posterior_ratio).
-    In test mode the posterior ratio is fixed to 1 and `loss_eval` is
-    never called; in train mode `loss_eval(partition, graph)` must return
-    the task loss under the coarsening `partition` of the source `graph`
-    (the candidate graph itself is quotient_graph(graph, partition)). If
-    no candidate is accepted the graph is kept unchanged with the
-    identity partition.
+    With `loss_eval` None (test mode) the posterior ratio is fixed to 1.
+    Otherwise (train mode) `loss_eval(partition, graph)` must return the
+    non-negative task loss under the coarsening `partition` of the source
+    `graph` (the candidate graph itself is quotient_graph(graph,
+    partition)); a negative loss raises ValueError. If no candidate is
+    accepted the graph is kept unchanged with the identity partition.
 
     Returns (next_graph, partition, list of ProposalTrace).
     """
     probs = _validated_probs(g, edge_probs)
-    test_mode = cfg.mode == "test"
-    if not test_mode and loss_eval is None:
-        raise ValueError("train mode requires a loss_eval callback")
+    test_mode = loss_eval is None
     ratio_cap = 1.0
     loss_old = None
     if not test_mode:
         loss_old = float(loss_eval(CliquePartition.identity(g.num_nodes), g))
-        if cfg.loss_floor is not None:
-            ratio_cap = posterior_ratio(loss_old, cfg.loss_floor)
-        else:
-            ratio_cap = math.exp(50.0)  # ceiling the exponent clamp allows
+        # a loss of 0 is the best any candidate can reach
+        ratio_cap = posterior_ratio(loss_old, 0.0)
     m = probs.size
     traces = []
     for trial in range(1, cfg.max_trials + 1):

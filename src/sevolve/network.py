@@ -18,11 +18,18 @@ merge-probability readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from sevolve.cell import CellParams, cell_backward_batch, cell_backward_node, cell_forward
+from sevolve.cell import (
+    CellCache,
+    CellParams,
+    cell_backward_batch,
+    cell_backward_node,
+    cell_forward,
+    cell_forward_batch,
+)
 from sevolve.evolve import EvolveConfig, evolve_deterministic, evolve_step
 from sevolve.graph import (
     CliquePartition,
@@ -153,19 +160,14 @@ class StructurePlan:
     partitions: list
 
 
-class _LayerBook:
-    """Per-layer bookkeeping needed by the backward pass."""
-
-    __slots__ = ("caches", "order", "inputs", "h_prev", "m_prev", "hidden", "memory")
-
-
 class ForwardResult:
     """Everything one forward pass produced: per-level logits and edge
     probabilities, the realized hierarchy trace, the combined base-level
-    logits, and the caches for the backward pass."""
+    logits, and per layer the visit order and the CellCache for the
+    backward pass."""
 
     __slots__ = ("mode", "params", "level_logits", "combined_logits", "trace",
-                 "amaps", "layers")
+                 "amaps", "orders", "layers")
 
     @property
     def level_edge_probs(self):
@@ -173,7 +175,7 @@ class ForwardResult:
 
     def plan(self) -> StructurePlan:
         return StructurePlan(
-            visit_orders=[bk.order for bk in self.layers],
+            visit_orders=list(self.orders),
             partitions=list(self.trace.partitions))
 
 
@@ -207,6 +209,15 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             rng=None, mode: str = "train", plan: StructurePlan | None = None) -> ForwardResult:
     """Run the full stack on one sample.
 
+    Each layer sweeps its level graph in two parts. cell_forward_batch
+    computes the visit-order independent gate terms for every node and
+    CSR neighbor slot at once. cell_forward then updates the nodes one by
+    one in visit order. It reads "current state" arrays that start as the
+    previous state and take each node's new state when the node is
+    updated, so a neighbor enters with its new state exactly when it
+    comes earlier in the visit order. The layer's activations go into one
+    CellCache.
+
     In train mode the evolution step may query the label-dependent
     posterior; in test mode acceptance uses the transition ratio alone and
     labels are never read. Passing a StructurePlan replays a recorded
@@ -238,7 +249,6 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     h_prev = np.zeros((g.num_nodes, h_dim))
     m_prev = np.zeros((g.num_nodes, h_dim))
     amap = np.arange(g.num_nodes, dtype=np.intp)
-    zero_h = np.zeros(h_dim)
 
     levels = [g]
     partitions = []
@@ -246,68 +256,39 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     decisions = []
     level_logits = []
     amaps = []
+    orders = []
     layers = []
 
     cell = params.cell
-    hh = h_dim
     for t in range(n_layers):
         n = g.num_nodes
         indptr, indices, slot_edge = g.csr()
         order = plan.visit_orders[t] if plan is not None else rng.permutation(n)
-        visited = np.zeros(n, dtype=bool)
-        h_new = np.zeros((n, h_dim))
-        m_new = np.zeros((n, h_dim))
-        caches = [None] * n
-        slot_probs = np.zeros(indices.size)
-        # visit-order independent pre-activations, batched for the layer
-        pre_static = feats @ cell.wx.T + h_prev @ cell.uh.T + cell.b
-        forget_base = feats @ cell.wx[hh:2 * hh].T + cell.b[hh:2 * hh]
-        nbr_base = h_prev @ cell.u_fn.T
+        owner = np.repeat(np.arange(n), np.diff(indptr))
+        nbr_h_prev = h_prev[indices]
+        pre, nb_gate, slot_probs = cell_forward_batch(cell, feats, h_prev, owner, nbr_h_prev)
+        h_cur = h_prev.copy()
+        m_cur = m_prev.copy()
+        navg = np.empty((n, h_dim))
+        m_sel = np.empty((indices.size, h_dim))
+        gates = np.empty((n, 4 * h_dim))
         for i in order:
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
-            if idx.size:
-                vis = visited.take(idx)
-                hp_rows = h_prev.take(idx, axis=0)
-                mp_rows = m_prev.take(idx, axis=0)
-                any_vis = vis.any()
-                if any_vis:
-                    hn_rows = h_new.take(idx, axis=0)
-                    mc_rows = m_new.take(idx, axis=0)
-                    navg = np.where(vis[:, None], hn_rows, hp_rows).sum(axis=0) / idx.size
-                else:
-                    mc_rows = mp_rows
-                    navg = hp_rows.sum(axis=0) / idx.size
-                hid, mem, probs_i, cache = cell_forward(
-                    cell, feats[i], h_prev[i], m_prev[i], navg,
-                    vis, hp_rows, mc_rows, mp_rows,
-                    pre_static=pre_static[i],
-                    nbr_pre=forget_base[i] + nbr_base.take(idx, axis=0))
-                slot_probs[lo:hi] = probs_i
-            else:
-                hid, mem, _, cache = cell_forward(
-                    cell, feats[i], h_prev[i], m_prev[i], zero_h,
-                    pre_static=pre_static[i])
-            h_new[i] = hid
-            m_new[i] = mem
-            caches[i] = cache
-            visited[i] = True
+            navg[i] = h_cur.take(idx, axis=0).sum(axis=0) / max(hi - lo, 1)
+            m_sel[lo:hi] = m_cur.take(idx, axis=0)
+            h_cur[i], m_cur[i], gates[i] = cell_forward(
+                cell, pre[i], m_prev[i], navg[i], nb_gate[lo:hi], m_sel[lo:hi])
+        layers.append(CellCache(cell, indptr, owner, feats, h_prev, m_prev, navg,
+                                nbr_h_prev, m_sel, nb_gate, slot_probs, gates, m_cur, h_cur))
 
         # one probability per undirected edge: mean of the two directed
         # evaluations, lower endpoint's slot first
         p_edge = 0.5 * np.bincount(slot_edge, slot_probs, g.num_edges)
         head_w, head_b = params.heads[t]
-        logits = h_new @ head_w.T + head_b
+        logits = h_cur @ head_w.T + head_b
 
-        book = _LayerBook()
-        book.caches = caches
-        book.order = order
-        book.inputs = feats
-        book.h_prev = h_prev
-        book.m_prev = m_prev
-        book.hidden = h_new
-        book.memory = m_new
-        layers.append(book)
+        orders.append(order)
         level_logits.append(logits)
         edge_probs.append(p_edge)
         amaps.append(amap)
@@ -321,18 +302,13 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
                 g_next, part, trial_log = evolve_deterministic(
                     g, p_edge, cfg.evolve.threshold)
             else:
-                # the posterior energy is a sum of cross-entropies, so 0
-                # is a valid floor for the evaluation-skipping bound
-                ecfg = replace(cfg.evolve, mode=mode, threshold=None, loss_floor=0.0)
-                loss_eval = None
-                if mode == "train":
-                    loss_eval = _make_loss_eval(logits, amap, labels)
-                g_next, part, trial_log = evolve_step(g, p_edge, loss_eval, ecfg, rng)
+                loss_eval = _make_loss_eval(logits, amap, labels) if mode == "train" else None
+                g_next, part, trial_log = evolve_step(g, p_edge, loss_eval, cfg.evolve, rng)
             partitions.append(part)
             decisions.append(trial_log)
             feats = aggregate_node_values(part, feats)
-            h_prev = aggregate_node_values(part, h_new)
-            m_prev = aggregate_node_values(part, m_new)
+            h_prev = aggregate_node_values(part, h_cur)
+            m_prev = aggregate_node_values(part, m_cur)
             amap = part.assignment[amap]
             g = g_next
             levels.append(g)
@@ -348,6 +324,7 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     result.combined_logits = combined
     result.trace = HierarchyTrace(levels, partitions, edge_probs, decisions)
     result.amaps = amaps
+    result.orders = orders
     result.layers = layers
     return result
 
@@ -401,21 +378,23 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
 
     Per layer, cell_backward_node reverses the nodes in reverse visit
     order, so that every gradient into a node's new state is accumulated
-    before that node's own cell is reversed. One cell_backward_batch call
-    then does the order-independent rest (parameter gradients,
-    layer-input gradients) for the whole layer, with the level graph's
-    CSR slots as the neighbor index. Cell gradients of every layer land
-    in the single shared cell block.
+    before that node's own cell is reversed. A neighbor slot carries its
+    gradient to the neighbor's new state when the neighbor comes before
+    the slot's owner in the visit order, and to its previous state
+    otherwise. One
+    cell_backward_batch call then does the order-independent rest
+    (parameter gradients, layer-input gradients) for the whole layer,
+    reading the layer's CellCache. Cell gradients of every layer land in
+    the single shared cell block.
     """
     params = result.params
-    cell = params.cell
     labels = sample.labels
     if labels.max() >= cfg.num_classes or labels.min() < 0:
         raise ValueError(f"label out of range for {cfg.num_classes} classes")
     grads = params.zeros_like()
     n_layers = len(result.level_logits)
     n0 = sample.graph.num_nodes
-    hh = cell.hidden_dim
+    hh = params.cell.hidden_dim
 
     # task-loss gradient wrt the combined logits
     d_comb = _softmax(result.combined_logits)
@@ -436,17 +415,17 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     d_hprev_next = None
     d_mprev_next = None
     for t in range(n_layers - 1, -1, -1):
-        book = result.layers[t]
+        cache = result.layers[t]
+        order = result.orders[t]
         g = result.trace.levels[t]
         n = g.num_nodes
-        caches = book.caches
 
         # head path
         d_logits = np.zeros((n, cfg.num_classes))
         np.add.at(d_logits, result.amaps[t], d_comb)
         head_w, _ = params.heads[t]
         gw, gb = grads.heads[t]
-        gw += d_logits.T @ book.hidden
+        gw += d_logits.T @ cache.hidden
         gb += d_logits.sum(axis=0)
         d_h_new = d_logits @ head_w
         d_m_new = np.zeros((n, hh))
@@ -465,6 +444,10 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         # each edge probability is the mean of its two directed slots
         indptr, indices, slot_edge = g.csr()
         d_slot_probs = (0.5 * d_p_levels[t])[slot_edge]
+        # slot flag: the neighbor comes before the slot's owner in the order
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = np.arange(n)
+        vis = pos[indices] < pos[cache.owner]
 
         d_m_prev_t = np.zeros((n, hh))
         d_pre = np.zeros((n, 4 * hh))
@@ -472,28 +455,24 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         d_prenb = np.zeros((indices.size, hh))
         d_nbr_m = np.zeros((indices.size, hh))
         d_nbr_h = np.zeros((indices.size, hh))
-        for i in reversed(book.order):
-            cache = caches[i]
+        for i in reversed(order):
             lo, hi = indptr[i], indptr[i + 1]
             (d_pre[i], d_m_prev_t[i], d_navg, d_score[lo:hi], d_prenb[lo:hi],
              d_nbr_m[lo:hi]) = cell_backward_node(
-                 cache, d_h_new[i], d_m_new[i], d_slot_probs[lo:hi])
-            contrib = d_navg * cache.inv_k
+                 cache, i, d_h_new[i], d_m_new[i], d_slot_probs[lo:hi])
+            contrib = d_navg * (1.0 / max(hi - lo, 1))
             d_nbr_h[lo:hi] = contrib
-            vis = cache.nbr_visited
-            if vis.any():
-                vi = indices[lo:hi][vis]
-                d_h_new[vi] += contrib
-                d_m_new[vi] += d_nbr_m[lo:hi][vis]
+            v = vis[lo:hi]
+            vi = indices[lo:hi][v]
+            d_h_new[vi] += contrib
+            d_m_new[vi] += d_nbr_m[lo:hi][v]
 
         # order-independent part, batched over the layer; gradients into
-        # unvisited neighbors reach their previous state
+        # neighbors updated after their slot's owner reach their previous
+        # state
         d_x, d_h_own, d_nbr_hp = cell_backward_batch(
-            cell, grads.cell, book.inputs, book.h_prev,
-            np.array([c.navg for c in caches]), d_pre,
-            np.concatenate([c.nb_gate for c in caches]), book.h_prev[indices],
-            np.repeat(np.arange(n), np.diff(indptr)), d_score, d_prenb)
-        unv = ~np.concatenate([c.nbr_visited for c in caches])
+            grads.cell, cache, d_pre, d_score, d_prenb)
+        unv = ~vis
         d_nbr_hp[unv] += d_nbr_h[unv]
         np.add.at(d_m_prev_t, indices[unv], d_nbr_m[unv])
         d_h_prev_t = np.zeros((n, hh))
@@ -536,7 +515,8 @@ def save_checkpoint(path, params: ModelParams, cfg: NetworkConfig):
 
 
 def load_checkpoint(path):
-    """Reads a checkpoint, validating tensor names and dims exactly.
+    """Reads a checkpoint, validating tensor names and dims exactly and
+    every value as a finite number; errors name the path and line.
 
     Returns (params, meta) with meta holding input_dim, hidden_dim,
     num_classes, and num_layers.
@@ -575,7 +555,11 @@ def load_checkpoint(path):
         parts = lines[pos].split()
         if parts[:2] != ["tensor", name]:
             raise ValueError(f"{path}:{pos + 1}: expected tensor {name}, got {lines[pos]!r}")
-        dims = tuple(int(x) for x in parts[2:])
+        try:
+            dims = tuple(int(x) for x in parts[2:])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{pos + 1}: tensor {name} dims {parts[2:]} are not integers") from None
         if dims != t.shape:
             raise ValueError(f"{path}:{pos + 1}: tensor {name} dims {dims} != {t.shape}")
         pos += 1
@@ -590,7 +574,13 @@ def load_checkpoint(path):
                 raise ValueError(
                     f"{path}:{pos + 1}: tensor {name} row {r} has {len(vals)} "
                     f"values, expected {width}")
-            flat[r] = [float(v) for v in vals]
+            try:
+                flat[r] = [float(v) for v in vals]
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{pos + 1}: tensor {name} row {r} has a non-numeric value") from None
+            if not np.isfinite(flat[r]).all():
+                raise ValueError(f"{path}:{pos + 1}: tensor {name} row {r} has a non-finite value")
             pos += 1
     if pos != len(lines):
         raise ValueError(f"{path}:{pos + 1}: trailing content after last tensor")

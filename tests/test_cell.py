@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sevolve.cell import CellParams, cell_backward, cell_forward
+from sevolve.cell import CellParams, cell_backward, cell_update
 
 
 def random_params(rng, d, h, scale=0.5):
@@ -33,7 +33,7 @@ class TestCellForward:
     def test_all_zeros_one_neighbor(self):
         p = CellParams(2, 2)
         z2 = np.zeros(2)
-        hidden, memory, probs, _ = cell_forward(
+        hidden, memory, probs, _ = cell_update(
             p, z2, z2, z2, z2,
             np.array([False]), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
         assert np.array_equal(hidden, z2)
@@ -45,7 +45,7 @@ class TestCellForward:
         # every sigmoid gate is 0.5, candidate is tanh(0) = 0, so
         # memory = 0.5 * 1 = 0.5 and hidden = tanh(0.5 * 0.5)
         p = CellParams(1, 1)
-        hidden, memory, probs, _ = cell_forward(
+        hidden, memory, probs, _ = cell_update(
             p, np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1))
         assert memory[0] == 0.5
         assert hidden[0] == math.tanh(0.25)
@@ -57,9 +57,10 @@ class TestCellForward:
             d, h, k = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(0, 4))
             p = random_params(rng, d, h, scale=2.0)
             x, hp, mp, navg, vis, nhp, nmc, nmp = random_cell_inputs(rng, d, h, k)
-            _, _, probs, cache = cell_forward(p, x, hp, mp, navg, vis, nhp, nmc, nmp)
-            assert (cache.sig_gates > 0).all() and (cache.sig_gates < 1).all()
-            assert (cache.g_c > -1).all() and (cache.g_c < 1).all()
+            _, _, probs, cache = cell_update(p, x, hp, mp, navg, vis, nhp, nmc, nmp)
+            h3 = 3 * h
+            assert (cache.gates[:, :h3] > 0).all() and (cache.gates[:, :h3] < 1).all()
+            assert (cache.gates[:, h3:] > -1).all() and (cache.gates[:, h3:] < 1).all()
             assert (probs > 0).all() and (probs < 1).all()
             assert (np.abs(cache.hidden) < 1).all()
 
@@ -80,7 +81,7 @@ class TestCellForward:
         memory_ref = g_f * mp + g_u * g_c
         hidden_ref = np.tanh(g_o * memory_ref)
 
-        hidden, memory, _, _ = cell_forward(p, x, hp, mp, navg)
+        hidden, memory, _, _ = cell_update(p, x, hp, mp, navg)
         np.testing.assert_allclose(memory, memory_ref, rtol=0, atol=1e-15)
         np.testing.assert_allclose(hidden, hidden_ref, rtol=0, atol=1e-15)
 
@@ -88,20 +89,20 @@ class TestCellForward:
         rng = np.random.default_rng(2)
         p = random_params(rng, 3, 4)
         args = random_cell_inputs(rng, 3, 4, 2)
-        h1, m1, p1, _ = cell_forward(p, *args)
-        h2, m2, p2, _ = cell_forward(p, *args)
+        h1, m1, p1, _ = cell_update(p, *args)
+        h2, m2, p2, _ = cell_update(p, *args)
         assert np.array_equal(h1, h2) and np.array_equal(m1, m2) and np.array_equal(p1, p2)
 
     def test_rejects_bad_shapes(self):
         p = CellParams(2, 3)
         with pytest.raises(ValueError, match="shape"):
-            cell_forward(p, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
+            cell_update(p, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
 
     def test_rejects_non_finite(self):
         p = CellParams(2, 2)
         x = np.array([np.inf, 0.0])
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            cell_forward(p, x, np.zeros(2), np.zeros(2), np.zeros(2))
+            cell_update(p, x, np.zeros(2), np.zeros(2), np.zeros(2))
 
 
 def _loss_weights(rng, h, k):
@@ -109,7 +110,7 @@ def _loss_weights(rng, h, k):
 
 
 def _cell_loss(p, inputs, wh, wm, wp):
-    hidden, memory, probs, _ = cell_forward(p, *inputs)
+    hidden, memory, probs, _ = cell_update(p, *inputs)
     return float(wh @ hidden + wm @ memory + (wp @ probs if probs.size else 0.0))
 
 
@@ -129,7 +130,7 @@ def run_cell_grad_check(seed, step=1e-5):
     x, h_prev, m_prev, navg, vis, nhp, nmc, nmp = inputs
     wh, wm, wp = _loss_weights(rng, h, k)
 
-    _, _, _, cache = cell_forward(p, *inputs)
+    _, _, _, cache = cell_update(p, *inputs)
     grads, d_x, d_hp, d_mp, d_navg, d_nhp, d_nm = cell_backward(
         cache, wh.copy(), wm.copy(), wp.copy() if k else None)
 
@@ -195,7 +196,7 @@ class TestCellBackward:
         rng = np.random.default_rng(3)
         p = random_params(rng, 3, 3)
         inputs = random_cell_inputs(rng, 3, 3, 2)
-        _, _, _, cache = cell_forward(p, *inputs)
+        _, _, _, cache = cell_update(p, *inputs)
         grads, d_x, d_hp, d_mp, d_navg, d_nhp, d_nm = cell_backward(
             cache, np.zeros(3), np.zeros(3), np.zeros(2))
         for _, t in grads.tensors():
@@ -207,7 +208,7 @@ class TestCellBackward:
         rng = np.random.default_rng(4)
         p = random_params(rng, 2, 3)
         inputs = random_cell_inputs(rng, 2, 3, 2)
-        _, _, _, cache = cell_forward(p, *inputs)
+        _, _, _, cache = cell_update(p, *inputs)
         dh, dm, dp = rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
         g1, *outs1 = cell_backward(cache, dh, dm, dp)
         g2, *outs2 = cell_backward(cache, 2.5 * dh, 2.5 * dm, 2.5 * dp)
@@ -230,7 +231,7 @@ class TestCellBackward:
         navg = rng.normal(size=3)
         inputs = (x, h_prev, m_prev, navg, vis, nhp, nmc, nmp)
         wh, wm, wp = _loss_weights(rng, 3, 2)
-        _, _, _, cache = cell_forward(p, *inputs)
+        _, _, _, cache = cell_update(p, *inputs)
         grads, *_ = cell_backward(cache, wh.copy(), wm.copy(), wp.copy())
         step = 1e-5
         for name, t in p.tensors():
@@ -262,7 +263,7 @@ class TestCellBackward:
         p = random_params(rng, 2, 2)
         x, hp, mp, navg, _, nhp, nmc, nmp = random_cell_inputs(rng, 2, 2, 2)
         vis = np.array([True, False])
-        _, _, _, cache = cell_forward(p, x, hp, mp, navg, vis, nhp, nmc, nmp)
+        _, _, _, cache = cell_update(p, x, hp, mp, navg, vis, nhp, nmc, nmp)
         _, _, _, _, _, _, d_nm = cell_backward(
             cache, np.ones(2), np.ones(2), np.zeros(2))
         # row 0 was visited: its gradient belongs to nbr_m_cur[0]; verify

@@ -170,3 +170,20 @@ class TestDatasetRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="label out of range"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("D=4", "D=-3", 1),
+        ("K=2", "K=0", 1),
+        ("nodes=16", "nodes=-1", 2),
+        ("nodes=16", "nodes=0", 2),
+        ("edges=24", "edges=-1", 2),
+    ])
+    def test_bad_counts_name_line(self, tmp_path, old, new, line):
+        ds = generate_dataset(GenConfig(grid_n=4, num_labels=2, seed=11), 2)
+        path = tmp_path / "data.txt"
+        save_dataset(path, ds)
+        text = path.read_text()
+        assert old in text.splitlines()[line - 1]
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(DatasetError, match=rf"data\.txt:{line}: .*(D >= 1|nodes >= 1)"):
+            load_dataset(path)

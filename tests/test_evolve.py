@@ -133,7 +133,7 @@ class TestPosteriorRatio:
 class TestEvolveStep:
     def test_certain_merge_accepted_first_trial(self):
         g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-        cfg = EvolveConfig(mode="test")
+        cfg = EvolveConfig()
         coarse, part, traces = evolve_step(g, np.ones(3), None, cfg, np.random.default_rng(0))
         assert len(traces) == 1
         assert traces[0].accepted
@@ -148,7 +148,7 @@ class TestEvolveStep:
         def loss_eval(part, graph):
             return 0.0 if part.is_identity else 1e9
 
-        cfg = EvolveConfig(max_trials=50, mode="train")
+        cfg = EvolveConfig(max_trials=50)
         coarse, part, traces = evolve_step(g, probs, loss_eval, cfg,
                                            np.random.default_rng(42))
         assert len(traces) == 50
@@ -163,7 +163,7 @@ class TestEvolveStep:
         def loss_eval(part, graph):
             return 0.1 * part.num_cliques
 
-        cfg = EvolveConfig(max_trials=10, mode="train")
+        cfg = EvolveConfig(max_trials=10)
         runs = []
         for _ in range(2):
             _, _, traces = evolve_step(g, probs, loss_eval, cfg, np.random.default_rng(99))
@@ -172,22 +172,74 @@ class TestEvolveStep:
         assert runs[0] == runs[1]
 
     def test_test_mode_never_calls_loss_eval(self):
+        # without a loss callback the posterior ratio is 1, so alpha is
+        # the transition ratio capped at 1
         g = build_graph(6, random_connected_graph(np.random.default_rng(5), 6))
         probs = np.random.default_rng(6).uniform(0.2, 0.95, g.num_edges)
+        cfg = EvolveConfig(max_trials=20)
+        _, _, traces = evolve_step(g, probs, None, cfg, np.random.default_rng(7))
+        assert len(traces) > 1
+        for t in traces:
+            assert t.posterior_ratio == 1.0 and t.posterior_evaluated
+            assert t.alpha == min(1.0, t.transition_ratio)
 
-        def poisoned(part, graph):
-            raise AssertionError("loss_eval must not be called in test mode")
+    def test_posterior_skipping_matches_brute_force(self):
+        # a plain MH loop with the same draws (rng.random(m), then
+        # rng.random()) that evaluates the posterior on every trial
+        rng = np.random.default_rng(13)
+        evaluated = skipped = accepted = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            g = build_graph(n, random_connected_graph(rng, n))
+            probs = rng.uniform(0.05, 0.95, g.num_edges)
+            labels = rng.integers(0, 2, size=n)
+            base, mix = rng.uniform(0.0, 3.0), rng.uniform(0.0, 5.0)
+            calls = []
 
-        cfg = EvolveConfig(max_trials=20, mode="test")
-        out1 = evolve_step(g, probs, poisoned, cfg, np.random.default_rng(7))
-        out2 = evolve_step(g, probs, None, cfg, np.random.default_rng(7))
-        assert [t.alpha for t in out1[2]] == [t.alpha for t in out2[2]]
-        assert np.array_equal(out1[1].assignment, out2[1].assignment)
+            def loss_eval(part, graph):
+                calls.append(part)
+                assign = part.assignment
+                mixed = [(labels[assign == c].min() != labels[assign == c].max())
+                         for c in assign]
+                return base * part.num_cliques / n + mix * sum(mixed) / n
 
-    def test_train_mode_requires_loss_eval(self):
-        with pytest.raises(ValueError, match="loss_eval"):
-            evolve_step(TRIANGLE, np.full(3, 0.5), None, EvolveConfig(mode="train"),
-                        np.random.default_rng(0))
+            seed = int(rng.integers(1 << 30))
+            _, part, traces = evolve_step(g, probs, loss_eval, EvolveConfig(max_trials=5),
+                                          np.random.default_rng(seed))
+            n_eval = sum(t.posterior_evaluated for t in traces)
+            assert len(calls) == 1 + n_eval  # the current graph, then each evaluated trial
+
+            ref = np.random.default_rng(seed)
+            loss_old = loss_eval(CliquePartition.identity(n), g)
+            want_assign = list(range(n))
+            want = []
+            for _ in range(5):
+                draws = ref.random(g.num_edges)
+                sel = [e for e, u, p in zip(g.edges, draws, probs) if u < p]
+                assign, count = union_find_components(n, sel)
+                loss_new = loss_eval(CliquePartition(np.array(assign), count), g)
+                alpha = min(1.0, eliminated_edge_product(g.edges, assign, probs)
+                            * math.exp(min(50.0, max(-50.0, loss_old - loss_new))))
+                want.append(ref.random() < alpha)
+                if want[-1]:
+                    want_assign = assign
+                    break
+            assert [t.accepted for t in traces] == want
+            assert list(part.assignment) == want_assign
+            assert all(t.posterior_evaluated for t in traces if t.accepted)
+            evaluated += n_eval
+            skipped += len(traces) - n_eval
+            accepted += any(want)
+        assert evaluated and skipped and accepted
+
+    @pytest.mark.parametrize("old, new", [(-0.5, 1.0), (1.0, -0.5)])
+    def test_rejects_negative_loss(self, old, new):
+        def loss_eval(part, graph):
+            return old if part.is_identity else new
+
+        with pytest.raises(ValueError, match="non-negative"):
+            evolve_step(build_graph(2, [(0, 1)]), np.ones(1), loss_eval,
+                        EvolveConfig(max_trials=1), np.random.default_rng(0))
 
     def test_node_count_never_increases_and_alpha_in_range(self):
         rng = np.random.default_rng(10)
@@ -195,7 +247,7 @@ class TestEvolveStep:
             n = int(rng.integers(2, 12))
             g = build_graph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.0, 1.0, g.num_edges)
-            cfg = EvolveConfig(max_trials=5, mode="test")
+            cfg = EvolveConfig(max_trials=5)
             coarse, part, traces = evolve_step(g, probs, None, cfg, rng)
             assert coarse.num_nodes <= g.num_nodes
             assert part.num_cliques == coarse.num_nodes
@@ -209,7 +261,7 @@ class TestEvolveStep:
             n = int(rng.integers(3, 9))
             g = build_graph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.2, 0.9, g.num_edges)
-            cfg = EvolveConfig(max_trials=3, mode="test")
+            cfg = EvolveConfig(max_trials=3)
             _, _, traces = evolve_step(g, probs, None, cfg, rng)
             for t in traces:
                 _, count = union_find_components(n, t.selected)
@@ -228,7 +280,7 @@ class TestEvolveStep:
         def loss_eval(part, graph):
             return 0.0 if part.is_identity else loss_new
 
-        cfg = EvolveConfig(max_trials=1, mode="train")
+        cfg = EvolveConfig(max_trials=1)
         accepted = 0
         draws = 10_000
         for k in range(draws):
@@ -268,14 +320,12 @@ class TestConfigAndRecords:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_trials"):
             EvolveConfig(max_trials=0)
-        with pytest.raises(ValueError, match="mode"):
-            EvolveConfig(mode="predict")
         with pytest.raises(ValueError, match="threshold"):
             EvolveConfig(threshold=1.5)
 
     def test_trace_records_format(self):
         g = build_graph(2, [(0, 1)])
-        cfg = EvolveConfig(max_trials=1, mode="test")
+        cfg = EvolveConfig(max_trials=1)
         _, _, traces = evolve_step(g, np.ones(1), None, cfg, np.random.default_rng(0))
         lines = trace_records(traces)
         assert lines == ["trial=1 selected=1 transition_ratio=1.0 "
@@ -287,7 +337,7 @@ class TestConfigAndRecords:
         def loss_eval(part, graph):
             return 0.0 if part.is_identity else 1e9
 
-        cfg = EvolveConfig(max_trials=3, mode="train")
+        cfg = EvolveConfig(max_trials=3)
         _, _, traces = evolve_step(g, np.ones(1), loss_eval, cfg, np.random.default_rng(0))
         lines = trace_records(traces)
         assert lines[-1] == "fallback=identity"

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sevolve.cell import CellParams, cell_forward
+from sevolve.cell import CellParams, cell_update
 from sevolve.evolve import EvolveConfig
 from sevolve.graph import CliquePartition, build_graph
 from sevolve.network import (
@@ -147,7 +147,7 @@ class TestForward:
         nbrs = [1, 2, 3]
 
         def node0(navg):
-            hidden, *_ = cell_forward(
+            hidden, *_ = cell_update(
                 params.cell, sample.features[0], prev.hidden[0], prev.memory[0], navg,
                 np.array([True, True, False]), prev.hidden[nbrs], new.memory[nbrs],
                 prev.memory[nbrs])
@@ -157,6 +157,34 @@ class TestForward:
         np.testing.assert_allclose(new.hidden[0], node0(navg), rtol=1e-12, atol=0)
         assert not np.allclose(new.hidden[0], node0(prev.hidden[nbrs].mean(axis=0)),
                                rtol=1e-6, atol=0)
+
+    # Pinned sampling stream: visit orders, partition assignments, the
+    # accepted trial per transition and the next draw after the pass. A
+    # change that consumes the rng differently, or moves any merge
+    # probability across a draw, fails here.
+    @pytest.mark.parametrize("seed, mode, orders, assignments, accepted, next_draw", [
+        (14, "train",
+         [[5, 1, 4, 7, 3, 2, 6, 0], [2, 0, 1], [0]],
+         [[0, 1, 1, 1, 1, 1, 2, 1], [0, 0, 0]],
+         [3, 1], 0.5071235862721885),
+        (37, "test",
+         [[7, 1, 3, 2, 4, 6, 5, 0], [4, 1, 0, 2, 3], [1, 4, 3, 0, 2]],
+         [[0, 1, 0, 0, 2, 3, 0, 4], [0, 1, 2, 3, 4]],
+         [4, 2], 0.7958070658363148),
+    ])
+    def test_golden_sampling_trace(self, seed, mode, orders, assignments, accepted,
+                                   next_draw):
+        rng = np.random.default_rng(seed)
+        cfg = tiny_cfg(layers=3, max_trials=5)
+        sample = make_sample(rng, n=8)
+        params = random_model(rng, cfg)
+        run_rng = np.random.default_rng(seed + 100)
+        res = forward(sample, params, cfg, run_rng, mode=mode)
+        assert [o.tolist() for o in res.plan().visit_orders] == orders
+        assert [p.assignment.tolist() for p in res.trace.partitions] == assignments
+        assert [[t.trial for t in d if t.accepted] for d in res.trace.decisions] == [
+            [k] for k in accepted]
+        assert run_rng.random() == next_draw
 
     def test_validates_dimensions(self):
         rng = np.random.default_rng(5)
@@ -270,14 +298,31 @@ class TestBackward:
             np.testing.assert_allclose(edge_part2, 2.0 * edge_part1,
                                        rtol=1e-9, atol=1e-12)
 
-    def test_full_network_finite_differences(self):
-        # 6 nodes, 2 layers, D = H = 3, frozen structure replay
+    @pytest.mark.parametrize("fixed_plan", [False, True], ids=["sampled", "fixed-plan"])
+    def test_full_network_finite_differences(self, fixed_plan):
+        # D = H = 3, frozen structure replay. Without a fixed plan: 6 nodes,
+        # 2 layers, whatever structure the run samples. With one: both
+        # transitions merge nodes, and every level has nodes without
+        # neighbors (base node 6, coarse nodes 3 and 4, all of level 2).
         rng = np.random.default_rng(16)
-        cfg = tiny_cfg(d=3, c=3, layers=2)
-        sample = make_sample(rng, n=6, d=3, c=3)
+        if fixed_plan:
+            cfg = tiny_cfg(d=3, c=3, layers=3)
+            g = build_graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
+            sample = Sample(g, rng.normal(size=(7, 3)), rng.integers(0, 3, size=7))
+            plan = StructurePlan(
+                visit_orders=[np.array([3, 6, 0, 5, 2, 1, 4]), np.array([2, 4, 0, 3, 1]),
+                              np.array([1, 2, 0])],
+                partitions=[CliquePartition(np.array([0, 0, 1, 2, 3, 3, 4]), 5),
+                            CliquePartition(np.array([0, 0, 0, 1, 2]), 3)])
+        else:
+            cfg = tiny_cfg(d=3, c=3, layers=2)
+            sample = make_sample(rng, n=6, d=3, c=3)
+            plan = None
         params = random_model(np.random.default_rng(17), cfg)
-        res = forward(sample, params, cfg, np.random.default_rng(18), mode="train")
+        res = forward(sample, params, cfg, np.random.default_rng(18), mode="train", plan=plan)
         plan = res.plan()
+        if fixed_plan:
+            assert [lv.num_edges for lv in res.trace.levels] == [5, 3, 0]
         analytic = _grads_by_name(backward(res, sample, cfg))
 
         def loss_now():
@@ -439,4 +484,24 @@ class TestCheckpoint:
         assert header == "SEVOLVE-CKPT v1 D=3 H=3 C=3 layers=2"
         path.write_text(header.replace(old, new, 1) + "\n" + rest)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: .*{problem}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, row, token, problem", [
+        ("w_u", 0, "x", "are not integers"),
+        ("w_f", 1, "abc", "non-numeric value"),
+        ("w_f", 1, "nan", "non-finite value"),
+        ("b_o", 1, "-inf", "non-finite value"),
+    ])
+    def test_rejects_bad_tensor_body(self, tmp_path, name, row, token, problem):
+        # row 0 is the tensor's dims line, row 1 its first value row; the
+        # last token of that line is replaced
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(cfg, np.random.default_rng(6)), cfg)
+        lines = path.read_text().splitlines()
+        k = lines.index(f"tensor {name} " + " ".join(["3"] * (1 if name[0] == "b" else 2)))
+        k += row
+        lines[k] = " ".join(lines[k].split()[:-1] + [token])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{k + 1}: .*{problem}"):
             load_checkpoint(path)
