@@ -8,16 +8,19 @@ neighbor j the previous hidden state plus the memory state selected by
 j's visit flag. It produces the new hidden/memory state and one merging
 probability per neighbor.
 
-Both passes have two parts. cell_forward_batch computes what does not
-depend on the visit order (the static gate pre-activations, the
-per-neighbor forget gates and the merging probabilities) for many nodes
-at once; cell_forward does the node-local rest, which needs the
-neighbor average, and a sweep calls it once per node in visit order.
-In reverse, cell_backward_node does the node-local work, once per node
-in reverse visit order, and cell_backward_batch the order-independent
-rest, parameter and input gradients. A CellCache holds the activations
-of all the nodes of one such batch. cell_update and cell_backward
-compose the parts for a single node.
+Both passes have two parts, and both parts act on B nodes at once, with
+the nodes' neighbor slots tied to them by an owner array.
+cell_forward_batch computes what does not depend on the visit order (the
+static gate pre-activations, the per-neighbor forget gates and the
+merging probabilities), once for all the nodes of a layer. cell_forward
+does the node-local rest, which needs the neighbor average; a sweep runs
+it once per wave, a set of pairwise non-adjacent nodes whose
+earlier-visited neighbors are all updated already. In reverse,
+cell_backward_node does the node-local work, once per wave in reverse
+wave order, and cell_backward_batch the order-independent rest,
+parameter and input gradients, once per layer. A CellCache holds the
+activations of all the nodes of one such layer. cell_update and
+cell_backward compose the parts for a single node.
 
 Everything is float64 and purely functional: same inputs, bit-identical
 outputs.
@@ -127,13 +130,12 @@ class CellCache:
     """Activations of B cell updates over S neighbor slots, kept for the
     backward pass: one per layer of a sweep, or one for a single node.
 
-    Node rows run 0..B-1. Node i owns slots indptr[i]:indptr[i + 1], and
-    owner[s] is the node of slot s. Written once by the caller that ran
-    the updates and read-only afterwards.
+    Node rows run 0..B-1, and owner[s] is the node of slot s. A sweep
+    fills the node-local rows one wave at a time; afterwards the cache is
+    read-only.
     """
 
     params: CellParams
-    indptr: np.ndarray       # (B + 1,)
     owner: np.ndarray        # (S,)
     x: np.ndarray            # (B, D) inputs
     h_prev: np.ndarray       # (B, H) own previous hidden state
@@ -171,33 +173,51 @@ def cell_forward_batch(params, x, h_prev, owner, nbr_h_prev):
     return pre, nb_gate, sigmoid(nb_gate @ params.w_e)
 
 
-def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel):
-    """Node-local part of one cell update: the work that needs the
-    neighbor average, so a sweep runs it once per node in visit order.
+def segment_sum(values, owner, num_rows):
+    """Sums of the (S, H) `values` rows grouped by `owner`: row i of the
+    (num_rows, H) result adds the values[s] with owner[s] == i in slot
+    order, and is zero when there are none."""
+    h = values.shape[1]
+    flat = (owner[:, None] * h + np.arange(h)).ravel()
+    return np.bincount(flat, values.ravel(), num_rows * h).reshape(num_rows, h)
+
+
+def _split_gates(gates, h):
+    """The (B, H) blocks [u, f, o, c] of packed (B, 4H) gates, as views."""
+    return (gates[:, k * h:(k + 1) * h] for k in range(4))
+
+
+def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, owner):
+    """Node-local part of B cell updates: the work that needs the neighbor
+    average, so a sweep runs it once per wave.
 
     Args:
         params: CellParams.
-        pre: (4H,) the node's static pre-activations from cell_forward_batch.
-        m_prev: (H,) the node's own previous memory.
-        navg: (H,) mean of the neighbor hidden states, zero vector when
-            the node has no neighbors.
-        nb_gate: (k, H) the node's neighbor forget gates.
-        m_sel: (k, H) neighbor memory selected by the visit flags.
+        pre: (B, 4H) the nodes' static pre-activations from
+            cell_forward_batch.
+        m_prev: (B, H) the nodes' own previous memory.
+        navg: (B, H) means of the neighbor hidden states, zero rows for
+            nodes without neighbors.
+        nb_gate: (S, H) the nodes' neighbor forget gates.
+        m_sel: (S, H) neighbor memory selected by the visit flags.
+        owner: (S,) row, 0..B-1, of the node that owns each slot.
 
     Returns:
         (hidden, memory, gates) with the activated gates [g_u, g_f, g_o,
-        g_c] of shape (4H,).
+        g_c] of shape (B, 4H).
     """
     h = params.hidden_dim
-    unv = params.un @ navg
+    b = pre.shape[0]
+    unv = navg @ params.un.T
     gates = pre.copy()
-    gates[:h] += unv[:h]          # input gate
-    gates[2 * h:] += unv[h:]      # output + candidate gates
-    gates[:3 * h] = sigmoid(gates[:3 * h])
-    gates[3 * h:] = np.tanh(gates[3 * h:])
-    g_u, g_f, g_o, g_c = gates.reshape(4, h)
-    inv_k = 1.0 / max(nb_gate.shape[0], 1)
-    memory = (nb_gate * m_sel).sum(axis=0) * inv_k + g_f * m_prev + g_u * g_c
+    gates[:, :h] += unv[:, :h]          # input gate
+    gates[:, 2 * h:] += unv[:, h:]      # output + candidate gates
+    gates[:, :3 * h] = sigmoid(gates[:, :3 * h])
+    gates[:, 3 * h:] = np.tanh(gates[:, 3 * h:])
+    g_u, g_f, g_o, g_c = _split_gates(gates, h)
+    inv_k = 1.0 / np.maximum(np.bincount(owner, minlength=b), 1)
+    memory = (segment_sum(nb_gate * m_sel, owner, b) * inv_k[:, None]
+              + g_f * m_prev + g_u * g_c)
     hidden = np.tanh(g_o * memory)
     if not math.isfinite(memory.sum() + hidden.sum()):
         raise ValueError("non-finite values in cell inputs or parameters")
@@ -230,47 +250,51 @@ def cell_update(params, x, h_prev, m_prev, neighbor_avg,
     owner = np.zeros(k, dtype=np.intp)
     pre, nb_gate, merge_probs = cell_forward_batch(
         params, x[None], h_prev[None], owner, nbr_h_prev)
-    hidden, memory, gates = cell_forward(params, pre[0], m_prev, neighbor_avg, nb_gate, m_sel)
-    cache = CellCache(params, np.array([0, k]), owner, x[None], h_prev[None], m_prev[None],
+    hidden, memory, gates = cell_forward(
+        params, pre, m_prev[None], neighbor_avg[None], nb_gate, m_sel, owner)
+    cache = CellCache(params, owner, x[None], h_prev[None], m_prev[None],
                       neighbor_avg[None], nbr_h_prev, m_sel, nb_gate, merge_probs,
-                      gates[None], memory[None], hidden[None])
-    return hidden, memory, merge_probs, cache
+                      gates, memory, hidden)
+    return hidden[0], memory[0], merge_probs, cache
 
 
-def cell_backward_node(cache, i, d_hidden, d_memory, d_edge_probs):
-    """Node-local part of the reverse of node i's update: everything that
-    needs the node's upstream gradients, and only those.
+def cell_backward_node(cache, rows, slots, owner, d_hidden, d_memory, d_edge_probs):
+    """Node-local part of the reverse of B updates in `cache`: everything
+    that needs the nodes' upstream gradients, and only those. A sweep runs
+    it once per wave, in reverse wave order.
 
     Args:
         cache: CellCache of the forward updates.
-        i: the node's row in the cache.
-        d_hidden, d_memory: upstream gradients wrt the node's new state (H,).
-        d_edge_probs: upstream gradients wrt the node's merging
-            probabilities (k,).
+        rows: (B,) the nodes' rows in the cache.
+        slots: (S,) the cache slots of those nodes, row by row.
+        owner: (S,) position in `rows`, 0..B-1, of each slot's node.
+        d_hidden, d_memory: upstream gradients wrt the nodes' new state
+            (B, H).
+        d_edge_probs: upstream gradients wrt the slots' merging
+            probabilities (S,).
 
     Returns:
-        (d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m): the
-        gradient wrt the packed gate pre-activations (4H,), the node's
-        previous memory (H,) and the neighbor average (H,); then per
-        neighbor the gradients wrt the merge-probability score (k,), the
-        neighbor forget-gate pre-activations (k, H) and the flag-selected
-        neighbor memory (k, H). cell_backward_batch turns d_pre, d_score
+        (d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m): per node the
+        gradient wrt the packed gate pre-activations (B, 4H), the node's
+        previous memory (B, H) and the neighbor average (B, H); then per
+        slot the gradients wrt the merge-probability score (S,), the
+        neighbor forget-gate pre-activations (S, H) and the flag-selected
+        neighbor memory (S, H). cell_backward_batch turns d_pre, d_score
         and d_prenb into parameter and input gradients.
     """
     params = cache.params
     h = params.hidden_dim
-    if d_hidden.shape != (h,) or d_memory.shape != (h,):
+    b = rows.shape[0]
+    if d_hidden.shape != (b, h) or d_memory.shape != (b, h):
         raise ValueError("upstream gradient shape mismatch")
-    lo, hi = cache.indptr[i], cache.indptr[i + 1]
-    k = hi - lo
-    if d_edge_probs.shape != (k,):
+    if d_edge_probs.shape != slots.shape:
         raise ValueError(
             f"edge-probability gradient has shape {d_edge_probs.shape}, "
-            f"node has {k} neighbors")
+            f"nodes have {slots.shape[0]} neighbor slots")
 
-    g_u, g_f, g_o, g_c = cache.gates[i].reshape(4, h)
-    hidden = cache.hidden[i]
-    memory = cache.memory[i]
+    g_u, g_f, g_o, g_c = _split_gates(cache.gates[rows], h)
+    hidden = cache.hidden[rows]
+    memory = cache.memory[rows]
 
     # hidden = tanh(g_o * memory)
     dz = d_hidden * (1.0 - hidden * hidden)
@@ -279,21 +303,22 @@ def cell_backward_node(cache, i, d_hidden, d_memory, d_edge_probs):
 
     d_gu = dm * g_c
     d_gc = dm * g_u
-    d_gf = dm * cache.m_prev[i]
+    d_gf = dm * cache.m_prev[rows]
     d_m_prev = dm * g_f
 
-    d_pre = np.empty(4 * h)
-    d_pre[:h] = d_gu * g_u * (1.0 - g_u)
-    d_pre[h:2 * h] = d_gf * g_f * (1.0 - g_f)
-    d_pre[2 * h:3 * h] = d_go * g_o * (1.0 - g_o)
-    d_pre[3 * h:] = d_gc * (1.0 - g_c * g_c)
-    d_navg = params.un.T @ np.concatenate((d_pre[:h], d_pre[2 * h:]))
+    d_pre = np.empty((b, 4 * h))
+    d_pre[:, :h] = d_gu * g_u * (1.0 - g_u)
+    d_pre[:, h:2 * h] = d_gf * g_f * (1.0 - g_f)
+    d_pre[:, 2 * h:3 * h] = d_go * g_o * (1.0 - g_o)
+    d_pre[:, 3 * h:] = d_gc * (1.0 - g_c * g_c)
+    d_navg = np.concatenate((d_pre[:, :h], d_pre[:, 2 * h:]), axis=1) @ params.un
 
-    nb_gate = cache.nb_gate[lo:hi]
-    p = cache.merge_probs[lo:hi]
+    nb_gate = cache.nb_gate[slots]
+    p = cache.merge_probs[slots]
     d_score = d_edge_probs * p * (1.0 - p)
-    dmk = dm * (1.0 / max(k, 1))
-    d_nbgate = dmk * cache.m_sel[lo:hi] + d_score[:, None] * params.w_e
+    inv_k = 1.0 / np.maximum(np.bincount(owner, minlength=b), 1)
+    dmk = (dm * inv_k[:, None])[owner]
+    d_nbgate = dmk * cache.m_sel[slots] + d_score[:, None] * params.w_e
     d_prenb = d_nbgate * nb_gate * (1.0 - nb_gate)
     d_nbr_m = dmk * nb_gate
     return d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m
@@ -321,8 +346,7 @@ def cell_backward_batch(grads, cache, d_pre, d_score, d_prenb):
     d_nbr_h_prev = d_prenb @ params.u_fn
     # w_f and b_f are shared between the own forget gate and every
     # per-neighbor forget gate, so both pre-activations contribute
-    sum_prenb = np.zeros((d_pre.shape[0], h))
-    np.add.at(sum_prenb, cache.owner, d_prenb)
+    sum_prenb = segment_sum(d_prenb, cache.owner, d_pre.shape[0])
 
     grads.uh += d_pre.T @ cache.h_prev
     d_unpre = np.concatenate((d_pre[:, :h], d_pre[:, 2 * h:]), axis=1)
@@ -359,9 +383,10 @@ def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
     if d_edge_probs is None:
         d_edge_probs = np.zeros(k)
     d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m = cell_backward_node(
-        cache, 0, d_hidden, d_memory, d_edge_probs)
+        cache, np.zeros(1, dtype=np.intp), np.arange(k), cache.owner,
+        d_hidden[None], d_memory[None], d_edge_probs)
     d_x, d_h_prev, d_nbr_h_prev = cell_backward_batch(
-        grads, cache, d_pre[None], d_score, d_prenb)
+        grads, cache, d_pre, d_score, d_prenb)
     if not k:
         d_nbr_h_prev = d_nbr_m = None
-    return grads, d_x[0], d_h_prev[0], d_m_prev, d_navg, d_nbr_h_prev, d_nbr_m
+    return grads, d_x[0], d_h_prev[0], d_m_prev[0], d_navg[0], d_nbr_h_prev, d_nbr_m

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sevolve.graph import LevelGraph, build_graph
-from sevolve.network import Sample
+from sevolve.network import Sample, write_lines_atomic
 
 _MAX_REGION_RESAMPLES = 200
 
@@ -162,19 +162,20 @@ def save_dataset(path, dataset: DatasetFile):
     header line  `SEVOLVE-DS v1 D=<d> K=<k>`
     per sample:  `sample nodes=<n> edges=<m>`, m edge lines `a b` in
     canonical order, n feature lines of d full-precision decimals, one
-    label line of n ints.
+    label line of n ints. Written atomically (write_lines_atomic).
     """
-    lines = [f"{DATASET_MAGIC} D={dataset.feature_dim} K={dataset.num_labels}"]
-    for s in dataset.samples:
-        g = s.graph
-        lines.append(f"sample nodes={g.num_nodes} edges={g.num_edges}")
-        for a, b in g.edges:
-            lines.append(f"{a} {b}")
-        for row in s.features:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        lines.append(" ".join(str(int(v)) for v in s.labels))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    def lines():
+        yield f"{DATASET_MAGIC} D={dataset.feature_dim} K={dataset.num_labels}"
+        for s in dataset.samples:
+            g = s.graph
+            yield f"sample nodes={g.num_nodes} edges={g.num_edges}"
+            for a, b in g.edges:
+                yield f"{a} {b}"
+            for row in s.features:
+                yield " ".join(repr(float(v)) for v in row)
+            yield " ".join(str(int(v)) for v in s.labels)
+
+    write_lines_atomic(path, lines())
 
 
 def load_dataset(path) -> DatasetFile:

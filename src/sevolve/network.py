@@ -9,16 +9,20 @@ level. All layers share one set of cell weights. The base-level
 prediction is the element-wise sum of every level's logits broadcast
 back to the base nodes.
 
+A layer's sweep updates its nodes one wave at a time (see wave_schedule),
+which gives exactly the states of a node-by-node sweep in visit order.
 The backward pass reverses the realized structure exactly: heads, then
-layers in reverse, nodes in reverse visit order, with aggregated-state
-gradients split uniformly over merged members. No gradient flows through
-the discrete merge decisions; the edge-supervision loss trains the
+layers in reverse, waves in reverse, with aggregated-state gradients
+split uniformly over merged members. No gradient flows through the
+discrete merge decisions; the edge-supervision loss trains the
 merge-probability readout.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from sevolve.cell import (
     cell_backward_node,
     cell_forward,
     cell_forward_batch,
+    segment_sum,
 )
 from sevolve.evolve import EvolveConfig, evolve_deterministic, evolve_step
 from sevolve.graph import (
@@ -160,14 +165,66 @@ class StructurePlan:
     partitions: list
 
 
+class WaveSchedule(NamedTuple):
+    """Level schedule of one layer's sweep, from wave_schedule.
+
+    waves: per wave, in sweep order, (rows, slots, owner): the wave's
+        nodes, their CSR slots row by row, and each slot's position in
+        `rows`.
+    earlier: (S,) bool per CSR slot, True when the slot's neighbor is
+        visited before the slot's owner.
+    """
+
+    waves: list
+    earlier: np.ndarray
+
+
+def wave_schedule(order, indptr, indices) -> WaveSchedule:
+    """Group the nodes of a sweep in visit order `order` over the CSR graph
+    (indptr, indices) into waves.
+
+    A node's wave is 1 plus the largest wave of its earlier-visited
+    neighbors, or 0 when it has none. So no edge joins two nodes of one
+    wave, every earlier-visited neighbor of a node lies in a strictly
+    earlier wave and every later-visited one in a later wave: updating
+    the waves in turn, each all at once, gives the same states as
+    updating the nodes one by one in visit order. The number of waves is
+    the number of nodes on the longest path whose nodes come in visit
+    order.
+
+    Built level by level (Kahn's algorithm): one vectorised pass per wave
+    takes the edges out of the wave's nodes to their later-visited
+    neighbors, and the next wave is the neighbors left with no
+    unscheduled earlier-visited neighbor. Nodes within a wave ascend.
+    """
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    owner = np.repeat(np.arange(n), deg)
+    earlier = pos[indices] < pos[owner]
+    pending = np.bincount(owner[earlier], minlength=n)
+    rows = np.flatnonzero(pending == 0)
+    waves = []
+    while rows.size:
+        k = deg[rows]
+        local = np.repeat(np.arange(rows.size), k)
+        slots = np.arange(local.size) + (indptr[rows] - np.cumsum(k) + k)[local]
+        waves.append((rows, slots, local))
+        reached = np.bincount(indices[slots[~earlier[slots]]], minlength=n)
+        pending -= reached
+        rows = np.flatnonzero((reached > 0) & (pending == 0))
+    return WaveSchedule(waves, earlier)
+
+
 class ForwardResult:
     """Everything one forward pass produced: per-level logits and edge
     probabilities, the realized hierarchy trace, the combined base-level
-    logits, and per layer the visit order and the CellCache for the
-    backward pass."""
+    logits, and per layer the visit order, its WaveSchedule and the
+    CellCache for the backward pass."""
 
     __slots__ = ("mode", "params", "level_logits", "combined_logits", "trace",
-                 "amaps", "orders", "layers")
+                 "amaps", "orders", "schedules", "layers")
 
     @property
     def level_edge_probs(self):
@@ -211,12 +268,14 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
 
     Each layer sweeps its level graph in two parts. cell_forward_batch
     computes the visit-order independent gate terms for every node and
-    CSR neighbor slot at once. cell_forward then updates the nodes one by
-    one in visit order. It reads "current state" arrays that start as the
-    previous state and take each node's new state when the node is
-    updated, so a neighbor enters with its new state exactly when it
-    comes earlier in the visit order. The layer's activations go into one
-    CellCache.
+    CSR neighbor slot at once. cell_forward then updates the nodes one
+    wave at a time, in the waves wave_schedule builds from the visit
+    order. It reads "current state" arrays that start as the previous
+    state and take a wave's new states when the wave is updated. Every
+    earlier-visited neighbor of a node lies in an earlier wave and every
+    later-visited one in a later wave, so a neighbor enters with its new
+    state exactly when it comes earlier in the visit order, as in a
+    node-by-node sweep. The layer's activations go into one CellCache.
 
     In train mode the evolution step may query the label-dependent
     posterior; in test mode acceptance uses the transition ratio alone and
@@ -257,6 +316,7 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     level_logits = []
     amaps = []
     orders = []
+    schedules = []
     layers = []
 
     cell = params.cell
@@ -264,22 +324,27 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
         n = g.num_nodes
         indptr, indices, slot_edge = g.csr()
         order = plan.visit_orders[t] if plan is not None else rng.permutation(n)
-        owner = np.repeat(np.arange(n), np.diff(indptr))
+        deg = np.diff(indptr)
+        k_div = np.maximum(deg, 1)[:, None]
+        owner = np.repeat(np.arange(n), deg)
         nbr_h_prev = h_prev[indices]
         pre, nb_gate, slot_probs = cell_forward_batch(cell, feats, h_prev, owner, nbr_h_prev)
+        schedule = wave_schedule(order, indptr, indices)
         h_cur = h_prev.copy()
         m_cur = m_prev.copy()
         navg = np.empty((n, h_dim))
         m_sel = np.empty((indices.size, h_dim))
         gates = np.empty((n, 4 * h_dim))
-        for i in order:
-            lo, hi = indptr[i], indptr[i + 1]
-            idx = indices[lo:hi]
-            navg[i] = h_cur.take(idx, axis=0).sum(axis=0) / max(hi - lo, 1)
-            m_sel[lo:hi] = m_cur.take(idx, axis=0)
-            h_cur[i], m_cur[i], gates[i] = cell_forward(
-                cell, pre[i], m_prev[i], navg[i], nb_gate[lo:hi], m_sel[lo:hi])
-        layers.append(CellCache(cell, indptr, owner, feats, h_prev, m_prev, navg,
+        for rows, slots, local in schedule.waves:
+            idx = indices[slots]
+            wave_navg = segment_sum(h_cur[idx], local, rows.size) / k_div[rows]
+            wave_m_sel = m_cur[idx]
+            navg[rows] = wave_navg
+            m_sel[slots] = wave_m_sel
+            h_cur[rows], m_cur[rows], gates[rows] = cell_forward(
+                cell, pre[rows], m_prev[rows], wave_navg, nb_gate[slots], wave_m_sel, local)
+        schedules.append(schedule)
+        layers.append(CellCache(cell, owner, feats, h_prev, m_prev, navg,
                                 nbr_h_prev, m_sel, nb_gate, slot_probs, gates, m_cur, h_cur))
 
         # one probability per undirected edge: mean of the two directed
@@ -325,6 +390,7 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     result.trace = HierarchyTrace(levels, partitions, edge_probs, decisions)
     result.amaps = amaps
     result.orders = orders
+    result.schedules = schedules
     result.layers = layers
     return result
 
@@ -376,16 +442,16 @@ def compute_loss(result: ForwardResult, sample: Sample, cfg: NetworkConfig):
 def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> ModelParams:
     """Exact gradients of the total loss over the realized structure.
 
-    Per layer, cell_backward_node reverses the nodes in reverse visit
-    order, so that every gradient into a node's new state is accumulated
-    before that node's own cell is reversed. A neighbor slot carries its
-    gradient to the neighbor's new state when the neighbor comes before
-    the slot's owner in the visit order, and to its previous state
-    otherwise. One
-    cell_backward_batch call then does the order-independent rest
-    (parameter gradients, layer-input gradients) for the whole layer,
-    reading the layer's CellCache. Cell gradients of every layer land in
-    the single shared cell block.
+    Per layer, cell_backward_node reverses the forward's waves in reverse
+    wave order, reusing the forward's WaveSchedule. Every gradient into a
+    node's new state comes from a later-visited neighbor, which sits in a
+    later wave, so it is accumulated before that node's wave is reversed.
+    A neighbor slot carries its gradient to the neighbor's new state when
+    the neighbor comes before the slot's owner in the visit order, and to
+    its previous state otherwise. One cell_backward_batch call then does
+    the order-independent rest (parameter gradients, layer-input
+    gradients) for the whole layer, reading the layer's CellCache. Cell
+    gradients of every layer land in the single shared cell block.
     """
     params = result.params
     labels = sample.labels
@@ -416,7 +482,7 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     d_mprev_next = None
     for t in range(n_layers - 1, -1, -1):
         cache = result.layers[t]
-        order = result.orders[t]
+        waves, earlier = result.schedules[t]
         g = result.trace.levels[t]
         n = g.num_nodes
 
@@ -444,10 +510,7 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         # each edge probability is the mean of its two directed slots
         indptr, indices, slot_edge = g.csr()
         d_slot_probs = (0.5 * d_p_levels[t])[slot_edge]
-        # slot flag: the neighbor comes before the slot's owner in the order
-        pos = np.empty(n, dtype=np.intp)
-        pos[order] = np.arange(n)
-        vis = pos[indices] < pos[cache.owner]
+        inv_deg = 1.0 / np.maximum(np.diff(indptr), 1)
 
         d_m_prev_t = np.zeros((n, hh))
         d_pre = np.zeros((n, 4 * hh))
@@ -455,29 +518,26 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         d_prenb = np.zeros((indices.size, hh))
         d_nbr_m = np.zeros((indices.size, hh))
         d_nbr_h = np.zeros((indices.size, hh))
-        for i in reversed(order):
-            lo, hi = indptr[i], indptr[i + 1]
-            (d_pre[i], d_m_prev_t[i], d_navg, d_score[lo:hi], d_prenb[lo:hi],
-             d_nbr_m[lo:hi]) = cell_backward_node(
-                 cache, i, d_h_new[i], d_m_new[i], d_slot_probs[lo:hi])
-            contrib = d_navg * (1.0 / max(hi - lo, 1))
-            d_nbr_h[lo:hi] = contrib
-            v = vis[lo:hi]
-            vi = indices[lo:hi][v]
-            d_h_new[vi] += contrib
-            d_m_new[vi] += d_nbr_m[lo:hi][v]
+        for rows, slots, local in reversed(waves):
+            (d_pre[rows], d_m_prev_t[rows], d_navg, d_score[slots], d_prenb[slots],
+             d_nbr_m[slots]) = cell_backward_node(
+                 cache, rows, slots, local, d_h_new[rows], d_m_new[rows], d_slot_probs[slots])
+            contrib = (d_navg * inv_deg[rows][:, None])[local]
+            d_nbr_h[slots] = contrib
+            e = earlier[slots]
+            vi = indices[slots[e]]
+            d_h_new += segment_sum(contrib[e], vi, n)
+            d_m_new += segment_sum(d_nbr_m[slots[e]], vi, n)
 
         # order-independent part, batched over the layer; gradients into
         # neighbors updated after their slot's owner reach their previous
         # state
         d_x, d_h_own, d_nbr_hp = cell_backward_batch(
             grads.cell, cache, d_pre, d_score, d_prenb)
-        unv = ~vis
+        unv = ~earlier
         d_nbr_hp[unv] += d_nbr_h[unv]
-        np.add.at(d_m_prev_t, indices[unv], d_nbr_m[unv])
-        d_h_prev_t = np.zeros((n, hh))
-        np.add.at(d_h_prev_t, indices, d_nbr_hp)
-        d_h_prev_t += d_h_own
+        d_m_prev_t += segment_sum(d_nbr_m[unv], indices[unv], n)
+        d_h_prev_t = segment_sum(d_nbr_hp, indices, n) + d_h_own
         d_feats_t += d_x
 
         d_feats_next = d_feats_t
@@ -497,21 +557,35 @@ def predict(sample: Sample, params: ModelParams, cfg: NetworkConfig, rng):
 CHECKPOINT_MAGIC = "SEVOLVE-CKPT v1"
 
 
+def write_lines_atomic(path, lines):
+    """Write each of `lines` plus a newline to `path`. The text goes to a
+    temporary file in the same directory that replaces `path` only once
+    it is complete, so a failure part-way leaves any previous file as it
+    was and no temporary file behind."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(path, params: ModelParams, cfg: NetworkConfig):
     """Versioned text checkpoint: a header with the model dimensions, then
-    every named tensor with its dims and row-major full-precision values."""
-    lines = [
-        f"{CHECKPOINT_MAGIC} D={cfg.input_dim} H={cfg.hidden_dim} "
-        f"C={cfg.num_classes} layers={cfg.num_layers}"
-    ]
-    for name, t in params.tensors():
-        dims = " ".join(str(d) for d in t.shape)
-        lines.append(f"tensor {name} {dims}")
-        rows = t.reshape(1, -1) if t.ndim == 1 else t
-        for row in rows:
-            lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    every named tensor with its dims and row-major full-precision values.
+    Written atomically (write_lines_atomic)."""
+    def lines():
+        yield (f"{CHECKPOINT_MAGIC} D={cfg.input_dim} H={cfg.hidden_dim} "
+               f"C={cfg.num_classes} layers={cfg.num_layers}")
+        for name, t in params.tensors():
+            yield f"tensor {name} " + " ".join(str(d) for d in t.shape)
+            for row in (t.reshape(1, -1) if t.ndim == 1 else t):
+                yield " ".join(repr(float(v)) for v in row)
+
+    write_lines_atomic(path, lines())
 
 
 def load_checkpoint(path):
@@ -524,7 +598,7 @@ def load_checkpoint(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC + " "):
-        raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
+        raise ValueError(f"{path}:1: not a {CHECKPOINT_MAGIC} checkpoint")
     fields = {}
     for token in lines[0].split()[2:]:
         key, sep, value = token.partition("=")
@@ -551,7 +625,7 @@ def load_checkpoint(path):
     pos = 1
     for name, t in params.tensors():
         if pos >= len(lines):
-            raise ValueError(f"{path}: truncated before tensor {name}")
+            raise ValueError(f"{path}:{pos}: truncated before tensor {name}")
         parts = lines[pos].split()
         if parts[:2] != ["tensor", name]:
             raise ValueError(f"{path}:{pos + 1}: expected tensor {name}, got {lines[pos]!r}")
@@ -568,7 +642,7 @@ def load_checkpoint(path):
         flat = t.reshape(rows, width)
         for r in range(rows):
             if pos >= len(lines):
-                raise ValueError(f"{path}: truncated inside tensor {name}")
+                raise ValueError(f"{path}:{pos}: truncated inside tensor {name}")
             vals = lines[pos].split()
             if len(vals) != width:
                 raise ValueError(

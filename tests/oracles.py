@@ -2,10 +2,15 @@
 
 These deliberately use different algorithms than the package (union-find
 instead of depth-first search, direct products instead of log-space sums,
-per-node ancestor walks instead of composed index maps).
+per-node ancestor walks instead of composed index maps, a node-by-node
+sweep with visit flags instead of waves).
 """
 
 import numpy as np
+
+from sevolve.cell import cell_backward, cell_update
+from sevolve.evolve import evolve_deterministic, evolve_step
+from sevolve.graph import aggregate_node_values, quotient_graph
 
 
 class UnionFind:
@@ -83,3 +88,164 @@ def random_connected_graph(rng, num_nodes, extra_edge_prob=0.3):
             if rng.random() < extra_edge_prob:
                 edges.add((a, b))
     return sorted(edges)
+
+
+def _mean_cross_entropy(logits, labels):
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    return float(np.mean(lse - z[np.arange(len(labels)), labels]))
+
+
+def _sweep_forward(cell, graph, order, x, h_prev, m_prev):
+    """One layer, node by node in visit order, each node a cell_update
+    fed by visit flags. Returns the new hidden and memory states, one
+    merging probability per directed edge (i, j), and the per-node caches
+    with the flags they were built from."""
+    nbrs = [[] for _ in range(graph.num_nodes)]
+    for a, b in graph.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    h_new = h_prev.copy()
+    m_new = m_prev.copy()
+    visited = np.zeros(graph.num_nodes, dtype=bool)
+    probs = {}
+    nodes = {}
+    for i in order:
+        nb = sorted(nbrs[i])
+        vis = visited[nb]
+        if nb:
+            navg = np.where(vis[:, None], h_new[nb], h_prev[nb]).sum(axis=0) / len(nb)
+            hid, mem, mp, cache = cell_update(cell, x[i], h_prev[i], m_prev[i], navg,
+                                              vis, h_prev[nb], m_new[nb], m_prev[nb])
+        else:
+            hid, mem, mp, cache = cell_update(cell, x[i], h_prev[i], m_prev[i],
+                                              np.zeros(cell.hidden_dim))
+        h_new[i], m_new[i] = hid, mem
+        visited[i] = True
+        for j, p in zip(nb, mp):
+            probs[i, j] = p
+        nodes[i] = (nb, vis, cache)
+    return h_new, m_new, probs, nodes
+
+
+def sequential_network(sample, params, cfg, rng=None, mode="train", plan=None):
+    """network.forward followed by network.backward, with every layer swept
+    node by node in visit order through cell_update and reversed node by
+    node through cell_backward. Draws from `rng` in the same order as
+    network.forward: the visit order, then the evolution step, per layer.
+
+    Returns (out, grads): `out` holds orders, partitions, decisions,
+    level_logits, edge_probs and combined_logits; `grads` is a ModelParams
+    of the total-loss gradients.
+    """
+    cell = params.cell
+    labels = sample.labels
+    n_layers = params.num_layers
+    g = sample.graph
+    x = sample.features
+    h_prev = np.zeros((g.num_nodes, cell.hidden_dim))
+    m_prev = np.zeros((g.num_nodes, cell.hidden_dim))
+    amap = np.arange(g.num_nodes)
+    out = {key: [] for key in ("orders", "partitions", "decisions", "level_logits",
+                               "edge_probs", "levels", "amaps", "sweeps")}
+    for t in range(n_layers):
+        order = plan.visit_orders[t] if plan is not None else rng.permutation(g.num_nodes)
+        h_new, m_new, probs, nodes = _sweep_forward(cell, g, order, x, h_prev, m_prev)
+        p_edge = np.array([0.5 * (probs[a, b] + probs[b, a]) for a, b in g.edges])
+        head_w, head_b = params.heads[t]
+        logits = h_new @ head_w.T + head_b
+        for key, value in (("orders", order), ("level_logits", logits), ("edge_probs", p_edge),
+                           ("levels", g), ("amaps", amap),
+                           ("sweeps", (order, x, h_prev, m_prev, h_new, m_new, nodes))):
+            out[key].append(value)
+        if t == n_layers - 1:
+            break
+        if plan is not None:
+            part, trial_log = plan.partitions[t], []
+            g_next = quotient_graph(g, part)
+        elif cfg.evolve.threshold is not None:
+            g_next, part, trial_log = evolve_deterministic(g, p_edge, cfg.evolve.threshold)
+        else:
+            def loss_eval(partition, graph, logits=logits, amap=amap):
+                agg = aggregate_node_values(partition, logits)
+                return _mean_cross_entropy(agg[partition.assignment[amap]], labels)
+
+            g_next, part, trial_log = evolve_step(
+                g, p_edge, loss_eval if mode == "train" else None, cfg.evolve, rng)
+        out["partitions"].append(part)
+        out["decisions"].append(trial_log)
+        x = aggregate_node_values(part, x)
+        h_prev = aggregate_node_values(part, h_new)
+        m_prev = aggregate_node_values(part, m_new)
+        amap = part.assignment[amap]
+        g = g_next
+    combined = out["level_logits"][0].copy()
+    for t in range(1, n_layers):
+        combined += out["level_logits"][t][out["amaps"][t]]
+    out["combined_logits"] = combined
+    return out, _sequential_backward(out, sample, params, cfg)
+
+
+def _level_labels(out, labels, num_classes, t):
+    # majority base label below each level-t node, ties to the smaller id
+    counts = np.zeros((out["levels"][t].num_nodes, num_classes))
+    for i, lab in enumerate(labels):
+        counts[ancestor_walk(out["partitions"], i, t), lab] += 1
+    return counts.argmax(axis=1)
+
+
+def _sequential_backward(out, sample, params, cfg):
+    labels = sample.labels
+    n0 = labels.size
+    n_layers = len(out["levels"])
+    grads = params.zeros_like()
+    z = np.exp(out["combined_logits"] - out["combined_logits"].max(axis=1, keepdims=True))
+    d_comb = z / z.sum(axis=1, keepdims=True)
+    d_comb[np.arange(n0), labels] -= 1.0
+    d_comb /= n0
+    total_edges = sum(p.size for p in out["edge_probs"])
+
+    d_next = None
+    for t in range(n_layers - 1, -1, -1):
+        g = out["levels"][t]
+        order, x, h_prev, m_prev, h_new, m_new, nodes = out["sweeps"][t]
+        lvl = _level_labels(out, labels, cfg.num_classes, t)
+        d_p = {}
+        for e, (a, b) in enumerate(g.edges):
+            target = float(lvl[a] == lvl[b])
+            d_p[a, b] = d_p[b, a] = (cfg.edge_loss_weight / total_edges
+                                     * (out["edge_probs"][t][e] - target))
+
+        d_logits = np.zeros((g.num_nodes, cfg.num_classes))
+        for i in range(n0):
+            d_logits[out["amaps"][t][i]] += d_comb[i]
+        head_w, _ = params.heads[t]
+        gw, gb = grads.heads[t]
+        gw += d_logits.T @ h_new
+        gb += d_logits.sum(axis=0)
+        d_h_new = d_logits @ head_w
+        d_m_new = np.zeros_like(d_h_new)
+        d_x = np.zeros_like(x)
+        if d_next is not None:
+            part = out["partitions"][t]
+            sizes = np.bincount(part.assignment, minlength=part.num_cliques)
+            for i, c in enumerate(part.assignment):
+                d_x[i] += d_next[0][c] / sizes[c]
+                d_h_new[i] += d_next[1][c] / sizes[c]
+                d_m_new[i] += d_next[2][c] / sizes[c]
+        d_h_prev = np.zeros_like(h_prev)
+        d_m_prev = np.zeros_like(m_prev)
+        for i in reversed(order):
+            nb, vis, cache = nodes[i]
+            _, dx, dhp, dmp, d_navg, d_nbr_h, d_nbr_m = cell_backward(
+                cache, d_h_new[i], d_m_new[i], np.array([d_p[i, j] for j in nb]), grads.cell)
+            d_x[i] += dx
+            d_h_prev[i] += dhp
+            d_m_prev[i] += dmp
+            for s, j in enumerate(nb):
+                # the average read j's new state iff j came first
+                (d_h_new if vis[s] else d_h_prev)[j] += d_navg / len(nb)
+                (d_m_new if vis[s] else d_m_prev)[j] += d_nbr_m[s]
+                d_h_prev[j] += d_nbr_h[s]
+        d_next = (d_x, d_h_prev, d_m_prev)
+    return grads

@@ -1,0 +1,132 @@
+"""Checkpoint and dataset files: seeded fuzzing of both loaders, and
+atomic writes by both savers."""
+
+import os
+import re
+
+import numpy as np
+import pytest
+
+from sevolve.data import DatasetError, GenConfig, generate_dataset, load_dataset, save_dataset
+from sevolve.network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
+
+# damaged tokens: none is a number, and none holds "=" as a header field does
+GARBAGE = ("x", "1.5.2", "--", "7e", "0x")
+MUTATIONS = ("truncate", "delete_line", "duplicate_line", "drop_token", "insert_token",
+             "garble_token")
+
+
+def mutate(lines, kind, rng):
+    """A damaged copy of `lines`. Every kind breaks the file's structure;
+    only truncation can leave a valid file (a dataset cut between
+    samples)."""
+    lines = list(lines)
+    k = int(rng.integers(len(lines)))
+    if kind == "truncate":
+        return lines[:k]
+    if kind == "delete_line":
+        del lines[k]
+        return lines
+    if kind == "duplicate_line":
+        lines.insert(k, lines[k])
+        return lines
+    tokens = lines[k].split()
+    j = int(rng.integers(len(tokens)))
+    if kind == "drop_token":
+        del tokens[j]
+    elif kind == "insert_token":
+        tokens.insert(j, "7")
+    else:
+        tokens[j] = str(rng.choice(GARBAGE))
+    lines[k] = " ".join(tokens)
+    return lines
+
+
+def located(path):
+    return "^" + re.escape(str(path)) + r":\d+: "
+
+
+def test_fuzzed_checkpoints_fail_with_a_line(tmp_path):
+    cfg = NetworkConfig(input_dim=3, num_classes=3, num_layers=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(cfg, np.random.default_rng(0)), cfg)
+    lines = path.read_text().splitlines()
+    rng = np.random.default_rng(1)
+    for trial in range(600):
+        kind = MUTATIONS[trial % len(MUTATIONS)]
+        path.write_text("".join(line + "\n" for line in mutate(lines, kind, rng)))
+        with pytest.raises(ValueError, match=located(path)):
+            load_checkpoint(path)
+
+
+def test_fuzzed_datasets_fail_with_a_line(tmp_path):
+    # 3x3 grids: 9 nodes, 12 edges and D = 6, so no line of one kind has
+    # the token count of another
+    ds = generate_dataset(GenConfig(grid_n=3, num_labels=4, seed=2), 3)
+    path = tmp_path / "data.txt"
+    save_dataset(path, ds)
+    lines = path.read_text().splitlines()
+    # line counts after which a prefix of whole samples ends
+    ends = [1]
+    for s in ds.samples:
+        ends.append(ends[-1] + 2 + s.graph.num_edges + s.num_nodes)
+    rng = np.random.default_rng(3)
+    for trial in range(600):
+        kind = MUTATIONS[trial % len(MUTATIONS)]
+        damaged = mutate(lines, kind, rng)
+        path.write_text("".join(line + "\n" for line in damaged))
+        if kind == "truncate" and len(damaged) in ends:
+            assert len(load_dataset(path)) == ends.index(len(damaged))
+            continue
+        with pytest.raises(DatasetError, match=located(path)):
+            load_dataset(path)
+
+
+class Unconvertible:
+    """A value whose conversion to a number fails, after noting which
+    files the directory holds at that moment."""
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.seen = None
+
+    def _fail(self):
+        self.seen = sorted(os.listdir(self.directory))
+        raise RuntimeError("cannot convert")
+
+    def __float__(self):
+        self._fail()
+
+    def __int__(self):
+        self._fail()
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
+    cfg = NetworkConfig(input_dim=3, num_classes=3, num_layers=2)
+    params = init_params(cfg, np.random.default_rng(4))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, cfg)
+    before = path.read_bytes()
+    # the last tensor written fails, part-way through the file
+    bad = Unconvertible(tmp_path)
+    w, _ = params.heads[-1]
+    params.heads[-1] = (w, np.array([0.0, 1.0, bad], dtype=object))
+    with pytest.raises(RuntimeError, match="cannot convert"):
+        save_checkpoint(path, params, cfg)
+    assert len(bad.seen) == 2          # the temporary file was being written
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def test_failed_dataset_write_keeps_previous_file(tmp_path):
+    ds = generate_dataset(GenConfig(grid_n=3, num_labels=2, seed=5), 2)
+    path = tmp_path / "data.txt"
+    save_dataset(path, ds)
+    before = path.read_bytes()
+    bad = Unconvertible(tmp_path)
+    ds.samples[-1].labels = np.array([0] * 8 + [bad], dtype=object)
+    with pytest.raises(RuntimeError, match="cannot convert"):
+        save_dataset(path, ds)
+    assert len(bad.seen) == 2
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["data.txt"]

@@ -1,8 +1,10 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sevolve.cell import CellParams, cell_update
 from sevolve.evolve import EvolveConfig
@@ -19,8 +21,9 @@ from sevolve.network import (
     load_checkpoint,
     predict,
     save_checkpoint,
+    wave_schedule,
 )
-from oracles import random_connected_graph
+from oracles import random_connected_graph, sequential_network
 
 
 def tiny_cfg(d=3, c=3, layers=2, max_trials=5, **kw):
@@ -213,6 +216,156 @@ class TestForward:
         for a, b in zip(base.level_edge_probs, res.level_edge_probs):
             if a.size:
                 assert not np.array_equal(a, b)
+
+
+def _assert_close(actual, expected):
+    # rtol 1e-12 against each array's largest entry: the waves sum and
+    # multiply in another order than a node-by-node sweep
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = np.abs(expected).max() if expected.size else 0.0
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _assert_matches_sequential(sample, params, cfg, seed=None, mode="train", plan=None):
+    """forward + backward against the node-by-node oracle: the same
+    structure and rng draws, and floats within rtol 1e-12."""
+    run = None if seed is None else np.random.default_rng(seed)
+    res = forward(sample, params, cfg, run, mode=mode, plan=plan)
+    grads = backward(res, sample, cfg)
+    ref_run = None if seed is None else np.random.default_rng(seed)
+    ref, ref_grads = sequential_network(sample, params, cfg, ref_run, mode=mode, plan=plan)
+
+    assert [o.tolist() for o in res.orders] == [list(o) for o in ref["orders"]]
+    assert [p.assignment.tolist() for p in res.trace.partitions] == [
+        p.assignment.tolist() for p in ref["partitions"]]
+    assert [[(d.trial, d.accepted) for d in log] for log in res.trace.decisions] == [
+        [(d.trial, d.accepted) for d in log] for log in ref["decisions"]]
+    if run is not None:
+        assert run.random() == ref_run.random()
+    for key in ("level_logits", "edge_probs"):
+        for a, b in zip(getattr(res, key) if key == "level_logits" else res.trace.edge_probs,
+                        ref[key], strict=True):
+            _assert_close(a, b)
+    _assert_close(res.combined_logits, ref["combined_logits"])
+    for (name, a), (_, b) in zip(grads.tensors(), ref_grads.tensors(), strict=True):
+        _assert_close(a, b)
+    return res
+
+
+class TestWaveSweep:
+    """The wave-batched sweep gives the node-by-node sweep's results."""
+
+    @pytest.mark.parametrize("mode", ["train", "test"])
+    def test_random_connected_graphs(self, mode):
+        merged = 0
+        for seed in range(8):
+            rng = np.random.default_rng([40, seed])
+            cfg = tiny_cfg(layers=3, max_trials=20)
+            sample = make_sample(rng, n=int(rng.integers(4, 13)))
+            res = _assert_matches_sequential(
+                sample, random_model(rng, cfg), cfg, [41, seed], mode)
+            merged += res.trace.levels[-1].num_nodes < sample.num_nodes
+        assert merged >= 2
+
+    def test_threshold_mode(self):
+        rng = np.random.default_rng(42)
+        cfg = NetworkConfig(input_dim=3, num_classes=3, num_layers=3,
+                            evolve=EvolveConfig(threshold=0.485))
+        sample = make_sample(rng, n=10)
+        res = _assert_matches_sequential(sample, random_model(rng, cfg), cfg, 43)
+        assert res.trace.levels[-1].num_nodes < 10
+
+    def test_isolated_nodes(self):
+        rng = np.random.default_rng(44)
+        cfg = tiny_cfg(layers=3)
+        g = build_graph(9, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 8)])
+        sample = Sample(g, rng.normal(size=(9, 3)), rng.integers(0, 3, size=9))
+        params = random_model(rng, cfg)
+        for seed in range(3):
+            _assert_matches_sequential(sample, params, cfg, [45, seed])
+
+    def test_single_node(self):
+        rng = np.random.default_rng(46)
+        cfg = tiny_cfg(layers=2)
+        sample = Sample(build_graph(1, []), rng.normal(size=(1, 3)), [2])
+        res = _assert_matches_sequential(sample, random_model(rng, cfg), cfg, 47)
+        assert [len(s.waves) for s in res.schedules] == [1, 1]
+
+    def test_fixed_plan_hierarchy(self):
+        rng = np.random.default_rng(48)
+        cfg = tiny_cfg(layers=3)
+        g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (2, 5)])
+        sample = Sample(g, rng.normal(size=(8, 3)), rng.integers(0, 3, size=8))
+        plan = StructurePlan(
+            visit_orders=[np.array([5, 2, 7, 0, 3, 1, 6, 4]), np.array([3, 0, 2, 1, 4]),
+                          np.array([1, 0, 2])],
+            partitions=[CliquePartition(np.array([0, 0, 1, 2, 3, 3, 4, 4]), 5),
+                        CliquePartition(np.array([0, 1, 1, 2, 2]), 3)])
+        res = _assert_matches_sequential(sample, random_model(rng, cfg), cfg, plan=plan)
+        assert [lv.num_nodes for lv in res.trace.levels] == [8, 5, 3]
+
+    def test_path_in_path_order_is_one_wave_per_node(self):
+        # the worst case: every node waits for the one before it
+        rng = np.random.default_rng(49)
+        n = 9
+        cfg = tiny_cfg(layers=2)
+        g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        sample = Sample(g, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
+        plan = StructurePlan(visit_orders=[np.arange(n), np.arange(n)[::-1]],
+                             partitions=[CliquePartition.identity(n)])
+        res = _assert_matches_sequential(sample, random_model(rng, cfg), cfg, plan=plan)
+        assert [len(s.waves) for s in res.schedules] == [n, n]
+
+
+@st.composite
+def graphs_and_orders(draw, max_nodes=7):
+    n = draw(st.integers(1, max_nodes))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, k in zip(pairs, keep) if k]
+    order = draw(st.permutations(range(n)))
+    return build_graph(n, edges), np.array(order, dtype=np.intp)
+
+
+class TestWaveSchedule:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_orders())
+    def test_waves_are_a_level_schedule(self, case):
+        g, order = case
+        n = g.num_nodes
+        indptr, indices, _ = g.csr()
+        waves, earlier = wave_schedule(order, indptr, indices)
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = np.arange(n)
+
+        wave = np.full(n, -1)
+        for w, (rows, slots, local) in enumerate(waves):
+            assert (wave[rows] == -1).all()
+            wave[rows] = w
+            # the slots are the rows' CSR slots, row by row
+            want = [s for r in rows for s in range(indptr[r], indptr[r + 1])]
+            assert slots.tolist() == want
+            assert local.tolist() == [k for k, r in enumerate(rows)
+                                      for _ in range(indptr[r], indptr[r + 1])]
+        assert (wave >= 0).all()                       # the waves partition the nodes
+        for i in range(n):
+            nbrs = indices[indptr[i]:indptr[i + 1]]
+            before = nbrs[pos[nbrs] < pos[i]]
+            assert earlier[indptr[i]:indptr[i + 1]].tolist() == (pos[nbrs] < pos[i]).tolist()
+            assert (wave[nbrs] != wave[i]).all()        # no edge inside a wave
+            assert (wave[before] < wave[i]).all()
+            assert wave[i] == (wave[before].max() + 1 if before.size else 0)
+
+        # the wave count is the longest path whose nodes come in visit order
+        edges = set(g.edges)
+        longest = 0
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(order.tolist(), size):
+                if all((min(a, b), max(a, b)) in edges for a, b in zip(subset, subset[1:])):
+                    longest = size
+                    break
+        assert len(waves) == longest
 
 
 class TestLoss:
