@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sevolve.graph import segment_sum
+
 # Gate storage order for the packed weight blocks. The input/forget/output
 # gates share one sigmoid application, the candidate gate uses tanh, and
 # the neighbor-averaged term enters only the u/o/c rows.
@@ -171,15 +173,6 @@ def cell_forward_batch(params, x, h_prev, owner, nbr_h_prev):
     forget = x @ params.wx[h:2 * h].T + params.b[h:2 * h]
     nb_gate = sigmoid(forget[owner] + nbr_h_prev @ params.u_fn.T)
     return pre, nb_gate, sigmoid(nb_gate @ params.w_e)
-
-
-def segment_sum(values, owner, num_rows):
-    """Sums of the (S, H) `values` rows grouped by `owner`: row i of the
-    (num_rows, H) result adds the values[s] with owner[s] == i in slot
-    order, and is zero when there are none."""
-    h = values.shape[1]
-    flat = (owner[:, None] * h + np.arange(h)).ravel()
-    return np.bincount(flat, values.ravel(), num_rows * h).reshape(num_rows, h)
 
 
 def _split_gates(gates, h):

@@ -33,6 +33,7 @@ from sevolve.network import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    write_lines_atomic,
 )
 from sevolve.optim import NumericError, OptimConfig, train
 
@@ -221,7 +222,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         rng = np.random.default_rng([cfg.seed, 3, idx])
         res = forward(sample, params, net, rng, mode="test")
         pred = np.argmax(res.combined_logits, axis=1)
-        np.add.at(conf, (sample.labels, pred), 1)
+        conf += np.bincount(sample.labels * net.num_classes + pred,
+                            minlength=net.num_classes ** 2).reshape(conf.shape)
     accuracy, iou, mean_iou = _metrics(conf)
     record = {
         "samples": len(dataset.samples),
@@ -264,18 +266,19 @@ def cmd_inspect(cfg: RunConfig) -> int:
     rng = np.random.default_rng([cfg.seed, 4, cfg.sample_index])
     res = forward(sample, params, net, rng, mode="test")
 
+    def trace_lines():
+        for t, trial_log in enumerate(res.trace.decisions):
+            yield f"# transition {t} -> {t + 1}"
+            yield from trace_records(trial_log)
+
     os.makedirs(cfg.out_dir, exist_ok=True)
     for t, g in enumerate(res.trace.levels):
         preds = np.argmax(res.level_logits[t], axis=1)
-        with open(os.path.join(cfg.out_dir, f"level{t}.dot"), "w") as fh:
-            fh.write(graph_to_dot(g, node_labels=preds, name=f"level{t}"))
-    with open(os.path.join(cfg.out_dir, "hierarchy.dot"), "w") as fh:
-        fh.write(trace_to_dot(res.trace))
-    with open(os.path.join(cfg.out_dir, "trace.txt"), "w") as fh:
-        for t, trial_log in enumerate(res.trace.decisions):
-            fh.write(f"# transition {t} -> {t + 1}\n")
-            for line in trace_records(trial_log):
-                fh.write(line + "\n")
+        write_lines_atomic(os.path.join(cfg.out_dir, f"level{t}.dot"),
+                           graph_to_dot(g, node_labels=preds, name=f"level{t}").splitlines())
+    write_lines_atomic(os.path.join(cfg.out_dir, "hierarchy.dot"),
+                       trace_to_dot(res.trace).splitlines())
+    write_lines_atomic(os.path.join(cfg.out_dir, "trace.txt"), trace_lines())
     sizes = " ".join(str(g.num_nodes) for g in res.trace.levels)
     print(f"level_sizes={sizes}")
     return EXIT_OK

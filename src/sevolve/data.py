@@ -135,7 +135,7 @@ def generate_dataset(cfg: GenConfig, count: int) -> "DatasetFile":
     return DatasetFile(cfg.feature_dim, cfg.num_labels, samples)
 
 
-DATASET_MAGIC = "SEVOLVE-DS v1"
+DATASET_MAGIC = "SEVOLVE-DS v2"
 
 
 @dataclass
@@ -159,13 +159,14 @@ class DatasetFile:
 def save_dataset(path, dataset: DatasetFile):
     """Text format:
 
-    header line  `SEVOLVE-DS v1 D=<d> K=<k>`
+    header line  `SEVOLVE-DS v2 D=<d> K=<k> N=<samples>`
     per sample:  `sample nodes=<n> edges=<m>`, m edge lines `a b` in
     canonical order, n feature lines of d full-precision decimals, one
     label line of n ints. Written atomically (write_lines_atomic).
     """
     def lines():
-        yield f"{DATASET_MAGIC} D={dataset.feature_dim} K={dataset.num_labels}"
+        yield (f"{DATASET_MAGIC} D={dataset.feature_dim} K={dataset.num_labels} "
+               f"N={len(dataset.samples)}")
         for s in dataset.samples:
             g = s.graph
             yield f"sample nodes={g.num_nodes} edges={g.num_edges}"
@@ -180,7 +181,8 @@ def save_dataset(path, dataset: DatasetFile):
 
 def load_dataset(path) -> DatasetFile:
     """Inverse of save_dataset; the round trip is lossless. Raises
-    DatasetError naming the first offending line."""
+    DatasetError naming the first offending line, also when the file
+    holds fewer or more samples than its header declares."""
     with open(path) as fh:
         lines = fh.read().splitlines()
 
@@ -190,19 +192,22 @@ def load_dataset(path) -> DatasetFile:
     if not lines:
         fail(1, "empty file, expected dataset header")
     head = lines[0].split()
-    if len(head) != 4 or " ".join(head[:2]) != DATASET_MAGIC:
-        fail(1, f"bad header {lines[0]!r}, expected '{DATASET_MAGIC} D=<d> K=<k>'")
+    if len(head) != 5 or " ".join(head[:2]) != DATASET_MAGIC:
+        fail(1, f"bad header {lines[0]!r}, expected '{DATASET_MAGIC} D=<d> K=<k> N=<samples>'")
     try:
         dim = int(head[2].removeprefix("D="))
         num_labels = int(head[3].removeprefix("K="))
+        count = int(head[4].removeprefix("N="))
     except ValueError:
         fail(1, f"bad header fields {lines[0]!r}")
-    if dim < 1 or num_labels < 1:
-        fail(1, f"header needs D >= 1 and K >= 1, got {lines[0]!r}")
+    if dim < 1 or num_labels < 1 or count < 0:
+        fail(1, f"header needs D >= 1, K >= 1 and N >= 0, got {lines[0]!r}")
 
     samples = []
     pos = 1
-    while pos < len(lines):
+    while len(samples) < count:
+        if pos == len(lines):
+            fail(pos, f"file ends after {len(samples)} of the {count} samples in the header")
         parts = lines[pos].split()
         if len(parts) != 3 or parts[0] != "sample":
             fail(pos + 1, f"expected 'sample nodes=<n> edges=<m>', got {lines[pos]!r}")
@@ -251,4 +256,6 @@ def load_dataset(path) -> DatasetFile:
             samples.append(Sample(build_graph(n, edges), feats, labels))
         except ValueError as exc:
             fail(pos, f"invalid sample {len(samples)}: {exc}")
+    if pos < len(lines):
+        fail(pos + 1, f"extra line after the {count} samples in the header: {lines[pos]!r}")
     return DatasetFile(dim, num_labels, samples)

@@ -6,6 +6,15 @@ ratio x posterior ratio), where the transition ratio multiplies the
 merging probabilities of all eliminated edges and the posterior ratio
 compares task losses under a Gibbs model. During testing only the
 transition ratio is used.
+
+Draw contract of evolve_step, for a graph with m edges: trial k consumes
+m + 1 uniform doubles, its m edge draws in canonical edge order and then
+its acceptance draw, and the trials consume them in trial order. The rng
+is left just after the accepted trial's draws, or after all trials'
+draws when none is accepted. The draws come in blocks of several trials
+whose size is capped (_BLOCK_DRAWS), so memory stays O(m) whatever
+max_trials is. A vectorised bound rejects most trials of a block at
+once; the others are decided one by one with the exact ratios.
 """
 
 from __future__ import annotations
@@ -22,6 +31,12 @@ from sevolve.graph import (
     _components_canonical,
     quotient_graph,
 )
+
+# A draw block of evolve_step holds at most this many doubles (1 MiB).
+_BLOCK_DRAWS = 1 << 17
+# unit roundoff of float64
+_EPS = 2.0 ** -53
+
 
 @dataclass
 class EvolveConfig:
@@ -44,10 +59,14 @@ class EvolveConfig:
 class ProposalTrace:
     """Record of one sampling trial (or one deterministic selection).
 
-    The candidate partition, the eliminated edges, the transition ratio,
-    and alpha are materialized lazily from the recorded selection when a
-    trial was decided from bounds alone (rejections mostly are); accessing
-    any of them computes exactly the values the eager path would have.
+    The selection is kept as a boolean mask over the canonical edges. For
+    trial k of evolve_step it is a row of the draw block's mask: edge e
+    is selected iff draw (k - 1)(m + 1) + e of the step's stream is below
+    its probability, and draw k(m + 1) - 1 is the trial's acceptance
+    draw. The selected and eliminated edges, the candidate partition,
+    the transition ratio and alpha are materialized lazily when a trial
+    was decided from bounds alone (rejections mostly are); accessing any
+    of them computes exactly the values the eager path would have.
 
     When `posterior_evaluated` is False the trial was rejected without
     calling the loss callback: the acceptance draw exceeded the largest
@@ -58,17 +77,17 @@ class ProposalTrace:
     """
 
     __slots__ = ("trial", "posterior_ratio", "accepted", "posterior_evaluated",
-                 "_g", "_probs", "_sel_idx", "_selected", "_partition",
+                 "_g", "_probs", "_sel", "_selected", "_partition",
                  "_elim_idx", "_eliminated", "_t_ratio", "_alpha")
 
-    def __init__(self, trial, g, probs, sel_idx, posterior_ratio, accepted,
+    def __init__(self, trial, g, probs, sel, posterior_ratio, accepted,
                  posterior_evaluated=True, partition=None, elim_idx=None,
-                 transition_ratio=None, selected=None, alpha=None):
+                 transition_ratio=None, alpha=None):
         self.trial = trial
         self._g = g
         self._probs = probs
-        self._sel_idx = sel_idx
-        self._selected = selected
+        self._sel = sel
+        self._selected = None
         self._partition = partition
         self._elim_idx = elim_idx
         self._eliminated = None
@@ -80,9 +99,8 @@ class ProposalTrace:
 
     @property
     def selected(self) -> tuple:
-        if self._selected is None or not isinstance(self._selected, tuple):
-            edges = self._g.edges
-            self._selected = tuple(edges[i] for i in self._sel_idx)
+        if self._selected is None:
+            self._selected = _edges_at(self._g, np.flatnonzero(self._sel))
         return self._selected
 
     @property
@@ -104,8 +122,7 @@ class ProposalTrace:
     @property
     def eliminated(self) -> tuple:
         if self._eliminated is None:
-            edges = self._g.edges
-            self._eliminated = tuple(edges[i] for i in self._eliminated_idx)
+            self._eliminated = _edges_at(self._g, self._eliminated_idx)
         return self._eliminated
 
     @property
@@ -121,8 +138,16 @@ class ProposalTrace:
         return self._alpha
 
     def __repr__(self):
-        return (f"ProposalTrace(trial={self.trial}, selected={len(self._sel_idx)}, "
+        return (f"ProposalTrace(trial={self.trial}, "
+                f"selected={int(np.count_nonzero(self._sel))}, "
                 f"alpha={self.alpha!r}, accepted={self.accepted})")
+
+
+def _edges_at(g: LevelGraph, idx) -> tuple:
+    """The canonical edges of g at the ascending edge ids `idx`."""
+    if idx.size > 1:
+        return itemgetter(*idx)(g.edges)
+    return (g.edges[idx[0]],) if idx.size else ()
 
 
 def _validated_probs(g: LevelGraph, edge_probs) -> np.ndarray:
@@ -135,21 +160,6 @@ def _validated_probs(g: LevelGraph, edge_probs) -> np.ndarray:
     return probs
 
 
-def _propose_partition(g: LevelGraph, probs: np.ndarray, rng):
-    # selected edges come straight from the canonical edge tuple, so the
-    # validation-free component core applies
-    draws = rng.random(probs.size)
-    idx = np.nonzero(draws < probs)[0]
-    edges = g.edges
-    if idx.size > 1:
-        selected = list(itemgetter(*idx)(edges))
-    elif idx.size:
-        selected = [edges[idx[0]]]
-    else:
-        selected = []
-    return selected, _components_canonical(g, selected)
-
-
 def propose(g: LevelGraph, edge_probs, rng):
     """Sample one candidate coarsening.
 
@@ -158,7 +168,11 @@ def propose(g: LevelGraph, edge_probs, rng):
     (a single rng.random(num_edges) call). Returns (selected_edges,
     partition, coarsened_graph).
     """
-    selected, part = _propose_partition(g, _validated_probs(g, edge_probs), rng)
+    probs = _validated_probs(g, edge_probs)
+    # selected edges come straight from the canonical edge tuple, so the
+    # validation-free component core applies
+    selected = list(_edges_at(g, np.nonzero(rng.random(probs.size) < probs)[0]))
+    part = _components_canonical(g, selected)
     return selected, part, quotient_graph(g, part)
 
 
@@ -214,6 +228,16 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
     partition)); a negative loss raises ValueError. If no candidate is
     accepted the graph is kept unchanged with the identity partition.
 
+    Draw contract: each trial consumes m + 1 uniform doubles of the numpy
+    Generator `rng` (m = number of edges), trials in order: its m edge
+    draws in canonical edge order, then its acceptance draw. On return
+    `rng` stands just after the accepted trial's draws, or after all
+    trials' draws when none was accepted, as a loop calling rng.random(m)
+    and then rng.random() per trial would leave it. The trials are drawn
+    in blocks of at most _BLOCK_DRAWS doubles, so memory stays O(m) for
+    any max_trials; on acceptance the generator is rewound to the start
+    of the block and redraws up to the end of the accepted trial.
+
     Returns (next_graph, partition, list of ProposalTrace).
     """
     probs = _validated_probs(g, edge_probs)
@@ -225,54 +249,84 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
         # a loss of 0 is the best any candidate can reach
         ratio_cap = posterior_ratio(loss_old, 0.0)
     m = probs.size
+    # edges with p = 0 are never selected: any finite log keeps the
+    # bound's matvec free of 0 * -inf
+    log_probs = np.log(probs, out=np.zeros(m), where=probs > 0.0)
+    log_cap = math.log(ratio_cap)
+    per_block = max(1, _BLOCK_DRAWS // (m + 1))
     traces = []
-    for trial in range(1, cfg.max_trials + 1):
-        draws = rng.random(m)
-        sel_idx = np.nonzero(draws < probs)[0]
-        # every selected edge ends up intra-clique, so the product over
-        # the selected edges bounds the transition ratio from above
-        if sel_idx.size:
-            t_upper = float(math.exp(np.log(probs[sel_idx]).sum()))
-        else:
-            t_upper = 1.0
-        draw = rng.random()
-        if draw >= t_upper * ratio_cap:
-            # rejected under every admissible transition/posterior value;
-            # partition, ratios, and alpha materialize lazily on access
-            traces.append(ProposalTrace(
-                trial, g, probs, sel_idx,
-                posterior_ratio=ratio_cap if not test_mode else 1.0,
-                accepted=False, posterior_evaluated=test_mode))
-            continue
-        edges = g.edges
-        if sel_idx.size > 1:
-            selected = list(itemgetter(*sel_idx)(edges))
-        elif sel_idx.size:
-            selected = [edges[sel_idx[0]]]
-        else:
-            selected = []
-        part = _components_canonical(g, selected)
-        elim_idx = np.nonzero(_intra_clique_mask(g, part))[0]
-        t_ratio = _eliminated_product(probs, elim_idx)
-        evaluated = True
-        if test_mode:
-            p_ratio = 1.0
-        elif draw >= t_ratio * ratio_cap:
-            # the exact transition ratio already rules this draw out
-            p_ratio = ratio_cap
-            evaluated = False
-        else:
-            p_ratio = posterior_ratio(loss_old, float(loss_eval(part, g)))
-        alpha = min(1.0, t_ratio * p_ratio)
-        accepted = draw < alpha
-        traces.append(ProposalTrace(
-            trial, g, probs, sel_idx, posterior_ratio=p_ratio,
-            accepted=accepted, posterior_evaluated=evaluated,
-            partition=part, elim_idx=elim_idx, transition_ratio=t_ratio,
-            selected=selected))
-        if accepted:
-            return quotient_graph(g, part), part, traces
+    trial = 0
+    while trial < cfg.max_trials:
+        count = min(per_block, cfg.max_trials - trial)
+        block_start = rng.bit_generator.state
+        block = rng.random((count, m + 1))
+        draws = block[:, m]
+        # the edge draws become the 0/1 selection in place, which the
+        # bound's matvec reads without a cast copy
+        chosen = block[:, :m]
+        np.less(chosen, probs, out=chosen, casting="unsafe")
+        sel = chosen.astype(bool)
+        # Prefilter: every selected edge ends up intra-clique, so the
+        # product over the selected edges, t_upper, bounds the transition
+        # ratio from above, and a draw >= t_upper * ratio_cap rejects the
+        # trial without its posterior. The matvec sums the logs in another
+        # order than _exact_trial; either sum is within m ulps of
+        # |log t_upper| of the exact one (the logs of single probabilities
+        # within one ulp each), which 4m covers, and the +8 covers the
+        # exp, log and product roundings. A trial marked sure is thus one
+        # that _exact_trial rejects unevaluated.
+        log_upper = chosen @ log_probs
+        margin = (4 * m + 8) * _EPS * (np.abs(log_upper) + abs(log_cap) + 1.0)
+        sure = draws > np.exp(log_upper + log_cap + margin)
+        for k in range(count):
+            trial += 1
+            trace = None if sure[k] else _exact_trial(
+                trial, g, probs, sel[k], draws[k], loss_eval, loss_old, ratio_cap)
+            if trace is None:
+                # rejected under every admissible transition/posterior
+                # value; partition, ratios, and alpha materialize lazily
+                traces.append(ProposalTrace(
+                    trial, g, probs, sel[k],
+                    posterior_ratio=ratio_cap if not test_mode else 1.0,
+                    accepted=False, posterior_evaluated=test_mode))
+                continue
+            traces.append(trace)
+            if trace.accepted:
+                # leave rng just after this trial's draws
+                rng.bit_generator.state = block_start
+                rng.random((k + 1) * (m + 1))
+                return quotient_graph(g, trace.partition), trace.partition, traces
     return g, CliquePartition.identity(g.num_nodes), traces
+
+
+def _exact_trial(trial, g, probs, sel, draw, loss_eval, loss_old, ratio_cap):
+    """Decides one trial exactly from its selection mask and acceptance
+    draw: its ProposalTrace, or None when the draw is at least ratio_cap
+    times t_upper, the product over the selected edges."""
+    sel_idx = np.nonzero(sel)[0]
+    if sel_idx.size:
+        t_upper = float(math.exp(np.log(probs[sel_idx]).sum()))
+    else:
+        t_upper = 1.0
+    if draw >= t_upper * ratio_cap:
+        return None
+    part = _components_canonical(g, _edges_at(g, sel_idx))
+    elim_idx = np.nonzero(_intra_clique_mask(g, part))[0]
+    t_ratio = _eliminated_product(probs, elim_idx)
+    evaluated = True
+    if loss_eval is None:
+        p_ratio = 1.0
+    elif draw >= t_ratio * ratio_cap:
+        # the exact transition ratio already rules this draw out
+        p_ratio = ratio_cap
+        evaluated = False
+    else:
+        p_ratio = posterior_ratio(loss_old, float(loss_eval(part, g)))
+    alpha = min(1.0, t_ratio * p_ratio)
+    return ProposalTrace(
+        trial, g, probs, sel, posterior_ratio=p_ratio, accepted=bool(draw < alpha),
+        posterior_evaluated=evaluated, partition=part, elim_idx=elim_idx,
+        transition_ratio=t_ratio)
 
 
 def evolve_deterministic(g: LevelGraph, edge_probs, threshold: float):
@@ -284,15 +338,14 @@ def evolve_deterministic(g: LevelGraph, edge_probs, threshold: float):
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     probs = _validated_probs(g, edge_probs)
-    sel_idx = np.nonzero(probs >= threshold)[0]
-    selected = [g.edges[i] for i in sel_idx]
-    part = _components_canonical(g, selected)
+    sel = probs >= threshold
+    part = _components_canonical(g, _edges_at(g, np.nonzero(sel)[0]))
     coarse = quotient_graph(g, part)
     elim_idx = np.nonzero(_intra_clique_mask(g, part))[0]
     t_ratio = _eliminated_product(probs, elim_idx)
-    trace = ProposalTrace(1, g, probs, sel_idx, posterior_ratio=1.0,
+    trace = ProposalTrace(1, g, probs, sel, posterior_ratio=1.0,
                           accepted=True, partition=part, elim_idx=elim_idx,
-                          transition_ratio=t_ratio, selected=selected, alpha=1.0)
+                          transition_ratio=t_ratio, alpha=1.0)
     return coarse, part, [trace]
 
 

@@ -33,7 +33,6 @@ from sevolve.cell import (
     cell_backward_node,
     cell_forward,
     cell_forward_batch,
-    segment_sum,
 )
 from sevolve.evolve import EvolveConfig, evolve_deterministic, evolve_step
 from sevolve.graph import (
@@ -42,6 +41,7 @@ from sevolve.graph import (
     LevelGraph,
     aggregate_node_values,
     quotient_graph,
+    segment_sum,
 )
 
 MODES = ("train", "test")
@@ -410,9 +410,8 @@ def _level_edge_targets(trace: HierarchyTrace, labels, num_classes):
         else:
             targets.append(np.zeros(0))
         if t < len(trace.partitions):
-            nxt = np.zeros((trace.partitions[t].num_cliques, num_classes))
-            np.add.at(nxt, trace.partitions[t].assignment, counts)
-            counts = nxt
+            part = trace.partitions[t]
+            counts = segment_sum(counts, part.assignment, part.num_cliques)
     return targets
 
 
@@ -487,8 +486,7 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         n = g.num_nodes
 
         # head path
-        d_logits = np.zeros((n, cfg.num_classes))
-        np.add.at(d_logits, result.amaps[t], d_comb)
+        d_logits = segment_sum(d_comb, result.amaps[t], n)
         head_w, _ = params.heads[t]
         gw, gb = grads.heads[t]
         gw += d_logits.T @ cache.hidden

@@ -3,14 +3,17 @@
 These deliberately use different algorithms than the package (union-find
 instead of depth-first search, direct products instead of log-space sums,
 per-node ancestor walks instead of composed index maps, a node-by-node
-sweep with visit flags instead of waves).
+sweep with visit flags instead of waves, one Metropolis-Hastings trial at
+a time instead of draw blocks).
 """
+
+import math
 
 import numpy as np
 
 from sevolve.cell import cell_backward, cell_update
-from sevolve.evolve import evolve_deterministic, evolve_step
-from sevolve.graph import aggregate_node_values, quotient_graph
+from sevolve.evolve import evolve_deterministic, evolve_step, posterior_ratio, transition_ratio
+from sevolve.graph import CliquePartition, aggregate_node_values, quotient_graph
 
 
 class UnionFind:
@@ -51,6 +54,49 @@ def eliminated_edge_product(edges, assignment, probs):
         if assignment[a] == assignment[b]:
             prod *= probs[k]
     return prod
+
+
+def mh_search(g, probs, loss_eval, max_trials, rng):
+    """Plain Metropolis-Hastings search, one trial at a time: rng.random(m)
+    edge draws in canonical order, then one rng.random() acceptance draw.
+    In train mode (`loss_eval` given) every trial's posterior is
+    evaluated. Components come from union-find.
+
+    A trial is "ruled out" when its draw is at least cap x the transition
+    ratio or x t_upper, the product of the selected edges' probabilities
+    (an upper bound of the transition ratio), where cap =
+    posterior_ratio(loss_old, 0) is the largest admissible posterior ratio
+    (1 in test mode). A ruled-out trial is rejected whatever its posterior
+    ratio, and is the trial evolve_step may decide without the posterior.
+    Both products are accumulated in log space as documented for the
+    package, so that draws placed next to them compare the same way.
+
+    Returns (trials, assignment): per trial (selected edges, accepted,
+    posterior needed: not ruled out, or test mode), and the accepted
+    trial's component assignment (the identity when none is accepted).
+    """
+    n = g.num_nodes
+    test_mode = loss_eval is None
+    cap = 1.0
+    if not test_mode:
+        loss_old = loss_eval(CliquePartition.identity(n), g)
+        cap = posterior_ratio(loss_old, 0.0)
+    trials = []
+    for _ in range(max_trials):
+        chosen = rng.random(g.num_edges) < probs
+        draw = rng.random()
+        selected = tuple(e for e, c in zip(g.edges, chosen) if c)
+        t_upper = math.exp(np.log(probs[chosen]).sum()) if chosen.any() else 1.0
+        assign, count = union_find_components(n, selected)
+        part = CliquePartition(np.array(assign), count)
+        t_ratio = transition_ratio(g, part, probs)
+        ruled_out = draw >= cap * min(t_upper, t_ratio)
+        p_ratio = 1.0 if test_mode else posterior_ratio(loss_old, loss_eval(part, g))
+        accepted = not ruled_out and draw < min(1.0, t_ratio * p_ratio)
+        trials.append((selected, accepted, test_mode or not ruled_out))
+        if accepted:
+            return trials, assign
+    return trials, list(range(n))
 
 
 def bfs_component(nodes, adjacency, start):

@@ -145,6 +145,21 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetError, match=r"data\.txt:\d+"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("declared, line, message", [
+        (1, 25, "extra line after the 1 samples"),
+        (3, 47, "file ends after 2 of the 3 samples"),
+    ])
+    def test_sample_count_must_match_header(self, tmp_path, declared, line, message):
+        # two 3x3 samples of 1 + 12 + 9 + 1 lines each after the header
+        ds = generate_dataset(GenConfig(grid_n=3, num_labels=2, seed=12), 2)
+        path = tmp_path / "data.txt"
+        save_dataset(path, ds)
+        text = path.read_text()
+        assert text.splitlines()[0].endswith(" N=2")
+        path.write_text(text.replace(" N=2", f" N={declared}", 1))
+        with pytest.raises(DatasetError, match=rf"data\.txt:{line}: {message}"):
+            load_dataset(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("SEVOLVE-DS v9 D=4 K=2\n")

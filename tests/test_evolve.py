@@ -1,8 +1,13 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sevolve import evolve
+from sevolve.data import grid_graph
 from sevolve.evolve import (
     EvolveConfig,
     evolve_deterministic,
@@ -13,7 +18,12 @@ from sevolve.evolve import (
     transition_ratio,
 )
 from sevolve.graph import CliquePartition, build_graph, coarsen
-from oracles import eliminated_edge_product, random_connected_graph, union_find_components
+from oracles import (
+    eliminated_edge_product,
+    mh_search,
+    random_connected_graph,
+    union_find_components,
+)
 
 TRIANGLE = build_graph(3, [(0, 1), (0, 2), (1, 2)])
 
@@ -289,6 +299,182 @@ class TestEvolveStep:
             assert traces[0].alpha == pytest.approx(0.3, abs=1e-12)
             accepted += int(traces[0].accepted)
         assert 0.28 <= accepted / draws <= 0.32
+
+
+class ScriptedRng:
+    """Stands in for a numpy Generator: hands out fixed uniform doubles in
+    order, as new arrays, and its bit_generator.state is the read
+    position, so a stream can hold draws placed on purpose."""
+
+    def __init__(self, values):
+        self.values = values
+        self.state = 0
+        self.bit_generator = self
+
+    def random(self, size=None):
+        count = 1 if size is None else math.prod(np.atleast_1d(size))
+        if self.state + count > self.values.size:
+            raise IndexError("scripted draws exhausted")
+        out = self.values[self.state:self.state + count].copy()
+        self.state += count
+        return float(out[0]) if size is None else out.reshape(size)
+
+
+def placed_draws(g, probs, cap, max_trials, seed, offsets):
+    """The stream of np.random.default_rng(seed) with the acceptance draw
+    of trial k moved to offsets[k % len(offsets)] ulps from the trial's
+    bound cap x t_upper (None: left as drawn; bounds outside (0, 1) are
+    left alone too)."""
+    m = g.num_edges
+    values = np.random.default_rng(seed).random(max_trials * (m + 1) + 1)
+    for k in range(max_trials):
+        offset = offsets[k % len(offsets)]
+        row = values[k * (m + 1):(k + 1) * (m + 1)]
+        chosen = row[:m] < probs
+        t_upper = math.exp(np.log(probs[chosen]).sum()) if chosen.any() else 1.0
+        bound = t_upper * cap
+        if offset is None or not 0.0 < bound < 1.0:
+            continue
+        row[m] = {-1: np.nextafter(bound, 0.0), 0: bound, 1: np.nextafter(bound, 1.0)}[offset]
+    return values
+
+
+@st.composite
+def mh_cases(draw):
+    if draw(st.booleans()):
+        # a forest: each node joins at most one earlier node, so a trial's
+        # eliminated edges are its selected edges and its transition
+        # ratio is its bound t_upper
+        n = draw(st.integers(1, 24))
+        links = [draw(st.integers(-1, i - 1)) for i in range(n)]
+        g = build_graph(n, [(j, i) for i, j in enumerate(links) if j >= 0])
+    else:
+        n = draw(st.integers(1, 7))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = build_graph(n, [pair for pair, k in zip(pairs, keep) if k])
+    # uniform probabilities, some of them replaced by 0 or 1
+    probs = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
+        0.0, 1.0, g.num_edges)
+    for k, p in enumerate(draw(st.lists(st.sampled_from([None, None, 0.0, 1.0]),
+                                        min_size=g.num_edges, max_size=g.num_edges))):
+        if p is not None:
+            probs[k] = p
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    # loss weights up to 60 reach the +-50 clamp of the posterior ratio
+    weight = st.floats(0.0, 3.0) | st.floats(0.0, 60.0)
+    weights = draw(st.none() | st.tuples(weight, weight))
+    return dict(
+        g=g, probs=probs, labels=labels, weights=weights,
+        max_trials=draw(st.integers(1, 200)),
+        # one trial per block up to the real block size
+        block_draws=draw(st.sampled_from([1, 9, 64, evolve._BLOCK_DRAWS])),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        offsets=draw(st.none() | st.lists(st.sampled_from([None, -1, 0, 1]),
+                                          min_size=1, max_size=4)))
+
+
+def counting_loss(g, labels, weights, calls):
+    """A non-negative loss that reaches 0: weighted clique count (less
+    one) plus the number of nodes in label-mixed cliques (labels 0/1).
+    None in test mode."""
+    if weights is None:
+        return None
+    size_w, mixed_w = weights
+
+    def loss_eval(part, graph):
+        assert graph is g
+        calls.append(part)
+        sizes = np.bincount(part.assignment, minlength=part.num_cliques)
+        ones = np.bincount(part.assignment, labels, minlength=part.num_cliques)
+        mixed = (ones > 0) & (ones < sizes)
+        return (size_w * (part.num_cliques - 1) + mixed_w * sizes[mixed].sum()) / g.num_nodes
+
+    return loss_eval
+
+
+class TestEvolveStepOracle:
+    """evolve_step against the plain per-trial MH loop of oracles.py."""
+
+    @staticmethod
+    def assert_matches(case, make_rng):
+        g, probs, max_trials = case["g"], case["probs"], case["max_trials"]
+        calls, oracle_calls = [], []
+        loss_eval = counting_loss(g, case["labels"], case["weights"], calls)
+        rng = make_rng()
+        with mock.patch.object(evolve, "_BLOCK_DRAWS", case["block_draws"]):
+            coarse, part, traces = evolve_step(g, probs, loss_eval,
+                                               EvolveConfig(max_trials=max_trials), rng)
+        ref_rng = make_rng()
+        want, want_assign = mh_search(
+            g, probs, counting_loss(g, case["labels"], case["weights"], oracle_calls),
+            max_trials, ref_rng)
+        assert [t.trial for t in traces] == list(range(1, len(want) + 1))
+        assert [t.selected for t in traces] == [w[0] for w in want]
+        assert [t.accepted for t in traces] == [w[1] for w in want]
+        assert [t.posterior_evaluated for t in traces] == [w[2] for w in want]
+        assert part.assignment.tolist() == want_assign
+        assert coarse.num_nodes == part.num_cliques
+        n_eval = sum(t.posterior_evaluated for t in traces)
+        assert len(calls) == (0 if loss_eval is None else 1 + n_eval)
+        assert rng.random() == ref_rng.random()
+        return traces
+
+    @settings(max_examples=200, deadline=None)
+    @given(mh_cases())
+    def test_matches_per_trial_loop(self, case):
+        if case["offsets"] is None:
+            def make_rng():
+                return np.random.default_rng(case["seed"])
+        else:
+            cap = 1.0
+            if case["weights"] is not None:
+                loss = counting_loss(case["g"], case["labels"], case["weights"], [])
+                n = case["g"].num_nodes
+                cap = posterior_ratio(loss(CliquePartition.identity(n), case["g"]), 0.0)
+            values = placed_draws(case["g"], case["probs"], cap, case["max_trials"],
+                                  case["seed"], case["offsets"])
+
+            def make_rng():
+                return ScriptedRng(values)
+        self.assert_matches(case, make_rng)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_draws_next_to_the_bound(self, train):
+        # acceptance draws 1 ulp below, at and 1 ulp above cap x t_upper on
+        # random forests, where t_upper is the transition ratio: the block
+        # prefilter must leave each trial it cannot rule out to the exact
+        # code
+        for seed in range(100):
+            rng = np.random.default_rng([seed, 5])
+            n = int(rng.integers(2, 30))
+            g = build_graph(n, [(int(rng.integers(i)), i) for i in range(1, n)])
+            labels = rng.integers(0, 2, n)
+            weights = tuple(rng.uniform(0.0, 3.0, 2)) if train else None
+            cap = 1.0
+            if train:
+                loss = counting_loss(g, labels, weights, [])
+                cap = posterior_ratio(loss(CliquePartition.identity(n), g), 0.0)
+            case = dict(g=g, probs=rng.uniform(0.3, 1.0, g.num_edges), labels=labels,
+                        weights=weights, max_trials=20, block_draws=evolve._BLOCK_DRAWS)
+            values = placed_draws(g, case["probs"], cap, 20, seed, [-1, 0, 1])
+            self.assert_matches(case, lambda: ScriptedRng(values))
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_accepts_in_a_later_block(self, train):
+        # 32x32 grid at the real block size: 66 trials per block. The
+        # p = 1 edges connect the grid, so all seven p = 0.5 edges are
+        # eliminated and every trial has alpha = 2^-7 (times the
+        # posterior ratio in train mode); seed 8 accepts trial 86.
+        g = grid_graph(32)
+        probs = np.ones(g.num_edges)
+        probs[::283] = 0.5
+        case = dict(g=g, probs=probs, labels=np.arange(g.num_nodes) % 2,
+                    weights=(0.0, 0.01) if train else None, max_trials=400,
+                    block_draws=evolve._BLOCK_DRAWS)
+        traces = self.assert_matches(case, lambda: np.random.default_rng(8))
+        assert traces[-1].accepted
+        assert traces[-1].trial > evolve._BLOCK_DRAWS // (g.num_edges + 1)
 
 
 class TestDeterministicThreshold:
