@@ -15,12 +15,10 @@ from sevolve.graph import (
     aggregate_node_values,
     project_to_base,
 )
-from sevolve.cell import CellParams, cell_update, cell_backward
+from sevolve.cell import CellParams
 from sevolve.evolve import (
     EvolveConfig,
     ProposalTrace,
-    propose,
-    transition_ratio,
     posterior_ratio,
     evolve_step,
     evolve_deterministic,

@@ -18,9 +18,12 @@ it once per wave, a set of pairwise non-adjacent nodes whose
 earlier-visited neighbors are all updated already. In reverse,
 cell_backward_node does the node-local work, once per wave in reverse
 wave order, and cell_backward_batch the order-independent rest,
-parameter and input gradients, once per layer. A CellCache holds the
-activations of all the nodes of one such layer. cell_update and
-cell_backward compose the parts for a single node.
+parameter and input gradients, once per layer.
+
+A CellCache holds the activations of all the nodes of one such layer,
+laid out wave by wave (network.wave_schedule): the node-local parts take
+a wave's block of rows and block of slots, plus the slots' segment ids
+(graph.segment_ids) and the nodes' inverse degrees, made once per layer.
 
 Everything is float64 and purely functional: same inputs, bit-identical
 outputs.
@@ -132,7 +135,9 @@ class CellCache:
     """Activations of B cell updates over S neighbor slots, kept for the
     backward pass: one per layer of a sweep, or one for a single node.
 
-    Node rows run 0..B-1, and owner[s] is the node of slot s. A sweep
+    Node rows run 0..B-1, and owner[s] is the row of slot s. A sweep's
+    rows are in wave-major order (network.wave_schedule): each wave is a
+    contiguous block of rows, and the slots follow the rows. The sweep
     fills the node-local rows one wave at a time; afterwards the cache is
     read-only.
     """
@@ -171,7 +176,7 @@ def cell_forward_batch(params, x, h_prev, owner, nbr_h_prev):
         raise ValueError(f"input has shape {x.shape}, expected (B, {params.input_dim})")
     pre = x @ params.wx.T + h_prev @ params.uh.T + params.b
     forget = x @ params.wx[h:2 * h].T + params.b[h:2 * h]
-    nb_gate = sigmoid(forget[owner] + nbr_h_prev @ params.u_fn.T)
+    nb_gate = sigmoid(forget.take(owner, axis=0) + nbr_h_prev @ params.u_fn.T)
     return pre, nb_gate, sigmoid(nb_gate @ params.w_e)
 
 
@@ -180,9 +185,9 @@ def _split_gates(gates, h):
     return (gates[:, k * h:(k + 1) * h] for k in range(4))
 
 
-def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, owner):
+def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, seg, inv_k):
     """Node-local part of B cell updates: the work that needs the neighbor
-    average, so a sweep runs it once per wave.
+    average, so a sweep runs it once per wave, on the wave's blocks.
 
     Args:
         params: CellParams.
@@ -193,7 +198,9 @@ def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, owner):
             nodes without neighbors.
         nb_gate: (S, H) the nodes' neighbor forget gates.
         m_sel: (S, H) neighbor memory selected by the visit flags.
-        owner: (S,) row, 0..B-1, of the node that owns each slot.
+        seg: (S, H) segment ids of the slots, graph.segment_ids of the
+            row, 0..B-1, of the node that owns each slot.
+        inv_k: (B,) 1 / max(degree, 1) of each node.
 
     Returns:
         (hidden, memory, gates) with the activated gates [g_u, g_f, g_o,
@@ -208,59 +215,26 @@ def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, owner):
     gates[:, :3 * h] = sigmoid(gates[:, :3 * h])
     gates[:, 3 * h:] = np.tanh(gates[:, 3 * h:])
     g_u, g_f, g_o, g_c = _split_gates(gates, h)
-    inv_k = 1.0 / np.maximum(np.bincount(owner, minlength=b), 1)
-    memory = (segment_sum(nb_gate * m_sel, owner, b) * inv_k[:, None]
-              + g_f * m_prev + g_u * g_c)
+    nb_sum = np.bincount(seg.ravel(), (nb_gate * m_sel).ravel(), b * h).reshape(b, h)
+    memory = nb_sum * inv_k[:, None] + g_f * m_prev + g_u * g_c
     hidden = np.tanh(g_o * memory)
     if not math.isfinite(memory.sum() + hidden.sum()):
         raise ValueError("non-finite values in cell inputs or parameters")
     return hidden, memory, gates
 
 
-def cell_update(params, x, h_prev, m_prev, neighbor_avg,
-                nbr_visited=None, nbr_h_prev=None, nbr_m_cur=None, nbr_m_prev=None):
-    """One node update: cell_forward_batch and cell_forward for B = 1.
-
-    Args:
-        params: CellParams.
-        x: input vector (D,).
-        h_prev, m_prev: the node's own previous hidden/memory state (H,).
-        neighbor_avg: visit-flag-aware mean of neighbor hidden states (H,),
-            zero vector when the node has no neighbors.
-        nbr_visited: (k,) bool, visit flags of the k neighbors.
-        nbr_h_prev: (k, H) previous hidden states of the neighbors.
-        nbr_m_cur / nbr_m_prev: (k, H) updated / previous neighbor memory;
-            the visit flag picks which one enters the memory sum.
-
-    Returns:
-        (hidden, memory, merge_probs, cache) with merge_probs of shape (k,).
-    """
-    if nbr_visited is None:
-        nbr_h_prev = m_sel = np.zeros((0, params.hidden_dim))
-    else:
-        m_sel = np.where(np.asarray(nbr_visited, dtype=bool)[:, None], nbr_m_cur, nbr_m_prev)
-    k = nbr_h_prev.shape[0]
-    owner = np.zeros(k, dtype=np.intp)
-    pre, nb_gate, merge_probs = cell_forward_batch(
-        params, x[None], h_prev[None], owner, nbr_h_prev)
-    hidden, memory, gates = cell_forward(
-        params, pre, m_prev[None], neighbor_avg[None], nb_gate, m_sel, owner)
-    cache = CellCache(params, owner, x[None], h_prev[None], m_prev[None],
-                      neighbor_avg[None], nbr_h_prev, m_sel, nb_gate, merge_probs,
-                      gates, memory, hidden)
-    return hidden[0], memory[0], merge_probs, cache
-
-
-def cell_backward_node(cache, rows, slots, owner, d_hidden, d_memory, d_edge_probs):
+def cell_backward_node(cache, rows, slots, seg, inv_k, d_hidden, d_memory, d_edge_probs):
     """Node-local part of the reverse of B updates in `cache`: everything
     that needs the nodes' upstream gradients, and only those. A sweep runs
-    it once per wave, in reverse wave order.
+    it once per wave, in reverse wave order, on the wave's blocks.
 
     Args:
         cache: CellCache of the forward updates.
-        rows: (B,) the nodes' rows in the cache.
-        slots: (S,) the cache slots of those nodes, row by row.
-        owner: (S,) position in `rows`, 0..B-1, of each slot's node.
+        rows: the nodes' rows in the cache, a slice or an index array.
+        slots: the cache slots of those nodes, row by row, likewise.
+        seg: (S, H) segment ids of the slots, graph.segment_ids of the
+            position, 0..B-1, of each slot's node in `rows`.
+        inv_k: (B,) 1 / max(degree, 1) of each node.
         d_hidden, d_memory: upstream gradients wrt the nodes' new state
             (B, H).
         d_edge_probs: upstream gradients wrt the slots' merging
@@ -277,13 +251,13 @@ def cell_backward_node(cache, rows, slots, owner, d_hidden, d_memory, d_edge_pro
     """
     params = cache.params
     h = params.hidden_dim
-    b = rows.shape[0]
+    b = d_hidden.shape[0]
     if d_hidden.shape != (b, h) or d_memory.shape != (b, h):
         raise ValueError("upstream gradient shape mismatch")
-    if d_edge_probs.shape != slots.shape:
+    if d_edge_probs.shape != seg.shape[:1]:
         raise ValueError(
             f"edge-probability gradient has shape {d_edge_probs.shape}, "
-            f"nodes have {slots.shape[0]} neighbor slots")
+            f"nodes have {seg.shape[0]} neighbor slots")
 
     g_u, g_f, g_o, g_c = _split_gates(cache.gates[rows], h)
     hidden = cache.hidden[rows]
@@ -309,8 +283,7 @@ def cell_backward_node(cache, rows, slots, owner, d_hidden, d_memory, d_edge_pro
     nb_gate = cache.nb_gate[slots]
     p = cache.merge_probs[slots]
     d_score = d_edge_probs * p * (1.0 - p)
-    inv_k = 1.0 / np.maximum(np.bincount(owner, minlength=b), 1)
-    dmk = (dm * inv_k[:, None])[owner]
+    dmk = (dm * inv_k[:, None]).ravel().take(seg)
     d_nbgate = dmk * cache.m_sel[slots] + d_score[:, None] * params.w_e
     d_prenb = d_nbgate * nb_gate * (1.0 - nb_gate)
     d_nbr_m = dmk * nb_gate
@@ -351,35 +324,3 @@ def cell_backward_batch(grads, cache, d_pre, d_score, d_prenb):
     grads.wx += d_wx_rows.T @ cache.x
     return d_wx_rows @ params.wx, d_pre @ params.uh, d_nbr_h_prev
 
-
-def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
-    """Exact reverse of cell_update: cell_backward_node followed by
-    cell_backward_batch over its one node.
-
-    Args:
-        cache: CellCache from cell_update.
-        d_hidden, d_memory: upstream gradients wrt the node's new state (H,).
-        d_edge_probs: upstream gradients wrt the merging probabilities
-            (k,), or None for zeros.
-        grads: CellParams accumulator; allocated fresh when None.
-
-    Returns:
-        (grads, d_x, d_h_prev, d_m_prev, d_neighbor_avg, d_nbr_h_prev, d_nbr_m)
-        where d_nbr_m is the gradient wrt the flag-selected neighbor memory
-        (route it to the updated state for visited neighbors, the previous
-        state otherwise — same selection as the forward pass). The two
-        neighbor gradients are None for a node without neighbors.
-    """
-    if grads is None:
-        grads = cache.params.zeros_like()
-    k = cache.owner.shape[0]
-    if d_edge_probs is None:
-        d_edge_probs = np.zeros(k)
-    d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m = cell_backward_node(
-        cache, np.zeros(1, dtype=np.intp), np.arange(k), cache.owner,
-        d_hidden[None], d_memory[None], d_edge_probs)
-    d_x, d_h_prev, d_nbr_h_prev = cell_backward_batch(
-        grads, cache, d_pre, d_score, d_prenb)
-    if not k:
-        d_nbr_h_prev = d_nbr_m = None
-    return grads, d_x[0], d_h_prev[0], d_m_prev[0], d_navg[0], d_nbr_h_prev, d_nbr_m

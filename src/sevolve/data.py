@@ -179,10 +179,24 @@ def save_dataset(path, dataset: DatasetFile):
     write_lines_atomic(path, lines())
 
 
+def _named_ints(tokens, names):
+    """The values of the tokens `<name>=<int>`, one per name in `names`
+    and in that order, or None when a token does not have that form."""
+    fields = [token.partition("=") for token in tokens]
+    try:
+        if [(key, sep) for key, sep, _ in fields] == [(name, "=") for name in names]:
+            return [int(value) for _, _, value in fields]
+    except ValueError:
+        pass
+    return None
+
+
 def load_dataset(path) -> DatasetFile:
     """Inverse of save_dataset; the round trip is lossless. Raises
     DatasetError naming the first offending line, also when the file
-    holds fewer or more samples than its header declares."""
+    holds fewer or more samples than its header declares. Bad edges and
+    non-finite features are checked per sample, and their line is looked
+    for only when the check fails."""
     with open(path) as fh:
         lines = fh.read().splitlines()
 
@@ -194,12 +208,10 @@ def load_dataset(path) -> DatasetFile:
     head = lines[0].split()
     if len(head) != 5 or " ".join(head[:2]) != DATASET_MAGIC:
         fail(1, f"bad header {lines[0]!r}, expected '{DATASET_MAGIC} D=<d> K=<k> N=<samples>'")
-    try:
-        dim = int(head[2].removeprefix("D="))
-        num_labels = int(head[3].removeprefix("K="))
-        count = int(head[4].removeprefix("N="))
-    except ValueError:
-        fail(1, f"bad header fields {lines[0]!r}")
+    fields = _named_ints(head[2:], ("D", "K", "N"))
+    if fields is None:
+        fail(1, f"bad header fields {lines[0]!r}, expected 'D=<d> K=<k> N=<samples>'")
+    dim, num_labels, count = fields
     if dim < 1 or num_labels < 1 or count < 0:
         fail(1, f"header needs D >= 1, K >= 1 and N >= 0, got {lines[0]!r}")
 
@@ -209,19 +221,18 @@ def load_dataset(path) -> DatasetFile:
         if pos == len(lines):
             fail(pos, f"file ends after {len(samples)} of the {count} samples in the header")
         parts = lines[pos].split()
-        if len(parts) != 3 or parts[0] != "sample":
+        record = (_named_ints(parts[1:], ("nodes", "edges"))
+                  if len(parts) == 3 and parts[0] == "sample" else None)
+        if record is None:
             fail(pos + 1, f"expected 'sample nodes=<n> edges=<m>', got {lines[pos]!r}")
-        try:
-            n = int(parts[1].removeprefix("nodes="))
-            m = int(parts[2].removeprefix("edges="))
-        except ValueError:
-            fail(pos + 1, f"bad sample record {lines[pos]!r}")
+        n, m = record
         if n < 1 or m < 0:
             fail(pos + 1, f"sample needs nodes >= 1 and edges >= 0, got {lines[pos]!r}")
         pos += 1
         if pos + m + n + 1 > len(lines):
             fail(len(lines), f"truncated sample {len(samples)} "
                              f"(needs {m} edge, {n} feature, 1 label line)")
+        edge_line = pos + 1
         edges = []
         for k in range(m):
             toks = lines[pos].split()
@@ -232,6 +243,7 @@ def load_dataset(path) -> DatasetFile:
             except ValueError:
                 fail(pos + 1, f"bad edge line {lines[pos]!r}")
             pos += 1
+        feat_line = pos + 1
         feats = np.zeros((n, dim))
         for r in range(n):
             toks = lines[pos].split()
@@ -252,10 +264,24 @@ def load_dataset(path) -> DatasetFile:
         if labels and (min(labels) < 0 or max(labels) >= num_labels):
             fail(pos + 1, f"label out of range for K={num_labels}")
         pos += 1
+
         try:
-            samples.append(Sample(build_graph(n, edges), feats, labels))
+            graph = build_graph(n, edges)
         except ValueError as exc:
-            fail(pos, f"invalid sample {len(samples)}: {exc}")
+            # build_graph stops at the first bad edge
+            k = next(k for k, (a, b) in enumerate(edges)
+                     if a == b or not (0 <= a < n and 0 <= b < n))
+            fail(edge_line + k, f"invalid edge: {exc}")
+        if graph.num_edges != m:
+            seen = set()
+            for k, (a, b) in enumerate(edges):
+                if (min(a, b), max(a, b)) in seen:
+                    fail(edge_line + k, f"repeated edge {a} {b}")
+                seen.add((min(a, b), max(a, b)))
+        finite = np.isfinite(feats)
+        if not finite.all():
+            fail(feat_line + int(np.argmin(finite.all(axis=1))), "non-finite feature value")
+        samples.append(Sample(graph, feats, labels))
     if pos < len(lines):
         fail(pos + 1, f"extra line after the {count} samples in the header: {lines[pos]!r}")
     return DatasetFile(dim, num_labels, samples)

@@ -160,22 +160,6 @@ def _validated_probs(g: LevelGraph, edge_probs) -> np.ndarray:
     return probs
 
 
-def propose(g: LevelGraph, edge_probs, rng):
-    """Sample one candidate coarsening.
-
-    Each edge is selected independently with its merging probability,
-    using exactly one uniform draw per edge in canonical edge order
-    (a single rng.random(num_edges) call). Returns (selected_edges,
-    partition, coarsened_graph).
-    """
-    probs = _validated_probs(g, edge_probs)
-    # selected edges come straight from the canonical edge tuple, so the
-    # validation-free component core applies
-    selected = list(_edges_at(g, np.nonzero(rng.random(probs.size) < probs)[0]))
-    part = _components_canonical(g, selected)
-    return selected, part, quotient_graph(g, part)
-
-
 def _intra_clique_mask(g: LevelGraph, partition: CliquePartition) -> np.ndarray:
     if partition.num_nodes != g.num_nodes:
         raise ValueError("partition does not cover the graph's nodes")
@@ -193,14 +177,6 @@ def _eliminated_product(probs: np.ndarray, elim_idx: np.ndarray) -> float:
     if p_elim.min() == 0.0:
         return 0.0
     return float(math.exp(np.log(p_elim).sum()))
-
-
-def transition_ratio(g: LevelGraph, partition: CliquePartition, edge_probs) -> float:
-    """Product of merging probabilities over the eliminated edges, i.e.
-    the edges of `g` whose endpoints fall into the same clique. Empty
-    product is 1. Accumulated in log space to avoid underflow."""
-    probs = _validated_probs(g, edge_probs)
-    return _eliminated_product(probs, np.nonzero(_intra_clique_mask(g, partition))[0])
 
 
 def posterior_ratio(loss_old: float, loss_new: float) -> float:

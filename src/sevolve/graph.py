@@ -277,8 +277,15 @@ def segment_sum(values, owner, num_rows):
     are bit-identical to it; one np.bincount does the work."""
     tail = values.shape[1:]
     width = math.prod(tail)
-    flat = (owner[:, None] * width + np.arange(width)).ravel()
+    flat = segment_ids(owner, width).ravel()
     return np.bincount(flat, values.ravel(), num_rows * width).reshape((num_rows,) + tail)
+
+
+def segment_ids(owner, width):
+    """The (S, width) flat ids owner[s] * width + j: np.bincount over them
+    sums an (S, width) array's rows into rows owner[s] as segment_sum
+    does, and take() over a flattened (rows, width) array gathers them."""
+    return owner[:, None] * width + np.arange(width)
 
 
 def aggregate_node_values(partition: CliquePartition, values) -> np.ndarray:

@@ -9,13 +9,13 @@ level. All layers share one set of cell weights. The base-level
 prediction is the element-wise sum of every level's logits broadcast
 back to the base nodes.
 
-A layer's sweep updates its nodes one wave at a time (see wave_schedule),
-which gives exactly the states of a node-by-node sweep in visit order.
-The backward pass reverses the realized structure exactly: heads, then
-layers in reverse, waves in reverse, with aggregated-state gradients
-split uniformly over merged members. No gradient flows through the
-discrete merge decisions; the edge-supervision loss trains the
-merge-probability readout.
+A layer's sweep updates its nodes one wave at a time, in a wave-major
+layout of the layer (see wave_schedule), which gives exactly the states
+of a node-by-node sweep in visit order. The backward pass reverses the
+realized structure exactly: heads, then layers in reverse, waves in
+reverse, with aggregated-state gradients split uniformly over merged
+members. No gradient flows through the discrete merge decisions; the
+edge-supervision loss trains the merge-probability readout.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from sevolve.graph import (
     LevelGraph,
     aggregate_node_values,
     quotient_graph,
+    segment_ids,
     segment_sum,
 )
 
@@ -166,22 +167,32 @@ class StructurePlan:
 
 
 class WaveSchedule(NamedTuple):
-    """Level schedule of one layer's sweep, from wave_schedule.
+    """Wave-major layout of one layer's sweep, from wave_schedule: the
+    waves in sweep order, the nodes of a wave ascending, and each row's
+    slots its node's CSR slots in CSR order.
 
-    waves: per wave, in sweep order, (rows, slots, owner): the wave's
-        nodes, their CSR slots row by row, and each slot's position in
-        `rows`.
-    earlier: (S,) bool per CSR slot, True when the slot's neighbor is
-        visited before the slot's owner.
+    perm: (n,) the node of each row; pos: (n,) the row of each node.
+    waves: per wave, (r0, r1, s0, s1): its rows r0:r1 and slots s0:s1.
+    owner: (S,) the row of each slot; local: (S,) owner - r0 of its wave.
+    nbr: (S,) the row of each slot's neighbor. The neighbor is visited
+        before the owner exactly when nbr < owner.
+    slot_edge: (S,) the canonical edge id of each slot, which has one
+        slot in each endpoint's row.
     """
 
+    perm: np.ndarray
+    pos: np.ndarray
     waves: list
-    earlier: np.ndarray
+    owner: np.ndarray
+    local: np.ndarray
+    nbr: np.ndarray
+    slot_edge: np.ndarray
 
 
-def wave_schedule(order, indptr, indices) -> WaveSchedule:
+def wave_schedule(order, indptr, indices, slot_edge) -> WaveSchedule:
     """Group the nodes of a sweep in visit order `order` over the CSR graph
-    (indptr, indices) into waves.
+    (indptr, indices, slot_edge) into waves, and lay the layer out in wave
+    order.
 
     A node's wave is 1 plus the largest wave of its earlier-visited
     neighbors, or 0 when it has none. So no edge joins two nodes of one
@@ -195,33 +206,55 @@ def wave_schedule(order, indptr, indices) -> WaveSchedule:
     Built level by level (Kahn's algorithm): one vectorised pass per wave
     takes the edges out of the wave's nodes to their later-visited
     neighbors, and the next wave is the neighbors left with no
-    unscheduled earlier-visited neighbor. Nodes within a wave ascend.
+    unscheduled earlier-visited neighbor. The layout follows in one pass.
     """
     n = indptr.size - 1
     deg = np.diff(indptr)
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    owner = np.repeat(np.arange(n), deg)
-    earlier = pos[indices] < pos[owner]
-    pending = np.bincount(owner[earlier], minlength=n)
+    visit = np.empty(n, dtype=np.intp)
+    visit[order] = np.arange(n)
+    csr_owner = np.repeat(np.arange(n), deg)
+    # the later-visited neighbors of each node, as a CSR of their own
+    later = visit[indices] > visit[csr_owner]
+    succ = indices[later]
+    succ_count = np.bincount(csr_owner[later], minlength=n)
+    succ_end = np.cumsum(succ_count)
+    # unscheduled earlier-visited neighbors; -1 once scheduled
+    pending = deg - succ_count
     rows = np.flatnonzero(pending == 0)
-    waves = []
+    wave_rows = []
     while rows.size:
-        k = deg[rows]
-        local = np.repeat(np.arange(rows.size), k)
-        slots = np.arange(local.size) + (indptr[rows] - np.cumsum(k) + k)[local]
-        waves.append((rows, slots, local))
-        reached = np.bincount(indices[slots[~earlier[slots]]], minlength=n)
-        pending -= reached
-        rows = np.flatnonzero((reached > 0) & (pending == 0))
-    return WaveSchedule(waves, earlier)
+        wave_rows.append(rows)
+        pending[rows] = -1
+        k = succ_count[rows]
+        ends = np.cumsum(k)
+        reached = succ[np.arange(ends[-1]) + np.repeat(succ_end[rows] - ends, k)]
+        pending -= np.bincount(reached, minlength=n)
+        rows = np.flatnonzero(pending == 0)
+
+    perm = np.concatenate(wave_rows)
+    sizes = [r.size for r in wave_rows]
+    pos = np.empty(n, dtype=np.intp)
+    pos[perm] = np.arange(n)
+    row_deg = deg[perm]
+    owner = np.repeat(np.arange(n), row_deg)
+    row_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(row_deg, out=row_ptr[1:])
+    # the CSR slot of each wave-major slot
+    slots = np.arange(row_ptr[-1]) + np.repeat(indptr[perm] - row_ptr[:-1], row_deg)
+    row_off = np.cumsum([0] + sizes)
+    local = (np.arange(n) - np.repeat(row_off[:-1], sizes))[owner]
+    slot_off = row_ptr[row_off]
+    waves = list(zip(row_off[:-1].tolist(), row_off[1:].tolist(),
+                     slot_off[:-1].tolist(), slot_off[1:].tolist()))
+    return WaveSchedule(perm, pos, waves, owner, local, pos[indices[slots]], slot_edge[slots])
 
 
 class ForwardResult:
     """Everything one forward pass produced: per-level logits and edge
     probabilities, the realized hierarchy trace, the combined base-level
     logits, and per layer the visit order, its WaveSchedule and the
-    CellCache for the backward pass."""
+    CellCache for the backward pass, whose rows are in the schedule's
+    wave-major order."""
 
     __slots__ = ("mode", "params", "level_logits", "combined_logits", "trace",
                  "amaps", "orders", "schedules", "layers")
@@ -266,16 +299,18 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             rng=None, mode: str = "train", plan: StructurePlan | None = None) -> ForwardResult:
     """Run the full stack on one sample.
 
-    Each layer sweeps its level graph in two parts. cell_forward_batch
-    computes the visit-order independent gate terms for every node and
-    CSR neighbor slot at once. cell_forward then updates the nodes one
-    wave at a time, in the waves wave_schedule builds from the visit
-    order. It reads "current state" arrays that start as the previous
-    state and take a wave's new states when the wave is updated. Every
-    earlier-visited neighbor of a node lies in an earlier wave and every
-    later-visited one in a later wave, so a neighbor enters with its new
-    state exactly when it comes earlier in the visit order, as in a
-    node-by-node sweep. The layer's activations go into one CellCache.
+    Each layer gathers its inputs and previous states once into the
+    wave-major layout that wave_schedule builds from the visit order.
+    cell_forward_batch computes the visit-order independent gate terms
+    for every node and neighbor slot at once; cell_forward then updates
+    the waves in turn, each a block of rows and slots. It reads "current
+    state" arrays that start as the previous state and take a wave's new
+    states when the wave is updated. Every earlier-visited neighbor of a
+    node lies in an earlier wave and every later-visited one in a later
+    wave, so a neighbor enters with its new state exactly when it comes
+    earlier in the visit order, as in a node-by-node sweep. The layer's
+    activations go into one CellCache; its new states return to node
+    order once, for the head and the aggregation.
 
     In train mode the evolution step may query the label-dependent
     posterior; in test mode acceptance uses the transition ratio alone and
@@ -322,36 +357,39 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     cell = params.cell
     for t in range(n_layers):
         n = g.num_nodes
-        indptr, indices, slot_edge = g.csr()
         order = plan.visit_orders[t] if plan is not None else rng.permutation(n)
-        deg = np.diff(indptr)
-        k_div = np.maximum(deg, 1)[:, None]
-        owner = np.repeat(np.arange(n), deg)
-        nbr_h_prev = h_prev[indices]
-        pre, nb_gate, slot_probs = cell_forward_batch(cell, feats, h_prev, owner, nbr_h_prev)
-        schedule = wave_schedule(order, indptr, indices)
-        h_cur = h_prev.copy()
-        m_cur = m_prev.copy()
+        schedule = wave_schedule(order, *g.csr())
+        perm, owner, nbr = schedule.perm, schedule.owner, schedule.nbr
+        x, hp, mp = (a.take(perm, axis=0) for a in (feats, h_prev, m_prev))
+        nbr_h_prev = hp.take(nbr, axis=0)
+        pre, nb_gate, slot_probs = cell_forward_batch(cell, x, hp, owner, nbr_h_prev)
+        k = np.maximum(np.bincount(owner, minlength=n), 1)
+        k_div, inv_k = k[:, None], 1.0 / k
+        seg = segment_ids(schedule.local, h_dim)
+        h_cur = hp.copy()
+        m_cur = mp.copy()
         navg = np.empty((n, h_dim))
-        m_sel = np.empty((indices.size, h_dim))
+        m_sel = np.empty((nbr.size, h_dim))
         gates = np.empty((n, 4 * h_dim))
-        for rows, slots, local in schedule.waves:
-            idx = indices[slots]
-            wave_navg = segment_sum(h_cur[idx], local, rows.size) / k_div[rows]
-            wave_m_sel = m_cur[idx]
-            navg[rows] = wave_navg
-            m_sel[slots] = wave_m_sel
-            h_cur[rows], m_cur[rows], gates[rows] = cell_forward(
-                cell, pre[rows], m_prev[rows], wave_navg, nb_gate[slots], wave_m_sel, local)
+        for r0, r1, s0, s1 in schedule.waves:
+            ids = seg[s0:s1]
+            nb_sum = np.bincount(ids.ravel(), h_cur.take(nbr[s0:s1], axis=0).ravel(),
+                                 (r1 - r0) * h_dim)
+            navg[r0:r1] = nb_sum.reshape(r1 - r0, h_dim) / k_div[r0:r1]
+            m_cur.take(nbr[s0:s1], axis=0, out=m_sel[s0:s1])
+            h_cur[r0:r1], m_cur[r0:r1], gates[r0:r1] = cell_forward(
+                cell, pre[r0:r1], mp[r0:r1], navg[r0:r1], nb_gate[s0:s1], m_sel[s0:s1],
+                ids, inv_k[r0:r1])
         schedules.append(schedule)
-        layers.append(CellCache(cell, owner, feats, h_prev, m_prev, navg,
-                                nbr_h_prev, m_sel, nb_gate, slot_probs, gates, m_cur, h_cur))
+        layers.append(CellCache(cell, owner, x, hp, mp, navg, nbr_h_prev, m_sel, nb_gate,
+                                slot_probs, gates, m_cur, h_cur))
+        h_new, m_new = h_cur.take(schedule.pos, axis=0), m_cur.take(schedule.pos, axis=0)
 
         # one probability per undirected edge: mean of the two directed
-        # evaluations, lower endpoint's slot first
-        p_edge = 0.5 * np.bincount(slot_edge, slot_probs, g.num_edges)
+        # evaluations, a sum of two that no slot order changes
+        p_edge = 0.5 * np.bincount(schedule.slot_edge, slot_probs, g.num_edges)
         head_w, head_b = params.heads[t]
-        logits = h_cur @ head_w.T + head_b
+        logits = h_new @ head_w.T + head_b
 
         orders.append(order)
         level_logits.append(logits)
@@ -372,8 +410,8 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             partitions.append(part)
             decisions.append(trial_log)
             feats = aggregate_node_values(part, feats)
-            h_prev = aggregate_node_values(part, h_cur)
-            m_prev = aggregate_node_values(part, m_cur)
+            h_prev = aggregate_node_values(part, h_new)
+            m_prev = aggregate_node_values(part, m_new)
             amap = part.assignment[amap]
             g = g_next
             levels.append(g)
@@ -442,14 +480,15 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     """Exact gradients of the total loss over the realized structure.
 
     Per layer, cell_backward_node reverses the forward's waves in reverse
-    wave order, reusing the forward's WaveSchedule. Every gradient into a
-    node's new state comes from a later-visited neighbor, which sits in a
-    later wave, so it is accumulated before that node's wave is reversed.
-    A neighbor slot carries its gradient to the neighbor's new state when
-    the neighbor comes before the slot's owner in the visit order, and to
-    its previous state otherwise. One cell_backward_batch call then does
-    the order-independent rest (parameter gradients, layer-input
-    gradients) for the whole layer, reading the layer's CellCache. Cell
+    order, in the forward's wave-major layout. Every gradient into a
+    node's new state comes from a later-visited neighbor, in a later wave
+    that is reversed already, so a wave first pulls them through its
+    slots: the neighbor's gradient wrt its neighbor average over its
+    degree, and the gradient wrt the memory its reverse slot read. Slots
+    of earlier-visited neighbors, not reversed yet, pull zeros; their
+    owners read the neighbors' previous state, where those gradients go.
+    One cell_backward_batch call then does the order-independent rest
+    (parameter and layer-input gradients) for the whole layer. Cell
     gradients of every layer land in the single shared cell block.
     """
     params = result.params
@@ -481,12 +520,12 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     d_mprev_next = None
     for t in range(n_layers - 1, -1, -1):
         cache = result.layers[t]
-        waves, earlier = result.schedules[t]
-        g = result.trace.levels[t]
-        n = g.num_nodes
+        schedule = result.schedules[t]
+        perm, owner, nbr = schedule.perm, schedule.owner, schedule.nbr
+        n = perm.size
 
-        # head path
-        d_logits = segment_sum(d_comb, result.amaps[t], n)
+        # head path, in the layer's rows
+        d_logits = segment_sum(d_comb, schedule.pos[result.amaps[t]], n)
         head_w, _ = params.heads[t]
         gw, gb = grads.heads[t]
         gw += d_logits.T @ cache.hidden
@@ -498,49 +537,58 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         if t < n_layers - 1:
             part = result.trace.partitions[t]
             inv = 1.0 / part.sizes().astype(np.float64)
-            assign = part.assignment
-            d_h_new += (d_hprev_next * inv[:, None])[assign]
-            d_m_new += (d_mprev_next * inv[:, None])[assign]
-            d_feats_t = (d_feats_next * inv[:, None])[assign]
+            clique = part.assignment[perm]
+            d_h_new += (d_hprev_next * inv[:, None]).take(clique, axis=0)
+            d_m_new += (d_mprev_next * inv[:, None]).take(clique, axis=0)
+            d_feats_t = (d_feats_next * inv[:, None]).take(clique, axis=0)
         else:
             d_feats_t = np.zeros((n, sample.features.shape[1]))
 
-        # each edge probability is the mean of its two directed slots
-        indptr, indices, slot_edge = g.csr()
-        d_slot_probs = (0.5 * d_p_levels[t])[slot_edge]
-        inv_deg = 1.0 / np.maximum(np.diff(indptr), 1)
+        # each edge probability is the mean of its two directed slots, and
+        # the two slots of an edge are each other's reverse
+        d_slot_probs = (0.5 * d_p_levels[t])[schedule.slot_edge]
+        pairs = np.argsort(schedule.slot_edge, kind="stable").reshape(-1, 2)
+        rev = np.empty(nbr.size, dtype=np.intp)
+        rev[pairs] = pairs[:, ::-1]
+        inv_k = 1.0 / np.maximum(np.bincount(owner, minlength=n), 1)
+        seg = segment_ids(schedule.local, hh)
 
-        d_m_prev_t = np.zeros((n, hh))
-        d_pre = np.zeros((n, 4 * hh))
-        d_score = np.zeros(indices.size)
-        d_prenb = np.zeros((indices.size, hh))
-        d_nbr_m = np.zeros((indices.size, hh))
-        d_nbr_h = np.zeros((indices.size, hh))
-        for rows, slots, local in reversed(waves):
-            (d_pre[rows], d_m_prev_t[rows], d_navg, d_score[slots], d_prenb[slots],
-             d_nbr_m[slots]) = cell_backward_node(
-                 cache, rows, slots, local, d_h_new[rows], d_m_new[rows], d_slot_probs[slots])
-            contrib = (d_navg * inv_deg[rows][:, None])[local]
-            d_nbr_h[slots] = contrib
-            e = earlier[slots]
-            vi = indices[slots[e]]
-            d_h_new += segment_sum(contrib[e], vi, n)
-            d_m_new += segment_sum(d_nbr_m[slots[e]], vi, n)
+        d_m_prev_t = np.empty((n, hh))
+        d_pre = np.empty((n, 4 * hh))
+        d_score = np.empty(nbr.size)
+        d_prenb = np.empty((nbr.size, hh))
+        # zero until their wave is reversed: what earlier-visited
+        # neighbors pull
+        d_nbr_m = np.zeros((nbr.size, hh))
+        d_navg_k = np.zeros((n, hh))
+        for r0, r1, s0, s1 in reversed(schedule.waves):
+            ids = seg[s0:s1]
+            flat, b = ids.ravel(), r1 - r0
+            d_h = d_h_new[r0:r1] + np.bincount(
+                flat, d_navg_k.take(nbr[s0:s1], axis=0).ravel(), b * hh).reshape(b, hh)
+            d_m = d_m_new[r0:r1] + np.bincount(
+                flat, d_nbr_m.take(rev[s0:s1], axis=0).ravel(), b * hh).reshape(b, hh)
+            (d_pre[r0:r1], d_m_prev_t[r0:r1], d_navg, d_score[s0:s1], d_prenb[s0:s1],
+             d_nbr_m[s0:s1]) = cell_backward_node(
+                 cache, slice(r0, r1), slice(s0, s1), ids, inv_k[r0:r1], d_h, d_m,
+                 d_slot_probs[s0:s1])
+            d_navg_k[r0:r1] = d_navg * inv_k[r0:r1, None]
 
         # order-independent part, batched over the layer; gradients into
         # neighbors updated after their slot's owner reach their previous
         # state
         d_x, d_h_own, d_nbr_hp = cell_backward_batch(
             grads.cell, cache, d_pre, d_score, d_prenb)
-        unv = ~earlier
-        d_nbr_hp[unv] += d_nbr_h[unv]
-        d_m_prev_t += segment_sum(d_nbr_m[unv], indices[unv], n)
-        d_h_prev_t = segment_sum(d_nbr_hp, indices, n) + d_h_own
+        later = nbr > owner
+        d_nbr_hp[later] += d_navg_k[owner[later]]
+        d_m_prev_t += segment_sum(d_nbr_m[later], nbr[later], n)
+        d_h_prev_t = segment_sum(d_nbr_hp, nbr, n) + d_h_own
         d_feats_t += d_x
 
-        d_feats_next = d_feats_t
-        d_hprev_next = d_h_prev_t
-        d_mprev_next = d_m_prev_t
+        # back to node order for the level below
+        d_feats_next = d_feats_t.take(schedule.pos, axis=0)
+        d_hprev_next = d_h_prev_t.take(schedule.pos, axis=0)
+        d_mprev_next = d_m_prev_t.take(schedule.pos, axis=0)
 
     return grads
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from sevolve.network import backward, compute_loss, forward, predict, save_checkpoint
+from sevolve.network import (backward, compute_loss, forward, predict, save_checkpoint,
+                             write_lines_atomic)
 
 
 class NumericError(RuntimeError):
@@ -137,50 +139,50 @@ def train(dataset, params, net_cfg, opt_cfg: OptimConfig, eval_dataset=None,
     Per epoch: a seeded shuffle, one forward/backward/sgd_step per sample,
     an accuracy evaluation (on eval_dataset when given, else the training
     set), an optional checkpoint, and one log row. Returns the log rows.
-    A non-finite loss aborts with the offending sample id.
+    write_lines_atomic writes the log at `log_path` whole: the header
+    first, and after each epoch the header and every row so far. A
+    non-finite loss aborts with the offending sample id.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
     state = OptimState(params)
     rows = []
-    log_fh = open(log_path, "w") if log_path else None
-    try:
-        if log_fh:
-            log_fh.write("\t".join(LOG_COLUMNS) + "\n")
-        for epoch in range(1, opt_cfg.epochs + 1):
-            order = np.random.default_rng([opt_cfg.seed, epoch, 0]).permutation(len(dataset))
-            total_sum = task_sum = edge_sum = 0.0
-            for sample_id in order:
-                sample = dataset[int(sample_id)]
-                rng = np.random.default_rng([opt_cfg.seed, epoch, 1, int(sample_id)])
-                result = forward(sample, params, net_cfg, rng, mode="train")
-                total, task, edge = compute_loss(result, sample, net_cfg)
-                if not math.isfinite(total):
-                    raise NumericError(
-                        f"non-finite loss {total} at sample {sample_id} in epoch {epoch}")
-                grads = backward(result, sample, net_cfg)
-                sgd_step(params, grads, state, opt_cfg)
-                total_sum += total
-                task_sum += task
-                edge_sum += edge
-            acc = evaluate_accuracy(eval_dataset if eval_dataset is not None else dataset,
-                                    params, net_cfg, opt_cfg.seed, epoch)
-            row = {
-                "epoch": epoch,
-                "total_loss": total_sum / len(dataset),
-                "task_loss": task_sum / len(dataset),
-                "edge_loss": edge_sum / len(dataset),
-                "eval_accuracy": acc,
-            }
-            rows.append(row)
-            if log_fh:
-                log_fh.write(format_log_row(row) + "\n")
-                log_fh.flush()
-            if checkpoint_dir is not None:
-                save_checkpoint(f"{checkpoint_dir}/epoch_{epoch:03d}.ckpt", params, net_cfg)
-            if progress is not None:
-                progress(row)
-    finally:
-        if log_fh:
-            log_fh.close()
+
+    def write_log():
+        if log_path:
+            write_lines_atomic(log_path, itertools.chain(
+                ["\t".join(LOG_COLUMNS)], (format_log_row(r) for r in rows)))
+
+    write_log()
+    for epoch in range(1, opt_cfg.epochs + 1):
+        order = np.random.default_rng([opt_cfg.seed, epoch, 0]).permutation(len(dataset))
+        total_sum = task_sum = edge_sum = 0.0
+        for sample_id in order:
+            sample = dataset[int(sample_id)]
+            rng = np.random.default_rng([opt_cfg.seed, epoch, 1, int(sample_id)])
+            result = forward(sample, params, net_cfg, rng, mode="train")
+            total, task, edge = compute_loss(result, sample, net_cfg)
+            if not math.isfinite(total):
+                raise NumericError(
+                    f"non-finite loss {total} at sample {sample_id} in epoch {epoch}")
+            grads = backward(result, sample, net_cfg)
+            sgd_step(params, grads, state, opt_cfg)
+            total_sum += total
+            task_sum += task
+            edge_sum += edge
+        acc = evaluate_accuracy(eval_dataset if eval_dataset is not None else dataset,
+                                params, net_cfg, opt_cfg.seed, epoch)
+        row = {
+            "epoch": epoch,
+            "total_loss": total_sum / len(dataset),
+            "task_loss": task_sum / len(dataset),
+            "edge_loss": edge_sum / len(dataset),
+            "eval_accuracy": acc,
+        }
+        rows.append(row)
+        write_log()
+        if checkpoint_dir is not None:
+            save_checkpoint(f"{checkpoint_dir}/epoch_{epoch:03d}.ckpt", params, net_cfg)
+        if progress is not None:
+            progress(row)
     return rows

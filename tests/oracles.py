@@ -5,15 +5,135 @@ instead of depth-first search, direct products instead of log-space sums,
 per-node ancestor walks instead of composed index maps, a node-by-node
 sweep with visit flags instead of waves, one Metropolis-Hastings trial at
 a time instead of draw blocks).
+
+The single-node and single-proposal helpers the tests and oracles build
+on live here too: cell_update and cell_backward compose the package's
+cell parts for one node, propose draws one candidate coarsening and
+transition_ratio scores a partition. Nothing in the package calls them.
 """
 
 import math
 
 import numpy as np
 
-from sevolve.cell import cell_backward, cell_update
-from sevolve.evolve import evolve_deterministic, evolve_step, posterior_ratio, transition_ratio
-from sevolve.graph import CliquePartition, aggregate_node_values, quotient_graph
+from sevolve.cell import (
+    CellCache,
+    cell_backward_batch,
+    cell_backward_node,
+    cell_forward,
+    cell_forward_batch,
+)
+from sevolve.evolve import (
+    _edges_at,
+    _eliminated_product,
+    _intra_clique_mask,
+    _validated_probs,
+    evolve_deterministic,
+    evolve_step,
+    posterior_ratio,
+)
+from sevolve.graph import (
+    CliquePartition,
+    _components_canonical,
+    aggregate_node_values,
+    quotient_graph,
+    segment_ids,
+)
+
+
+def _one_node(num_slots, hidden_dim):
+    """Segment ids and inverse degree of one node that owns every slot."""
+    owner = np.zeros(num_slots, dtype=np.intp)
+    return owner, segment_ids(owner, hidden_dim), np.array([1.0 / max(num_slots, 1)])
+
+
+def cell_update(params, x, h_prev, m_prev, neighbor_avg,
+                nbr_visited=None, nbr_h_prev=None, nbr_m_cur=None, nbr_m_prev=None):
+    """One node update: cell_forward_batch and cell_forward for B = 1.
+
+    Args:
+        params: CellParams.
+        x: input vector (D,).
+        h_prev, m_prev: the node's own previous hidden/memory state (H,).
+        neighbor_avg: visit-flag-aware mean of neighbor hidden states (H,),
+            zero vector when the node has no neighbors.
+        nbr_visited: (k,) bool, visit flags of the k neighbors.
+        nbr_h_prev: (k, H) previous hidden states of the neighbors.
+        nbr_m_cur / nbr_m_prev: (k, H) updated / previous neighbor memory;
+            the visit flag picks which one enters the memory sum.
+
+    Returns:
+        (hidden, memory, merge_probs, cache) with merge_probs of shape (k,).
+    """
+    if nbr_visited is None:
+        nbr_h_prev = m_sel = np.zeros((0, params.hidden_dim))
+    else:
+        m_sel = np.where(np.asarray(nbr_visited, dtype=bool)[:, None], nbr_m_cur, nbr_m_prev)
+    owner, seg, inv_k = _one_node(nbr_h_prev.shape[0], params.hidden_dim)
+    pre, nb_gate, merge_probs = cell_forward_batch(
+        params, x[None], h_prev[None], owner, nbr_h_prev)
+    hidden, memory, gates = cell_forward(
+        params, pre, m_prev[None], neighbor_avg[None], nb_gate, m_sel, seg, inv_k)
+    cache = CellCache(params, owner, x[None], h_prev[None], m_prev[None],
+                      neighbor_avg[None], nbr_h_prev, m_sel, nb_gate, merge_probs,
+                      gates, memory, hidden)
+    return hidden[0], memory[0], merge_probs, cache
+
+
+def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
+    """Exact reverse of cell_update: cell_backward_node followed by
+    cell_backward_batch over its one node.
+
+    Args:
+        cache: CellCache from cell_update.
+        d_hidden, d_memory: upstream gradients wrt the node's new state (H,).
+        d_edge_probs: upstream gradients wrt the merging probabilities
+            (k,), or None for zeros.
+        grads: CellParams accumulator; allocated fresh when None.
+
+    Returns:
+        (grads, d_x, d_h_prev, d_m_prev, d_neighbor_avg, d_nbr_h_prev, d_nbr_m)
+        where d_nbr_m is the gradient wrt the flag-selected neighbor memory
+        (route it to the updated state for visited neighbors, the previous
+        state otherwise, as the forward pass selected). The two neighbor
+        gradients are None for a node without neighbors.
+    """
+    if grads is None:
+        grads = cache.params.zeros_like()
+    k = cache.owner.shape[0]
+    if d_edge_probs is None:
+        d_edge_probs = np.zeros(k)
+    _, seg, inv_k = _one_node(k, cache.params.hidden_dim)
+    d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m = cell_backward_node(
+        cache, slice(0, 1), slice(0, k), seg, inv_k, d_hidden[None], d_memory[None],
+        d_edge_probs)
+    d_x, d_h_prev, d_nbr_h_prev = cell_backward_batch(
+        grads, cache, d_pre, d_score, d_prenb)
+    if not k:
+        d_nbr_h_prev = d_nbr_m = None
+    return grads, d_x[0], d_h_prev[0], d_m_prev[0], d_navg[0], d_nbr_h_prev, d_nbr_m
+
+
+def propose(g, edge_probs, rng):
+    """Sample one candidate coarsening.
+
+    Each edge is selected independently with its merging probability,
+    using exactly one uniform draw per edge in canonical edge order
+    (a single rng.random(num_edges) call). Returns (selected_edges,
+    partition, coarsened_graph).
+    """
+    probs = _validated_probs(g, edge_probs)
+    selected = list(_edges_at(g, np.nonzero(rng.random(probs.size) < probs)[0]))
+    part = _components_canonical(g, selected)
+    return selected, part, quotient_graph(g, part)
+
+
+def transition_ratio(g, partition, edge_probs):
+    """Product of merging probabilities over the eliminated edges, i.e.
+    the edges of `g` whose endpoints fall into the same clique. Empty
+    product is 1. Accumulated in log space as evolve_step does."""
+    probs = _validated_probs(g, edge_probs)
+    return _eliminated_product(probs, np.nonzero(_intra_clique_mask(g, partition))[0])
 
 
 class UnionFind:

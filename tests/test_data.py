@@ -202,3 +202,40 @@ class TestDatasetRoundTrip:
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(DatasetError, match=rf"data\.txt:{line}: .*(D >= 1|nodes >= 1)"):
             load_dataset(path)
+
+
+class TestDatasetLines:
+    """Every malformed record names its own line. A saved 2x2 dataset is
+    the header, `sample nodes=4 edges=4`, edge lines 3-6, feature lines
+    7-10 and the label line 11."""
+
+    @pytest.fixture
+    def lines(self, tmp_path):
+        path = tmp_path / "data.txt"
+        save_dataset(path, generate_dataset(GenConfig(grid_n=2, num_labels=2, seed=3), 1))
+        lines = path.read_text().splitlines()
+        assert lines[1] == "sample nodes=4 edges=4" and len(lines) == 11
+        return lines
+
+    @pytest.mark.parametrize("line, text, message", [
+        (1, "SEVOLVE-DS v2 4 2 1", "bad header fields"),
+        (1, "SEVOLVE-DS v2 K=2 D=4 N=1", "bad header fields"),
+        (1, "SEVOLVE-DS v2 D=4 K=2 1", "bad header fields"),
+        (1, "SEVOLVE-DS v2 D=4 K=2 N=", "bad header fields"),
+        (2, "sample 4 4", "expected 'sample nodes=<n> edges=<m>'"),
+        (2, "sample edges=4 nodes=4", "expected 'sample nodes=<n> edges=<m>'"),
+        (2, "sample nodes=4 4", "expected 'sample nodes=<n> edges=<m>'"),
+        (3, "1 1", "invalid edge: self-loop on node 1"),
+        (3, "0 9", r"invalid edge: edge \(0, 9\) out of range"),
+        (5, "-1 3", "invalid edge"),
+        (4, "0 1", "repeated edge 0 1"),
+        (6, "1 0", "repeated edge 1 0"),
+        (7, "1.0 2.0 3.0 nan", "non-finite feature value"),
+        (10, "inf 2.0 3.0 4.0", "non-finite feature value"),
+    ])
+    def test_bad_record_names_its_line(self, tmp_path, lines, line, text, message):
+        lines[line - 1] = text
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=rf"data\.txt:{line}: {message}"):
+            load_dataset(path)

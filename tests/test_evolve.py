@@ -13,15 +13,15 @@ from sevolve.evolve import (
     evolve_deterministic,
     evolve_step,
     posterior_ratio,
-    propose,
     trace_records,
-    transition_ratio,
 )
 from sevolve.graph import CliquePartition, build_graph, coarsen
 from oracles import (
     eliminated_edge_product,
     mh_search,
+    propose,
     random_connected_graph,
+    transition_ratio,
     union_find_components,
 )
 

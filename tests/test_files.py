@@ -1,5 +1,5 @@
 """Checkpoint and dataset files: seeded fuzzing of both loaders, and
-atomic writes by both savers."""
+atomic writes by both savers and by the training log."""
 
 import os
 import re
@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from sevolve import optim
 from sevolve.data import DatasetError, GenConfig, generate_dataset, load_dataset, save_dataset
+from sevolve.evolve import EvolveConfig
 from sevolve.network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
 
 # damaged tokens: none is a number, and none holds "=" as a header field does
@@ -120,3 +122,39 @@ def test_failed_dataset_write_keeps_previous_file(tmp_path):
     assert len(bad.seen) == 2
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["data.txt"]
+
+
+def test_failed_train_log_write_keeps_previous_log(tmp_path, monkeypatch):
+    ds = generate_dataset(GenConfig(grid_n=2, num_labels=2, seed=6), 2)
+    cfg = NetworkConfig(input_dim=ds.feature_dim, num_classes=2, num_layers=1,
+                        evolve=EvolveConfig(max_trials=2))
+
+    def run(path, epochs):
+        params = init_params(cfg, np.random.default_rng(7))
+        return optim.train(ds.samples, params, cfg, optim.OptimConfig(epochs=epochs, seed=1),
+                           log_path=path)
+
+    # the log is the header plus one line per epoch's row
+    first = tmp_path / "first" / "train_log.tsv"
+    first.parent.mkdir()
+    rows = run(first, 1)
+    assert first.read_text() == "".join(
+        line + "\n" for line in ["\t".join(optim.LOG_COLUMNS), *map(optim.format_log_row, rows)])
+
+    # the epoch-2 write fails after the header and the epoch-1 row
+    real = optim.format_log_row
+    seen = []
+
+    def format_row(row):
+        if row["epoch"] == 2:
+            seen.append(sorted(os.listdir(path.parent)))
+            raise RuntimeError("cannot format")
+        return real(row)
+
+    monkeypatch.setattr(optim, "format_log_row", format_row)
+    path = tmp_path / "train_log.tsv"
+    with pytest.raises(RuntimeError, match="cannot format"):
+        run(path, 2)
+    assert len(seen[0]) == 3            # the temporary file was being written
+    assert path.read_bytes() == first.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["first", "train_log.tsv"]

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sevolve.graph import (
     CliquePartition,
@@ -228,6 +229,58 @@ class TestAggregate:
             for c, members in enumerate(part.members()):
                 np.testing.assert_allclose(out[c], vals[members].mean(axis=0),
                                            rtol=0, atol=1e-12)
+
+
+@st.composite
+def graphs_and_selections(draw, max_nodes=14):
+    """A graph and a subset of its edges. The graphs run from a single node
+    through sparse ones with isolated nodes and several components to
+    dense and complete ones."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(["sparse", "dense", "two_parts"]))
+    if kind == "dense":
+        # complete, less a few edges
+        dropped = draw(st.sets(st.sampled_from(pairs), max_size=4)) if pairs else set()
+        edges = [p for p in pairs if p not in dropped]
+    else:
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+        if kind == "two_parts":
+            # no edge between the lower and the upper half of the ids
+            edges = [(a, b) for a, b in edges if (a < n // 2) == (b < n // 2)]
+    g = build_graph(n, edges)
+    keep = draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
+    return g, [e for e, k in zip(g.edges, keep) if k]
+
+
+class TestCoarsenProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_selections())
+    def test_components_match_union_find(self, case):
+        g, sel = case
+        part, coarse = coarsen(g, sel)
+        assign, count = union_find_components(g.num_nodes, sel)
+        assert part.assignment.tolist() == assign
+        assert part.num_cliques == count == coarse.num_nodes
+        # the coarse edges are exactly the pairs of cliques an edge crosses
+        crossing = {tuple(sorted((assign[a], assign[b]))) for a, b in g.edges
+                    if assign[a] != assign[b]}
+        assert set(coarse.edges) == crossing
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_selections(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_aggregation_and_its_backward_are_adjoint(self, case, seed, width):
+        # backward of the clique mean spreads u_c / |c| to every member:
+        # sum_c u_c . mean_{i in c} v_i == sum_i v_i . (u / sizes)[assign_i]
+        g, sel = case
+        part, _ = coarsen(g, sel)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(part.num_cliques, width))
+        v = rng.normal(size=(g.num_nodes, width))
+        lhs = float((u * aggregate_node_values(part, v)).sum())
+        spread = (u / part.sizes()[:, None])[part.assignment]
+        rhs = float((v * spread).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def _random_trace(rng, num_nodes=10, levels=4):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sevolve.cell import CellParams, cell_update
+from sevolve.cell import CellParams
 from sevolve.evolve import EvolveConfig
 from sevolve.graph import CliquePartition, build_graph
 from sevolve.network import (
@@ -23,7 +23,7 @@ from sevolve.network import (
     save_checkpoint,
     wave_schedule,
 )
-from oracles import random_connected_graph, sequential_network
+from oracles import cell_update, random_connected_graph, sequential_network
 
 
 def tiny_cfg(d=3, c=3, layers=2, max_trials=5, **kw):
@@ -146,20 +146,20 @@ class TestForward:
         plan = StructurePlan(visit_orders=[np.array([3, 1, 0, 2]), np.array([2, 1, 0, 3])],
                              partitions=[CliquePartition.identity(4)])
         res = forward(sample, params, cfg, None, plan=plan)
-        prev, new = res.layers[0], res.layers[1]
+        # cache rows are in each layer's wave-major order: node i is row pos[i]
+        (h0, m0), (h1, m1) = [(cache.hidden[sched.pos], cache.memory[sched.pos])
+                              for cache, sched in zip(res.layers, res.schedules)]
         nbrs = [1, 2, 3]
 
         def node0(navg):
             hidden, *_ = cell_update(
-                params.cell, sample.features[0], prev.hidden[0], prev.memory[0], navg,
-                np.array([True, True, False]), prev.hidden[nbrs], new.memory[nbrs],
-                prev.memory[nbrs])
+                params.cell, sample.features[0], h0[0], m0[0], navg,
+                np.array([True, True, False]), h0[nbrs], m1[nbrs], m0[nbrs])
             return hidden
 
-        navg = (new.hidden[1] + new.hidden[2] + prev.hidden[3]) / 3.0
-        np.testing.assert_allclose(new.hidden[0], node0(navg), rtol=1e-12, atol=0)
-        assert not np.allclose(new.hidden[0], node0(prev.hidden[nbrs].mean(axis=0)),
-                               rtol=1e-6, atol=0)
+        navg = (h1[1] + h1[2] + h0[3]) / 3.0
+        np.testing.assert_allclose(h1[0], node0(navg), rtol=1e-12, atol=0)
+        assert not np.allclose(h1[0], node0(h0[nbrs].mean(axis=0)), rtol=1e-6, atol=0)
 
     # Pinned sampling stream: visit orders, partition assignments, the
     # accepted trial per transition and the next draw after the pass. A
@@ -334,25 +334,39 @@ class TestWaveSchedule:
     def test_waves_are_a_level_schedule(self, case):
         g, order = case
         n = g.num_nodes
-        indptr, indices, _ = g.csr()
-        waves, earlier = wave_schedule(order, indptr, indices)
-        pos = np.empty(n, dtype=np.intp)
-        pos[order] = np.arange(n)
+        indptr, indices, slot_edge = g.csr()
+        sched = wave_schedule(order, indptr, indices, slot_edge)
+        perm, pos, owner, nbr = sched.perm, sched.pos, sched.owner, sched.nbr
+        visit = np.empty(n, dtype=np.intp)
+        visit[order] = np.arange(n)
 
+        # the waves tile the rows and the slots, each wave one contiguous
+        # block of both, and the rows are a permutation of the nodes
+        assert sorted(perm.tolist()) == list(range(n))
+        assert (pos[perm] == np.arange(n)).all()
+        assert sched.waves[0][0] == 0 and sched.waves[0][2] == 0
+        assert sched.waves[-1][1] == n and sched.waves[-1][3] == indices.size
+        for (_, r1, _, s1), (r0, _, s0, _) in zip(sched.waves, sched.waves[1:]):
+            assert (r0, s0) == (r1, s1)
         wave = np.full(n, -1)
-        for w, (rows, slots, local) in enumerate(waves):
-            assert (wave[rows] == -1).all()
+        for w, (r0, r1, s0, s1) in enumerate(sched.waves):
+            assert r0 < r1
+            rows = perm[r0:r1]
+            assert (np.diff(rows) > 0).all()              # nodes within a wave ascend
             wave[rows] = w
             # the slots are the rows' CSR slots, row by row
             want = [s for r in rows for s in range(indptr[r], indptr[r + 1])]
-            assert slots.tolist() == want
-            assert local.tolist() == [k for k, r in enumerate(rows)
-                                      for _ in range(indptr[r], indptr[r + 1])]
+            assert perm[nbr[s0:s1]].tolist() == indices[want].tolist()
+            assert sched.slot_edge[s0:s1].tolist() == slot_edge[want].tolist()
+            assert owner[s0:s1].tolist() == [r0 + k for k, r in enumerate(rows)
+                                             for _ in range(indptr[r], indptr[r + 1])]
+            assert (sched.local[s0:s1] == owner[s0:s1] - r0).all()
         assert (wave >= 0).all()                       # the waves partition the nodes
+        # "visited earlier" is "laid out earlier"
+        assert ((nbr < owner) == (visit[perm[nbr]] < visit[perm[owner]])).all()
         for i in range(n):
             nbrs = indices[indptr[i]:indptr[i + 1]]
-            before = nbrs[pos[nbrs] < pos[i]]
-            assert earlier[indptr[i]:indptr[i + 1]].tolist() == (pos[nbrs] < pos[i]).tolist()
+            before = nbrs[visit[nbrs] < visit[i]]
             assert (wave[nbrs] != wave[i]).all()        # no edge inside a wave
             assert (wave[before] < wave[i]).all()
             assert wave[i] == (wave[before].max() + 1 if before.size else 0)
@@ -365,7 +379,7 @@ class TestWaveSchedule:
                 if all((min(a, b), max(a, b)) in edges for a, b in zip(subset, subset[1:])):
                     longest = size
                     break
-        assert len(waves) == longest
+        assert len(sched.waves) == longest
 
 
 class TestLoss:

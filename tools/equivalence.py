@@ -1,0 +1,187 @@
+"""Dump the outputs of the sevolve package and compare two dumps.
+
+    PYTHONPATH=src python3 tools/equivalence.py dump new.npz
+    PYTHONPATH=<other checkout>/src python3 tools/equivalence.py dump old.npz
+    python3 tools/equivalence.py compare old.npz new.npz
+
+`dump` runs forward, compute_loss and backward of the package on the
+import path over a fixed set of cases and saves every output to one .npz:
+visit orders, partitions, trial decisions, the next rng draw, per-level
+logits and edge probabilities, the combined logits, the losses and every
+gradient tensor. The cases are 4 seeds x 8x8/16x16/32x32 grids with the
+benchmark checkpoint (perfbench/model.ckpt) in Metropolis-Hastings train
+mode, MH test mode and threshold-0.8 mode; a replay of 2x2 block pooling
+on a 32x32 grid; and 20 small random graphs with widened random weights,
+in train and test mode.
+
+`compare` requires the discrete arrays (integer and bool) of both dumps
+to match exactly, and reports per output kind how many float arrays are
+bit-identical and the largest deviation relative to each array's largest
+entry. It exits 1 when the dumps hold different arrays, a discrete array
+differs, or a float deviation exceeds --rtol.
+"""
+
+import argparse
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKPOINT = ROOT / "perfbench" / "model.ckpt"
+
+
+def _model_cases(network, data, EvolveConfig):
+    params, meta = network.load_checkpoint(CHECKPOINT)
+    modes = (("mh-train", "train", EvolveConfig(max_trials=50)),
+             ("mh-test", "test", EvolveConfig(max_trials=50)),
+             ("thr0.8", "train", EvolveConfig(threshold=0.8)))
+    for side in (8, 16, 32):
+        for seed in range(4):
+            gen = data.GenConfig(grid_n=side, num_labels=meta["num_classes"],
+                                 feature_dim=meta["input_dim"], seed=seed)
+            sample = data.generate_sample(gen, np.random.default_rng([seed, side]))
+            for tag, mode, evolve in modes:
+                cfg = network.NetworkConfig(
+                    input_dim=meta["input_dim"], num_classes=meta["num_classes"],
+                    num_layers=meta["num_layers"], hidden_dim=meta["hidden_dim"],
+                    evolve=evolve)
+                yield (f"g{side}-s{seed}-{tag}", sample, params, cfg, mode,
+                       np.random.default_rng([seed, side, 7]), None)
+
+
+def _pyramid_case(network, data, graph, EvolveConfig):
+    # the benchmark's 2x2 pooling replay, built here: importing
+    # perfbench/workloads.py would put this checkout's src/ first on the
+    # import path and dump it instead of the package under test
+    params, meta = network.load_checkpoint(CHECKPOINT)
+    cfg = network.NetworkConfig(input_dim=meta["input_dim"], num_classes=meta["num_classes"],
+                                num_layers=meta["num_layers"], hidden_dim=meta["hidden_dim"],
+                                evolve=EvolveConfig(max_trials=50))
+    side = 32
+    gen = data.GenConfig(grid_n=side, num_labels=cfg.num_classes,
+                         feature_dim=cfg.input_dim, seed=5)
+    sample = data.generate_sample(gen, np.random.default_rng([5, side]))
+    parts, sizes = [], [side * side]
+    for _ in range(cfg.num_layers - 1):
+        rows, cols = np.divmod(np.arange(side * side), side)
+        side //= 2
+        parts.append(graph.CliquePartition((rows // 2) * side + cols // 2, side * side))
+        sizes.append(side * side)
+    rng = np.random.default_rng([5, 5])
+    plan = network.StructurePlan([rng.permutation(n) for n in sizes], parts)
+    yield "pyramid-g32", sample, params, cfg, "train", None, plan
+
+
+def _random_graph_cases(network, graph, EvolveConfig):
+    for k in range(20):
+        rng = np.random.default_rng([11, k])
+        n = int(rng.integers(2, 14))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.7)
+        g = graph.build_graph(n, [p for p, c in zip(pairs, keep) if c])
+        cfg = network.NetworkConfig(input_dim=3, num_classes=3, num_layers=3,
+                                    evolve=EvolveConfig(max_trials=20))
+        sample = network.Sample(g, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
+        params = network.init_params(cfg, rng)
+        for _, t in params.cell.tensors():
+            t *= 5.0
+        for w, b in params.heads:
+            w += rng.normal(0.0, 0.3, w.shape)
+            b += rng.normal(0.0, 0.1, b.shape)
+        for mode in ("train", "test"):
+            yield (f"rand{k}-{mode}", sample, params, cfg, mode,
+                   np.random.default_rng([12, k]), None)
+
+
+def dump(path):
+    from sevolve import data, graph, network
+    from sevolve.evolve import EvolveConfig
+
+    out = {}
+    cases = [*_model_cases(network, data, EvolveConfig),
+             *_pyramid_case(network, data, graph, EvolveConfig),
+             *_random_graph_cases(network, graph, EvolveConfig)]
+    for name, sample, params, cfg, mode, rng, plan in cases:
+        res = network.forward(sample, params, cfg, rng, mode=mode, plan=plan)
+        losses = network.compute_loss(res, sample, cfg)
+        grads = network.backward(res, sample, cfg)
+        arrays = {"losses": np.array(losses), "combined_logits": res.combined_logits}
+        if rng is not None:
+            arrays["next_draw"] = np.array([rng.random()])
+        for t, order in enumerate(res.plan().visit_orders):
+            arrays[f"orders/{t}"] = np.asarray(order)
+            arrays[f"level_logits/{t}"] = res.level_logits[t]
+            arrays[f"edge_probs/{t}"] = res.level_edge_probs[t]
+        for t, (part, log) in enumerate(zip(res.trace.partitions, res.trace.decisions)):
+            arrays[f"partitions/{t}"] = part.assignment
+            arrays[f"decisions/{t}"] = np.array(
+                [(d.trial, d.accepted, d.posterior_evaluated) for d in log],
+                dtype=np.int64).reshape(-1, 3)
+        for tname, tensor in grads.tensors():
+            arrays[f"grads/{tname}"] = tensor
+        for key, value in arrays.items():
+            out[f"{name}/{key}"] = np.asarray(value)
+    np.savez_compressed(path, **out)
+    print(f"{len(cases)} cases, {len(out)} arrays -> {path}")
+
+
+def compare(old_path, new_path, rtol):
+    old, new = np.load(old_path), np.load(new_path)
+    ok = True
+    if set(old.files) != set(new.files):
+        missing = sorted(set(old.files) ^ set(new.files))
+        print(f"the dumps hold different arrays, e.g. {missing[:5]}")
+        return 1
+    stats = {}
+    for key in sorted(old.files):
+        a, b = old[key], new[key]
+        kind = key.split("/")[1]         # keys are case/kind[/index]
+        s = stats.setdefault(kind, {"arrays": 0, "identical": 0, "max_dev": 0.0, "worst": ""})
+        s["arrays"] += 1
+        if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
+            print(f"DIFFER {key}: shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}")
+            ok = False
+            continue
+        if np.array_equal(a, b):
+            s["identical"] += 1
+            continue
+        if a.dtype.kind != "f":
+            print(f"DIFFER {key}: discrete array differs")
+            ok = False
+            continue
+        scale = np.abs(a).max()
+        dev = float(np.abs(a - b).max() / scale) if scale else float(np.abs(b).max())
+        if dev > s["max_dev"]:
+            s["max_dev"], s["worst"] = dev, key
+        if dev > rtol:
+            ok = False
+    print(f"{'kind':<16} {'arrays':>7} {'identical':>9} {'max rel dev':>12}  worst")
+    for kind, s in sorted(stats.items()):
+        print(f"{kind:<16} {s['arrays']:>7} {s['identical']:>9} {s['max_dev']:>12.3g}  {s['worst']}")
+    print("OK" if ok else f"FAIL (discrete mismatch or float deviation above rtol {rtol:g})")
+    return 0 if ok else 1
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    p_dump = sub.add_parser("dump", help="dump the outputs of the package on the import path")
+    p_dump.add_argument("out")
+    p_cmp = sub.add_parser("compare", help="compare two dumps")
+    p_cmp.add_argument("old")
+    p_cmp.add_argument("new")
+    p_cmp.add_argument("--rtol", type=float, default=1e-12)
+    args = parser.parse_args(argv)
+    if args.cmd == "dump":
+        dump(args.out)
+        return 0
+    return compare(args.old, args.new, args.rtol)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
