@@ -18,7 +18,7 @@ from sevolve.graph import (
 from sevolve.cell import CellParams
 from sevolve.evolve import (
     EvolveConfig,
-    ProposalTrace,
+    TrialLog,
     posterior_ratio,
     evolve_step,
     evolve_deterministic,

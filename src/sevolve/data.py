@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sevolve.graph import LevelGraph, build_graph
-from sevolve.network import Sample, write_lines_atomic
+from sevolve.network import INT_TEXT, Sample, parse_ints, write_lines_atomic
 
 _MAX_REGION_RESAMPLES = 200
 
@@ -185,7 +185,7 @@ def _named_ints(tokens, names):
     fields = [token.partition("=") for token in tokens]
     try:
         if [(key, sep) for key, sep, _ in fields] == [(name, "=") for name in names]:
-            return [int(value) for _, _, value in fields]
+            return parse_ints([value for _, _, value in fields])
     except ValueError:
         pass
     return None
@@ -233,10 +233,13 @@ def load_dataset(path) -> DatasetFile:
             fail(len(lines), f"truncated sample {len(samples)} "
                              f"(needs {m} edge, {n} feature, 1 label line)")
         edge_line = pos + 1
+        # the edge lines' characters are checked at once, and line by line
+        # only when that check fails
+        chars_ok = INT_TEXT.fullmatch(" ".join(lines[pos:pos + m]))
         edges = []
         for k in range(m):
             toks = lines[pos].split()
-            if len(toks) != 2:
+            if len(toks) != 2 or not (chars_ok or INT_TEXT.fullmatch(lines[pos])):
                 fail(pos + 1, f"bad edge line {lines[pos]!r}")
             try:
                 edges.append((int(toks[0]), int(toks[1])))
@@ -258,7 +261,7 @@ def load_dataset(path) -> DatasetFile:
         if len(toks) != n:
             fail(pos + 1, f"label row has {len(toks)} values, expected {n}")
         try:
-            labels = [int(v) for v in toks]
+            labels = parse_ints(toks)
         except ValueError:
             fail(pos + 1, f"bad label value in {lines[pos]!r}")
         if labels and (min(labels) < 0 or max(labels) >= num_labels):

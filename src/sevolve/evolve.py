@@ -11,15 +11,24 @@ Draw contract of evolve_step, for a graph with m edges: trial k consumes
 m + 1 uniform doubles, its m edge draws in canonical edge order and then
 its acceptance draw, and the trials consume them in trial order. The rng
 is left just after the accepted trial's draws, or after all trials'
-draws when none is accepted. The draws come in blocks of several trials
-whose size is capped (_BLOCK_DRAWS), so memory stays O(m) whatever
-max_trials is. A vectorised bound rejects most trials of a block at
-once; the others are decided one by one with the exact ratios.
+draws when none is accepted, as a loop calling rng.random(m) and then
+rng.random() per trial would leave it. The draws come in blocks of
+several trials whose size is capped (_BLOCK_DRAWS), so memory stays O(m)
+whatever max_trials is; on acceptance the generator is rewound to the
+start of the block and redraws up to the end of the accepted trial. A
+vectorised bound rejects most trials of a block at once; the others are
+decided one by one with the exact ratios.
+
+Each transition is logged as one TrialLog: the rng state at its start
+and, per trial, the decision and the posterior ratio. replay_trials
+redraws the rest of each trial's detail (selected and eliminated edges,
+partition, transition ratio, alpha) from that state under the contract.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -56,91 +65,50 @@ class EvolveConfig:
             raise ValueError(f"threshold must lie in (0, 1], got {self.threshold}")
 
 
-class ProposalTrace:
-    """Record of one sampling trial (or one deterministic selection).
+# one trial of a TrialLog, as iterating the log yields it
+Trial = namedtuple("Trial", "trial accepted posterior_evaluated")
+# one trial's detail, as replay_trials rebuilds it
+ReplayedTrial = namedtuple("ReplayedTrial", "trial selected partition eliminated "
+                           "transition_ratio posterior_ratio alpha accepted posterior_evaluated")
 
-    The selection is kept as a boolean mask over the canonical edges. For
-    trial k of evolve_step it is a row of the draw block's mask: edge e
-    is selected iff draw (k - 1)(m + 1) + e of the step's stream is below
-    its probability, and draw k(m + 1) - 1 is the trial's acceptance
-    draw. The selected and eliminated edges, the candidate partition,
-    the transition ratio and alpha are materialized lazily when a trial
-    was decided from bounds alone (rejections mostly are); accessing any
-    of them computes exactly the values the eager path would have.
+
+class TrialLog:
+    """The trials of one transition, one array per field.
+
+    `graph` and `probs` are the level graph and edge probabilities the
+    trials were drawn on. `rng_state` is the rng's bit_generator.state at
+    the start of evolve_step and `threshold` evolve_deterministic's
+    threshold; each is None where unused, both in the empty log of a
+    StructurePlan replay. Row k - 1 of `accepted`, `posterior_evaluated`
+    and `posterior_ratio` belongs to trial k.
 
     When `posterior_evaluated` is False the trial was rejected without
     calling the loss callback: the acceptance draw exceeded the largest
     alpha any admissible posterior ratio could produce (losses are
-    non-negative, so that ratio is posterior_ratio(loss_old, 0)), so
-    `posterior_ratio` and `alpha` hold that upper bound instead of
-    evaluated values. The accept/reject decision is identical either way.
+    non-negative, so that ratio is posterior_ratio(loss_old, 0)), and
+    `posterior_ratio` holds that bound. The decision is the same either
+    way. len() counts the trials and iteration yields one Trial each.
     """
 
-    __slots__ = ("trial", "posterior_ratio", "accepted", "posterior_evaluated",
-                 "_g", "_probs", "_sel", "_selected", "_partition",
-                 "_elim_idx", "_eliminated", "_t_ratio", "_alpha")
+    __slots__ = ("graph", "probs", "rng_state", "threshold", "accepted",
+                 "posterior_evaluated", "posterior_ratio")
 
-    def __init__(self, trial, g, probs, sel, posterior_ratio, accepted,
-                 posterior_evaluated=True, partition=None, elim_idx=None,
-                 transition_ratio=None, alpha=None):
-        self.trial = trial
-        self._g = g
-        self._probs = probs
-        self._sel = sel
-        self._selected = None
-        self._partition = partition
-        self._elim_idx = elim_idx
-        self._eliminated = None
-        self._t_ratio = transition_ratio
-        self._alpha = alpha
-        self.posterior_ratio = posterior_ratio
-        self.accepted = accepted
-        self.posterior_evaluated = posterior_evaluated
+    def __init__(self, graph, probs, rng_state=None, threshold=None, accepted=(),
+                 posterior_evaluated=(), posterior_ratio=()):
+        self.graph = graph
+        self.probs = probs
+        self.rng_state = rng_state
+        self.threshold = threshold
+        self.accepted = np.asarray(accepted, dtype=bool)
+        self.posterior_evaluated = np.asarray(posterior_evaluated, dtype=bool)
+        self.posterior_ratio = np.asarray(posterior_ratio, dtype=np.float64)
 
-    @property
-    def selected(self) -> tuple:
-        if self._selected is None:
-            self._selected = _edges_at(self._g, np.flatnonzero(self._sel))
-        return self._selected
+    def __len__(self):
+        return self.accepted.size
 
-    @property
-    def partition(self) -> CliquePartition:
-        if self._partition is None:
-            self._partition = _components_canonical(self._g, self.selected)
-        return self._partition
-
-    @property
-    def num_cliques(self) -> int:
-        return self.partition.num_cliques
-
-    @property
-    def _eliminated_idx(self):
-        if self._elim_idx is None:
-            self._elim_idx = np.nonzero(_intra_clique_mask(self._g, self.partition))[0]
-        return self._elim_idx
-
-    @property
-    def eliminated(self) -> tuple:
-        if self._eliminated is None:
-            self._eliminated = _edges_at(self._g, self._eliminated_idx)
-        return self._eliminated
-
-    @property
-    def transition_ratio(self) -> float:
-        if self._t_ratio is None:
-            self._t_ratio = _eliminated_product(self._probs, self._eliminated_idx)
-        return self._t_ratio
-
-    @property
-    def alpha(self) -> float:
-        if self._alpha is None:
-            self._alpha = min(1.0, self.transition_ratio * self.posterior_ratio)
-        return self._alpha
-
-    def __repr__(self):
-        return (f"ProposalTrace(trial={self.trial}, "
-                f"selected={int(np.count_nonzero(self._sel))}, "
-                f"alpha={self.alpha!r}, accepted={self.accepted})")
+    def __iter__(self):
+        return map(Trial, range(1, len(self) + 1), self.accepted.tolist(),
+                   self.posterior_evaluated.tolist())
 
 
 def _edges_at(g: LevelGraph, idx) -> tuple:
@@ -161,22 +129,23 @@ def _validated_probs(g: LevelGraph, edge_probs) -> np.ndarray:
 
 
 def _intra_clique_mask(g: LevelGraph, partition: CliquePartition) -> np.ndarray:
-    if partition.num_nodes != g.num_nodes:
-        raise ValueError("partition does not cover the graph's nodes")
-    if not g.num_edges:
-        return np.zeros(0, dtype=bool)
-    ea = g.edge_array()
-    assign = partition.assignment
+    ea, assign = g.edge_array(), partition.assignment
     return assign[ea[:, 0]] == assign[ea[:, 1]]
 
 
 def _eliminated_product(probs: np.ndarray, elim_idx: np.ndarray) -> float:
     p_elim = probs[elim_idx]
-    if not p_elim.size:
-        return 1.0
-    if p_elim.min() == 0.0:
+    if p_elim.size and p_elim.min() == 0.0:
         return 0.0
-    return float(math.exp(np.log(p_elim).sum()))
+    return float(math.exp(np.log(p_elim).sum()))   # 1.0 when empty
+
+
+def _proposal(g: LevelGraph, probs: np.ndarray, sel_idx: np.ndarray):
+    """The candidate that selects the edges at the ascending ids `sel_idx`:
+    (partition, ids of its eliminated edges, transition ratio)."""
+    part = _components_canonical(g, _edges_at(g, sel_idx))
+    elim_idx = np.flatnonzero(_intra_clique_mask(g, part))
+    return part, elim_idx, _eliminated_product(probs, elim_idx)
 
 
 def posterior_ratio(loss_old: float, loss_new: float) -> float:
@@ -204,22 +173,14 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
     partition)); a negative loss raises ValueError. If no candidate is
     accepted the graph is kept unchanged with the identity partition.
 
-    Draw contract: each trial consumes m + 1 uniform doubles of the numpy
-    Generator `rng` (m = number of edges), trials in order: its m edge
-    draws in canonical edge order, then its acceptance draw. On return
-    `rng` stands just after the accepted trial's draws, or after all
-    trials' draws when none was accepted, as a loop calling rng.random(m)
-    and then rng.random() per trial would leave it. The trials are drawn
-    in blocks of at most _BLOCK_DRAWS doubles, so memory stays O(m) for
-    any max_trials; on acceptance the generator is rewound to the start
-    of the block and redraws up to the end of the accepted trial.
-
-    Returns (next_graph, partition, list of ProposalTrace).
+    `rng` is a numpy Generator, drawn from under the module's draw
+    contract. Returns (next_graph, partition, TrialLog); the log keeps
+    `rng`'s state at the start, from which replay_trials redraws each
+    trial.
     """
     probs = _validated_probs(g, edge_probs)
     test_mode = loss_eval is None
-    ratio_cap = 1.0
-    loss_old = None
+    ratio_cap, loss_old = 1.0, None
     if not test_mode:
         loss_old = float(loss_eval(CliquePartition.identity(g.num_nodes), g))
         # a loss of 0 is the best any candidate can reach
@@ -230,7 +191,8 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
     log_probs = np.log(probs, out=np.zeros(m), where=probs > 0.0)
     log_cap = math.log(ratio_cap)
     per_block = max(1, _BLOCK_DRAWS // (m + 1))
-    traces = []
+    start = rng.bit_generator.state
+    columns = []   # per block: accepted, posterior_evaluated, posterior_ratio
     trial = 0
     while trial < cfg.max_trials:
         count = min(per_block, cfg.max_trials - trial)
@@ -238,10 +200,9 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
         block = rng.random((count, m + 1))
         draws = block[:, m]
         # the edge draws become the 0/1 selection in place, which the
-        # bound's matvec reads without a cast copy
+        # bound's matvec and _exact_trial read without a cast copy
         chosen = block[:, :m]
         np.less(chosen, probs, out=chosen, casting="unsafe")
-        sel = chosen.astype(bool)
         # Prefilter: every selected edge ends up intra-clique, so the
         # product over the selected edges, t_upper, bounds the transition
         # ratio from above, and a draw >= t_upper * ratio_cap rejects the
@@ -254,86 +215,95 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
         log_upper = chosen @ log_probs
         margin = (4 * m + 8) * _EPS * (np.abs(log_upper) + abs(log_cap) + 1.0)
         sure = draws > np.exp(log_upper + log_cap + margin)
-        for k in range(count):
-            trial += 1
-            trace = None if sure[k] else _exact_trial(
-                trial, g, probs, sel[k], draws[k], loss_eval, loss_old, ratio_cap)
-            if trace is None:
-                # rejected under every admissible transition/posterior
-                # value; partition, ratios, and alpha materialize lazily
-                traces.append(ProposalTrace(
-                    trial, g, probs, sel[k],
-                    posterior_ratio=ratio_cap if not test_mode else 1.0,
-                    accepted=False, posterior_evaluated=test_mode))
+        # sure trials are rejected under any admissible transition/posterior
+        accepted = np.zeros(count, dtype=bool)
+        evaluated = np.full(count, test_mode)
+        ratios = np.full(count, ratio_cap)
+        columns.append((accepted, evaluated, ratios))
+        for k in np.flatnonzero(~sure):
+            decided = _exact_trial(g, probs, chosen[k], draws[k], loss_eval, loss_old,
+                                   ratio_cap)
+            if decided is None:
                 continue
-            traces.append(trace)
-            if trace.accepted:
+            part, ratios[k], evaluated[k], accepted[k] = decided
+            if accepted[k]:
                 # leave rng just after this trial's draws
                 rng.bit_generator.state = block_start
                 rng.random((k + 1) * (m + 1))
-                return quotient_graph(g, trace.partition), trace.partition, traces
-    return g, CliquePartition.identity(g.num_nodes), traces
+                columns[-1] = (accepted[:k + 1], evaluated[:k + 1], ratios[:k + 1])
+                return (quotient_graph(g, part), part,
+                        TrialLog(g, probs, start, None, *map(np.concatenate, zip(*columns))))
+        trial += count
+    return (g, CliquePartition.identity(g.num_nodes),
+            TrialLog(g, probs, start, None, *map(np.concatenate, zip(*columns))))
 
 
-def _exact_trial(trial, g, probs, sel, draw, loss_eval, loss_old, ratio_cap):
-    """Decides one trial exactly from its selection mask and acceptance
-    draw: its ProposalTrace, or None when the draw is at least ratio_cap
-    times t_upper, the product over the selected edges."""
-    sel_idx = np.nonzero(sel)[0]
-    if sel_idx.size:
-        t_upper = float(math.exp(np.log(probs[sel_idx]).sum()))
-    else:
-        t_upper = 1.0
+def _exact_trial(g, probs, chosen, draw, loss_eval, loss_old, ratio_cap):
+    """Decides one trial exactly from its 0/1 selection row and acceptance
+    draw: (partition, posterior ratio, posterior evaluated, accepted), or
+    None when the draw is at least ratio_cap times t_upper, the product
+    over the selected edges."""
+    sel_idx = np.flatnonzero(chosen)
+    t_upper = float(math.exp(np.log(probs[sel_idx]).sum())) if sel_idx.size else 1.0
     if draw >= t_upper * ratio_cap:
         return None
-    part = _components_canonical(g, _edges_at(g, sel_idx))
-    elim_idx = np.nonzero(_intra_clique_mask(g, part))[0]
-    t_ratio = _eliminated_product(probs, elim_idx)
-    evaluated = True
-    if loss_eval is None:
-        p_ratio = 1.0
-    elif draw >= t_ratio * ratio_cap:
+    part, _, t_ratio = _proposal(g, probs, sel_idx)
+    if draw >= t_ratio * ratio_cap:
         # the exact transition ratio already rules this draw out
-        p_ratio = ratio_cap
-        evaluated = False
-    else:
-        p_ratio = posterior_ratio(loss_old, float(loss_eval(part, g)))
-    alpha = min(1.0, t_ratio * p_ratio)
-    return ProposalTrace(
-        trial, g, probs, sel, posterior_ratio=p_ratio, accepted=bool(draw < alpha),
-        posterior_evaluated=evaluated, partition=part, elim_idx=elim_idx,
-        transition_ratio=t_ratio)
+        return part, ratio_cap, loss_eval is None, False
+    p_ratio = 1.0 if loss_eval is None else posterior_ratio(loss_old, float(loss_eval(part, g)))
+    return part, p_ratio, True, bool(draw < min(1.0, t_ratio * p_ratio))
 
 
 def evolve_deterministic(g: LevelGraph, edge_probs, threshold: float):
     """Hard-threshold ablation: merge exactly the edges with merging
     probability >= threshold. No sampling, no acceptance loop.
 
-    Returns (next_graph, partition, list with one ProposalTrace).
+    Returns (next_graph, partition, TrialLog of one accepted trial that
+    keeps `threshold` for replay_trials).
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     probs = _validated_probs(g, edge_probs)
-    sel = probs >= threshold
-    part = _components_canonical(g, _edges_at(g, np.nonzero(sel)[0]))
-    coarse = quotient_graph(g, part)
-    elim_idx = np.nonzero(_intra_clique_mask(g, part))[0]
-    t_ratio = _eliminated_product(probs, elim_idx)
-    trace = ProposalTrace(1, g, probs, sel, posterior_ratio=1.0,
-                          accepted=True, partition=part, elim_idx=elim_idx,
-                          transition_ratio=t_ratio, alpha=1.0)
-    return coarse, part, [trace]
+    part = _proposal(g, probs, np.flatnonzero(probs >= threshold))[0]
+    log = TrialLog(g, probs, threshold=threshold, accepted=[True],
+                   posterior_evaluated=[True], posterior_ratio=[1.0])
+    return quotient_graph(g, part), part, log
 
 
-def trace_records(traces) -> list[str]:
-    """Line-delimited dump of proposal trials, one line per trial."""
-    lines = []
-    for t in traces:
-        lines.append(
-            f"trial={t.trial} selected={len(t.selected)} "
-            f"transition_ratio={t.transition_ratio!r} "
-            f"posterior_ratio={t.posterior_ratio!r} "
-            f"alpha={t.alpha!r} accepted={int(t.accepted)}")
-    if traces and not traces[-1].accepted:
+def replay_trials(log: TrialLog, rng=None) -> list[ReplayedTrial]:
+    """Each trial's detail, redrawn under the draw contract: from a new
+    numpy Generator set to `log.rng_state`, so the caller's rng is not
+    touched, or from `rng` when given, a stream standing where the
+    transition's stood. A threshold log's one trial selects the edges
+    with probability >= threshold and has alpha 1."""
+    g, probs = log.graph, log.probs
+    if rng is None and log.threshold is None and len(log):
+        bit_gen = getattr(np.random, log.rng_state["bit_generator"])()
+        bit_gen.state = log.rng_state
+        rng = np.random.Generator(bit_gen)
+    out = []
+    for t, p_ratio in zip(log, log.posterior_ratio.tolist()):
+        if log.threshold is None:
+            sel_idx = np.flatnonzero(rng.random(probs.size) < probs)
+            rng.random()
+        else:
+            sel_idx = np.flatnonzero(probs >= log.threshold)
+        part, elim_idx, t_ratio = _proposal(g, probs, sel_idx)
+        alpha = min(1.0, t_ratio * p_ratio) if log.threshold is None else 1.0
+        out.append(ReplayedTrial(t.trial, _edges_at(g, sel_idx), part, _edges_at(g, elim_idx),
+                                 t_ratio, p_ratio, alpha, t.accepted, t.posterior_evaluated))
+    return out
+
+
+def trace_records(log: TrialLog) -> list[str]:
+    """Line-delimited dump of a transition's trials (from replay_trials),
+    one line per trial, then `fallback=identity` when none was accepted."""
+    lines = [f"trial={t.trial} selected={len(t.selected)} "
+             f"transition_ratio={t.transition_ratio!r} "
+             f"posterior_ratio={t.posterior_ratio!r} "
+             f"alpha={t.alpha!r} accepted={int(t.accepted)}"
+             for t in replay_trials(log)]
+    if len(log) and not log.accepted[-1]:
         lines.append("fallback=identity")
     return lines

@@ -314,7 +314,9 @@ class HierarchyTrace:
     `levels[k]` is the graph processed at layer k; `partitions[k]` maps
     its nodes onto `levels[k+1]`. `edge_probs[k]` holds one merging
     probability per edge of `levels[k]` in canonical edge order, and
-    `decisions[k]` the proposal/acceptance records of transition k.
+    `decisions[k]` the TrialLog of transition k: its trials' decisions,
+    with the rng state from which evolve.replay_trials redraws their
+    detail.
     """
 
     __slots__ = ("levels", "partitions", "edge_probs", "decisions")

@@ -21,6 +21,7 @@ edge-supervision loss trains the merge-probability readout.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ from sevolve.cell import (
     cell_forward,
     cell_forward_batch,
 )
-from sevolve.evolve import EvolveConfig, evolve_deterministic, evolve_step
+from sevolve.evolve import EvolveConfig, TrialLog, evolve_deterministic, evolve_step
 from sevolve.graph import (
     CliquePartition,
     HierarchyTrace,
@@ -400,7 +401,7 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             if plan is not None:
                 part = plan.partitions[t]
                 g_next = quotient_graph(g, part)
-                trial_log = []
+                trial_log = TrialLog(g, p_edge)
             elif cfg.evolve.threshold is not None:
                 g_next, part, trial_log = evolve_deterministic(
                     g, p_edge, cfg.evolve.threshold)
@@ -619,6 +620,19 @@ def write_lines_atomic(path, lines):
             os.remove(tmp)
 
 
+# int() also takes '+', '_' and non-ASCII digits, which no writer here
+# emits: text of integer tokens holds only ASCII digits, '-' and blanks
+INT_TEXT = re.compile(r"[-0-9\s]*")
+
+
+def parse_ints(tokens) -> list[int]:
+    """The tokens as ints, each ASCII -?[0-9]+ (int() rejects a misplaced
+    '-'); ValueError otherwise."""
+    if not INT_TEXT.fullmatch("".join(tokens)):
+        raise ValueError(f"not ASCII integers: {tokens}")
+    return [int(t) for t in tokens]
+
+
 def save_checkpoint(path, params: ModelParams, cfg: NetworkConfig):
     """Versioned text checkpoint: a header with the model dimensions, then
     every named tensor with its dims and row-major full-precision values.
@@ -657,7 +671,7 @@ def load_checkpoint(path):
         if key not in fields:
             raise ValueError(f"{path}:1: checkpoint header missing field {key!r}")
         try:
-            meta[name] = int(fields[key])
+            (meta[name],) = parse_ints([fields[key]])
         except ValueError:
             raise ValueError(
                 f"{path}:1: header field {key}={fields[key]!r} is not an integer") from None
@@ -676,7 +690,7 @@ def load_checkpoint(path):
         if parts[:2] != ["tensor", name]:
             raise ValueError(f"{path}:{pos + 1}: expected tensor {name}, got {lines[pos]!r}")
         try:
-            dims = tuple(int(x) for x in parts[2:])
+            dims = tuple(parse_ints(parts[2:]))
         except ValueError:
             raise ValueError(
                 f"{path}:{pos + 1}: tensor {name} dims {parts[2:]} are not integers") from None

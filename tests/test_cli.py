@@ -158,7 +158,8 @@ class TestInspect:
                         "--sample-index", "1", "--max-trials", "3",
                         "--seed", "4"]) == EXIT_OK
             blobs.append((out / "hierarchy.dot").read_bytes()
-                         + (out / "level0.dot").read_bytes())
+                         + (out / "level0.dot").read_bytes()
+                         + (out / "trace.txt").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_sample_index_out_of_range_exits_2(self, workdir, tmp_path):

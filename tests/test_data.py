@@ -222,6 +222,11 @@ class TestDatasetLines:
         (1, "SEVOLVE-DS v2 K=2 D=4 N=1", "bad header fields"),
         (1, "SEVOLVE-DS v2 D=4 K=2 1", "bad header fields"),
         (1, "SEVOLVE-DS v2 D=4 K=2 N=", "bad header fields"),
+        # int() alone takes these: '+', '_' and non-ASCII digits
+        (1, "SEVOLVE-DS v2 D=4 K=2 N=+1", "bad header fields"),
+        (2, "sample nodes=\u0664 edges=0_4", "expected 'sample nodes=<n> edges=<m>'"),
+        (3, "0 \uff101", "bad edge line"),
+        (11, "0 0 0 0_0", "bad label value"),
         (2, "sample 4 4", "expected 'sample nodes=<n> edges=<m>'"),
         (2, "sample edges=4 nodes=4", "expected 'sample nodes=<n> edges=<m>'"),
         (2, "sample nodes=4 4", "expected 'sample nodes=<n> edges=<m>'"),

@@ -13,9 +13,11 @@ from sevolve.evolve import (
     evolve_deterministic,
     evolve_step,
     posterior_ratio,
+    replay_trials,
     trace_records,
 )
 from sevolve.graph import CliquePartition, build_graph, coarsen
+from sevolve.network import NetworkConfig, Sample, StructurePlan, forward, init_params
 from oracles import (
     eliminated_edge_product,
     mh_search,
@@ -144,12 +146,26 @@ class TestEvolveStep:
     def test_certain_merge_accepted_first_trial(self):
         g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
         cfg = EvolveConfig()
-        coarse, part, traces = evolve_step(g, np.ones(3), None, cfg, np.random.default_rng(0))
-        assert len(traces) == 1
-        assert traces[0].accepted
-        assert traces[0].alpha == 1.0
-        assert traces[0].transition_ratio == 1.0
+        coarse, part, log = evolve_step(g, np.ones(3), None, cfg, np.random.default_rng(0))
+        assert len(log) == 1
+        (trial,) = replay_trials(log)
+        assert trial.accepted
+        assert trial.alpha == 1.0
+        assert trial.transition_ratio == 1.0
         assert coarse.num_nodes == 2  # one node per connected component
+
+    def test_replay_leaves_the_callers_rng(self):
+        # the replay redraws from the log's saved state, the same trials a
+        # stream handed to it from the transition's start gives
+        g = grid_graph(4)
+        probs = np.full(g.num_edges, 0.9)
+        rng = np.random.default_rng(0)
+        _, _, log = evolve_step(g, probs, None, EvolveConfig(max_trials=30), rng)
+        assert len(log) == 19 and log.accepted[-1]
+        left_at = rng.bit_generator.state
+        replayed = replay_trials(log)
+        assert rng.bit_generator.state == left_at
+        assert replayed == replay_trials(log, np.random.default_rng(0))
 
     def test_exhaustion_returns_identity(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -176,9 +192,9 @@ class TestEvolveStep:
         cfg = EvolveConfig(max_trials=10)
         runs = []
         for _ in range(2):
-            _, _, traces = evolve_step(g, probs, loss_eval, cfg, np.random.default_rng(99))
+            _, _, log = evolve_step(g, probs, loss_eval, cfg, np.random.default_rng(99))
             runs.append([(t.trial, t.selected, t.transition_ratio, t.posterior_ratio,
-                          t.alpha, t.accepted) for t in traces])
+                          t.alpha, t.accepted) for t in replay_trials(log)])
         assert runs[0] == runs[1]
 
     def test_test_mode_never_calls_loss_eval(self):
@@ -187,9 +203,9 @@ class TestEvolveStep:
         g = build_graph(6, random_connected_graph(np.random.default_rng(5), 6))
         probs = np.random.default_rng(6).uniform(0.2, 0.95, g.num_edges)
         cfg = EvolveConfig(max_trials=20)
-        _, _, traces = evolve_step(g, probs, None, cfg, np.random.default_rng(7))
-        assert len(traces) > 1
-        for t in traces:
+        _, _, log = evolve_step(g, probs, None, cfg, np.random.default_rng(7))
+        assert len(log) > 1
+        for t in replay_trials(log):
             assert t.posterior_ratio == 1.0 and t.posterior_evaluated
             assert t.alpha == min(1.0, t.transition_ratio)
 
@@ -258,10 +274,10 @@ class TestEvolveStep:
             g = build_graph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.0, 1.0, g.num_edges)
             cfg = EvolveConfig(max_trials=5)
-            coarse, part, traces = evolve_step(g, probs, None, cfg, rng)
+            coarse, part, log = evolve_step(g, probs, None, cfg, rng)
             assert coarse.num_nodes <= g.num_nodes
             assert part.num_cliques == coarse.num_nodes
-            for t in traces:
+            for t in replay_trials(log):
                 assert 0.0 <= t.alpha <= 1.0
                 assert t.alpha == min(1.0, t.transition_ratio * t.posterior_ratio)
 
@@ -272,10 +288,10 @@ class TestEvolveStep:
             g = build_graph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.2, 0.9, g.num_edges)
             cfg = EvolveConfig(max_trials=3)
-            _, _, traces = evolve_step(g, probs, None, cfg, rng)
-            for t in traces:
+            _, _, log = evolve_step(g, probs, None, cfg, rng)
+            for t in replay_trials(log):
                 _, count = union_find_components(n, t.selected)
-                assert t.num_cliques == count
+                assert t.partition.num_cliques == count
                 assign, _ = union_find_components(n, t.selected)
                 expected = tuple(e for e in g.edges if assign[e[0]] == assign[e[1]])
                 assert t.eliminated == expected
@@ -294,10 +310,11 @@ class TestEvolveStep:
         accepted = 0
         draws = 10_000
         for k in range(draws):
-            _, _, traces = evolve_step(g, np.ones(1), loss_eval, cfg,
-                                       np.random.default_rng([77, k]))
-            assert traces[0].alpha == pytest.approx(0.3, abs=1e-12)
-            accepted += int(traces[0].accepted)
+            _, _, log = evolve_step(g, np.ones(1), loss_eval, cfg,
+                                    np.random.default_rng([77, k]))
+            (trial,) = replay_trials(log)
+            assert trial.alpha == pytest.approx(0.3, abs=1e-12)
+            accepted += int(trial.accepted)
         assert 0.28 <= accepted / draws <= 0.32
 
 
@@ -410,7 +427,11 @@ class TestEvolveStepOracle:
             g, probs, counting_loss(g, case["labels"], case["weights"], oracle_calls),
             max_trials, ref_rng)
         assert [t.trial for t in traces] == list(range(1, len(want) + 1))
-        assert [t.selected for t in traces] == [w[0] for w in want]
+        # a numpy Generator is rebuilt from the log's saved state; a
+        # scripted stream is handed to the replay from its start
+        replayed = replay_trials(
+            traces, None if isinstance(rng, np.random.Generator) else make_rng())
+        assert [t.selected for t in replayed] == [w[0] for w in want]
         assert [t.accepted for t in traces] == [w[1] for w in want]
         assert [t.posterior_evaluated for t in traces] == [w[2] for w in want]
         assert part.assignment.tolist() == want_assign
@@ -418,7 +439,7 @@ class TestEvolveStepOracle:
         n_eval = sum(t.posterior_evaluated for t in traces)
         assert len(calls) == (0 if loss_eval is None else 1 + n_eval)
         assert rng.random() == ref_rng.random()
-        return traces
+        return list(traces)
 
     @settings(max_examples=200, deadline=None)
     @given(mh_cases())
@@ -481,9 +502,10 @@ class TestDeterministicThreshold:
     def test_selects_edges_at_or_above_threshold(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         probs = np.array([0.95, 0.7, 0.3])
-        coarse, part, traces = evolve_deterministic(g, probs, 0.7)
-        assert traces[0].selected == ((0, 1), (1, 2))
-        assert traces[0].accepted and traces[0].alpha == 1.0
+        coarse, part, log = evolve_deterministic(g, probs, 0.7)
+        (trial,) = replay_trials(log)
+        assert trial.selected == ((0, 1), (1, 2))
+        assert trial.accepted and trial.alpha == 1.0
         assert part.num_cliques == 2
 
     def test_higher_threshold_selects_subset(self):
@@ -492,9 +514,10 @@ class TestDeterministicThreshold:
             n = int(rng.integers(3, 10))
             g = build_graph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.0, 1.0, g.num_edges)
-            _, part_lo, tr_lo = evolve_deterministic(g, probs, 0.5)
-            _, part_hi, tr_hi = evolve_deterministic(g, probs, 0.9)
-            assert set(tr_hi[0].selected) <= set(tr_lo[0].selected)
+            _, part_lo, log_lo = evolve_deterministic(g, probs, 0.5)
+            _, part_hi, log_hi = evolve_deterministic(g, probs, 0.9)
+            (lo,), (hi,) = replay_trials(log_lo), replay_trials(log_hi)
+            assert set(hi.selected) <= set(lo.selected)
             assert part_hi.num_cliques >= part_lo.num_cliques
 
     def test_rejects_bad_threshold(self):
@@ -528,3 +551,71 @@ class TestConfigAndRecords:
         lines = trace_records(traces)
         assert lines[-1] == "fallback=identity"
         assert len(lines) == 4
+
+
+# Pinned `trace_records` lines on a 5-node graph. "mh-test" accepts trial
+# 3; in "mh-train" trials 1 and 3 evaluate the posterior and the others
+# are ruled out by the bound (posterior ratio = the cap, e^0.5), and none
+# is accepted; "threshold" reports alpha 1.0 under a transition ratio
+# below 1; a StructurePlan replay has no trials and gives no lines.
+GOLDEN_GRAPH = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+GOLDEN_PROBS = np.array([0.9, 0.6, 0.8, 0.3, 0.95])
+
+
+def golden_logs(case):
+    """The trial logs of one case of test_golden_trace_records."""
+    if case == "threshold":
+        return [evolve_deterministic(GOLDEN_GRAPH, GOLDEN_PROBS, 0.8)[2]]
+    if case == "plan":
+        rng = np.random.default_rng(3)
+        cfg = NetworkConfig(input_dim=2, num_classes=2, num_layers=3)
+        sample = Sample(GOLDEN_GRAPH, rng.normal(size=(5, 2)), [0, 1, 1, 0, 1])
+        plan = StructurePlan([rng.permutation(5), np.arange(2), np.arange(1)],
+                             [CliquePartition(np.array([0, 0, 0, 1, 1]), 2),
+                              CliquePartition(np.zeros(2, dtype=np.int64), 1)])
+        res = forward(sample, init_params(cfg, rng), cfg, None, plan=plan)
+        return res.trace.decisions
+    if case == "mh-test":
+        return [evolve_step(GOLDEN_GRAPH, GOLDEN_PROBS, None, EvolveConfig(max_trials=6),
+                            np.random.default_rng(1))[2]]
+
+    def loss_eval(part, graph):
+        return 0.5 * (6 - part.num_cliques)
+
+    return [evolve_step(GOLDEN_GRAPH, GOLDEN_PROBS, loss_eval, EvolveConfig(max_trials=6),
+                        np.random.default_rng(1))[2]]
+
+
+@pytest.mark.parametrize("case, lines", [
+    ("mh-test", [
+        "trial=1 selected=3 transition_ratio=0.4104 posterior_ratio=1.0 alpha=0.4104 "
+        "accepted=0",
+        "trial=2 selected=5 transition_ratio=0.12311999999999998 posterior_ratio=1.0 "
+        "alpha=0.12311999999999998 accepted=0",
+        "trial=3 selected=3 transition_ratio=0.4104 posterior_ratio=1.0 alpha=0.4104 "
+        "accepted=1"]),
+    ("mh-train", [
+        "trial=1 selected=3 transition_ratio=0.4104 posterior_ratio=0.22313016014842982 "
+        "alpha=0.0915726177249156 accepted=0",
+        "trial=2 selected=5 transition_ratio=0.12311999999999998 "
+        "posterior_ratio=1.6487212707001282 alpha=0.20299056284859976 accepted=0",
+        "trial=3 selected=3 transition_ratio=0.4104 posterior_ratio=0.22313016014842982 "
+        "alpha=0.0915726177249156 accepted=0",
+        "trial=4 selected=5 transition_ratio=0.12311999999999998 "
+        "posterior_ratio=1.6487212707001282 alpha=0.20299056284859976 accepted=0",
+        "trial=5 selected=3 transition_ratio=0.22799999999999998 "
+        "posterior_ratio=1.6487212707001282 alpha=0.3759084497196292 accepted=0",
+        "trial=6 selected=4 transition_ratio=0.4104 posterior_ratio=1.6487212707001282 "
+        "alpha=0.6766352094953326 accepted=0",
+        "fallback=identity"]),
+    ("threshold", [
+        "trial=1 selected=3 transition_ratio=0.4104 posterior_ratio=1.0 alpha=1.0 "
+        "accepted=1"]),
+    ("plan", []),
+])
+def test_golden_trace_records(case, lines):
+    assert [line for log in golden_logs(case) for line in trace_records(log)] == lines
+    if case == "mh-train":
+        # the pinned mix: trials 1 and 3 evaluated, the others ruled out
+        assert [t.posterior_evaluated for t in golden_logs(case)[0]] == [
+            True, False, True, False, False, False]

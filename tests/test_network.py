@@ -639,6 +639,10 @@ class TestCheckpoint:
         ("H=3", "=3", "malformed header token"),
         ("D=3", "D=x", "not an integer"),
         ("C=3", "C=2.5", "not an integer"),
+        # int() alone takes these: a non-ASCII digit, '+' and '_'
+        ("H=3", "H=\u0663", "not an integer"),
+        ("layers=2", "layers=+2", "not an integer"),
+        ("C=3", "C=0_3", "not an integer"),
         ("D=3", "D=0", "must be positive"),
         ("layers=2", "layers=-1", "must be positive"),
         (" D=3", "", "missing field"),
@@ -655,6 +659,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("name, row, token, problem", [
         ("w_u", 0, "x", "are not integers"),
+        ("w_u", 0, "\uff13", "are not integers"),
         ("w_f", 1, "abc", "non-numeric value"),
         ("w_f", 1, "nan", "non-finite value"),
         ("b_o", 1, "-inf", "non-finite value"),

@@ -6,10 +6,12 @@
 
 `dump` runs forward, compute_loss and backward of the package on the
 import path over a fixed set of cases and saves every output to one .npz:
-visit orders, partitions, trial decisions, the next rng draw, per-level
-logits and edge probabilities, the combined logits, the losses and every
-gradient tensor. The cases are 4 seeds x 8x8/16x16/32x32 grids with the
-benchmark checkpoint (perfbench/model.ckpt) in Metropolis-Hastings train
+visit orders, partitions, trial decisions, each transition's
+`trace_records` text (as uint8 bytes, so the per-trial detail is compared
+exactly), the next rng draw, per-level logits and edge probabilities, the
+combined logits, the losses and every gradient tensor. The cases are 4
+seeds x 8x8/16x16/32x32 grids with the benchmark checkpoint
+(perfbench/model.ckpt) in Metropolis-Hastings train
 mode, MH test mode and threshold-0.8 mode; a replay of 2x2 block pooling
 on a 32x32 grid; and 20 small random graphs with widened random weights,
 in train and test mode.
@@ -100,7 +102,7 @@ def _random_graph_cases(network, graph, EvolveConfig):
 
 def dump(path):
     from sevolve import data, graph, network
-    from sevolve.evolve import EvolveConfig
+    from sevolve.evolve import EvolveConfig, trace_records
 
     out = {}
     cases = [*_model_cases(network, data, EvolveConfig),
@@ -122,6 +124,8 @@ def dump(path):
             arrays[f"decisions/{t}"] = np.array(
                 [(d.trial, d.accepted, d.posterior_evaluated) for d in log],
                 dtype=np.int64).reshape(-1, 3)
+            arrays[f"trace/{t}"] = np.frombuffer(
+                "\n".join(trace_records(log)).encode(), dtype=np.uint8)
         for tname, tensor in grads.tensors():
             arrays[f"grads/{tname}"] = tensor
         for key, value in arrays.items():
