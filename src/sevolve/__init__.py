@@ -13,7 +13,6 @@ from sevolve.graph import (
     build_graph,
     coarsen,
     aggregate_node_values,
-    project_to_base,
 )
 from sevolve.cell import CellParams
 from sevolve.evolve import (

@@ -199,11 +199,13 @@ def _metrics(conf: np.ndarray):
     return accuracy, iou, mean_iou
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def _load_model(cfg: RunConfig, command: str):
+    """The checkpoint and dataset of eval and inspect, checked to agree on
+    input dim and class count: (params, dataset, NetworkConfig)."""
     if not cfg.checkpoint:
-        raise ValueError("eval requires --checkpoint")
+        raise ValueError(f"{command} requires --checkpoint")
     if not cfg.dataset:
-        raise ValueError("eval requires --dataset")
+        raise ValueError(f"{command} requires --dataset")
     params, meta = load_checkpoint(cfg.checkpoint)
     dataset = load_dataset(cfg.dataset)
     if meta["input_dim"] != dataset.feature_dim:
@@ -217,6 +219,11 @@ def cmd_eval(cfg: RunConfig) -> int:
         num_layers=meta["num_layers"], hidden_dim=meta["hidden_dim"],
         edge_loss_weight=cfg.edge_loss_weight,
         evolve=EvolveConfig(max_trials=cfg.max_trials, threshold=cfg.threshold))
+    return params, dataset, net
+
+
+def cmd_eval(cfg: RunConfig) -> int:
+    params, dataset, net = _load_model(cfg, "eval")
     conf = np.zeros((net.num_classes, net.num_classes), dtype=np.int64)
     for idx, sample in enumerate(dataset.samples):
         rng = np.random.default_rng([cfg.seed, 3, idx])
@@ -242,27 +249,14 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_inspect(cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise ValueError("inspect requires --checkpoint")
-    if not cfg.dataset:
-        raise ValueError("inspect requires --dataset")
     if not cfg.out_dir:
         raise ValueError("inspect requires --out-dir")
-    params, meta = load_checkpoint(cfg.checkpoint)
-    dataset = load_dataset(cfg.dataset)
-    if meta["input_dim"] != dataset.feature_dim:
-        raise ValueError(
-            f"checkpoint input dim {meta['input_dim']} != dataset D={dataset.feature_dim}")
+    params, dataset, net = _load_model(cfg, "inspect")
     if not (0 <= cfg.sample_index < len(dataset.samples)):
         raise ValueError(
             f"sample index {cfg.sample_index} out of range "
             f"(dataset has {len(dataset.samples)} samples)")
     sample = dataset.samples[cfg.sample_index]
-    net = NetworkConfig(
-        input_dim=meta["input_dim"], num_classes=meta["num_classes"],
-        num_layers=meta["num_layers"], hidden_dim=meta["hidden_dim"],
-        edge_loss_weight=cfg.edge_loss_weight,
-        evolve=EvolveConfig(max_trials=cfg.max_trials, threshold=cfg.threshold))
     rng = np.random.default_rng([cfg.seed, 4, cfg.sample_index])
     res = forward(sample, params, net, rng, mode="test")
 

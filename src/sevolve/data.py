@@ -170,7 +170,7 @@ def save_dataset(path, dataset: DatasetFile):
         for s in dataset.samples:
             g = s.graph
             yield f"sample nodes={g.num_nodes} edges={g.num_edges}"
-            for a, b in g.edges:
+            for a, b in g.edges.tolist():
                 yield f"{a} {b}"
             for row in s.features:
                 yield " ".join(repr(float(v)) for v in row)

@@ -18,7 +18,7 @@ def graph_to_dot(g, node_labels=None, name="G") -> str:
             out.append(f'  n{i} [label="{i}/{lab}" style=filled fillcolor={color}];')
         else:
             out.append(f"  n{i};")
-    for a, b in g.edges:
+    for a, b in g.edges.tolist():
         out.append(f"  n{a} -- n{b};")
     out.append("}")
     return "\n".join(out) + "\n"
@@ -33,7 +33,7 @@ def trace_to_dot(trace, name="hierarchy") -> str:
         out.append(f'    label="level {t} ({g.num_nodes} nodes)";')
         for i in range(g.num_nodes):
             out.append(f"    L{t}_{i};")
-        for a, b in g.edges:
+        for a, b in g.edges.tolist():
             out.append(f"    L{t}_{a} -> L{t}_{b} [dir=none];")
         out.append("  }")
     for t, part in enumerate(trace.partitions):

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -67,7 +66,8 @@ class EvolveConfig:
 
 # one trial of a TrialLog, as iterating the log yields it
 Trial = namedtuple("Trial", "trial accepted posterior_evaluated")
-# one trial's detail, as replay_trials rebuilds it
+# one trial's detail, as replay_trials rebuilds it; `selected` and
+# `eliminated` are (k, 2) arrays of edges in canonical order
 ReplayedTrial = namedtuple("ReplayedTrial", "trial selected partition eliminated "
                            "transition_ratio posterior_ratio alpha accepted posterior_evaluated")
 
@@ -111,13 +111,6 @@ class TrialLog:
                    self.posterior_evaluated.tolist())
 
 
-def _edges_at(g: LevelGraph, idx) -> tuple:
-    """The canonical edges of g at the ascending edge ids `idx`."""
-    if idx.size > 1:
-        return itemgetter(*idx)(g.edges)
-    return (g.edges[idx[0]],) if idx.size else ()
-
-
 def _validated_probs(g: LevelGraph, edge_probs) -> np.ndarray:
     probs = np.asarray(edge_probs, dtype=np.float64)
     if probs.shape != (g.num_edges,):
@@ -129,8 +122,8 @@ def _validated_probs(g: LevelGraph, edge_probs) -> np.ndarray:
 
 
 def _intra_clique_mask(g: LevelGraph, partition: CliquePartition) -> np.ndarray:
-    ea, assign = g.edge_array(), partition.assignment
-    return assign[ea[:, 0]] == assign[ea[:, 1]]
+    ends = partition.assignment[g.edges]
+    return ends[:, 0] == ends[:, 1]
 
 
 def _eliminated_product(probs: np.ndarray, elim_idx: np.ndarray) -> float:
@@ -143,7 +136,7 @@ def _eliminated_product(probs: np.ndarray, elim_idx: np.ndarray) -> float:
 def _proposal(g: LevelGraph, probs: np.ndarray, sel_idx: np.ndarray):
     """The candidate that selects the edges at the ascending ids `sel_idx`:
     (partition, ids of its eliminated edges, transition ratio)."""
-    part = _components_canonical(g, _edges_at(g, sel_idx))
+    part = _components_canonical(g, g.edges[sel_idx])
     elim_idx = np.flatnonzero(_intra_clique_mask(g, part))
     return part, elim_idx, _eliminated_product(probs, elim_idx)
 
@@ -291,8 +284,8 @@ def replay_trials(log: TrialLog, rng=None) -> list[ReplayedTrial]:
             sel_idx = np.flatnonzero(probs >= log.threshold)
         part, elim_idx, t_ratio = _proposal(g, probs, sel_idx)
         alpha = min(1.0, t_ratio * p_ratio) if log.threshold is None else 1.0
-        out.append(ReplayedTrial(t.trial, _edges_at(g, sel_idx), part, _edges_at(g, elim_idx),
-                                 t_ratio, p_ratio, alpha, t.accepted, t.posterior_evaluated))
+        out.append(ReplayedTrial(t.trial, g.edges[sel_idx], part, g.edges[elim_idx], t_ratio,
+                                 p_ratio, alpha, t.accepted, t.posterior_evaluated))
     return out
 
 

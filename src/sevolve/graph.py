@@ -1,7 +1,8 @@
 """Level graphs, clique partitions, coarsening, and hierarchy traces.
 
-All types here are immutable after construction and safe to share
-read-only across parallel workers.
+All types here are immutable after construction: every array is
+computed when the object is built and is read-only, with no lazy
+fill-in, so they are safe to share read-only across parallel workers.
 """
 
 from __future__ import annotations
@@ -11,49 +12,85 @@ import math
 import numpy as np
 
 
+def _pairs(edge_list) -> np.ndarray:
+    """`edge_list` (pairs of node ids, or an (m, 2) array) as an (m, 2)
+    intp array, or an object array of Python ints when an id does not fit
+    intp: such an id is out of range, and the range checks see it exactly."""
+    try:
+        pairs = np.asarray(edge_list, dtype=np.intp)
+    except OverflowError:
+        pairs = np.asarray(edge_list, dtype=object)
+    if pairs.size == 0:
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be pairs of node ids, got shape {pairs.shape}")
+    return pairs
+
+
+def _ordered(pairs):
+    """The lower and the upper entries of each row of the (m, 2) `pairs`."""
+    a, b = pairs.T
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 class LevelGraph:
     """Undirected simple graph with dense node ids 0..num_nodes-1.
 
-    Edges are canonical: each pair stored once as (min, max) and the edge
-    tuple sorted lexicographically. That order is the "canonical edge
-    order" used everywhere an rng draw or probability is associated with
-    an edge.
+    `edges` is a read-only (m, 2) intp array in canonical order: each pair
+    stored once as (min, max) and the rows sorted lexicographically. That
+    order is the "canonical edge order" used everywhere an rng draw or
+    probability is associated with an edge.
 
-    Neighbourhoods come from one compressed sparse row (CSR) index, see
-    `csr`. Each undirected edge owns two directed slots in it, one in
-    each endpoint's row.
+    `csr` is the read-only compressed sparse row index (indptr, indices,
+    slot_edge), built with the edges. Node i's sorted neighbors are
+    indices[indptr[i]:indptr[i+1]]; positions in `indices` are the
+    directed slots, two per edge, one in each endpoint's row, and
+    slot_edge[s] is the canonical edge id of slot s. Because rows ascend,
+    the slot of an edge's lower endpoint precedes that of its upper
+    endpoint.
     """
 
-    __slots__ = ("num_nodes", "edges", "_edge_arr", "_csr")
+    __slots__ = ("num_nodes", "edges", "csr")
 
     def __init__(self, num_nodes: int, edge_list=()):
         if num_nodes < 1:
             raise ValueError(f"graph needs at least one node, got {num_nodes}")
-        canon = set()
-        for a, b in edge_list:
-            a = int(a)
-            b = int(b)
+        pairs = _pairs(edge_list)
+        lo, hi = _ordered(pairs)
+        bad = (lo == hi) | (lo < 0) | (hi >= num_nodes)
+        if bad.any():
+            a, b = pairs[np.argmax(bad)].tolist()
             if a == b:
                 raise ValueError(f"self-loop on node {a}")
-            if not (0 <= a < num_nodes) or not (0 <= b < num_nodes):
-                raise ValueError(
-                    f"edge ({a}, {b}) out of range for {num_nodes} nodes")
-            canon.add((a, b) if a < b else (b, a))
-        self.num_nodes = num_nodes
-        self.edges = tuple(sorted(canon))
-        self._edge_arr = None
-        self._csr = None
+            raise ValueError(f"edge ({a}, {b}) out of range for {num_nodes} nodes")
+        codes = np.unique(lo * num_nodes + hi)
+        self._build(num_nodes, np.stack(np.divmod(codes, num_nodes), axis=1))
 
     @classmethod
     def _from_canonical(cls, num_nodes, edges):
-        # Trusted fast path: `edges` must already be deduplicated,
-        # per-pair sorted, lexicographically ordered, and in range.
+        # Trusted fast path: `edges` must already be an (m, 2) intp array,
+        # deduplicated, per-pair sorted, lexicographically ordered, and in
+        # range.
         g = object.__new__(cls)
-        g.num_nodes = num_nodes
-        g.edges = edges
-        g._edge_arr = None
-        g._csr = None
+        g._build(num_nodes, edges)
         return g
+
+    def _build(self, num_nodes, edges):
+        m = len(edges)
+        # upper endpoints first: a stable sort by row then leaves each row
+        # its lower neighbors, then its upper ones, each ascending
+        src = np.concatenate((edges[:, 1], edges[:, 0]))
+        dst = np.concatenate((edges[:, 0], edges[:, 1]))
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(num_nodes + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+        indices = dst[order]
+        slot_edge = np.concatenate((np.arange(m),) * 2)[order]
+        for arr in (edges, indptr, indices, slot_edge):
+            arr.setflags(write=False)
+        self.num_nodes = num_nodes
+        self.edges = edges
+        self.csr = (indptr, indices, slot_edge)
 
     @property
     def num_edges(self) -> int:
@@ -63,46 +100,13 @@ class LevelGraph:
         """Sorted neighbor ids of node i, as a tuple."""
         if not (0 <= i < self.num_nodes):
             raise ValueError(f"node {i} out of range for {self.num_nodes} nodes")
-        indptr, indices, _ = self.csr()
+        indptr, indices, _ = self.csr
         return tuple(indices[indptr[i]:indptr[i + 1]].tolist())
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (m, 2) int array in canonical order (read-only)."""
-        if self._edge_arr is None:
-            arr = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
-            arr.setflags(write=False)
-            self._edge_arr = arr
-        return self._edge_arr
-
-    def csr(self):
-        """Read-only (indptr, indices, slot_edge), built on first use.
-
-        Node i's sorted neighbors are indices[indptr[i]:indptr[i+1]];
-        positions in `indices` are the directed slots, and slot_edge[s]
-        is the canonical edge id of slot s. Because rows ascend, the slot
-        of an edge's lower endpoint precedes that of its upper endpoint.
-        """
-        if self._csr is None:
-            ea = self.edge_array()
-            src = np.concatenate((ea[:, 0], ea[:, 1]))
-            dst = np.concatenate((ea[:, 1], ea[:, 0]))
-            order = np.lexsort((dst, src))
-            indptr = np.zeros(self.num_nodes + 1, dtype=np.intp)
-            np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
-            indices = dst[order]
-            slot_edge = np.concatenate((np.arange(len(ea)),) * 2)[order]
-            for arr in (indptr, indices, slot_edge):
-                arr.setflags(write=False)
-            self._csr = (indptr, indices, slot_edge)
-        return self._csr
 
     def __eq__(self, other):
         if not isinstance(other, LevelGraph):
             return NotImplemented
-        return self.num_nodes == other.num_nodes and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.num_nodes, self.edges))
+        return self.num_nodes == other.num_nodes and np.array_equal(self.edges, other.edges)
 
     def __repr__(self):
         return f"LevelGraph(num_nodes={self.num_nodes}, num_edges={len(self.edges)})"
@@ -121,38 +125,37 @@ class CliquePartition:
     clique is connected in the source graph over the selected edges.
     """
 
-    __slots__ = ("assignment", "num_nodes", "num_cliques", "_members", "_sizes")
+    __slots__ = ("assignment", "num_nodes", "num_cliques", "_sizes")
 
     def __init__(self, assignment, num_cliques: int):
-        arr = np.asarray(assignment, dtype=np.intp)
+        arr = np.array(assignment, dtype=np.intp)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("assignment must be a non-empty 1-d sequence")
         if num_cliques > arr.size or num_cliques < 1:
             raise ValueError(
                 f"num_cliques={num_cliques} invalid for {arr.size} source nodes")
-        if arr.min() != 0 or arr.max() != num_cliques - 1:
+        if arr.min() < 0 or arr.max() >= num_cliques:
             raise ValueError("clique ids must be dense 0..num_cliques-1")
-        if np.unique(arr).size != num_cliques:
+        sizes = np.bincount(arr, minlength=num_cliques)
+        if not sizes.all():
             raise ValueError("clique ids must be dense 0..num_cliques-1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.assignment = arr
-        self.num_nodes = int(arr.size)
-        self.num_cliques = int(num_cliques)
-        self._members = None
-        self._sizes = None
+        self._set(arr, num_cliques, sizes)
 
     @classmethod
     def _from_trusted(cls, assignment_arr, num_cliques):
         # Fast path for coarsen: ids already dense by ascending min member.
         p = object.__new__(cls)
-        assignment_arr.setflags(write=False)
-        p.assignment = assignment_arr
-        p.num_nodes = int(assignment_arr.size)
-        p.num_cliques = int(num_cliques)
-        p._members = None
-        p._sizes = None
+        p._set(assignment_arr, num_cliques,
+               np.bincount(assignment_arr, minlength=num_cliques))
         return p
+
+    def _set(self, assignment, num_cliques, sizes):
+        assignment.setflags(write=False)
+        sizes.setflags(write=False)
+        self.assignment = assignment
+        self.num_nodes = int(assignment.size)
+        self.num_cliques = int(num_cliques)
+        self._sizes = sizes
 
     @classmethod
     def identity(cls, num_nodes: int) -> "CliquePartition":
@@ -163,19 +166,8 @@ class CliquePartition:
         return self.num_cliques == self.num_nodes
 
     def sizes(self) -> np.ndarray:
-        if self._sizes is None:
-            s = np.bincount(self.assignment, minlength=self.num_cliques)
-            s.setflags(write=False)
-            self._sizes = s
+        """Member count per clique (read-only)."""
         return self._sizes
-
-    def members(self):
-        """Tuple of index arrays, one per clique, ascending node ids."""
-        if self._members is None:
-            order = np.argsort(self.assignment, kind="stable")
-            bounds = np.cumsum(self.sizes())[:-1]
-            self._members = tuple(np.split(order, bounds))
-        return self._members
 
     def __eq__(self, other):
         if not isinstance(other, CliquePartition):
@@ -195,54 +187,43 @@ def coarsen(g: LevelGraph, selected_edges) -> tuple[CliquePartition, LevelGraph]
     a simple edge between two cliques iff any edge of `g` crosses them.
     Clique ids follow ascending minimum member id.
     """
-    indptr, indices, _ = g.csr()
-    canon = []
-    for e in selected_edges:
-        a, b = e
-        if a > b:
-            a, b = b, a
-        if not (0 <= a < g.num_nodes and b in indices[indptr[a]:indptr[a + 1]]):
-            raise ValueError(f"selected edge ({a}, {b}) is not an edge of the graph")
-        canon.append((a, b))
-    return _coarsen_canonical(g, canon)
+    sel = _pairs(selected_edges)
+    n = g.num_nodes
+    lo, hi = _ordered(sel)
+    known = (lo >= 0) & (hi < n) & np.isin(lo * n + hi, g.edges[:, 0] * n + g.edges[:, 1])
+    if not known.all():
+        k = np.argmin(known)
+        raise ValueError(f"selected edge ({lo[k]}, {hi[k]}) is not an edge of the graph")
+    part = _components_canonical(g, sel)
+    return part, quotient_graph(g, part)
 
 
 def _components_canonical(g: LevelGraph, selected) -> CliquePartition:
-    # Trusted core: `selected` must be canonical edges of g. Components
-    # by depth-first search; scanning start nodes in ascending id order
-    # yields clique ids sorted by minimum member id.
+    # Trusted core: `selected` must be an (k, 2) array of edges of g.
+    # Components by min-label hooking: each round every root hooks onto
+    # the smallest root across the selected edges that still join two
+    # trees, then pointer jumping points every node at its root. A node
+    # only ever points to a smaller id, so each root is its component's
+    # smallest member, and ranking the roots orders the clique ids by
+    # minimum member id.
     n = g.num_nodes
-    adj = [None] * n
-    for a, b in selected:
-        nb = adj[a]
-        if nb is None:
-            adj[a] = [b]
-        else:
-            nb.append(b)
-        nb = adj[b]
-        if nb is None:
-            adj[b] = [a]
-        else:
-            nb.append(a)
-
-    assign = [-1] * n
-    num = 0
-    for s in range(n):
-        if assign[s] >= 0:
-            continue
-        assign[s] = num
-        nb = adj[s]
-        if nb:
-            stack = nb[:]
-            pop = stack.pop
-            extend = stack.extend
-            while stack:
-                u = pop()
-                if assign[u] < 0:
-                    assign[u] = num
-                    extend(adj[u])
-        num += 1
-    return CliquePartition._from_trusted(np.array(assign, dtype=np.intp), num)
+    label = np.arange(n)
+    a, b = selected.T
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            break
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    roots = label == np.arange(n)
+    rank = np.cumsum(roots) - 1
+    return CliquePartition._from_trusted(rank[label], int(rank[-1]) + 1)
 
 
 def quotient_graph(g: LevelGraph, partition: CliquePartition) -> LevelGraph:
@@ -250,23 +231,10 @@ def quotient_graph(g: LevelGraph, partition: CliquePartition) -> LevelGraph:
     simple edge wherever an edge of g crosses two cliques."""
     if partition.num_nodes != g.num_nodes:
         raise ValueError("partition does not cover the graph's nodes")
-    assign = partition.assignment.tolist()
     num = partition.num_cliques
-    # coarse edges encoded as ca * num + cb to avoid tuple churn
-    codes = set()
-    add = codes.add
-    for a, b in g.edges:
-        ca = assign[a]
-        cb = assign[b]
-        if ca != cb:
-            add(ca * num + cb if ca < cb else cb * num + ca)
-    new_edges = tuple(divmod(c, num) for c in sorted(codes))
-    return LevelGraph._from_canonical(num, new_edges)
-
-
-def _coarsen_canonical(g: LevelGraph, selected) -> tuple[CliquePartition, LevelGraph]:
-    part = _components_canonical(g, selected)
-    return part, quotient_graph(g, part)
+    lo, hi = _ordered(partition.assignment[g.edges])
+    codes = np.unique((lo * num + hi)[lo != hi])
+    return LevelGraph._from_canonical(num, np.stack(np.divmod(codes, num), axis=1))
 
 
 def segment_sum(values, owner, num_rows):
@@ -343,23 +311,3 @@ class HierarchyTrace:
     @property
     def num_levels(self) -> int:
         return len(self.levels)
-
-    def ancestor_map(self, level: int) -> np.ndarray:
-        """Base node id -> id of its ancestor node at `level`."""
-        if not (0 <= level < len(self.levels)):
-            raise ValueError(f"level {level} out of range (have {len(self.levels)})")
-        amap = np.arange(self.levels[0].num_nodes, dtype=np.intp)
-        for k in range(level):
-            amap = self.partitions[k].assignment[amap]
-        return amap
-
-
-def project_to_base(trace: HierarchyTrace, level: int, values) -> np.ndarray:
-    """Broadcast per-node values at `level` to every base-level descendant."""
-    amap = trace.ancestor_map(level)
-    vals = np.asarray(values)
-    if vals.shape[0] != trace.levels[level].num_nodes:
-        raise ValueError(
-            f"got values for {vals.shape[0]} nodes, level {level} has "
-            f"{trace.levels[level].num_nodes}")
-    return vals[amap]

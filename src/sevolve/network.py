@@ -146,11 +146,8 @@ class Sample:
         self.graph = graph
         self.features = feats
         self.labels = lbls
-        if graph.num_edges:
-            ea = graph.edge_array()
-            self.edge_targets = (lbls[ea[:, 0]] == lbls[ea[:, 1]]).astype(np.float64)
-        else:
-            self.edge_targets = np.zeros(0)
+        ends = lbls[graph.edges]
+        self.edge_targets = (ends[:, 0] == ends[:, 1]).astype(np.float64)
 
     @property
     def num_nodes(self) -> int:
@@ -359,7 +356,7 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     for t in range(n_layers):
         n = g.num_nodes
         order = plan.visit_orders[t] if plan is not None else rng.permutation(n)
-        schedule = wave_schedule(order, *g.csr())
+        schedule = wave_schedule(order, *g.csr)
         perm, owner, nbr = schedule.perm, schedule.owner, schedule.nbr
         x, hp, mp = (a.take(perm, axis=0) for a in (feats, h_prev, m_prev))
         nbr_h_prev = hp.take(nbr, axis=0)
@@ -443,11 +440,8 @@ def _level_edge_targets(trace: HierarchyTrace, labels, num_classes):
     targets = []
     for t, g in enumerate(trace.levels):
         lvl_labels = counts.argmax(axis=1)
-        if g.num_edges:
-            ea = g.edge_array()
-            targets.append((lvl_labels[ea[:, 0]] == lvl_labels[ea[:, 1]]).astype(np.float64))
-        else:
-            targets.append(np.zeros(0))
+        ends = lvl_labels[g.edges]
+        targets.append((ends[:, 0] == ends[:, 1]).astype(np.float64))
         if t < len(trace.partitions):
             part = trace.partitions[t]
             counts = segment_sum(counts, part.assignment, part.num_cliques)
@@ -649,8 +643,9 @@ def save_checkpoint(path, params: ModelParams, cfg: NetworkConfig):
 
 
 def load_checkpoint(path):
-    """Reads a checkpoint, validating tensor names and dims exactly and
-    every value as a finite number; errors name the path and line.
+    """Reads a checkpoint, validating the header fields (each known one
+    exactly once), tensor names and dims exactly and every value as a
+    finite number; errors name the path and line.
 
     Returns (params, meta) with meta holding input_dim, hidden_dim,
     num_classes, and num_layers.
@@ -659,15 +654,19 @@ def load_checkpoint(path):
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC + " "):
         raise ValueError(f"{path}:1: not a {CHECKPOINT_MAGIC} checkpoint")
+    names = {"D": "input_dim", "H": "hidden_dim", "C": "num_classes", "layers": "num_layers"}
     fields = {}
     for token in lines[0].split()[2:]:
         key, sep, value = token.partition("=")
         if not (key and sep):
             raise ValueError(f"{path}:1: malformed header token {token!r}")
+        if key not in names:
+            raise ValueError(f"{path}:1: unknown header field {key!r}")
+        if key in fields:
+            raise ValueError(f"{path}:1: repeated header field {key!r}")
         fields[key] = value
     meta = {}
-    for key, name in (("D", "input_dim"), ("H", "hidden_dim"),
-                      ("C", "num_classes"), ("layers", "num_layers")):
+    for key, name in names.items():
         if key not in fields:
             raise ValueError(f"{path}:1: checkpoint header missing field {key!r}")
         try:

@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately use different algorithms than the package (union-find
-instead of depth-first search, direct products instead of log-space sums,
+instead of min-label hooking, direct products instead of log-space sums,
 per-node ancestor walks instead of composed index maps, a node-by-node
 sweep with visit flags instead of waves, one Metropolis-Hastings trial at
 a time instead of draw blocks).
@@ -24,7 +24,6 @@ from sevolve.cell import (
     cell_forward_batch,
 )
 from sevolve.evolve import (
-    _edges_at,
     _eliminated_product,
     _intra_clique_mask,
     _validated_probs,
@@ -123,7 +122,7 @@ def propose(g, edge_probs, rng):
     partition, coarsened_graph).
     """
     probs = _validated_probs(g, edge_probs)
-    selected = list(_edges_at(g, np.nonzero(rng.random(probs.size) < probs)[0]))
+    selected = g.edges[rng.random(probs.size) < probs]
     part = _components_canonical(g, selected)
     return selected, part, quotient_graph(g, part)
 
@@ -205,7 +204,7 @@ def mh_search(g, probs, loss_eval, max_trials, rng):
     for _ in range(max_trials):
         chosen = rng.random(g.num_edges) < probs
         draw = rng.random()
-        selected = tuple(e for e, c in zip(g.edges, chosen) if c)
+        selected = [e for e, c in zip(map(tuple, g.edges.tolist()), chosen) if c]
         t_upper = math.exp(np.log(probs[chosen]).sum()) if chosen.any() else 1.0
         assign, count = union_find_components(n, selected)
         part = CliquePartition(np.array(assign), count)
@@ -268,7 +267,7 @@ def _sweep_forward(cell, graph, order, x, h_prev, m_prev):
     merging probability per directed edge (i, j), and the per-node caches
     with the flags they were built from."""
     nbrs = [[] for _ in range(graph.num_nodes)]
-    for a, b in graph.edges:
+    for a, b in graph.edges.tolist():
         nbrs[a].append(b)
         nbrs[b].append(a)
     h_new = h_prev.copy()
@@ -317,7 +316,7 @@ def sequential_network(sample, params, cfg, rng=None, mode="train", plan=None):
     for t in range(n_layers):
         order = plan.visit_orders[t] if plan is not None else rng.permutation(g.num_nodes)
         h_new, m_new, probs, nodes = _sweep_forward(cell, g, order, x, h_prev, m_prev)
-        p_edge = np.array([0.5 * (probs[a, b] + probs[b, a]) for a, b in g.edges])
+        p_edge = np.array([0.5 * (probs[a, b] + probs[b, a]) for a, b in g.edges.tolist()])
         head_w, head_b = params.heads[t]
         logits = h_new @ head_w.T + head_b
         for key, value in (("orders", order), ("level_logits", logits), ("edge_probs", p_edge),
@@ -377,7 +376,7 @@ def _sequential_backward(out, sample, params, cfg):
         order, x, h_prev, m_prev, h_new, m_new, nodes = out["sweeps"][t]
         lvl = _level_labels(out, labels, cfg.num_classes, t)
         d_p = {}
-        for e, (a, b) in enumerate(g.edges):
+        for e, (a, b) in enumerate(g.edges.tolist()):
             target = float(lvl[a] == lvl[b])
             d_p[a, b] = d_p[b, a] = (cfg.edge_loss_weight / total_edges
                                      * (out["edge_probs"][t][e] - target))

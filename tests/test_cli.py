@@ -132,6 +132,23 @@ class TestEval:
                     "--dataset", str(other)]) == EXIT_CONFIG
 
 
+class TestModelLoad:
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    @pytest.mark.parametrize("field", ["D", "K"])
+    def test_dims_mismatch_exits_2(self, workdir, tmp_path, command, field):
+        # the model reads D=4 features into K=2 classes
+        dim, labels = {"D": ("6", "2"), "K": ("4", "3")}[field]
+        other = tmp_path / "other.txt"
+        assert run(["generate", "--out", str(other), "--samples", "2", "--grid-n", "4",
+                    "--feature-dim", dim, "--labels", labels, "--seed", "8"]) == EXIT_OK
+        out = tmp_path / "ins"
+        argv = [command, "--checkpoint", str(workdir["ckpt"]), "--dataset", str(other)]
+        if command == "inspect":
+            argv += ["--out-dir", str(out)]
+        assert run(argv) == EXIT_CONFIG
+        assert not out.exists()
+
+
 class TestInspect:
     def test_writes_dots_and_trace(self, workdir, tmp_path, capsys):
         out = tmp_path / "ins"

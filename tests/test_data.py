@@ -233,6 +233,8 @@ class TestDatasetLines:
         (3, "1 1", "invalid edge: self-loop on node 1"),
         (3, "0 9", r"invalid edge: edge \(0, 9\) out of range"),
         (5, "-1 3", "invalid edge"),
+        # an id beyond any fixed-width integer is out of range too
+        (4, "0 99999999999999999999", r"invalid edge: edge \(0, 99999999999999999999\) out of range"),
         (4, "0 1", "repeated edge 0 1"),
         (6, "1 0", "repeated edge 1 0"),
         (7, "1.0 2.0 3.0 nan", "non-finite feature value"),

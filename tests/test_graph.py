@@ -11,10 +11,8 @@ from sevolve.graph import (
     aggregate_node_values,
     build_graph,
     coarsen,
-    project_to_base,
 )
 from oracles import (
-    ancestor_walk,
     bfs_component,
     random_connected_graph,
     union_find_components,
@@ -32,13 +30,13 @@ class TestBuildGraph:
     def test_path_graph(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         assert g.num_nodes == 3
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
         assert g.neighbors(1) == (0, 2)
 
     def test_single_isolated_node(self):
         g = build_graph(1, [])
         assert g.num_nodes == 1
-        assert g.edges == ()
+        assert g.edges.tolist() == []
         assert g.neighbors(0) == ()
 
     def test_duplicate_edges_canonicalized(self):
@@ -46,7 +44,7 @@ class TestBuildGraph:
         raw = [(0, 1), (1, 0)]
         expected = sorted({tuple(sorted(p)) for p in raw})
         g = build_graph(3, raw)
-        assert list(g.edges) == expected
+        assert list(map(tuple, g.edges.tolist())) == expected
         assert g.num_edges == 1
 
     def test_canonical_order_is_lexicographic(self):
@@ -57,16 +55,29 @@ class TestBuildGraph:
             shuffled = [tuple(e) if rng.random() < 0.5 else (e[1], e[0])
                         for e in rng.permutation(edges)]
             g = build_graph(n, shuffled)
-            assert list(g.edges) == sorted(g.edges)
-            assert g.edges == build_graph(n, edges).edges
+            assert g.edges.tolist() == sorted(g.edges.tolist())
+            assert g.edges.tolist() == build_graph(n, edges).edges.tolist()
+            assert build_graph(n, np.array(shuffled)) == g
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             build_graph(3, [(0, 3)])
+        # the first bad edge in input order is the one reported
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range"):
+            build_graph(3, [(0, 1), (0, 3), (1, 1)])
+        with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range"):
+            build_graph(3, [(0, 1), (-1, 0), (1, 1), (0, 2**70)])
+        with pytest.raises(ValueError, match=r"edge \(0, 1180591620717411303424\) out of range"):
+            build_graph(3, [(0, 1), (0, 2**70), (1, 1)])
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             build_graph(3, [(1, 1)])
+        with pytest.raises(ValueError, match="self-loop on node 1"):
+            build_graph(3, [(0, 1), (1, 1), (0, 3)])
+        # an edge that is both is a self-loop
+        with pytest.raises(ValueError, match="self-loop on node 5"):
+            build_graph(3, [(5, 5), (0, 3)])
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="at least one node"):
@@ -76,11 +87,11 @@ class TestBuildGraph:
 class TestCSR:
     @staticmethod
     def check_csr(g):
-        indptr, indices, slot_edge = g.csr()
+        indptr, indices, slot_edge = g.csr
         assert not (indptr.flags.writeable or indices.flags.writeable
-                    or slot_edge.flags.writeable)
+                    or slot_edge.flags.writeable or g.edges.flags.writeable)
         adjacency = [[] for _ in range(g.num_nodes)]
-        for a, b in g.edges:
+        for a, b in g.edges.tolist():
             adjacency[a].append(b)
             adjacency[b].append(a)
         for i in range(g.num_nodes):
@@ -88,7 +99,7 @@ class TestCSR:
             assert g.neighbors(i) == tuple(sorted(adjacency[i]))
         owner = np.repeat(np.arange(g.num_nodes), np.diff(indptr))
         for s, e in enumerate(slot_edge):
-            assert g.edges[e] == tuple(sorted((int(owner[s]), int(indices[s]))))
+            assert g.edges[e].tolist() == sorted((int(owner[s]), int(indices[s])))
         assert np.bincount(slot_edge, minlength=g.num_edges).tolist() == [2] * g.num_edges
 
     def test_matches_edges_on_all_small_graphs(self):
@@ -109,7 +120,7 @@ class TestCoarsen:
         part, coarse = coarsen(g, g.edges)
         assert part.num_cliques == 1
         assert coarse.num_nodes == 1
-        assert coarse.edges == ()
+        assert coarse.edges.tolist() == []
 
     def test_empty_selection_is_identity(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -126,7 +137,7 @@ class TestCoarsen:
         part, coarse = coarsen(g, [(1, 2)])
         assert list(part.assignment) == oracle_assign
         assert part.num_cliques == 3
-        assert coarse.edges == ((0, 1), (1, 2))
+        assert coarse.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_rejects_foreign_edge(self):
         g = build_graph(4, [(0, 1), (1, 2)])
@@ -135,7 +146,7 @@ class TestCoarsen:
 
     def test_matches_union_find_on_all_small_graphs(self):
         for g in all_graphs(4):
-            edges = list(g.edges)
+            edges = list(map(tuple, g.edges.tolist()))
             for mask in range(1 << len(edges)):
                 sel = [edges[j] for j in range(len(edges)) if (mask >> j) & 1]
                 part, coarse = coarsen(g, sel)
@@ -166,8 +177,8 @@ class TestCoarsen:
             for a, b in sel:
                 adjacency.setdefault(a, []).append(b)
                 adjacency.setdefault(b, []).append(a)
-            for members in part.members():
-                members = set(int(v) for v in members)
+            for c in range(part.num_cliques):
+                members = set(np.flatnonzero(part.assignment == c).tolist())
                 start = min(members)
                 assert bfs_component(members, adjacency, start) == members
 
@@ -182,14 +193,28 @@ class TestCoarsen:
             assign = part.assignment
             expected = sorted({(min(assign[a], assign[b]), max(assign[a], assign[b]))
                                for a, b in edges if assign[a] != assign[b]})
-            assert [tuple(e) for e in coarse.edges] == expected
+            assert [tuple(e) for e in coarse.edges.tolist()] == expected
 
     def test_isolated_nodes_become_singletons(self):
         g = build_graph(5, [(0, 1)])
         part, coarse = coarsen(g, [(0, 1)])
         assert list(part.assignment) == [0, 0, 1, 2, 3]
         assert part.num_cliques == 4
-        assert [len(m) for m in part.members()] == [2, 1, 1, 1]
+        assert part.sizes().tolist() == [2, 1, 1, 1]
+
+
+class TestCliquePartition:
+    def test_rejects_ids_that_are_not_dense(self):
+        for assignment, num in (([0, 0, 2], 3), ([0, 2], 2), ([-1, 0], 1), ([1, 1], 1)):
+            with pytest.raises(ValueError, match="dense"):
+                CliquePartition(assignment, num)
+        with pytest.raises(ValueError, match="invalid"):
+            CliquePartition([0, 1], 3)
+
+    def test_sizes(self):
+        sizes = CliquePartition([2, 0, 1, 0, 2, 0], 3).sizes()
+        assert sizes.tolist() == [3, 1, 2]
+        assert not sizes.flags.writeable
 
 
 class TestAggregate:
@@ -226,7 +251,8 @@ class TestAggregate:
             part, _ = coarsen(g, sel)
             vals = rng.normal(size=(n, 3))
             out = aggregate_node_values(part, vals)
-            for c, members in enumerate(part.members()):
+            for c in range(part.num_cliques):
+                members = np.flatnonzero(part.assignment == c)
                 np.testing.assert_allclose(out[c], vals[members].mean(axis=0),
                                            rtol=0, atol=1e-12)
 
@@ -235,10 +261,22 @@ class TestAggregate:
 def graphs_and_selections(draw, max_nodes=14):
     """A graph and a subset of its edges. The graphs run from a single node
     through sparse ones with isolated nodes and several components to
-    dense and complete ones."""
+    dense and complete ones, plus paths and deep trees of a few hundred
+    nodes whose ids are scrambled along them, where labelling components
+    by hooking onto the smaller id takes many rounds."""
+    kind = draw(st.sampled_from(["sparse", "dense", "two_parts", "path", "tree"]))
+    if kind in ("path", "tree"):
+        n = draw(st.integers(100, 400))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        ids = rng.permutation(n)
+        # node k > 0 of the path or tree hangs off one of the few before it
+        reach = 1 if kind == "path" else 4
+        parent = [int(rng.integers(max(0, k - reach), k)) for k in range(1, n)]
+        g = build_graph(n, [(ids[k], ids[p]) for k, p in enumerate(parent, start=1)])
+        keep = rng.random(g.num_edges) < draw(st.sampled_from([1.0, 0.97, 0.8]))
+        return g, [e for e, k in zip(map(tuple, g.edges.tolist()), keep) if k]
     n = draw(st.integers(1, max_nodes))
     pairs = list(itertools.combinations(range(n), 2))
-    kind = draw(st.sampled_from(["sparse", "dense", "two_parts"]))
     if kind == "dense":
         # complete, less a few edges
         dropped = draw(st.sets(st.sampled_from(pairs), max_size=4)) if pairs else set()
@@ -250,7 +288,7 @@ def graphs_and_selections(draw, max_nodes=14):
             edges = [(a, b) for a, b in edges if (a < n // 2) == (b < n // 2)]
     g = build_graph(n, edges)
     keep = draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
-    return g, [e for e, k in zip(g.edges, keep) if k]
+    return g, [e for e, k in zip(map(tuple, g.edges.tolist()), keep) if k]
 
 
 class TestCoarsenProperties:
@@ -263,9 +301,9 @@ class TestCoarsenProperties:
         assert part.assignment.tolist() == assign
         assert part.num_cliques == count == coarse.num_nodes
         # the coarse edges are exactly the pairs of cliques an edge crosses
-        crossing = {tuple(sorted((assign[a], assign[b]))) for a, b in g.edges
+        crossing = {tuple(sorted((assign[a], assign[b]))) for a, b in g.edges.tolist()
                     if assign[a] != assign[b]}
-        assert set(coarse.edges) == crossing
+        assert set(map(tuple, coarse.edges.tolist())) == crossing
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_and_selections(), st.integers(0, 2**32 - 1), st.integers(1, 4))
@@ -289,53 +327,11 @@ def _random_trace(rng, num_nodes=10, levels=4):
     graphs = [g]
     partitions = []
     for _ in range(levels - 1):
-        sel = [e for e in graphs[-1].edges if rng.random() < 0.5]
+        sel = [e for e in graphs[-1].edges.tolist() if rng.random() < 0.5]
         part, nxt = coarsen(graphs[-1], sel)
         partitions.append(part)
         graphs.append(nxt)
     return HierarchyTrace(graphs, partitions)
-
-
-class TestProjectToBase:
-    def test_level_zero_identity(self):
-        trace = _random_trace(np.random.default_rng(0))
-        vals = np.arange(10.0).reshape(10, 1)
-        assert np.array_equal(project_to_base(trace, 0, vals), vals)
-
-    def test_two_level_broadcast(self):
-        g = build_graph(3, [(0, 1), (1, 2)])
-        part, coarse = coarsen(g, [(1, 2)])
-        trace = HierarchyTrace([g, coarse], [part])
-        vals = np.array([[10.0], [20.0]])
-        out = project_to_base(trace, 1, vals)
-        assert np.array_equal(out, [[10.0], [20.0], [20.0]])
-
-    def test_matches_ancestor_walk(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            trace = _random_trace(rng)
-            for level in range(trace.num_levels):
-                vals = rng.normal(size=(trace.levels[level].num_nodes, 2))
-                out = project_to_base(trace, level, vals)
-                for node in range(trace.levels[0].num_nodes):
-                    anc = ancestor_walk(trace.partitions, node, level)
-                    assert np.array_equal(out[node], vals[anc])
-
-    def test_constant_chain_projects_to_constant(self):
-        rng = np.random.default_rng(9)
-        trace = _random_trace(rng)
-        vals = np.full((trace.levels[0].num_nodes, 2), 3.25)
-        for level in range(trace.num_levels):
-            chained = vals
-            for k in range(level):
-                chained = aggregate_node_values(trace.partitions[k], chained)
-            out = project_to_base(trace, level, chained)
-            np.testing.assert_allclose(out, 3.25, rtol=0, atol=1e-12)
-
-    def test_level_out_of_range(self):
-        trace = _random_trace(np.random.default_rng(1))
-        with pytest.raises(ValueError, match="out of range"):
-            project_to_base(trace, trace.num_levels, np.zeros((1, 1)))
 
 
 class TestHierarchyTrace:

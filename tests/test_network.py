@@ -334,7 +334,7 @@ class TestWaveSchedule:
     def test_waves_are_a_level_schedule(self, case):
         g, order = case
         n = g.num_nodes
-        indptr, indices, slot_edge = g.csr()
+        indptr, indices, slot_edge = g.csr
         sched = wave_schedule(order, indptr, indices, slot_edge)
         perm, pos, owner, nbr = sched.perm, sched.pos, sched.owner, sched.nbr
         visit = np.empty(n, dtype=np.intp)
@@ -372,7 +372,7 @@ class TestWaveSchedule:
             assert wave[i] == (wave[before].max() + 1 if before.size else 0)
 
         # the wave count is the longest path whose nodes come in visit order
-        edges = set(g.edges)
+        edges = set(map(tuple, g.edges.tolist()))
         longest = 0
         for size in range(1, n + 1):
             for subset in itertools.combinations(order.tolist(), size):
@@ -646,6 +646,9 @@ class TestCheckpoint:
         ("D=3", "D=0", "must be positive"),
         ("layers=2", "layers=-1", "must be positive"),
         (" D=3", "", "missing field"),
+        ("layers=2", "layers=2 X=1", "unknown header field 'X'"),
+        ("layers=2", "layers=2 D=3", "repeated header field 'D'"),
+        ("layers=2", "layers=2 D=4", "repeated header field 'D'"),
     ])
     def test_rejects_bad_header(self, tmp_path, old, new, problem):
         cfg = tiny_cfg()

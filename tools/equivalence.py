@@ -6,7 +6,8 @@
 
 `dump` runs forward, compute_loss and backward of the package on the
 import path over a fixed set of cases and saves every output to one .npz:
-visit orders, partitions, trial decisions, each transition's
+visit orders, partitions, each level's edges (so the quotient graphs
+are compared directly), trial decisions, each transition's
 `trace_records` text (as uint8 bytes, so the per-trial detail is compared
 exactly), the next rng draw, per-level logits and edge probabilities, the
 combined logits, the losses and every gradient tensor. The cases are 4
@@ -119,6 +120,8 @@ def dump(path):
             arrays[f"orders/{t}"] = np.asarray(order)
             arrays[f"level_logits/{t}"] = res.level_logits[t]
             arrays[f"edge_probs/{t}"] = res.level_edge_probs[t]
+        for t, g in enumerate(res.trace.levels):
+            arrays[f"edges/{t}"] = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
         for t, (part, log) in enumerate(zip(res.trace.partitions, res.trace.decisions)):
             arrays[f"partitions/{t}"] = part.assignment
             arrays[f"decisions/{t}"] = np.array(
