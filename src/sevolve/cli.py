@@ -1,6 +1,10 @@
 """Command-line entry point: dataset generation, training, evaluation,
 and single-sample evolution inspection.
 
+COMMANDS is the one list of flags: per command, its handler, its help
+string and the RunConfig fields it takes as `--<field>` flags, each
+typed from the field's annotation.
+
 Exit codes: 0 success, 2 config/validation error, 3 I/O error, 4 numeric
 failure.
 """
@@ -13,7 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -32,6 +36,8 @@ from sevolve.network import (
     forward,
     init_params,
     load_checkpoint,
+    predict,
+    read_lines,
     save_checkpoint,
     write_lines_atomic,
 )
@@ -80,35 +86,33 @@ class RunConfig:
 _FIELD_TYPES = get_type_hints(RunConfig)
 
 
+def _field_type(key: str):
+    """int, float or str: the type of RunConfig's field `key` when set."""
+    return (get_args(_FIELD_TYPES[key]) or (_FIELD_TYPES[key],))[0]
+
+
 def _coerce(key: str, raw: str):
-    tp = _FIELD_TYPES[key]
-    optional = tp in (int | None, float | None, str | None)
-    if optional and raw.lower() in ("none", ""):
+    if type(None) in get_args(_FIELD_TYPES[key]) and raw.lower() in ("none", ""):
         return None
-    if tp is int or tp == int | None:
-        return int(raw)
-    if tp is float or tp == float | None:
-        return float(raw)
-    return raw
+    return _field_type(key)(raw)
 
 
 def load_config_file(path, cfg: RunConfig) -> RunConfig:
     """Apply `key = value` lines (# comments allowed); unknown keys are
     rejected."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                setattr(cfg, key, _coerce(key, raw))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    for lineno, line in enumerate(read_lines(path), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            setattr(cfg, key, _coerce(key, raw))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return cfg
 
 
@@ -123,12 +127,13 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _network_config(cfg: RunConfig, input_dim: int, num_classes: int) -> NetworkConfig:
+def _network_config(cfg: RunConfig, input_dim: int, num_classes: int, num_layers: int,
+                    hidden_dim: int | None) -> NetworkConfig:
     return NetworkConfig(
         input_dim=input_dim,
         num_classes=num_classes,
-        num_layers=cfg.layers,
-        hidden_dim=cfg.hidden_dim,
+        num_layers=num_layers,
+        hidden_dim=hidden_dim,
         edge_loss_weight=cfg.edge_loss_weight,
         evolve=EvolveConfig(max_trials=cfg.max_trials, threshold=cfg.threshold),
     )
@@ -162,7 +167,8 @@ def cmd_train(cfg: RunConfig) -> int:
                 or eval_file.num_labels != dataset.num_labels):
             raise ValueError("eval dataset dims do not match the training dataset")
         eval_samples = eval_file.samples
-    net = _network_config(cfg, dataset.feature_dim, dataset.num_labels)
+    net = _network_config(cfg, dataset.feature_dim, dataset.num_labels, cfg.layers,
+                          cfg.hidden_dim)
     opt = OptimConfig(learning_rate=cfg.lr, momentum=cfg.momentum,
                       weight_decay=cfg.weight_decay, epochs=cfg.epochs, seed=cfg.seed)
     params = init_params(net, np.random.default_rng([cfg.seed, 100]))
@@ -214,21 +220,14 @@ def _load_model(cfg: RunConfig, command: str):
     if meta["num_classes"] != dataset.num_labels:
         raise ValueError(
             f"checkpoint classes {meta['num_classes']} != dataset K={dataset.num_labels}")
-    net = NetworkConfig(
-        input_dim=meta["input_dim"], num_classes=meta["num_classes"],
-        num_layers=meta["num_layers"], hidden_dim=meta["hidden_dim"],
-        edge_loss_weight=cfg.edge_loss_weight,
-        evolve=EvolveConfig(max_trials=cfg.max_trials, threshold=cfg.threshold))
-    return params, dataset, net
+    return params, dataset, _network_config(cfg, **meta)
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     params, dataset, net = _load_model(cfg, "eval")
     conf = np.zeros((net.num_classes, net.num_classes), dtype=np.int64)
     for idx, sample in enumerate(dataset.samples):
-        rng = np.random.default_rng([cfg.seed, 3, idx])
-        res = forward(sample, params, net, rng, mode="test")
-        pred = np.argmax(res.combined_logits, axis=1)
+        pred = predict(sample, params, net, np.random.default_rng([cfg.seed, 3, idx]))
         conf += np.bincount(sample.labels * net.num_classes + pred,
                             minlength=net.num_classes ** 2).reshape(conf.shape)
     accuracy, iou, mean_iou = _metrics(conf)
@@ -278,61 +277,30 @@ def cmd_inspect(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic dataset",
+                 "seed out samples grid_n labels num_seeds feature_dim noise"),
+    "train": (cmd_train, "train a model",
+              "seed dataset eval_dataset out_dir layers hidden_dim edge_loss_weight "
+              "max_trials threshold lr momentum weight_decay epochs"),
+    "eval": (cmd_eval, "evaluate a checkpoint",
+             "seed checkpoint dataset max_trials threshold"),
+    "inspect": (cmd_inspect, "dump one sample's evolution trace",
+                "seed checkpoint dataset out_dir sample_index max_trials threshold"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sevolve",
         description="Graph LSTM over stochastically coarsened graph hierarchies")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (func, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int)
-
-    p_gen = sub.add_parser("generate", help="write a synthetic dataset")
-    add_common(p_gen)
-    p_gen.add_argument("--out", help="output dataset path")
-    p_gen.add_argument("--samples", type=int)
-    p_gen.add_argument("--grid-n", type=int)
-    p_gen.add_argument("--labels", type=int)
-    p_gen.add_argument("--num-seeds", type=int)
-    p_gen.add_argument("--feature-dim", type=int)
-    p_gen.add_argument("--noise", type=float)
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_train = sub.add_parser("train", help="train a model")
-    add_common(p_train)
-    p_train.add_argument("--dataset")
-    p_train.add_argument("--eval-dataset")
-    p_train.add_argument("--out-dir")
-    p_train.add_argument("--layers", type=int)
-    p_train.add_argument("--hidden-dim", type=int)
-    p_train.add_argument("--edge-loss-weight", type=float)
-    p_train.add_argument("--max-trials", type=int)
-    p_train.add_argument("--threshold", type=float)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--momentum", type=float)
-    p_train.add_argument("--weight-decay", type=float)
-    p_train.add_argument("--epochs", type=int)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    add_common(p_eval)
-    p_eval.add_argument("--checkpoint")
-    p_eval.add_argument("--dataset")
-    p_eval.add_argument("--max-trials", type=int)
-    p_eval.add_argument("--threshold", type=float)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_ins = sub.add_parser("inspect", help="dump one sample's evolution trace")
-    add_common(p_ins)
-    p_ins.add_argument("--checkpoint")
-    p_ins.add_argument("--dataset")
-    p_ins.add_argument("--out-dir")
-    p_ins.add_argument("--sample-index", type=int)
-    p_ins.add_argument("--max-trials", type=int)
-    p_ins.add_argument("--threshold", type=float)
-    p_ins.set_defaults(func=cmd_inspect)
-
+        for key in keys.split():
+            p.add_argument("--" + key.replace("_", "-"), type=_field_type(key))
+        p.set_defaults(func=func)
     return parser
 
 

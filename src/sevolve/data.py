@@ -2,20 +2,21 @@
 
 Samples are 4-connected n x n grid graphs. Labels come from a nearest-seed
 (Voronoi) assignment over the grid coordinates, so label regions are
-contiguous blobs, like an over-segmented image. Features are per-label
-prototype vectors plus Gaussian noise, with normalized grid coordinates
-appended when the feature dimension allows.
+contiguous blobs, like an over-segmented image. Contiguity is checked
+through the graph layer: the component labelling that coarsening uses
+(`graph._components_canonical`) runs over the grid's same-label edges.
+Features are per-label prototype vectors plus Gaussian noise, with
+normalized grid coordinates appended when the feature dimension allows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from sevolve.graph import LevelGraph, build_graph
-from sevolve.network import INT_TEXT, Sample, parse_ints, write_lines_atomic
+from sevolve.graph import LevelGraph, _components_canonical, build_graph
+from sevolve.network import INT_TEXT, Sample, parse_ints, read_lines, write_lines_atomic
 
 _MAX_REGION_RESAMPLES = 200
 
@@ -55,40 +56,18 @@ class GenConfig:
 
 def grid_graph(n: int) -> LevelGraph:
     """4-connected n x n grid; node id of cell (row, col) is row * n + col."""
-    edges = []
-    for r in range(n):
-        for c in range(n):
-            i = r * n + c
-            if c + 1 < n:
-                edges.append((i, i + 1))
-            if r + 1 < n:
-                edges.append((i, i + n))
-    return build_graph(n * n, edges)
+    ids = np.arange(n * n).reshape(n, n)
+    right = np.stack((ids[:, :-1].ravel(), ids[:, 1:].ravel()), axis=1)
+    down = np.stack((ids[:-1].ravel(), ids[1:].ravel()), axis=1)
+    return build_graph(n * n, np.concatenate((right, down)))
 
 
-def _regions_connected(labels, n: int) -> bool:
-    # every label's region must be one 4-connected blob
-    seen = np.zeros(n * n, dtype=bool)
-    starts = {}
-    for i, lab in enumerate(labels):
-        starts.setdefault(int(lab), i)
-    counts = np.bincount(labels)
-    for lab, start in starts.items():
-        reach = 0
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            i = queue.popleft()
-            reach += 1
-            r, c = divmod(i, n)
-            for j in (i - 1 if c else -1, i + 1 if c + 1 < n else -1,
-                      i - n if r else -1, i + n if r + 1 < n else -1):
-                if j >= 0 and not seen[j] and labels[j] == lab:
-                    seen[j] = True
-                    queue.append(j)
-        if reach != counts[lab]:
-            return False
-    return True
+def _regions_connected(labels, grid: LevelGraph) -> bool:
+    # every label's region is one 4-connected blob exactly when the grid's
+    # same-label edges leave one component per label
+    a, b = grid.edges.T
+    same = grid.edges[labels[a] == labels[b]]
+    return _components_canonical(grid, same).num_cliques == np.unique(labels).size
 
 
 def generate_sample(cfg: GenConfig, rng) -> Sample:
@@ -102,6 +81,7 @@ def generate_sample(cfg: GenConfig, rng) -> Sample:
     num_cells = n * n
     k = cfg.num_labels
     rows, cols = np.divmod(np.arange(num_cells), n)
+    grid = grid_graph(n)
     for _ in range(_MAX_REGION_RESAMPLES):
         cells = rng.choice(num_cells, size=cfg.num_seeds, replace=False)
         seed_labels = np.concatenate([
@@ -111,7 +91,7 @@ def generate_sample(cfg: GenConfig, rng) -> Sample:
         d2 = ((rows[:, None] - rows[cells][None, :]) ** 2
               + (cols[:, None] - cols[cells][None, :]) ** 2)
         labels = seed_labels[np.argmin(d2, axis=1)]
-        if _regions_connected(labels, n):
+        if _regions_connected(labels, grid):
             break
     else:
         raise ValueError(
@@ -123,7 +103,7 @@ def generate_sample(cfg: GenConfig, rng) -> Sample:
         feats[:, k] = cols / (n - 1)
         feats[:, k + 1] = rows / (n - 1)
     feats += rng.normal(0.0, cfg.noise, feats.shape)
-    return Sample(grid_graph(n), feats, labels)
+    return Sample(grid, feats, labels)
 
 
 def generate_dataset(cfg: GenConfig, count: int) -> "DatasetFile":
@@ -197,8 +177,7 @@ def load_dataset(path) -> DatasetFile:
     holds fewer or more samples than its header declares. Bad edges and
     non-finite features are checked per sample, and their line is looked
     for only when the check fails."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path, DatasetError)
 
     def fail(lineno, msg):
         raise DatasetError(f"{path}:{lineno}: {msg}")

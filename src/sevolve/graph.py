@@ -139,27 +139,16 @@ class CliquePartition:
         sizes = np.bincount(arr, minlength=num_cliques)
         if not sizes.all():
             raise ValueError("clique ids must be dense 0..num_cliques-1")
-        self._set(arr, num_cliques, sizes)
-
-    @classmethod
-    def _from_trusted(cls, assignment_arr, num_cliques):
-        # Fast path for coarsen: ids already dense by ascending min member.
-        p = object.__new__(cls)
-        p._set(assignment_arr, num_cliques,
-               np.bincount(assignment_arr, minlength=num_cliques))
-        return p
-
-    def _set(self, assignment, num_cliques, sizes):
-        assignment.setflags(write=False)
+        arr.setflags(write=False)
         sizes.setflags(write=False)
-        self.assignment = assignment
-        self.num_nodes = int(assignment.size)
+        self.assignment = arr
+        self.num_nodes = int(arr.size)
         self.num_cliques = int(num_cliques)
         self._sizes = sizes
 
     @classmethod
     def identity(cls, num_nodes: int) -> "CliquePartition":
-        return cls._from_trusted(np.arange(num_nodes, dtype=np.intp), num_nodes)
+        return cls(np.arange(num_nodes), num_nodes)
 
     @property
     def is_identity(self) -> bool:
@@ -223,7 +212,7 @@ def _components_canonical(g: LevelGraph, selected) -> CliquePartition:
             label = up
     roots = label == np.arange(n)
     rank = np.cumsum(roots) - 1
-    return CliquePartition._from_trusted(rank[label], int(rank[-1]) + 1)
+    return CliquePartition(rank[label], int(rank[-1]) + 1)
 
 
 def quotient_graph(g: LevelGraph, partition: CliquePartition) -> LevelGraph:
@@ -307,7 +296,3 @@ class HierarchyTrace:
         self.partitions = partitions
         self.edge_probs = list(edge_probs) if edge_probs is not None else []
         self.decisions = list(decisions) if decisions is not None else []
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)

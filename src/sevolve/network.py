@@ -257,10 +257,6 @@ class ForwardResult:
     __slots__ = ("mode", "params", "level_logits", "combined_logits", "trace",
                  "amaps", "orders", "schedules", "layers")
 
-    @property
-    def level_edge_probs(self):
-        return self.trace.edge_probs
-
     def plan(self) -> StructurePlan:
         return StructurePlan(
             visit_orders=list(self.orders),
@@ -614,6 +610,19 @@ def write_lines_atomic(path, lines):
             os.remove(tmp)
 
 
+def read_lines(path, error=ValueError):
+    """The lines of the text file at `path`, decoded as UTF-8 whatever the
+    locale. A byte that is not UTF-8 raises `error` naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # a stand-in for the bad byte, so a byte just after a line break starts a line
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise error(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
+
+
 # int() also takes '+', '_' and non-ASCII digits, which no writer here
 # emits: text of integer tokens holds only ASCII digits, '-' and blanks
 INT_TEXT = re.compile(r"[-0-9\s]*")
@@ -650,8 +659,7 @@ def load_checkpoint(path):
     Returns (params, meta) with meta holding input_dim, hidden_dim,
     num_classes, and num_layers.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC + " "):
         raise ValueError(f"{path}:1: not a {CHECKPOINT_MAGIC} checkpoint")
     names = {"D": "input_dim", "H": "hidden_dim", "C": "num_classes", "layers": "num_layers"}

@@ -1,9 +1,19 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from sevolve.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig, _metrics, load_config_file, main
+from sevolve.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    RunConfig,
+    _metrics,
+    build_parser,
+    load_config_file,
+    main,
+)
 from sevolve.network import load_checkpoint
 
 
@@ -224,3 +234,42 @@ class TestConfigFile:
         assert run(["generate", "--config", str(cfgfile), "--out", str(out),
                     "--samples", "5"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("samples=5 ")
+
+
+class TestParser:
+    # per command: its help string and its flags in order, each with the
+    # type its value is converted to
+    COMMANDS = {
+        "generate": ("write a synthetic dataset", [
+            ("--config", "str"), ("--seed", "int"), ("--out", "str"), ("--samples", "int"),
+            ("--grid-n", "int"), ("--labels", "int"), ("--num-seeds", "int"),
+            ("--feature-dim", "int"), ("--noise", "float")]),
+        "train": ("train a model", [
+            ("--config", "str"), ("--seed", "int"), ("--dataset", "str"),
+            ("--eval-dataset", "str"), ("--out-dir", "str"), ("--layers", "int"),
+            ("--hidden-dim", "int"), ("--edge-loss-weight", "float"), ("--max-trials", "int"),
+            ("--threshold", "float"), ("--lr", "float"), ("--momentum", "float"),
+            ("--weight-decay", "float"), ("--epochs", "int")]),
+        "eval": ("evaluate a checkpoint", [
+            ("--config", "str"), ("--seed", "int"), ("--checkpoint", "str"),
+            ("--dataset", "str"), ("--max-trials", "int"), ("--threshold", "float")]),
+        "inspect": ("dump one sample's evolution trace", [
+            ("--config", "str"), ("--seed", "int"), ("--checkpoint", "str"),
+            ("--dataset", "str"), ("--out-dir", "str"), ("--sample-index", "int"),
+            ("--max-trials", "int"), ("--threshold", "float")]),
+    }
+
+    def test_option_sets(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        helps = {a.dest: a.help for a in sub._choices_actions}
+        assert list(sub.choices) == list(self.COMMANDS)
+        for name, parser in sub.choices.items():
+            actions = [a for a in parser._actions if a.dest != "help"]
+            # argparse passes a flag's text through unchanged when it has no type
+            options = [(a.option_strings[-1], getattr(a.type, "__name__", "str"))
+                       for a in actions]
+            assert (helps[name], options) == self.COMMANDS[name], name
+            assert all(a.default is None for a in actions), name
+            assert all(a.dest in RunConfig.__dataclass_fields__
+                       for a in actions if a.dest != "config"), name

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from sevolve import data
 from sevolve.data import (
     DatasetError,
     DatasetFile,
@@ -25,6 +28,12 @@ class TestGridGraph:
     def test_edge_count_formula(self):
         for n in (2, 4, 8):
             assert grid_graph(n).num_edges == 2 * n * (n - 1)
+
+    def test_matches_per_cell_edges(self):
+        for n in (2, 3, 5, 8):
+            right = [[i, i + 1] for i in range(n * n) if (i + 1) % n]
+            down = [[i, i + n] for i in range(n * n - n)]
+            assert grid_graph(n).edges.tolist() == sorted(right + down)
 
 
 class TestGenConfig:
@@ -105,6 +114,64 @@ class TestGenerateSample:
         s2 = generate_sample(cfg, np.random.default_rng(77))
         assert np.array_equal(s1.features, s2.features)
         assert np.array_equal(s1.labels, s2.labels)
+
+
+class TestGeneratorGolden:
+    """save_dataset bytes of fixed generator configs, and the number of
+    contiguity checks their resampling takes."""
+
+    @pytest.mark.parametrize("cfg, count, checks, digest", [
+        (GenConfig(grid_n=8, num_labels=4, num_seeds=7, seed=2), 8, 53,
+         "ee1b39a1c59d3dc3f66b9ac96d3c9503067bc907b28c110cbc7d6bbc06924408"),
+        (GenConfig(), 4, 4,
+         "a779d8745b7d3b3eba3e1fa7e2f34187fefbc7e52c3c46559698769ef0803eba"),
+    ])
+    def test_dataset_bytes(self, tmp_path, monkeypatch, cfg, count, checks, digest):
+        real = data._regions_connected
+        calls = []
+
+        def counted(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(data, "_regions_connected", counted)
+        path = tmp_path / "data.txt"
+        save_dataset(path, generate_dataset(cfg, count))
+        assert len(calls) == checks
+        assert calls.count(True) == count
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def label_grids(rng):
+    """(n, labels) pairs: uniform random labels on small grids, and
+    nearest-seed labels, some seeds sharing a label, on larger ones."""
+    for n in (2, 3, 4):
+        for _ in range(40):
+            yield n, rng.integers(0, int(rng.integers(2, 4)), size=n * n)
+    for n in (5, 8, 16):
+        rows, cols = np.divmod(np.arange(n * n), n)
+        for _ in range(30):
+            seeds = rng.choice(n * n, size=int(rng.integers(2, 8)), replace=False)
+            d2 = (rows[:, None] - rows[seeds]) ** 2 + (cols[:, None] - cols[seeds]) ** 2
+            yield n, rng.integers(0, 3, size=seeds.size)[np.argmin(d2, axis=1)]
+
+
+class TestRegionsConnected:
+    def test_matches_bfs_oracle(self):
+        seen = set()
+        for n, labels in label_grids(np.random.default_rng(12)):
+            adjacency = {}
+            for a, b in grid_graph(n).edges.tolist():
+                if labels[a] == labels[b]:
+                    adjacency.setdefault(a, []).append(b)
+                    adjacency.setdefault(b, []).append(a)
+            expected = True
+            for lab in np.unique(labels):
+                nodes = set(np.flatnonzero(labels == lab).tolist())
+                expected &= bfs_component(nodes, adjacency, min(nodes)) == nodes
+            assert data._regions_connected(labels, grid_graph(n)) == expected, (n, labels)
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestDatasetRoundTrip:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sevolve import optim
+from sevolve.cli import EXIT_CONFIG, EXIT_IO, RunConfig, load_config_file, main
 from sevolve.data import DatasetError, GenConfig, generate_dataset, load_dataset, save_dataset
 from sevolve.evolve import EvolveConfig
 from sevolve.network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
@@ -72,6 +73,37 @@ def test_fuzzed_datasets_fail_with_a_line(tmp_path):
         path.write_text("".join(line + "\n" for line in mutate(lines, kind, rng)))
         with pytest.raises(DatasetError, match=located(path)):
             load_dataset(path)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint", "config"])
+def test_non_utf8_byte_fails_with_its_line(tmp_path, capsys, kind, column):
+    ds = generate_dataset(GenConfig(grid_n=3, num_labels=2, seed=4), 2)
+    cfg = NetworkConfig(input_dim=ds.feature_dim, num_classes=2, num_layers=1)
+    files = {name: tmp_path / f"{name}.txt" for name in ("dataset", "checkpoint", "config")}
+    save_dataset(files["dataset"], ds)
+    save_checkpoint(files["checkpoint"], init_params(cfg, np.random.default_rng(0)), cfg)
+    files["config"].write_text("samples = 2\n# grid side\ngrid_n = 3\n")
+    # one stray byte on line 3 of the file under test
+    path = files[kind]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:column] + b"\xff" + lines[2][column:]
+    path.write_bytes(b"\n".join(lines))
+
+    evaluate = ["eval", "--checkpoint", str(files["checkpoint"]),
+                "--dataset", str(files["dataset"])]
+    loader, error, argv, code = {
+        "dataset": (load_dataset, DatasetError, evaluate, EXIT_IO),
+        "checkpoint": (load_checkpoint, ValueError, evaluate, EXIT_CONFIG),
+        "config": (lambda p: load_config_file(p, RunConfig()), ValueError,
+                   ["generate", "--config", str(path), "--out", str(tmp_path / "out.txt")],
+                   EXIT_CONFIG),
+    }[kind]
+    at_line = re.escape(str(path)) + ":3: "
+    with pytest.raises(error, match="^" + at_line):
+        loader(path)
+    assert main(argv) == code
+    assert re.match("error: " + at_line, capsys.readouterr().err)
 
 
 class Unconvertible:

@@ -76,8 +76,8 @@ class TestForward:
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert res.combined_logits.shape == (8, 3)
             assert len(res.trace.partitions) == 2
-            assert len(res.level_edge_probs) == 3
-            for g, p in zip(res.trace.levels, res.level_edge_probs):
+            assert len(res.trace.edge_probs) == 3
+            for g, p in zip(res.trace.levels, res.trace.edge_probs):
                 assert p.shape == (g.num_edges,)
                 if p.size:
                     assert (p > 0).all() and (p < 1).all()
@@ -102,7 +102,7 @@ class TestForward:
             r1 = forward(sample, params, cfg, np.random.default_rng(33), mode=mode)
             r2 = forward(sample, params, cfg, np.random.default_rng(33), mode=mode)
             assert np.array_equal(r1.combined_logits, r2.combined_logits)
-            for a, b in zip(r1.level_edge_probs, r2.level_edge_probs):
+            for a, b in zip(r1.trace.edge_probs, r2.trace.edge_probs):
                 assert np.array_equal(a, b)
             for pa, pb in zip(r1.trace.partitions, r2.trace.partitions):
                 assert np.array_equal(pa.assignment, pb.assignment)
@@ -119,7 +119,7 @@ class TestForward:
         r1 = forward(sample, params, cfg, np.random.default_rng(5), mode="test")
         r2 = forward(permuted, params, cfg, np.random.default_rng(5), mode="test")
         assert np.array_equal(r1.combined_logits, r2.combined_logits)
-        for a, b in zip(r1.level_edge_probs, r2.level_edge_probs):
+        for a, b in zip(r1.trace.edge_probs, r2.trace.edge_probs):
             assert np.array_equal(a, b)
         for pa, pb in zip(r1.trace.partitions, r2.trace.partitions):
             assert np.array_equal(pa.assignment, pb.assignment)
@@ -132,7 +132,7 @@ class TestForward:
         res = forward(sample, params, cfg, np.random.default_rng(6), mode="train")
         replay = forward(sample, params, cfg, None, mode="train", plan=res.plan())
         assert np.array_equal(res.combined_logits, replay.combined_logits)
-        for a, b in zip(res.level_edge_probs, replay.level_edge_probs):
+        for a, b in zip(res.trace.edge_probs, replay.trace.edge_probs):
             assert np.array_equal(a, b)
 
     def test_sweep_reads_new_state_of_visited_neighbors(self):
@@ -213,7 +213,7 @@ class TestForward:
         bumped = params.copy()
         bumped.cell.w_e += 0.5
         res = forward(sample, bumped, cfg, np.random.default_rng(1), mode="test")
-        for a, b in zip(base.level_edge_probs, res.level_edge_probs):
+        for a, b in zip(base.trace.edge_probs, res.trace.edge_probs):
             if a.size:
                 assert not np.array_equal(a, b)
 

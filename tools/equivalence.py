@@ -119,7 +119,7 @@ def dump(path):
         for t, order in enumerate(res.plan().visit_orders):
             arrays[f"orders/{t}"] = np.asarray(order)
             arrays[f"level_logits/{t}"] = res.level_logits[t]
-            arrays[f"edge_probs/{t}"] = res.level_edge_probs[t]
+            arrays[f"edge_probs/{t}"] = res.trace.edge_probs[t]
         for t, g in enumerate(res.trace.levels):
             arrays[f"edges/{t}"] = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
         for t, (part, log) in enumerate(zip(res.trace.partitions, res.trace.decisions)):
