@@ -17,8 +17,11 @@ does the node-local rest, which needs the neighbor average; a sweep runs
 it once per wave, a set of pairwise non-adjacent nodes whose
 earlier-visited neighbors are all updated already. In reverse,
 cell_backward_node does the node-local work, once per wave in reverse
-wave order, and cell_backward_batch the order-independent rest,
-parameter and input gradients, once per layer.
+wave order, and cell_backward_batch the order-independent rest, once per
+layer: the reverse of the merge-probability readout and the neighbor
+forget gates, and the parameter and input gradients. So the readout
+(the merge_probs of cell_forward_batch, weights w_e) and its reverse
+live in the two batch parts only.
 
 A CellCache holds the activations of all the nodes of one such layer,
 laid out wave by wave (network.wave_schedule): the node-local parts take
@@ -223,10 +226,12 @@ def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, seg, inv_k):
     return hidden, memory, gates
 
 
-def cell_backward_node(cache, rows, slots, seg, inv_k, d_hidden, d_memory, d_edge_probs):
+def cell_backward_node(cache, rows, slots, seg, inv_k, d_hidden, d_memory):
     """Node-local part of the reverse of B updates in `cache`: everything
     that needs the nodes' upstream gradients, and only those. A sweep runs
-    it once per wave, in reverse wave order, on the wave's blocks.
+    it once per wave, in reverse wave order, on the wave's blocks. The
+    merge-probability readout does not depend on the visit order, so its
+    reverse is in cell_backward_batch.
 
     Args:
         cache: CellCache of the forward updates.
@@ -237,27 +242,21 @@ def cell_backward_node(cache, rows, slots, seg, inv_k, d_hidden, d_memory, d_edg
         inv_k: (B,) 1 / max(degree, 1) of each node.
         d_hidden, d_memory: upstream gradients wrt the nodes' new state
             (B, H).
-        d_edge_probs: upstream gradients wrt the slots' merging
-            probabilities (S,).
 
     Returns:
-        (d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m): per node the
-        gradient wrt the packed gate pre-activations (B, 4H), the node's
-        previous memory (B, H) and the neighbor average (B, H); then per
-        slot the gradients wrt the merge-probability score (S,), the
-        neighbor forget-gate pre-activations (S, H) and the flag-selected
-        neighbor memory (S, H). cell_backward_batch turns d_pre, d_score
-        and d_prenb into parameter and input gradients.
+        (d_pre, d_m_prev, d_navg, d_msum, d_nbr_m): per node the gradient
+        wrt the packed gate pre-activations (B, 4H), the node's previous
+        memory (B, H) and the neighbor average (B, H); then per slot the
+        gradient wrt its summand nb_gate * m_sel of the memory's neighbor
+        mean (S, H) and wrt the flag-selected neighbor memory (S, H).
+        cell_backward_batch turns d_pre and d_msum into parameter and
+        input gradients.
     """
     params = cache.params
     h = params.hidden_dim
     b = d_hidden.shape[0]
     if d_hidden.shape != (b, h) or d_memory.shape != (b, h):
         raise ValueError("upstream gradient shape mismatch")
-    if d_edge_probs.shape != seg.shape[:1]:
-        raise ValueError(
-            f"edge-probability gradient has shape {d_edge_probs.shape}, "
-            f"nodes have {seg.shape[0]} neighbor slots")
 
     g_u, g_f, g_o, g_c = _split_gates(cache.gates[rows], h)
     hidden = cache.hidden[rows]
@@ -280,18 +279,13 @@ def cell_backward_node(cache, rows, slots, seg, inv_k, d_hidden, d_memory, d_edg
     d_pre[:, 3 * h:] = d_gc * (1.0 - g_c * g_c)
     d_navg = np.concatenate((d_pre[:, :h], d_pre[:, 2 * h:]), axis=1) @ params.un
 
-    nb_gate = cache.nb_gate[slots]
-    p = cache.merge_probs[slots]
-    d_score = d_edge_probs * p * (1.0 - p)
-    dmk = (dm * inv_k[:, None]).ravel().take(seg)
-    d_nbgate = dmk * cache.m_sel[slots] + d_score[:, None] * params.w_e
-    d_prenb = d_nbgate * nb_gate * (1.0 - nb_gate)
-    d_nbr_m = dmk * nb_gate
-    return d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m
+    d_msum = (dm * inv_k[:, None]).ravel().take(seg)
+    return d_pre, d_m_prev, d_navg, d_msum, d_msum * cache.nb_gate[slots]
 
 
-def cell_backward_batch(grads, cache, d_pre, d_score, d_prenb):
-    """Order-independent part of the reverse of every update in `cache`.
+def cell_backward_batch(grads, cache, d_pre, d_msum, d_edge_probs):
+    """Order-independent part of the reverse of every update in `cache`,
+    the merge-probability readout's reverse included.
 
     Accumulates every parameter gradient into `grads` and returns the
     gradients wrt the inputs.
@@ -299,15 +293,20 @@ def cell_backward_batch(grads, cache, d_pre, d_score, d_prenb):
     Args:
         grads: CellParams accumulator.
         cache: CellCache of the forward updates, B nodes and S slots.
-        d_pre: (B, 4H) from cell_backward_node.
-        d_score, d_prenb: (S,) and (S, H) from cell_backward_node.
+        d_pre, d_msum: (B, 4H) and (S, H) from cell_backward_node.
+        d_edge_probs: (S,) upstream gradients wrt the slots' merging
+            probabilities.
 
     Returns:
         (d_x, d_h_prev, d_nbr_h_prev) of shapes (B, D), (B, H), (S, H).
     """
     params = cache.params
     h = params.hidden_dim
+    p = cache.merge_probs
+    d_score = d_edge_probs * p * (1.0 - p)
     grads.w_e += cache.nb_gate.T @ d_score
+    d_nbgate = d_msum * cache.m_sel + d_score[:, None] * params.w_e
+    d_prenb = d_nbgate * cache.nb_gate * (1.0 - cache.nb_gate)
     grads.u_fn += d_prenb.T @ cache.nbr_h_prev
     d_nbr_h_prev = d_prenb @ params.u_fn
     # w_f and b_f are shared between the own forget gate and every

@@ -43,9 +43,10 @@ class GenConfig:
             raise ValueError(f"grid side must be >= 2, got {self.grid_n}")
         if self.num_labels < 2:
             raise ValueError(f"need at least 2 labels, got {self.num_labels}")
-        if self.num_seeds < self.num_labels:
+        if not self.num_labels <= self.num_seeds <= self.grid_n ** 2:
             raise ValueError(
-                f"num_seeds ({self.num_seeds}) must be >= num_labels ({self.num_labels})")
+                f"num_seeds ({self.num_seeds}) must lie between num_labels "
+                f"({self.num_labels}) and the {self.grid_n ** 2} cells of the grid")
         if self.noise < 0:
             raise ValueError(f"feature noise must be >= 0, got {self.noise}")
         if self.feature_dim < self.num_labels:

@@ -263,12 +263,6 @@ class ForwardResult:
             partitions=list(self.trace.partitions))
 
 
-def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _mean_cross_entropy(logits, labels):
     z = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
@@ -444,33 +438,46 @@ def _level_edge_targets(trace: HierarchyTrace, labels, num_classes):
     return targets
 
 
-def compute_loss(result: ForwardResult, sample: Sample, cfg: NetworkConfig):
-    """Returns (total, task_loss, edge_loss).
+def _loss_terms(result: ForwardResult, sample: Sample, cfg: NetworkConfig):
+    """The one definition of the losses: (task, edge, d_comb, d_p_levels).
 
-    task_loss: mean softmax cross-entropy of the combined base logits.
-    edge_loss: mean squared error of the predicted merging probabilities
+    task: mean softmax cross-entropy of the combined base logits.
+    edge: mean squared error of the predicted merging probabilities
     against the level merge targets, over all levels and edges.
-    total = task_loss + edge_loss_weight * edge_loss.
+    d_comb and d_p_levels: the gradients of task + edge_loss_weight * edge
+    wrt the combined logits and each level's edge probabilities.
     """
     labels = sample.labels
     if labels.max() >= cfg.num_classes or labels.min() < 0:
         raise ValueError(f"label out of range for {cfg.num_classes} classes")
-    task = _mean_cross_entropy(result.combined_logits, labels)
+    logits = result.combined_logits
+    task = _mean_cross_entropy(logits, labels)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    d_comb = e / e.sum(axis=1, keepdims=True)
+    d_comb[np.arange(labels.size), labels] -= 1.0
+    d_comb /= labels.size
+
     targets = _level_edge_targets(result.trace, labels, cfg.num_classes)
-    sq_sum = 0.0
-    count = 0
-    for p_edge, tgt in zip(result.trace.edge_probs, targets):
-        diff = p_edge - tgt
-        sq_sum += float(diff @ diff)
-        count += p_edge.size
-    edge = sq_sum / count if count else 0.0
+    diffs = [p_edge - tgt for p_edge, tgt in zip(result.trace.edge_probs, targets)]
+    count = sum(d.size for d in diffs)
+    edge = sum(float(d @ d) for d in diffs) / count if count else 0.0
+    scale = 2.0 * cfg.edge_loss_weight / count if count else 0.0
+    return task, edge, d_comb, [scale * d for d in diffs]
+
+
+def compute_loss(result: ForwardResult, sample: Sample, cfg: NetworkConfig):
+    """Returns (total, task_loss, edge_loss), as _loss_terms defines them:
+    total = task_loss + edge_loss_weight * edge_loss."""
+    task, edge, _, _ = _loss_terms(result, sample, cfg)
     return task + cfg.edge_loss_weight * edge, task, edge
 
 
 def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> ModelParams:
     """Exact gradients of the total loss over the realized structure.
 
-    Per layer, cell_backward_node reverses the forward's waves in reverse
+    The loss gradients wrt the combined logits and the edge probabilities
+    come from _loss_terms, the definition compute_loss reads too. Per
+    layer, cell_backward_node reverses the forward's waves in reverse
     order, in the forward's wave-major layout. Every gradient into a
     node's new state comes from a later-visited neighbor, in a later wave
     that is reversed already, so a wave first pulls them through its
@@ -478,33 +485,16 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     degree, and the gradient wrt the memory its reverse slot read. Slots
     of earlier-visited neighbors, not reversed yet, pull zeros; their
     owners read the neighbors' previous state, where those gradients go.
-    One cell_backward_batch call then does the order-independent rest
-    (parameter and layer-input gradients) for the whole layer. Cell
-    gradients of every layer land in the single shared cell block.
+    One cell_backward_batch call then does the order-independent rest for
+    the whole layer: the merge-probability readout's reverse, and the
+    parameter and layer-input gradients. Cell gradients of every layer
+    land in the single shared cell block.
     """
     params = result.params
-    labels = sample.labels
-    if labels.max() >= cfg.num_classes or labels.min() < 0:
-        raise ValueError(f"label out of range for {cfg.num_classes} classes")
+    _, _, d_comb, d_p_levels = _loss_terms(result, sample, cfg)
     grads = params.zeros_like()
     n_layers = len(result.level_logits)
-    n0 = sample.graph.num_nodes
     hh = params.cell.hidden_dim
-
-    # task-loss gradient wrt the combined logits
-    d_comb = _softmax(result.combined_logits)
-    d_comb[np.arange(n0), labels] -= 1.0
-    d_comb /= n0
-
-    # edge-loss gradient wrt the per-edge merging probabilities
-    targets = _level_edge_targets(result.trace, labels, cfg.num_classes)
-    total_edges = sum(p.size for p in result.trace.edge_probs)
-    d_p_levels = []
-    for p_edge, tgt in zip(result.trace.edge_probs, targets):
-        if total_edges and p_edge.size:
-            d_p_levels.append((2.0 * cfg.edge_loss_weight / total_edges) * (p_edge - tgt))
-        else:
-            d_p_levels.append(np.zeros(0))
 
     d_feats_next = None
     d_hprev_next = None
@@ -535,9 +525,7 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         else:
             d_feats_t = np.zeros((n, sample.features.shape[1]))
 
-        # each edge probability is the mean of its two directed slots, and
         # the two slots of an edge are each other's reverse
-        d_slot_probs = (0.5 * d_p_levels[t])[schedule.slot_edge]
         pairs = np.argsort(schedule.slot_edge, kind="stable").reshape(-1, 2)
         rev = np.empty(nbr.size, dtype=np.intp)
         rev[pairs] = pairs[:, ::-1]
@@ -546,8 +534,7 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
 
         d_m_prev_t = np.empty((n, hh))
         d_pre = np.empty((n, 4 * hh))
-        d_score = np.empty(nbr.size)
-        d_prenb = np.empty((nbr.size, hh))
+        d_msum = np.empty((nbr.size, hh))
         # zero until their wave is reversed: what earlier-visited
         # neighbors pull
         d_nbr_m = np.zeros((nbr.size, hh))
@@ -559,17 +546,17 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
                 flat, d_navg_k.take(nbr[s0:s1], axis=0).ravel(), b * hh).reshape(b, hh)
             d_m = d_m_new[r0:r1] + np.bincount(
                 flat, d_nbr_m.take(rev[s0:s1], axis=0).ravel(), b * hh).reshape(b, hh)
-            (d_pre[r0:r1], d_m_prev_t[r0:r1], d_navg, d_score[s0:s1], d_prenb[s0:s1],
+            (d_pre[r0:r1], d_m_prev_t[r0:r1], d_navg, d_msum[s0:s1],
              d_nbr_m[s0:s1]) = cell_backward_node(
-                 cache, slice(r0, r1), slice(s0, s1), ids, inv_k[r0:r1], d_h, d_m,
-                 d_slot_probs[s0:s1])
+                 cache, slice(r0, r1), slice(s0, s1), ids, inv_k[r0:r1], d_h, d_m)
             d_navg_k[r0:r1] = d_navg * inv_k[r0:r1, None]
 
-        # order-independent part, batched over the layer; gradients into
-        # neighbors updated after their slot's owner reach their previous
-        # state
+        # order-independent part, batched over the layer; each edge
+        # probability is the mean of its two directed slots. Gradients
+        # into neighbors updated after their slot's owner reach their
+        # previous state
         d_x, d_h_own, d_nbr_hp = cell_backward_batch(
-            grads.cell, cache, d_pre, d_score, d_prenb)
+            grads.cell, cache, d_pre, d_msum, (0.5 * d_p_levels[t])[schedule.slot_edge])
         later = nbr > owner
         d_nbr_hp[later] += d_navg_k[owner[later]]
         d_m_prev_t += segment_sum(d_nbr_m[later], nbr[later], n)
@@ -612,15 +599,21 @@ def write_lines_atomic(path, lines):
 
 def read_lines(path, error=ValueError):
     """The lines of the text file at `path`, decoded as UTF-8 whatever the
-    locale. A byte that is not UTF-8 raises `error` naming its line."""
+    locale. Only \\n, \\r\\n and \\r end a line: a form feed or another
+    character that str.splitlines also breaks at stays inside its line,
+    where str.split reads it as a blank. A byte that is not UTF-8 raises
+    `error` naming its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # a stand-in for the bad byte, so a byte just after a line break starts a line
-        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        # bytes break lines at \n, \r\n and \r only; a stand-in for the bad
+        # byte, so a byte just after a line break starts a line
+        line = len((data[:exc.start] + b"?").splitlines())
         raise error(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 # int() also takes '+', '_' and non-ASCII digits, which no writer here

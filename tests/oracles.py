@@ -81,7 +81,9 @@ def cell_update(params, x, h_prev, m_prev, neighbor_avg,
 
 def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
     """Exact reverse of cell_update: cell_backward_node followed by
-    cell_backward_batch over its one node.
+    cell_backward_batch over its one node. The merge-probability
+    readout's reverse, which d_edge_probs enters, is in
+    cell_backward_batch.
 
     Args:
         cache: CellCache from cell_update.
@@ -103,11 +105,10 @@ def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
     if d_edge_probs is None:
         d_edge_probs = np.zeros(k)
     _, seg, inv_k = _one_node(k, cache.params.hidden_dim)
-    d_pre, d_m_prev, d_navg, d_score, d_prenb, d_nbr_m = cell_backward_node(
-        cache, slice(0, 1), slice(0, k), seg, inv_k, d_hidden[None], d_memory[None],
-        d_edge_probs)
+    d_pre, d_m_prev, d_navg, d_msum, d_nbr_m = cell_backward_node(
+        cache, slice(0, 1), slice(0, k), seg, inv_k, d_hidden[None], d_memory[None])
     d_x, d_h_prev, d_nbr_h_prev = cell_backward_batch(
-        grads, cache, d_pre, d_score, d_prenb)
+        grads, cache, d_pre, d_msum, d_edge_probs)
     if not k:
         d_nbr_h_prev = d_nbr_m = None
     return grads, d_x[0], d_h_prev[0], d_m_prev[0], d_navg[0], d_nbr_h_prev, d_nbr_m

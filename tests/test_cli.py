@@ -56,6 +56,14 @@ class TestGenerate:
         assert code == EXIT_CONFIG
         assert "labels" in capsys.readouterr().err
 
+    def test_more_seeds_than_cells_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = run(["generate", "--grid-n", "2", "--num-seeds", "6", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "num_seeds (6)" in err and "4 cells" in err
+        assert not out.exists()
+
     def test_missing_out_exits_2(self):
         assert run(["generate", "--samples", "2"]) == EXIT_CONFIG
 

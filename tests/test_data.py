@@ -47,6 +47,10 @@ class TestGenConfig:
             GenConfig(num_labels=1)
         with pytest.raises(ValueError, match="num_seeds"):
             GenConfig(num_labels=4, num_seeds=2)
+        # each seed takes a cell of its own
+        with pytest.raises(ValueError, match=r"num_seeds \(6\) .* the 4 cells"):
+            GenConfig(grid_n=2, num_labels=2, num_seeds=6)
+        assert GenConfig(grid_n=2, num_labels=2, num_seeds=4).num_seeds == 4
         with pytest.raises(ValueError, match="feature_dim"):
             GenConfig(num_labels=4, feature_dim=3)
         with pytest.raises(ValueError, match="noise"):

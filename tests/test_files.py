@@ -75,15 +75,26 @@ def test_fuzzed_datasets_fail_with_a_line(tmp_path):
             load_dataset(path)
 
 
-@pytest.mark.parametrize("column", [0, 1])
-@pytest.mark.parametrize("kind", ["dataset", "checkpoint", "config"])
-def test_non_utf8_byte_fails_with_its_line(tmp_path, capsys, kind, column):
+def write_text_files(tmp_path):
+    """A dataset, a checkpoint and a config file that all load."""
     ds = generate_dataset(GenConfig(grid_n=3, num_labels=2, seed=4), 2)
     cfg = NetworkConfig(input_dim=ds.feature_dim, num_classes=2, num_layers=1)
     files = {name: tmp_path / f"{name}.txt" for name in ("dataset", "checkpoint", "config")}
     save_dataset(files["dataset"], ds)
     save_checkpoint(files["checkpoint"], init_params(cfg, np.random.default_rng(0)), cfg)
     files["config"].write_text("samples = 2\n# grid side\ngrid_n = 3\n")
+    return files
+
+
+LOADERS = {"dataset": (load_dataset, DatasetError),
+           "checkpoint": (load_checkpoint, ValueError),
+           "config": (lambda p: load_config_file(p, RunConfig()), ValueError)}
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint", "config"])
+def test_non_utf8_byte_fails_with_its_line(tmp_path, capsys, kind, column):
+    files = write_text_files(tmp_path)
     # one stray byte on line 3 of the file under test
     path = files[kind]
     lines = path.read_bytes().split(b"\n")
@@ -92,18 +103,46 @@ def test_non_utf8_byte_fails_with_its_line(tmp_path, capsys, kind, column):
 
     evaluate = ["eval", "--checkpoint", str(files["checkpoint"]),
                 "--dataset", str(files["dataset"])]
-    loader, error, argv, code = {
-        "dataset": (load_dataset, DatasetError, evaluate, EXIT_IO),
-        "checkpoint": (load_checkpoint, ValueError, evaluate, EXIT_CONFIG),
-        "config": (lambda p: load_config_file(p, RunConfig()), ValueError,
-                   ["generate", "--config", str(path), "--out", str(tmp_path / "out.txt")],
+    argv, code = {
+        "dataset": (evaluate, EXIT_IO),
+        "checkpoint": (evaluate, EXIT_CONFIG),
+        "config": (["generate", "--config", str(path), "--out", str(tmp_path / "out.txt")],
                    EXIT_CONFIG),
     }[kind]
+    loader, error = LOADERS[kind]
     at_line = re.escape(str(path)) + ":3: "
     with pytest.raises(error, match="^" + at_line):
         loader(path)
     assert main(argv) == code
     assert re.match("error: " + at_line, capsys.readouterr().err)
+
+
+# every character but \n and \r that str.splitlines breaks a line at
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("later", ["byte", "token"])
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint", "config"])
+def test_line_break_lookalike_keeps_line_numbers(tmp_path, kind, later):
+    files = write_text_files(tmp_path)
+    path = files[kind]
+    loader, error = LOADERS[kind]
+    lines = path.read_text().split("\n")
+    # line 4 breaks: an edge line, a row of w_u, or a line of its own
+    bad = {"dataset": "0 x", "checkpoint": "x", "config": "bogus = 1"}[kind]
+    if kind == "config":
+        lines.insert(3, bad)
+    elif later == "token":
+        lines[3] = bad
+    for char in SPLITLINES_ONLY:
+        # a blank to str.split at the end of line 2
+        data = [line.encode() for line in lines[:1] + [lines[1] + char] + lines[2:]]
+        if later == "byte":
+            data[3] += b"\xff"
+        # the lines end in \r\n, \r and \n, one line break each
+        path.write_bytes(data[0] + b"\r\n" + data[1] + b"\r" + b"\n".join(data[2:]))
+        with pytest.raises(error, match="^" + re.escape(str(path)) + ":4: "):
+            loader(path)
 
 
 class Unconvertible:

@@ -153,6 +153,29 @@ class TestGradCheck:
         assert report.passed, report.tensor_errors
         assert report.max_error < 1e-5
 
+    def test_sampled_coarsening_passes(self):
+        # a 4x4 grid, 3 layers, Metropolis-Hastings in train mode: grad_check
+        # replays the structure this seed samples, where both transitions
+        # merge nodes and the coarse levels keep edges. Scaled cell weights,
+        # head noise and |w_e| = 3 keep every gradient above the difference
+        # oracle's cancellation noise floor
+        ds = generate_dataset(GenConfig(grid_n=4, num_labels=3, noise=0.3, seed=6), 1)
+        sample = ds.samples[0]
+        cfg = NetworkConfig(input_dim=ds.feature_dim, num_classes=3, num_layers=3)
+        rng = np.random.default_rng(6)
+        params = init_params(cfg, rng)
+        for _, t in params.cell.tensors():
+            t *= 5.0
+        params.cell.w_e[...] = 3.0 * np.sign(params.cell.w_e)
+        for w, _ in params.heads:
+            w += rng.normal(0.0, 0.3, w.shape)
+        res = forward(sample, params, cfg, np.random.default_rng([6, 1]), mode="train")
+        assert [g.num_nodes for g in res.trace.levels] == [16, 15, 13]
+        assert all(g.num_edges for g in res.trace.levels)
+        report = grad_check(sample, params, cfg, np.random.default_rng([6, 1]))
+        assert report.passed, report.tensor_errors
+        assert report.max_error < 1e-5
+
     def test_detects_corrupted_backward(self, monkeypatch):
         # drop the per-neighbor forget-gate gradient and expect a failure
         rng = np.random.default_rng(5)
