@@ -7,6 +7,14 @@ through the graph layer: the component labelling that coarsening uses
 (`graph._components_canonical`) runs over the grid's same-label edges.
 Features are per-label prototype vectors plus Gaussian noise, with
 normalized grid coordinates appended when the feature dimension allows.
+
+`load_dataset` converts each sample's edge, feature and label blocks with
+one numpy call each, which int() and float() do per token; every sample
+save_dataset writes is read that way. A sample whose block does not
+convert (a bad token, a line with another token count, integer text
+beyond ASCII digits and '-', an id too large for intp, or a label out of
+range) is parsed again line by line, and that parse names the line at
+fault. Both read the same inputs into the same arrays.
 """
 
 from __future__ import annotations
@@ -172,12 +180,85 @@ def _named_ints(tokens, names):
     return None
 
 
+def _numbers(tokens, dtype, shape):
+    """`tokens`, a list of strings or a list of such lists, as one array of
+    `shape`, each token converted as int() or float() converts it; None
+    when a token does not convert or the token counts do not fit `shape`."""
+    try:
+        return np.array(tokens, dtype=dtype).reshape(shape)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_blocks(lines, pos, n, m, dim, num_labels):
+    """The edge, feature and label arrays of the sample of `n` nodes and `m`
+    edges whose edge lines start at index `pos`, each block converted by
+    one numpy call; None when any block fails: integer text other than
+    ASCII digits, '-' and blanks (which int() alone would take), a token
+    that does not convert, a line of another token count, or a label out
+    of range."""
+    edge_lines, feat_lines = lines[pos:pos + m], lines[pos + m:pos + m + n]
+    label_text = lines[pos + m + n]
+    if not (INT_TEXT.fullmatch(" ".join(edge_lines)) and INT_TEXT.fullmatch(label_text)):
+        return None
+    edges = _numbers([line.split() for line in edge_lines], np.intp, (m, 2))
+    feats = _numbers([line.split() for line in feat_lines], np.float64, (n, dim))
+    labels = _numbers(label_text.split(), np.intp, (n,))
+    if edges is None or feats is None or labels is None:
+        return None
+    if labels.min() < 0 or labels.max() >= num_labels:
+        return None
+    return edges, feats, labels
+
+
+def _parse_lines(lines, pos, n, m, dim, num_labels, fail):
+    """_parse_blocks one line at a time: it names the first line that does
+    not parse, and returns the edges and labels as Python ints, so an id
+    too large for intp stays exact for the checks that follow."""
+    edges = []
+    for _ in range(m):
+        toks = lines[pos].split()
+        if len(toks) != 2 or not INT_TEXT.fullmatch(lines[pos]):
+            fail(pos + 1, f"bad edge line {lines[pos]!r}")
+        try:
+            edges.append((int(toks[0]), int(toks[1])))
+        except ValueError:
+            fail(pos + 1, f"bad edge line {lines[pos]!r}")
+        pos += 1
+    feats = np.zeros((n, dim))
+    for r in range(n):
+        toks = lines[pos].split()
+        if len(toks) != dim:
+            fail(pos + 1, f"feature row has {len(toks)} values, expected {dim}")
+        try:
+            feats[r] = [float(v) for v in toks]
+        except ValueError:
+            fail(pos + 1, f"bad feature value in {lines[pos]!r}")
+        pos += 1
+    toks = lines[pos].split()
+    if len(toks) != n:
+        fail(pos + 1, f"label row has {len(toks)} values, expected {n}")
+    try:
+        labels = parse_ints(toks)
+    except ValueError:
+        fail(pos + 1, f"bad label value in {lines[pos]!r}")
+    if min(labels) < 0 or max(labels) >= num_labels:
+        fail(pos + 1, f"label out of range for K={num_labels}")
+    return edges, feats, labels
+
+
 def load_dataset(path) -> DatasetFile:
     """Inverse of save_dataset; the round trip is lossless. Raises
     DatasetError naming the first offending line, also when the file
-    holds fewer or more samples than its header declares. Bad edges and
-    non-finite features are checked per sample, and their line is looked
-    for only when the check fails."""
+    holds fewer or more samples than its header declares.
+
+    Each sample's edge, feature and label blocks are converted with one
+    numpy call each (_parse_blocks); every sample save_dataset writes is
+    read that way. A sample with a block that fails is parsed again line
+    by line (_parse_lines), which takes the same inputs to the same values
+    and names the line that does not parse. Bad edges and non-finite
+    features are checked per sample, and their line is looked for only
+    when the check fails."""
     lines = read_lines(path, DatasetError)
 
     def fail(lineno, msg):
@@ -212,41 +293,10 @@ def load_dataset(path) -> DatasetFile:
         if pos + m + n + 1 > len(lines):
             fail(len(lines), f"truncated sample {len(samples)} "
                              f"(needs {m} edge, {n} feature, 1 label line)")
-        edge_line = pos + 1
-        # the edge lines' characters are checked at once, and line by line
-        # only when that check fails
-        chars_ok = INT_TEXT.fullmatch(" ".join(lines[pos:pos + m]))
-        edges = []
-        for k in range(m):
-            toks = lines[pos].split()
-            if len(toks) != 2 or not (chars_ok or INT_TEXT.fullmatch(lines[pos])):
-                fail(pos + 1, f"bad edge line {lines[pos]!r}")
-            try:
-                edges.append((int(toks[0]), int(toks[1])))
-            except ValueError:
-                fail(pos + 1, f"bad edge line {lines[pos]!r}")
-            pos += 1
-        feat_line = pos + 1
-        feats = np.zeros((n, dim))
-        for r in range(n):
-            toks = lines[pos].split()
-            if len(toks) != dim:
-                fail(pos + 1, f"feature row has {len(toks)} values, expected {dim}")
-            try:
-                feats[r] = [float(v) for v in toks]
-            except ValueError:
-                fail(pos + 1, f"bad feature value in {lines[pos]!r}")
-            pos += 1
-        toks = lines[pos].split()
-        if len(toks) != n:
-            fail(pos + 1, f"label row has {len(toks)} values, expected {n}")
-        try:
-            labels = parse_ints(toks)
-        except ValueError:
-            fail(pos + 1, f"bad label value in {lines[pos]!r}")
-        if labels and (min(labels) < 0 or max(labels) >= num_labels):
-            fail(pos + 1, f"label out of range for K={num_labels}")
-        pos += 1
+        edge_line, feat_line = pos + 1, pos + m + 1
+        edges, feats, labels = (_parse_blocks(lines, pos, n, m, dim, num_labels)
+                                or _parse_lines(lines, pos, n, m, dim, num_labels, fail))
+        pos += m + n + 1
 
         try:
             graph = build_graph(n, edges)

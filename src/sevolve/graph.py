@@ -27,6 +27,17 @@ def _pairs(edge_list) -> np.ndarray:
     return pairs
 
 
+def _distinct(codes) -> np.ndarray:
+    """The distinct values of the 1-d int array `codes`, ascending, as
+    np.unique gives them: a sort and a mask of the entries that differ
+    from their predecessor, which beats np.unique's hash path here."""
+    codes = np.sort(codes)
+    keep = np.empty(codes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
 def _ordered(pairs):
     """The lower and the upper entries of each row of the (m, 2) `pairs`."""
     a, b = pairs.T
@@ -63,7 +74,7 @@ class LevelGraph:
             if a == b:
                 raise ValueError(f"self-loop on node {a}")
             raise ValueError(f"edge ({a}, {b}) out of range for {num_nodes} nodes")
-        codes = np.unique(lo * num_nodes + hi)
+        codes = _distinct(lo * num_nodes + hi)
         self._build(num_nodes, np.stack(np.divmod(codes, num_nodes), axis=1))
 
     @classmethod
@@ -222,7 +233,7 @@ def quotient_graph(g: LevelGraph, partition: CliquePartition) -> LevelGraph:
         raise ValueError("partition does not cover the graph's nodes")
     num = partition.num_cliques
     lo, hi = _ordered(partition.assignment[g.edges])
-    codes = np.unique((lo * num + hi)[lo != hi])
+    codes = _distinct((lo * num + hi)[lo != hi])
     return LevelGraph._from_canonical(num, np.stack(np.divmod(codes, num), axis=1))
 
 

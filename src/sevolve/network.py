@@ -612,7 +612,9 @@ def read_lines(path, error=ValueError):
         # byte, so a byte just after a line break starts a line
         line = len((data[:exc.start] + b"?").splitlines())
         raise error(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     return lines[:-1] if lines[-1] == "" else lines
 
 

@@ -4,7 +4,8 @@ These deliberately use different algorithms than the package (union-find
 instead of min-label hooking, direct products instead of log-space sums,
 per-node ancestor walks instead of composed index maps, a node-by-node
 sweep with visit flags instead of waves, one Metropolis-Hastings trial at
-a time instead of draw blocks).
+a time instead of draw blocks, a dataset loader that converts one line
+at a time instead of one block per sample).
 
 The single-node and single-proposal helpers the tests and oracles build
 on live here too: cell_update and cell_backward compose the package's
@@ -23,6 +24,7 @@ from sevolve.cell import (
     cell_forward,
     cell_forward_batch,
 )
+from sevolve.data import DATASET_MAGIC, DatasetError, DatasetFile, _named_ints
 from sevolve.evolve import (
     _eliminated_product,
     _intra_clique_mask,
@@ -35,9 +37,11 @@ from sevolve.graph import (
     CliquePartition,
     _components_canonical,
     aggregate_node_values,
+    build_graph,
     quotient_graph,
     segment_ids,
 )
+from sevolve.network import INT_TEXT, Sample, parse_ints, read_lines
 
 
 def _one_node(num_slots, hidden_dim):
@@ -415,3 +419,95 @@ def _sequential_backward(out, sample, params, cfg):
                 d_h_prev[j] += d_nbr_h[s]
         d_next = (d_x, d_h_prev, d_m_prev)
     return grads
+
+
+def load_dataset_per_line(path):
+    """data.load_dataset converting every sample line by line: each edge
+    line's two ints, each feature row's floats and the label line's ints
+    in turn, the first line that does not parse named in the error."""
+    lines = read_lines(path, DatasetError)
+
+    def fail(lineno, msg):
+        raise DatasetError(f"{path}:{lineno}: {msg}")
+
+    if not lines:
+        fail(1, "empty file, expected dataset header")
+    head = lines[0].split()
+    if len(head) != 5 or " ".join(head[:2]) != DATASET_MAGIC:
+        fail(1, f"bad header {lines[0]!r}, expected '{DATASET_MAGIC} D=<d> K=<k> N=<samples>'")
+    fields = _named_ints(head[2:], ("D", "K", "N"))
+    if fields is None:
+        fail(1, f"bad header fields {lines[0]!r}, expected 'D=<d> K=<k> N=<samples>'")
+    dim, num_labels, count = fields
+    if dim < 1 or num_labels < 1 or count < 0:
+        fail(1, f"header needs D >= 1, K >= 1 and N >= 0, got {lines[0]!r}")
+
+    samples = []
+    pos = 1
+    while len(samples) < count:
+        if pos == len(lines):
+            fail(pos, f"file ends after {len(samples)} of the {count} samples in the header")
+        parts = lines[pos].split()
+        record = (_named_ints(parts[1:], ("nodes", "edges"))
+                  if len(parts) == 3 and parts[0] == "sample" else None)
+        if record is None:
+            fail(pos + 1, f"expected 'sample nodes=<n> edges=<m>', got {lines[pos]!r}")
+        n, m = record
+        if n < 1 or m < 0:
+            fail(pos + 1, f"sample needs nodes >= 1 and edges >= 0, got {lines[pos]!r}")
+        pos += 1
+        if pos + m + n + 1 > len(lines):
+            fail(len(lines), f"truncated sample {len(samples)} "
+                             f"(needs {m} edge, {n} feature, 1 label line)")
+        edge_line = pos + 1
+        edges = []
+        for _ in range(m):
+            toks = lines[pos].split()
+            if len(toks) != 2 or not INT_TEXT.fullmatch(lines[pos]):
+                fail(pos + 1, f"bad edge line {lines[pos]!r}")
+            try:
+                edges.append((int(toks[0]), int(toks[1])))
+            except ValueError:
+                fail(pos + 1, f"bad edge line {lines[pos]!r}")
+            pos += 1
+        feat_line = pos + 1
+        feats = np.zeros((n, dim))
+        for r in range(n):
+            toks = lines[pos].split()
+            if len(toks) != dim:
+                fail(pos + 1, f"feature row has {len(toks)} values, expected {dim}")
+            try:
+                feats[r] = [float(v) for v in toks]
+            except ValueError:
+                fail(pos + 1, f"bad feature value in {lines[pos]!r}")
+            pos += 1
+        toks = lines[pos].split()
+        if len(toks) != n:
+            fail(pos + 1, f"label row has {len(toks)} values, expected {n}")
+        try:
+            labels = parse_ints(toks)
+        except ValueError:
+            fail(pos + 1, f"bad label value in {lines[pos]!r}")
+        if labels and (min(labels) < 0 or max(labels) >= num_labels):
+            fail(pos + 1, f"label out of range for K={num_labels}")
+        pos += 1
+
+        try:
+            graph = build_graph(n, edges)
+        except ValueError as exc:
+            k = next(k for k, (a, b) in enumerate(edges)
+                     if a == b or not (0 <= a < n and 0 <= b < n))
+            fail(edge_line + k, f"invalid edge: {exc}")
+        if graph.num_edges != m:
+            seen = set()
+            for k, (a, b) in enumerate(edges):
+                if (min(a, b), max(a, b)) in seen:
+                    fail(edge_line + k, f"repeated edge {a} {b}")
+                seen.add((min(a, b), max(a, b)))
+        finite = np.isfinite(feats)
+        if not finite.all():
+            fail(feat_line + int(np.argmin(finite.all(axis=1))), "non-finite feature value")
+        samples.append(Sample(graph, feats, labels))
+    if pos < len(lines):
+        fail(pos + 1, f"extra line after the {count} samples in the header: {lines[pos]!r}")
+    return DatasetFile(dim, num_labels, samples)

@@ -9,9 +9,18 @@ import pytest
 
 from sevolve import optim
 from sevolve.cli import EXIT_CONFIG, EXIT_IO, RunConfig, load_config_file, main
-from sevolve.data import DatasetError, GenConfig, generate_dataset, load_dataset, save_dataset
+from sevolve.data import (
+    DatasetError,
+    DatasetFile,
+    GenConfig,
+    generate_dataset,
+    load_dataset,
+    save_dataset,
+)
 from sevolve.evolve import EvolveConfig
-from sevolve.network import NetworkConfig, init_params, load_checkpoint, save_checkpoint
+from sevolve.graph import build_graph
+from sevolve.network import NetworkConfig, Sample, init_params, load_checkpoint, save_checkpoint
+from oracles import load_dataset_per_line
 
 # damaged tokens: none is a number, and none holds "=" as a header field does
 GARBAGE = ("x", "1.5.2", "--", "7e", "0x")
@@ -60,10 +69,47 @@ def test_fuzzed_checkpoints_fail_with_a_line(tmp_path):
             load_checkpoint(path)
 
 
+def load_outcome(loader, path):
+    """What `loader` makes of the dataset at `path`: its DatasetError text,
+    or the header fields and every sample's arrays, the features as their
+    bits so that -0.0 and 0.0 differ."""
+    try:
+        ds = loader(path)
+    except DatasetError as exc:
+        return str(exc)
+    return (ds.feature_dim, ds.num_labels,
+            [(s.graph.num_nodes, s.graph.edges, s.features.view(np.int64), s.labels)
+             for s in ds.samples])
+
+
+def assert_same_outcome(got, expected):
+    """Two load_outcome results hold the same error text, or the same
+    header fields and arrays bit for bit."""
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    assert got[:2] == expected[:2] and len(got[2]) == len(expected[2])
+    for ours, theirs in zip(got[2], expected[2]):
+        assert ours[0] == theirs[0]
+        for a, b in zip(ours[1:], theirs[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_same_load(path):
+    """load_dataset and the per-line oracle return the same arrays bit for
+    bit, or raise the same error text; returns load_dataset's outcome."""
+    got = load_outcome(load_dataset, path)
+    assert_same_outcome(got, load_outcome(load_dataset_per_line, path))
+    return got
+
+
+# 3x3 grids: 9 nodes, 12 edges and D = 6, so no line of one kind has the
+# token count of another
+FUZZ_CONFIG = GenConfig(grid_n=3, num_labels=4, seed=2)
+
+
 def test_fuzzed_datasets_fail_with_a_line(tmp_path):
-    # 3x3 grids: 9 nodes, 12 edges and D = 6, so no line of one kind has
-    # the token count of another
-    ds = generate_dataset(GenConfig(grid_n=3, num_labels=4, seed=2), 3)
+    ds = generate_dataset(FUZZ_CONFIG, 3)
     path = tmp_path / "data.txt"
     save_dataset(path, ds)
     lines = path.read_text().splitlines()
@@ -73,6 +119,59 @@ def test_fuzzed_datasets_fail_with_a_line(tmp_path):
         path.write_text("".join(line + "\n" for line in mutate(lines, kind, rng)))
         with pytest.raises(DatasetError, match=located(path)):
             load_dataset(path)
+        assert_same_load(path)
+
+
+# tokens that int() or float() read in ways a digit-only parser would not
+ODD_TOKENS = ("1_0", "+1", "\uff11", "0x10", "1-2", "7e", ".", "-0.0", "1e400", "nan",
+              str(2**70))
+# blanks str.split reads between or around tokens: a tab, a double space,
+# a trailing blank and a form feed
+BLANKS = (("\t", 1), ("  ", 1), (" ", 0), ("\x0c", 1))
+
+
+def targeted_edits():
+    """(id, line index, edit) over an edge line, a feature line and the
+    label line of the first sample of a saved FUZZ_CONFIG dataset."""
+    for what, index in (("edge", 2), ("feature", 15), ("label", 23)):
+        for token in ODD_TOKENS:
+            def put(line, token=token):
+                tokens = line.split()
+                tokens[1] = token
+                return " ".join(tokens)
+            yield f"{what}-{token!r}", index, put
+        for blank, inner in BLANKS:
+            def spread(line, blank=blank, inner=inner):
+                return line.replace(" ", blank, 1) if inner else line + blank
+            yield f"{what}-blank-{blank!r}", index, spread
+
+
+@pytest.mark.parametrize("index, edit", [case[1:] for case in targeted_edits()],
+                         ids=[case[0] for case in targeted_edits()])
+def test_block_loader_matches_per_line_oracle(tmp_path, index, edit):
+    path = tmp_path / "data.txt"
+    save_dataset(path, generate_dataset(FUZZ_CONFIG, 2))
+    lines = path.read_text().splitlines()
+    assert lines[1] == "sample nodes=9 edges=12" and lines[index].count(" ") >= 1
+    lines[index] = edit(lines[index])
+    outcomes = []
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes("".join(line + end for line in lines).encode())
+        outcomes.append(assert_same_load(path))
+    for outcome in outcomes[1:]:
+        assert_same_outcome(outcome, outcomes[0])
+
+
+def test_block_loader_reads_signed_zero_and_edgeless_samples(tmp_path):
+    rng = np.random.default_rng(5)
+    samples = [Sample(build_graph(n, edges), rng.normal(size=(n, 3)), rng.integers(0, 2, n))
+               for n, edges in ((1, []), (3, []), (3, [(0, 2)]))]
+    samples[1].features[1, 2] = -0.0
+    path = tmp_path / "data.txt"
+    save_dataset(path, DatasetFile(3, 2, samples))
+    _, _, loaded = assert_same_load(path)
+    assert [len(edges) for _, edges, _, _ in loaded] == [0, 0, 1]
+    assert loaded[1][2][1, 2] == np.float64(-0.0).view(np.int64)
 
 
 def write_text_files(tmp_path):

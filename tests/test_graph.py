@@ -8,6 +8,7 @@ from sevolve.graph import (
     CliquePartition,
     HierarchyTrace,
     LevelGraph,
+    _distinct,
     aggregate_node_values,
     build_graph,
     coarsen,
@@ -82,6 +83,16 @@ class TestBuildGraph:
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="at least one node"):
             build_graph(0, [])
+
+    def test_distinct_matches_np_unique(self):
+        rng = np.random.default_rng(4)
+        for size in (0, 1, 2, 7, 100, 2000):
+            # few distinct values, so most draws repeat one
+            codes = rng.integers(-5, max(size // 3, 1), size=size)
+            got = _distinct(codes)
+            assert got.dtype == codes.dtype
+            assert np.array_equal(got, np.unique(codes))
+        assert _distinct(np.array([], dtype=np.intp)).tolist() == []
 
 
 class TestCSR:

@@ -15,7 +15,11 @@ seeds x 8x8/16x16/32x32 grids with the benchmark checkpoint
 (perfbench/model.ckpt) in Metropolis-Hastings train
 mode, MH test mode and threshold-0.8 mode; a replay of 2x2 block pooling
 on a 32x32 grid; and 20 small random graphs with widened random weights,
-in train and test mode.
+in train and test mode. `dump` also saves generated datasets of 8x8,
+16x16 and 32x32 grids, and a copy of the 8x8 one with \r\n line ends,
+loads each back with load_dataset and saves every sample's edges, labels
+and feature bits (as int64, so -0.0 and 0.0 differ), which pins the loader
+as exactly as the model outputs.
 
 `compare` requires the discrete arrays (integer and bool) of both dumps
 to match exactly, and reports per output kind how many float arrays are
@@ -27,6 +31,7 @@ differs, or a float deviation exceeds --rtol.
 import argparse
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -101,6 +106,27 @@ def _random_graph_cases(network, graph, EvolveConfig):
                    np.random.default_rng([12, k]), None)
 
 
+def _loaded_datasets(data):
+    """(name, arrays) of each saved dataset as load_dataset reads it back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for side in (8, 16, 32):
+            gen = data.GenConfig(grid_n=side, num_labels=4, feature_dim=6, seed=side)
+            paths[f"load-g{side}"] = Path(tmp, f"g{side}.txt")
+            data.save_dataset(paths[f"load-g{side}"], data.generate_dataset(gen, 4))
+        paths["load-g8-crlf"] = Path(tmp, "g8-crlf.txt")
+        paths["load-g8-crlf"].write_bytes(
+            paths["load-g8"].read_bytes().replace(b"\n", b"\r\n"))
+        for name, path in paths.items():
+            ds = data.load_dataset(path)
+            arrays = {"header": np.array([ds.feature_dim, ds.num_labels, len(ds)])}
+            for k, s in enumerate(ds.samples):
+                arrays[f"edges/{k}"] = s.graph.edges
+                arrays[f"labels/{k}"] = s.labels
+                arrays[f"feature_bits/{k}"] = s.features.view(np.int64)
+            yield name, arrays
+
+
 def dump(path):
     from sevolve import data, graph, network
     from sevolve.evolve import EvolveConfig, trace_records
@@ -133,8 +159,12 @@ def dump(path):
             arrays[f"grads/{tname}"] = tensor
         for key, value in arrays.items():
             out[f"{name}/{key}"] = np.asarray(value)
+    datasets = list(_loaded_datasets(data))
+    for name, arrays in datasets:
+        for key, value in arrays.items():
+            out[f"{name}/{key}"] = value
     np.savez_compressed(path, **out)
-    print(f"{len(cases)} cases, {len(out)} arrays -> {path}")
+    print(f"{len(cases)} cases, {len(datasets)} datasets, {len(out)} arrays -> {path}")
 
 
 def compare(old_path, new_path, rtol):
