@@ -146,10 +146,11 @@ def cmd_generate(cfg: RunConfig) -> int:
                     feature_dim=cfg.feature_dim, noise=cfg.noise, seed=cfg.seed)
     dataset = generate_dataset(gen, cfg.samples)
     save_dataset(cfg.out, dataset)
+    frac = 0.0
     if dataset.samples:
-        frac = float(np.mean([s.edge_targets.mean() for s in dataset.samples]))
-    else:
-        frac = 0.0
+        # per sample, the fraction of edges whose endpoints share a label
+        ends = [s.labels[s.graph.edges] for s in dataset.samples]
+        frac = float(np.mean([(e[:, 0] == e[:, 1]).mean() for e in ends]))
     print(f"samples={len(dataset)} same_label_edge_fraction={frac!r}")
     return EXIT_OK
 

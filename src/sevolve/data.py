@@ -8,13 +8,13 @@ through the graph layer: the component labelling that coarsening uses
 Features are per-label prototype vectors plus Gaussian noise, with
 normalized grid coordinates appended when the feature dimension allows.
 
-`load_dataset` converts each sample's edge, feature and label blocks with
-one numpy call each, which int() and float() do per token; every sample
-save_dataset writes is read that way. A sample whose block does not
-convert (a bad token, a line with another token count, integer text
-beyond ASCII digits and '-', an id too large for intp, or a label out of
-range) is parsed again line by line, and that parse names the line at
-fault. Both read the same inputs into the same arrays.
+`load_dataset` reads each sample's edge, feature and label blocks through
+`network.parse_block`, the reader the checkpoint loader uses too: one
+numpy call per block converts every token as int() or float() would, and
+a block that does not convert (a bad token, a line with another token
+count, or integer text beyond ASCII digits and '-') has its first line at
+fault named in the error. An id or label too large for intp comes back as
+Python ints, which the edge and label range checks report exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sevolve.graph import LevelGraph, _components_canonical, build_graph
-from sevolve.network import INT_TEXT, Sample, parse_ints, read_lines, write_lines_atomic
+from sevolve.network import Sample, parse_block, parse_ints, read_lines, write_lines_atomic
 
 _MAX_REGION_RESAMPLES = 200
 
@@ -55,8 +55,8 @@ class GenConfig:
             raise ValueError(
                 f"num_seeds ({self.num_seeds}) must lie between num_labels "
                 f"({self.num_labels}) and the {self.grid_n ** 2} cells of the grid")
-        if self.noise < 0:
-            raise ValueError(f"feature noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < np.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         if self.feature_dim < self.num_labels:
             raise ValueError(
                 f"feature_dim ({self.feature_dim}) too small to hold "
@@ -180,89 +180,23 @@ def _named_ints(tokens, names):
     return None
 
 
-def _numbers(tokens, dtype, shape):
-    """`tokens`, a list of strings or a list of such lists, as one array of
-    `shape`, each token converted as int() or float() converts it; None
-    when a token does not convert or the token counts do not fit `shape`."""
-    try:
-        return np.array(tokens, dtype=dtype).reshape(shape)
-    except (ValueError, OverflowError):
-        return None
-
-
-def _parse_blocks(lines, pos, n, m, dim, num_labels):
-    """The edge, feature and label arrays of the sample of `n` nodes and `m`
-    edges whose edge lines start at index `pos`, each block converted by
-    one numpy call; None when any block fails: integer text other than
-    ASCII digits, '-' and blanks (which int() alone would take), a token
-    that does not convert, a line of another token count, or a label out
-    of range."""
-    edge_lines, feat_lines = lines[pos:pos + m], lines[pos + m:pos + m + n]
-    label_text = lines[pos + m + n]
-    if not (INT_TEXT.fullmatch(" ".join(edge_lines)) and INT_TEXT.fullmatch(label_text)):
-        return None
-    edges = _numbers([line.split() for line in edge_lines], np.intp, (m, 2))
-    feats = _numbers([line.split() for line in feat_lines], np.float64, (n, dim))
-    labels = _numbers(label_text.split(), np.intp, (n,))
-    if edges is None or feats is None or labels is None:
-        return None
-    if labels.min() < 0 or labels.max() >= num_labels:
-        return None
-    return edges, feats, labels
-
-
-def _parse_lines(lines, pos, n, m, dim, num_labels, fail):
-    """_parse_blocks one line at a time: it names the first line that does
-    not parse, and returns the edges and labels as Python ints, so an id
-    too large for intp stays exact for the checks that follow."""
-    edges = []
-    for _ in range(m):
-        toks = lines[pos].split()
-        if len(toks) != 2 or not INT_TEXT.fullmatch(lines[pos]):
-            fail(pos + 1, f"bad edge line {lines[pos]!r}")
-        try:
-            edges.append((int(toks[0]), int(toks[1])))
-        except ValueError:
-            fail(pos + 1, f"bad edge line {lines[pos]!r}")
-        pos += 1
-    feats = np.zeros((n, dim))
-    for r in range(n):
-        toks = lines[pos].split()
-        if len(toks) != dim:
-            fail(pos + 1, f"feature row has {len(toks)} values, expected {dim}")
-        try:
-            feats[r] = [float(v) for v in toks]
-        except ValueError:
-            fail(pos + 1, f"bad feature value in {lines[pos]!r}")
-        pos += 1
-    toks = lines[pos].split()
-    if len(toks) != n:
-        fail(pos + 1, f"label row has {len(toks)} values, expected {n}")
-    try:
-        labels = parse_ints(toks)
-    except ValueError:
-        fail(pos + 1, f"bad label value in {lines[pos]!r}")
-    if min(labels) < 0 or max(labels) >= num_labels:
-        fail(pos + 1, f"label out of range for K={num_labels}")
-    return edges, feats, labels
-
-
 def load_dataset(path) -> DatasetFile:
     """Inverse of save_dataset; the round trip is lossless. Raises
     DatasetError naming the first offending line, also when the file
     holds fewer or more samples than its header declares.
 
-    Each sample's edge, feature and label blocks are converted with one
-    numpy call each (_parse_blocks); every sample save_dataset writes is
-    read that way. A sample with a block that fails is parsed again line
-    by line (_parse_lines), which takes the same inputs to the same values
-    and names the line that does not parse. Bad edges and non-finite
-    features are checked per sample, and their line is looked for only
-    when the check fails."""
+    Each sample's edge, feature and label blocks are read in that order by
+    parse_block, which converts a block with one numpy call and, when it
+    does not convert, names its first line at fault. Label range, bad
+    edges and non-finite features are checked per block, and their line
+    is looked for only when the check fails."""
     lines = read_lines(path, DatasetError)
 
     def fail(lineno, msg):
         raise DatasetError(f"{path}:{lineno}: {msg}")
+
+    def bad_edge(r, line):
+        return f"bad edge line {line!r}"
 
     if not lines:
         fail(1, "empty file, expected dataset header")
@@ -294,9 +228,18 @@ def load_dataset(path) -> DatasetFile:
             fail(len(lines), f"truncated sample {len(samples)} "
                              f"(needs {m} edge, {n} feature, 1 label line)")
         edge_line, feat_line = pos + 1, pos + m + 1
-        edges, feats, labels = (_parse_blocks(lines, pos, n, m, dim, num_labels)
-                                or _parse_lines(lines, pos, n, m, dim, num_labels, fail))
+        edges = parse_block(lines, pos, m, 2, np.intp, fail, bad_edge, bad_edge)
+        feats = parse_block(
+            lines, pos + m, n, dim, np.float64, fail,
+            lambda r, line: f"feature row has {len(line.split())} values, expected {dim}",
+            lambda r, line: f"bad feature value in {line!r}")
+        (labels,) = parse_block(
+            lines, pos + m + n, 1, n, np.intp, fail,
+            lambda r, line: f"label row has {len(line.split())} values, expected {n}",
+            lambda r, line: f"bad label value in {line!r}")
         pos += m + n + 1
+        if np.min(labels) < 0 or np.max(labels) >= num_labels:
+            fail(pos, f"label out of range for K={num_labels}")
 
         try:
             graph = build_graph(n, edges)

@@ -264,14 +264,13 @@ def evolve_deterministic(g: LevelGraph, edge_probs, threshold: float):
     return quotient_graph(g, part), part, log
 
 
-def replay_trials(log: TrialLog, rng=None) -> list[ReplayedTrial]:
-    """Each trial's detail, redrawn under the draw contract: from a new
+def replay_trials(log: TrialLog) -> list[ReplayedTrial]:
+    """Each trial's detail, redrawn under the draw contract from a new
     numpy Generator set to `log.rng_state`, so the caller's rng is not
-    touched, or from `rng` when given, a stream standing where the
-    transition's stood. A threshold log's one trial selects the edges
-    with probability >= threshold and has alpha 1."""
+    touched. A threshold log's one trial selects the edges with
+    probability >= threshold and has alpha 1."""
     g, probs = log.graph, log.probs
-    if rng is None and log.threshold is None and len(log):
+    if log.threshold is None and len(log):
         bit_gen = getattr(np.random, log.rng_state["bit_generator"])()
         bit_gen.state = log.rng_state
         rng = np.random.Generator(bit_gen)

@@ -107,13 +107,6 @@ class LevelGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, i: int):
-        """Sorted neighbor ids of node i, as a tuple."""
-        if not (0 <= i < self.num_nodes):
-            raise ValueError(f"node {i} out of range for {self.num_nodes} nodes")
-        indptr, indices, _ = self.csr
-        return tuple(indices[indptr[i]:indptr[i + 1]].tolist())
-
     def __eq__(self, other):
         if not isinstance(other, LevelGraph):
             return NotImplemented
@@ -160,10 +153,6 @@ class CliquePartition:
     @classmethod
     def identity(cls, num_nodes: int) -> "CliquePartition":
         return cls(np.arange(num_nodes), num_nodes)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.num_cliques == self.num_nodes
 
     def sizes(self) -> np.ndarray:
         """Member count per clique (read-only)."""

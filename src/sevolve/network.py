@@ -67,8 +67,9 @@ class NetworkConfig:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.edge_loss_weight < 0:
-            raise ValueError("edge_loss_weight must be >= 0")
+        if not 0 <= self.edge_loss_weight < np.inf:
+            raise ValueError(
+                f"edge_loss_weight must be finite and >= 0, got {self.edge_loss_weight}")
 
 
 class ModelParams:
@@ -122,13 +123,9 @@ def init_params(cfg: NetworkConfig, rng) -> ModelParams:
 
 
 class Sample:
-    """A base graph with per-node feature vectors and class labels.
+    """A base graph with per-node feature vectors and class labels."""
 
-    Per-edge merge targets (1 iff the endpoints share a label) are derived
-    on construction, in canonical edge order.
-    """
-
-    __slots__ = ("graph", "features", "labels", "edge_targets")
+    __slots__ = ("graph", "features", "labels")
 
     def __init__(self, graph: LevelGraph, features, labels):
         feats = np.ascontiguousarray(features, dtype=np.float64)
@@ -146,8 +143,6 @@ class Sample:
         self.graph = graph
         self.features = feats
         self.labels = lbls
-        ends = lbls[graph.edges]
-        self.edge_targets = (ends[:, 0] == ends[:, 1]).astype(np.float64)
 
     @property
     def num_nodes(self) -> int:
@@ -631,6 +626,43 @@ def parse_ints(tokens) -> list[int]:
     return [int(t) for t in tokens]
 
 
+def parse_block(lines, start, rows, width, dtype, fail, wrong_count, bad_token):
+    """The `rows` lines of `lines` from index `start`, `width` tokens
+    each, as one (rows, width) array of `dtype`, np.intp or np.float64,
+    converted by one numpy call that reads every token as int() or float()
+    does; integer lines must also match INT_TEXT.
+
+    When the block does not convert, its lines are tried in order and the
+    first one at fault is named by calling fail(lineno, message), lineno
+    1-based: the message is wrong_count(r, line) for a line of another
+    token count and bad_token(r, line) for a token that does not convert,
+    r being the row within the block and line its text. When no line is
+    at fault, an integer does not fit intp: the rows are then returned as
+    lists of Python ints, so a range check that follows sees the exact
+    value.
+    """
+    block = lines[start:start + rows]
+    is_int = dtype == np.intp
+    if not is_int or INT_TEXT.fullmatch(" ".join(block)):
+        try:
+            return np.array([line.split() for line in block], dtype=dtype).reshape(rows, width)
+        except (ValueError, OverflowError):
+            pass
+    convert = int if is_int else float
+    values = []
+    for r, line in enumerate(block):
+        tokens = line.split()
+        if len(tokens) != width:
+            fail(start + r + 1, wrong_count(r, line))
+        if is_int and not INT_TEXT.fullmatch(line):
+            fail(start + r + 1, bad_token(r, line))
+        try:
+            values.append([convert(token) for token in tokens])
+        except ValueError:
+            fail(start + r + 1, bad_token(r, line))
+    return values
+
+
 def save_checkpoint(path, params: ModelParams, cfg: NetworkConfig):
     """Versioned text checkpoint: a header with the model dimensions, then
     every named tensor with its dims and row-major full-precision values.
@@ -649,36 +681,40 @@ def save_checkpoint(path, params: ModelParams, cfg: NetworkConfig):
 def load_checkpoint(path):
     """Reads a checkpoint, validating the header fields (each known one
     exactly once), tensor names and dims exactly and every value as a
-    finite number; errors name the path and line.
+    finite number; errors name the path and line. Each tensor's rows are
+    read as one block (parse_block).
 
     Returns (params, meta) with meta holding input_dim, hidden_dim,
     num_classes, and num_layers.
     """
     lines = read_lines(path)
+
+    def fail(lineno, msg):
+        raise ValueError(f"{path}:{lineno}: {msg}") from None
+
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC + " "):
-        raise ValueError(f"{path}:1: not a {CHECKPOINT_MAGIC} checkpoint")
+        fail(1, f"not a {CHECKPOINT_MAGIC} checkpoint")
     names = {"D": "input_dim", "H": "hidden_dim", "C": "num_classes", "layers": "num_layers"}
     fields = {}
     for token in lines[0].split()[2:]:
         key, sep, value = token.partition("=")
         if not (key and sep):
-            raise ValueError(f"{path}:1: malformed header token {token!r}")
+            fail(1, f"malformed header token {token!r}")
         if key not in names:
-            raise ValueError(f"{path}:1: unknown header field {key!r}")
+            fail(1, f"unknown header field {key!r}")
         if key in fields:
-            raise ValueError(f"{path}:1: repeated header field {key!r}")
+            fail(1, f"repeated header field {key!r}")
         fields[key] = value
     meta = {}
     for key, name in names.items():
         if key not in fields:
-            raise ValueError(f"{path}:1: checkpoint header missing field {key!r}")
+            fail(1, f"checkpoint header missing field {key!r}")
         try:
             (meta[name],) = parse_ints([fields[key]])
         except ValueError:
-            raise ValueError(
-                f"{path}:1: header field {key}={fields[key]!r} is not an integer") from None
+            fail(1, f"header field {key}={fields[key]!r} is not an integer")
         if meta[name] < 1:
-            raise ValueError(f"{path}:1: header field {key}={meta[name]} must be positive")
+            fail(1, f"header field {key}={meta[name]} must be positive")
     cell = CellParams(meta["input_dim"], meta["hidden_dim"])
     heads = [(np.zeros((meta["num_classes"], meta["hidden_dim"])),
               np.zeros(meta["num_classes"])) for _ in range(meta["num_layers"])]
@@ -687,37 +723,34 @@ def load_checkpoint(path):
     pos = 1
     for name, t in params.tensors():
         if pos >= len(lines):
-            raise ValueError(f"{path}:{pos}: truncated before tensor {name}")
+            fail(pos, f"truncated before tensor {name}")
         parts = lines[pos].split()
         if parts[:2] != ["tensor", name]:
-            raise ValueError(f"{path}:{pos + 1}: expected tensor {name}, got {lines[pos]!r}")
+            fail(pos + 1, f"expected tensor {name}, got {lines[pos]!r}")
         try:
             dims = tuple(parse_ints(parts[2:]))
         except ValueError:
-            raise ValueError(
-                f"{path}:{pos + 1}: tensor {name} dims {parts[2:]} are not integers") from None
+            fail(pos + 1, f"tensor {name} dims {parts[2:]} are not integers")
         if dims != t.shape:
-            raise ValueError(f"{path}:{pos + 1}: tensor {name} dims {dims} != {t.shape}")
+            fail(pos + 1, f"tensor {name} dims {dims} != {t.shape}")
         pos += 1
         rows = 1 if t.ndim == 1 else t.shape[0]
         width = t.shape[-1]
+        # the rows the file holds are checked before its end is reported
+        present = min(rows, len(lines) - pos)
         flat = t.reshape(rows, width)
-        for r in range(rows):
-            if pos >= len(lines):
-                raise ValueError(f"{path}:{pos}: truncated inside tensor {name}")
-            vals = lines[pos].split()
-            if len(vals) != width:
-                raise ValueError(
-                    f"{path}:{pos + 1}: tensor {name} row {r} has {len(vals)} "
-                    f"values, expected {width}")
-            try:
-                flat[r] = [float(v) for v in vals]
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{pos + 1}: tensor {name} row {r} has a non-numeric value") from None
-            if not np.isfinite(flat[r]).all():
-                raise ValueError(f"{path}:{pos + 1}: tensor {name} row {r} has a non-finite value")
-            pos += 1
+        flat[:present] = parse_block(
+            lines, pos, present, width, np.float64, fail,
+            lambda r, line: (f"tensor {name} row {r} has {len(line.split())} values, "
+                             f"expected {width}"),
+            lambda r, line: f"tensor {name} row {r} has a non-numeric value")
+        finite = np.isfinite(flat[:present]).all(axis=1)
+        if not finite.all():
+            r = int(np.argmin(finite))
+            fail(pos + r + 1, f"tensor {name} row {r} has a non-finite value")
+        pos += present
+        if present < rows:
+            fail(pos, f"truncated inside tensor {name}")
     if pos != len(lines):
-        raise ValueError(f"{path}:{pos + 1}: trailing content after last tensor")
+        fail(pos + 1, "trailing content after last tensor")
     return params, meta

@@ -4,8 +4,10 @@ These deliberately use different algorithms than the package (union-find
 instead of min-label hooking, direct products instead of log-space sums,
 per-node ancestor walks instead of composed index maps, a node-by-node
 sweep with visit flags instead of waves, one Metropolis-Hastings trial at
-a time instead of draw blocks, a dataset loader that converts one line
-at a time instead of one block per sample).
+a time instead of draw blocks, and a dataset loader that converts one
+line at a time and a checkpoint loader that converts one row at a time,
+load_dataset_per_line and load_checkpoint_per_row, instead of one block
+at a time).
 
 The single-node and single-proposal helpers the tests and oracles build
 on live here too: cell_update and cell_backward compose the package's
@@ -19,6 +21,7 @@ import numpy as np
 
 from sevolve.cell import (
     CellCache,
+    CellParams,
     cell_backward_batch,
     cell_backward_node,
     cell_forward,
@@ -41,7 +44,14 @@ from sevolve.graph import (
     quotient_graph,
     segment_ids,
 )
-from sevolve.network import INT_TEXT, Sample, parse_ints, read_lines
+from sevolve.network import (
+    CHECKPOINT_MAGIC,
+    INT_TEXT,
+    ModelParams,
+    Sample,
+    parse_ints,
+    read_lines,
+)
 
 
 def _one_node(num_slots, hidden_dim):
@@ -511,3 +521,76 @@ def load_dataset_per_line(path):
     if pos < len(lines):
         fail(pos + 1, f"extra line after the {count} samples in the header: {lines[pos]!r}")
     return DatasetFile(dim, num_labels, samples)
+
+
+def load_checkpoint_per_row(path):
+    """network.load_checkpoint converting every tensor row by row: each
+    row's count, its floats and their finiteness in turn, the first row
+    that fails named in the error. Returns (params, meta)."""
+    lines = read_lines(path)
+    if not lines or not lines[0].startswith(CHECKPOINT_MAGIC + " "):
+        raise ValueError(f"{path}:1: not a {CHECKPOINT_MAGIC} checkpoint")
+    names = {"D": "input_dim", "H": "hidden_dim", "C": "num_classes", "layers": "num_layers"}
+    fields = {}
+    for token in lines[0].split()[2:]:
+        key, sep, value = token.partition("=")
+        if not (key and sep):
+            raise ValueError(f"{path}:1: malformed header token {token!r}")
+        if key not in names:
+            raise ValueError(f"{path}:1: unknown header field {key!r}")
+        if key in fields:
+            raise ValueError(f"{path}:1: repeated header field {key!r}")
+        fields[key] = value
+    meta = {}
+    for key, name in names.items():
+        if key not in fields:
+            raise ValueError(f"{path}:1: checkpoint header missing field {key!r}")
+        try:
+            (meta[name],) = parse_ints([fields[key]])
+        except ValueError:
+            raise ValueError(
+                f"{path}:1: header field {key}={fields[key]!r} is not an integer") from None
+        if meta[name] < 1:
+            raise ValueError(f"{path}:1: header field {key}={meta[name]} must be positive")
+    cell = CellParams(meta["input_dim"], meta["hidden_dim"])
+    heads = [(np.zeros((meta["num_classes"], meta["hidden_dim"])),
+              np.zeros(meta["num_classes"])) for _ in range(meta["num_layers"])]
+    params = ModelParams(cell, heads)
+
+    pos = 1
+    for name, t in params.tensors():
+        if pos >= len(lines):
+            raise ValueError(f"{path}:{pos}: truncated before tensor {name}")
+        parts = lines[pos].split()
+        if parts[:2] != ["tensor", name]:
+            raise ValueError(f"{path}:{pos + 1}: expected tensor {name}, got {lines[pos]!r}")
+        try:
+            dims = tuple(parse_ints(parts[2:]))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{pos + 1}: tensor {name} dims {parts[2:]} are not integers") from None
+        if dims != t.shape:
+            raise ValueError(f"{path}:{pos + 1}: tensor {name} dims {dims} != {t.shape}")
+        pos += 1
+        rows = 1 if t.ndim == 1 else t.shape[0]
+        width = t.shape[-1]
+        flat = t.reshape(rows, width)
+        for r in range(rows):
+            if pos >= len(lines):
+                raise ValueError(f"{path}:{pos}: truncated inside tensor {name}")
+            vals = lines[pos].split()
+            if len(vals) != width:
+                raise ValueError(
+                    f"{path}:{pos + 1}: tensor {name} row {r} has {len(vals)} "
+                    f"values, expected {width}")
+            try:
+                flat[r] = [float(v) for v in vals]
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{pos + 1}: tensor {name} row {r} has a non-numeric value") from None
+            if not np.isfinite(flat[r]).all():
+                raise ValueError(f"{path}:{pos + 1}: tensor {name} row {r} has a non-finite value")
+            pos += 1
+    if pos != len(lines):
+        raise ValueError(f"{path}:{pos + 1}: trailing content after last tensor")
+    return params, meta

@@ -14,7 +14,9 @@ from sevolve.cli import (
     load_config_file,
     main,
 )
-from sevolve.network import load_checkpoint
+from sevolve.data import GenConfig
+from sevolve.network import NetworkConfig, load_checkpoint
+from sevolve.optim import OptimConfig
 
 
 def run(argv):
@@ -66,6 +68,41 @@ class TestGenerate:
 
     def test_missing_out_exits_2(self):
         assert run(["generate", "--samples", "2"]) == EXIT_CONFIG
+
+    def test_summary_line(self, tmp_path, capsys):
+        assert run(["generate", "--samples", "2", "--grid-n", "4",
+                    "--out", str(tmp_path / "x.txt")]) == EXIT_OK
+        assert capsys.readouterr().out == "samples=2 same_label_edge_fraction=0.6458333333333333\n"
+
+
+# per float setting: its flag, the config class and field that check it,
+# and the other arguments that class needs
+NON_FINITE_SETTINGS = {
+    "lr": (OptimConfig, "learning_rate", {}),
+    "weight_decay": (OptimConfig, "weight_decay", {}),
+    "edge_loss_weight": (NetworkConfig, "edge_loss_weight", {"input_dim": 2, "num_classes": 2}),
+    "noise": (GenConfig, "noise", {}),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", sorted(NON_FINITE_SETTINGS))
+class TestNonFiniteSettings:
+    def test_config_rejects(self, flag, value):
+        cls, field, needed = NON_FINITE_SETTINGS[flag]
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            cls(**needed, **{field: float(value)})
+
+    def test_command_exits_2_before_writing(self, workdir, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        if flag == "noise":
+            argv = ["generate", "--out", str(out)]
+        else:
+            argv = ["train", "--dataset", str(workdir["data"]), "--out-dir", str(out),
+                    "--layers", "1", "--epochs", "1"]
+        assert run(argv + ["--" + flag.replace("_", "-"), value]) == EXIT_CONFIG
+        assert NON_FINITE_SETTINGS[flag][1] in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:

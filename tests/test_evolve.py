@@ -30,12 +30,6 @@ from oracles import (
 TRIANGLE = build_graph(3, [(0, 1), (0, 2), (1, 2)])
 
 
-def as_lists(replayed):
-    """ReplayedTrials with their edge arrays as lists, comparable by ==."""
-    return [t._replace(selected=t.selected.tolist(), eliminated=t.eliminated.tolist())
-            for t in replayed]
-
-
 class TestPropose:
     def test_certain_selection_merges_components(self):
         g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
@@ -49,7 +43,7 @@ class TestPropose:
         g = build_graph(4, [(0, 1), (2, 3)])
         selected, part, coarse = propose(g, np.zeros(2), np.random.default_rng(0))
         assert selected.tolist() == []
-        assert part.is_identity
+        assert part.num_cliques == part.num_nodes
         assert coarse == g
 
     def test_replays_documented_draw_order(self):
@@ -161,8 +155,8 @@ class TestEvolveStep:
         assert coarse.num_nodes == 2  # one node per connected component
 
     def test_replay_leaves_the_callers_rng(self):
-        # the replay redraws from the log's saved state, the same trials a
-        # stream handed to it from the transition's start gives
+        # the replay redraws from the log's saved state the trials the
+        # per-trial loop draws from the transition's start
         g = grid_graph(4)
         probs = np.full(g.num_edges, 0.9)
         rng = np.random.default_rng(0)
@@ -171,21 +165,22 @@ class TestEvolveStep:
         left_at = rng.bit_generator.state
         replayed = replay_trials(log)
         assert rng.bit_generator.state == left_at
-        assert as_lists(replayed) == as_lists(replay_trials(log, np.random.default_rng(0)))
+        want, _ = mh_search(g, probs, None, 30, np.random.default_rng(0))
+        assert [list(map(tuple, t.selected.tolist())) for t in replayed] == [w[0] for w in want]
 
     def test_exhaustion_returns_identity(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         probs = np.full(3, 0.999)  # empty proposals effectively never happen
 
         def loss_eval(part, graph):
-            return 0.0 if part.is_identity else 1e9
+            return 0.0 if part.num_cliques == part.num_nodes else 1e9
 
         cfg = EvolveConfig(max_trials=50)
         coarse, part, traces = evolve_step(g, probs, loss_eval, cfg,
                                            np.random.default_rng(42))
         assert len(traces) == 50
         assert not any(t.accepted for t in traces)
-        assert part.is_identity
+        assert part.num_cliques == part.num_nodes
         assert coarse == g
 
     def test_train_mode_trace_reproducible(self):
@@ -267,7 +262,7 @@ class TestEvolveStep:
     @pytest.mark.parametrize("old, new", [(-0.5, 1.0), (1.0, -0.5)])
     def test_rejects_negative_loss(self, old, new):
         def loss_eval(part, graph):
-            return old if part.is_identity else new
+            return old if part.num_cliques == part.num_nodes else new
 
         with pytest.raises(ValueError, match="non-negative"):
             evolve_step(build_graph(2, [(0, 1)]), np.ones(1), loss_eval,
@@ -310,7 +305,7 @@ class TestEvolveStep:
         loss_new = -math.log(0.3)
 
         def loss_eval(part, graph):
-            return 0.0 if part.is_identity else loss_new
+            return 0.0 if part.num_cliques == part.num_nodes else loss_new
 
         cfg = EvolveConfig(max_trials=1)
         accepted = 0
@@ -433,11 +428,11 @@ class TestEvolveStepOracle:
             g, probs, counting_loss(g, case["labels"], case["weights"], oracle_calls),
             max_trials, ref_rng)
         assert [t.trial for t in traces] == list(range(1, len(want) + 1))
-        # a numpy Generator is rebuilt from the log's saved state; a
-        # scripted stream is handed to the replay from its start
-        replayed = replay_trials(
-            traces, None if isinstance(rng, np.random.Generator) else make_rng())
-        assert [list(map(tuple, t.selected.tolist())) for t in replayed] == [w[0] for w in want]
+        if isinstance(rng, np.random.Generator):
+            # the replay rebuilds a numpy Generator from the log's saved state
+            replayed = replay_trials(traces)
+            assert ([list(map(tuple, t.selected.tolist())) for t in replayed]
+                    == [w[0] for w in want])
         assert [t.accepted for t in traces] == [w[1] for w in want]
         assert [t.posterior_evaluated for t in traces] == [w[2] for w in want]
         assert part.assignment.tolist() == want_assign
@@ -550,7 +545,7 @@ class TestConfigAndRecords:
         g = build_graph(2, [(0, 1)])
 
         def loss_eval(part, graph):
-            return 0.0 if part.is_identity else 1e9
+            return 0.0 if part.num_cliques == part.num_nodes else 1e9
 
         cfg = EvolveConfig(max_trials=3)
         _, _, traces = evolve_step(g, np.ones(1), loss_eval, cfg, np.random.default_rng(0))

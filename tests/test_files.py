@@ -20,7 +20,7 @@ from sevolve.data import (
 from sevolve.evolve import EvolveConfig
 from sevolve.graph import build_graph
 from sevolve.network import NetworkConfig, Sample, init_params, load_checkpoint, save_checkpoint
-from oracles import load_dataset_per_line
+from oracles import load_checkpoint_per_row, load_dataset_per_line
 
 # damaged tokens: none is a number, and none holds "=" as a header field does
 GARBAGE = ("x", "1.5.2", "--", "7e", "0x")
@@ -56,8 +56,30 @@ def located(path):
     return "^" + re.escape(str(path)) + r":\d+: "
 
 
+def checkpoint_outcome(loader, path):
+    """What `loader` makes of the checkpoint at `path`: its ValueError
+    text, or the header fields and every tensor's name and bits."""
+    try:
+        params, meta = loader(path)
+    except ValueError as exc:
+        return str(exc)
+    return meta, [(name, t.view(np.int64).tolist()) for name, t in params.tensors()]
+
+
+def assert_same_checkpoint_load(path):
+    """load_checkpoint and the per-row oracle return the same tensors bit
+    for bit, or raise the same error text; returns load_checkpoint's
+    outcome."""
+    got = checkpoint_outcome(load_checkpoint, path)
+    assert got == checkpoint_outcome(load_checkpoint_per_row, path)
+    return got
+
+
+CHECKPOINT_CONFIG = NetworkConfig(input_dim=3, num_classes=3, num_layers=2)
+
+
 def test_fuzzed_checkpoints_fail_with_a_line(tmp_path):
-    cfg = NetworkConfig(input_dim=3, num_classes=3, num_layers=2)
+    cfg = CHECKPOINT_CONFIG
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(cfg, np.random.default_rng(0)), cfg)
     lines = path.read_text().splitlines()
@@ -67,6 +89,7 @@ def test_fuzzed_checkpoints_fail_with_a_line(tmp_path):
         path.write_text("".join(line + "\n" for line in mutate(lines, kind, rng)))
         with pytest.raises(ValueError, match=located(path)):
             load_checkpoint(path)
+        assert_same_checkpoint_load(path)
 
 
 def load_outcome(loader, path):
@@ -172,6 +195,39 @@ def test_block_loader_reads_signed_zero_and_edgeless_samples(tmp_path):
     _, _, loaded = assert_same_load(path)
     assert [len(edges) for _, edges, _, _ in loaded] == [0, 0, 1]
     assert loaded[1][2][1, 2] == np.float64(-0.0).view(np.int64)
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS + ("-inf", "infinity", "0x1p3"))
+def test_block_checkpoint_reader_matches_per_row_oracle(tmp_path, token):
+    # the token replaces the last one of each dims line and value row
+    path = tmp_path / "model.ckpt"
+    cfg = CHECKPOINT_CONFIG
+    save_checkpoint(path, init_params(cfg, np.random.default_rng(0)), cfg)
+    lines = path.read_text().splitlines()
+    for index in range(1, len(lines)):
+        edited = list(lines)
+        edited[index] = " ".join(lines[index].split()[:-1] + [token])
+        outcomes = []
+        for end in ("\n", "\r\n", "\r"):
+            path.write_bytes("".join(line + end for line in edited).encode())
+            outcomes.append(assert_same_checkpoint_load(path))
+        assert outcomes[1:] == outcomes[:1] * 2
+
+
+@pytest.mark.parametrize("cut", [None, 4, 5])
+def test_checkpoint_reader_names_the_first_non_finite_row(tmp_path, cut):
+    # rows 1 and 2 of w_u (lines 4 and 5) hold a non-finite value, and the
+    # file may end after either
+    path = tmp_path / "model.ckpt"
+    cfg = CHECKPOINT_CONFIG
+    save_checkpoint(path, init_params(cfg, np.random.default_rng(0)), cfg)
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("tensor w_u ")
+    for index, token in ((3, "inf"), (4, "nan")):
+        lines[index] = " ".join(lines[index].split()[:-1] + [token])
+    path.write_text("".join(line + "\n" for line in lines[:cut]))
+    assert assert_same_checkpoint_load(path) == (
+        f"{path}:4: tensor w_u row 1 has a non-finite value")
 
 
 def write_text_files(tmp_path):

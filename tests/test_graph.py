@@ -32,13 +32,14 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 2)])
         assert g.num_nodes == 3
         assert g.edges.tolist() == [[0, 1], [1, 2]]
-        assert g.neighbors(1) == (0, 2)
+        indptr, indices, _ = g.csr
+        assert indices[indptr[1]:indptr[2]].tolist() == [0, 2]
 
     def test_single_isolated_node(self):
         g = build_graph(1, [])
         assert g.num_nodes == 1
         assert g.edges.tolist() == []
-        assert g.neighbors(0) == ()
+        assert g.csr[0].tolist() == [0, 0]
 
     def test_duplicate_edges_canonicalized(self):
         # dedup oracle: canonicalize by sorting each pair, then set-dedup
@@ -107,7 +108,6 @@ class TestCSR:
             adjacency[b].append(a)
         for i in range(g.num_nodes):
             assert indices[indptr[i]:indptr[i + 1]].tolist() == sorted(adjacency[i])
-            assert g.neighbors(i) == tuple(sorted(adjacency[i]))
         owner = np.repeat(np.arange(g.num_nodes), np.diff(indptr))
         for s, e in enumerate(slot_edge):
             assert g.edges[e].tolist() == sorted((int(owner[s]), int(indices[s])))
@@ -136,7 +136,7 @@ class TestCoarsen:
     def test_empty_selection_is_identity(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         part, coarse = coarsen(g, [])
-        assert part.is_identity
+        assert part.num_cliques == part.num_nodes
         assert list(part.assignment) == [0, 1, 2, 3]
         assert coarse == g
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from sevolve.cell import CellParams
 from sevolve.evolve import EvolveConfig
-from sevolve.graph import CliquePartition, build_graph
+from sevolve.graph import CliquePartition, HierarchyTrace, build_graph
 from sevolve.network import (
     ModelParams,
     NetworkConfig,
     Sample,
     StructurePlan,
+    _level_edge_targets,
     backward,
     compute_loss,
     forward,
@@ -53,7 +54,8 @@ class TestSample:
     def test_edge_targets_from_labels(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         s = Sample(g, np.zeros((4, 2)), [0, 0, 1, 1])
-        assert list(s.edge_targets) == [1.0, 0.0, 1.0]
+        (targets,) = _level_edge_targets(HierarchyTrace([g], []), s.labels, 2)
+        assert targets.tolist() == [1.0, 0.0, 1.0]
 
     def test_validates_coverage(self):
         g = build_graph(3, [(0, 1)])
@@ -398,7 +400,6 @@ class TestLoss:
         sample = make_sample(rng, n=6)
         params = random_model(rng, cfg)
         res = forward(sample, params, cfg, np.random.default_rng(0), mode="train")
-        from sevolve.network import _level_edge_targets
         targets = _level_edge_targets(res.trace, sample.labels, cfg.num_classes)
         res.trace.edge_probs = [t.copy() for t in targets]
         _, _, edge = compute_loss(res, sample, cfg)

@@ -18,8 +18,10 @@ on a 32x32 grid; and 20 small random graphs with widened random weights,
 in train and test mode. `dump` also saves generated datasets of 8x8,
 16x16 and 32x32 grids, and a copy of the 8x8 one with \r\n line ends,
 loads each back with load_dataset and saves every sample's edges, labels
-and feature bits (as int64, so -0.0 and 0.0 differ), which pins the loader
-as exactly as the model outputs.
+and feature bits (as int64, so -0.0 and 0.0 differ). It loads the
+benchmark checkpoint, and a copy of it with \r\n line ends, with
+load_checkpoint and saves the header fields and every tensor's bits. So
+both loaders are pinned as exactly as the model outputs.
 
 `compare` requires the discrete arrays (integer and bool) of both dumps
 to match exactly, and reports per output kind how many float arrays are
@@ -127,6 +129,20 @@ def _loaded_datasets(data):
             yield name, arrays
 
 
+def _loaded_checkpoints(network):
+    """(name, arrays) of the benchmark checkpoint, and of a \r\n copy of
+    it, as load_checkpoint reads them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        crlf = Path(tmp, "model-crlf.ckpt")
+        crlf.write_bytes(CHECKPOINT.read_bytes().replace(b"\n", b"\r\n"))
+        for name, path in (("ckpt", CHECKPOINT), ("ckpt-crlf", crlf)):
+            params, meta = network.load_checkpoint(path)
+            arrays = {"header": np.array(list(meta.values()))}
+            for tname, tensor in params.tensors():
+                arrays[f"tensor_bits/{tname}"] = tensor.view(np.int64)
+            yield name, arrays
+
+
 def dump(path):
     from sevolve import data, graph, network
     from sevolve.evolve import EvolveConfig, trace_records
@@ -159,12 +175,12 @@ def dump(path):
             arrays[f"grads/{tname}"] = tensor
         for key, value in arrays.items():
             out[f"{name}/{key}"] = np.asarray(value)
-    datasets = list(_loaded_datasets(data))
-    for name, arrays in datasets:
+    files = [*_loaded_datasets(data), *_loaded_checkpoints(network)]
+    for name, arrays in files:
         for key, value in arrays.items():
             out[f"{name}/{key}"] = value
     np.savez_compressed(path, **out)
-    print(f"{len(cases)} cases, {len(datasets)} datasets, {len(out)} arrays -> {path}")
+    print(f"{len(cases)} cases, {len(files)} loaded files, {len(out)} arrays -> {path}")
 
 
 def compare(old_path, new_path, rtol):
