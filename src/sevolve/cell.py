@@ -23,10 +23,19 @@ forget gates, and the parameter and input gradients. So the readout
 (the merge_probs of cell_forward_batch, weights w_e) and its reverse
 live in the two batch parts only.
 
+The four gates are laid out gate-major: the pre-activations, the
+activated gates and their gradients are (4, B, H) arrays, one contiguous
+(B, H) block per gate in the order [u, f, o, c] of the packed weights, so
+each per-wave elementwise operation reads and writes whole blocks, and a
+wave's rows r0:r1 are the view [:, r0:r1]. Only cell_backward_batch puts
+the blocks side by side, once per layer, for the products that run over
+the packed weight rows.
+
 A CellCache holds the activations of all the nodes of one such layer,
 laid out wave by wave (network.wave_schedule): the node-local parts take
 a wave's block of rows and block of slots, plus the slots' segment ids
-(graph.segment_ids) and the nodes' inverse degrees, made once per layer.
+(graph.segment_ids) and the nodes' inverse degrees, which the layer's
+WaveSchedule carries.
 
 Everything is float64 and purely functional: same inputs, bit-identical
 outputs.
@@ -41,14 +50,19 @@ import numpy as np
 
 from sevolve.graph import segment_sum
 
-# Gate storage order for the packed weight blocks. The input/forget/output
-# gates share one sigmoid application, the candidate gate uses tanh, and
-# the neighbor-averaged term enters only the u/o/c rows.
+# Gate storage order for the packed weight blocks and the gate-major
+# (4, B, H) arrays. The input/forget/output gates share one sigmoid
+# application, the candidate gate uses tanh, and the neighbor-averaged
+# term enters only the u/o/c rows.
 _GATES = ("u", "f", "o", "c")
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)), into `out` when given (which may be x)."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 class CellParams:
@@ -142,7 +156,9 @@ class CellCache:
     rows are in wave-major order (network.wave_schedule): each wave is a
     contiguous block of rows, and the slots follow the rows. The sweep
     fills the node-local rows one wave at a time; afterwards the cache is
-    read-only.
+    read-only. The slots' neighbor inputs, the previous hidden state and
+    the flag-selected memory of each neighbor, are not kept: a sweep
+    gathers them again from its rows for cell_backward_batch.
     """
 
     params: CellParams
@@ -151,11 +167,9 @@ class CellCache:
     h_prev: np.ndarray       # (B, H) own previous hidden state
     m_prev: np.ndarray       # (B, H) own previous memory
     navg: np.ndarray         # (B, H) neighbor averages
-    nbr_h_prev: np.ndarray   # (S, H) previous hidden state of each neighbor
-    m_sel: np.ndarray        # (S, H) flag-selected memory of each neighbor
     nb_gate: np.ndarray      # (S, H) neighbor forget gates
     merge_probs: np.ndarray  # (S,)
-    gates: np.ndarray        # (B, 4H) activated gates [g_u, g_f, g_o, g_c]
+    gates: np.ndarray        # (4, B, H) activated gates g_u, g_f, g_o, g_c
     memory: np.ndarray       # (B, H) new memory
     hidden: np.ndarray       # (B, H) new hidden state
 
@@ -171,30 +185,43 @@ def cell_forward_batch(params, x, h_prev, owner, nbr_h_prev):
 
     Returns:
         (pre, nb_gate, merge_probs): the static gate pre-activations
-        x @ wx.T + h_prev @ uh.T + b (B, 4H), the per-slot neighbor forget
-        gates (S, H) and the per-slot merging probabilities (S,).
+        x @ wx.T + h_prev @ uh.T + b, gate-major (4, B, H), the per-slot
+        neighbor forget gates (S, H) and the per-slot merging
+        probabilities (S,).
     """
     h = params.hidden_dim
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"input has shape {x.shape}, expected (B, {params.input_dim})")
-    pre = x @ params.wx.T + h_prev @ params.uh.T + params.b
-    forget = x @ params.wx[h:2 * h].T + params.b[h:2 * h]
-    nb_gate = sigmoid(forget.take(owner, axis=0) + nbr_h_prev @ params.u_fn.T)
+    pre = x @ _gate_major(params.wx, h)
+    # before the hidden-state term joins it, pre[1] is x @ w_f.T: with b_f
+    # it is the input term that every neighbor forget gate of the node shares
+    nb_gate = (pre[1] + params.b[h:2 * h]).take(owner, axis=0)
+    nb_gate += nbr_h_prev @ params.u_fn.T
+    sigmoid(nb_gate, out=nb_gate)
+    pre += h_prev @ _gate_major(params.uh, h)
+    pre += params.b.reshape(-1, 1, h)
     return pre, nb_gate, sigmoid(nb_gate @ params.w_e)
 
 
-def _split_gates(gates, h):
-    """The (B, H) blocks [u, f, o, c] of packed (B, 4H) gates, as views."""
-    return (gates[:, k * h:(k + 1) * h] for k in range(4))
+def _gate_major(weights, h):
+    """The packed (kH, n) weight rows of k gates as k transposed (n, H)
+    blocks: a (B, n) @ it is the (k, B, H) gate-major product."""
+    return weights.reshape(-1, h, weights.shape[1]).transpose(0, 2, 1)
 
 
-def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, seg, inv_k):
+def _navg_rows(d_pre):
+    """The u, o and c blocks of gate-major (4, B, H) gradients side by
+    side, (B, 3H) as the rows of un run."""
+    return np.concatenate((d_pre[0], d_pre[2], d_pre[3]), axis=1)
+
+
+def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, seg, inv_deg):
     """Node-local part of B cell updates: the work that needs the neighbor
     average, so a sweep runs it once per wave, on the wave's blocks.
 
     Args:
         params: CellParams.
-        pre: (B, 4H) the nodes' static pre-activations from
+        pre: (4, B, H) the nodes' static pre-activations from
             cell_forward_batch.
         m_prev: (B, H) the nodes' own previous memory.
         navg: (B, H) means of the neighbor hidden states, zero rows for
@@ -203,30 +230,32 @@ def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, seg, inv_k):
         m_sel: (S, H) neighbor memory selected by the visit flags.
         seg: (S, H) segment ids of the slots, graph.segment_ids of the
             row, 0..B-1, of the node that owns each slot.
-        inv_k: (B,) 1 / max(degree, 1) of each node.
+        inv_deg: (B, 1) 1 / max(degree, 1) of each node.
 
     Returns:
-        (hidden, memory, gates) with the activated gates [g_u, g_f, g_o,
-        g_c] of shape (B, 4H).
+        (hidden, memory, gates) with the activated gates g_u, g_f, g_o,
+        g_c gate-major, of shape (4, B, H).
     """
     h = params.hidden_dim
-    b = pre.shape[0]
-    unv = navg @ params.un.T
-    gates = pre.copy()
-    gates[:, :h] += unv[:, :h]          # input gate
-    gates[:, 2 * h:] += unv[:, h:]      # output + candidate gates
-    gates[:, :3 * h] = sigmoid(gates[:, :3 * h])
-    gates[:, 3 * h:] = np.tanh(gates[:, 3 * h:])
-    g_u, g_f, g_o, g_c = _split_gates(gates, h)
+    b = m_prev.shape[0]
+    # the neighbor average enters the u, o and c gates, rows [u, o, c] of un
+    unv = navg @ _gate_major(params.un, h)
+    gates = np.empty((4, b, h))
+    np.add(pre[0], unv[0], out=gates[0])
+    gates[1] = pre[1]
+    np.add(pre[2:], unv[1:], out=gates[2:])
+    sigmoid(gates[:3], out=gates[:3])
+    np.tanh(gates[3], out=gates[3])
+    g_u, g_f, g_o, g_c = gates
     nb_sum = np.bincount(seg.ravel(), (nb_gate * m_sel).ravel(), b * h).reshape(b, h)
-    memory = nb_sum * inv_k[:, None] + g_f * m_prev + g_u * g_c
+    memory = nb_sum * inv_deg + g_f * m_prev + g_u * g_c
     hidden = np.tanh(g_o * memory)
     if not math.isfinite(memory.sum() + hidden.sum()):
         raise ValueError("non-finite values in cell inputs or parameters")
     return hidden, memory, gates
 
 
-def cell_backward_node(cache, rows, slots, seg, inv_k, d_hidden, d_memory):
+def cell_backward_node(cache, rows, slots, seg, inv_deg, d_hidden, d_memory):
     """Node-local part of the reverse of B updates in `cache`: everything
     that needs the nodes' upstream gradients, and only those. A sweep runs
     it once per wave, in reverse wave order, on the wave's blocks. The
@@ -239,16 +268,17 @@ def cell_backward_node(cache, rows, slots, seg, inv_k, d_hidden, d_memory):
         slots: the cache slots of those nodes, row by row, likewise.
         seg: (S, H) segment ids of the slots, graph.segment_ids of the
             position, 0..B-1, of each slot's node in `rows`.
-        inv_k: (B,) 1 / max(degree, 1) of each node.
+        inv_deg: (B, 1) 1 / max(degree, 1) of each node.
         d_hidden, d_memory: upstream gradients wrt the nodes' new state
             (B, H).
 
     Returns:
         (d_pre, d_m_prev, d_navg, d_msum, d_nbr_m): per node the gradient
-        wrt the packed gate pre-activations (B, 4H), the node's previous
-        memory (B, H) and the neighbor average (B, H); then per slot the
-        gradient wrt its summand nb_gate * m_sel of the memory's neighbor
-        mean (S, H) and wrt the flag-selected neighbor memory (S, H).
+        wrt the gate pre-activations, gate-major (4, B, H), the node's
+        previous memory (B, H) and the neighbor average (B, H); then per
+        slot the gradient wrt its summand nb_gate * m_sel of the memory's
+        neighbor mean (S, H) and wrt the flag-selected neighbor memory
+        (S, H).
         cell_backward_batch turns d_pre and d_msum into parameter and
         input gradients.
     """
@@ -258,32 +288,33 @@ def cell_backward_node(cache, rows, slots, seg, inv_k, d_hidden, d_memory):
     if d_hidden.shape != (b, h) or d_memory.shape != (b, h):
         raise ValueError("upstream gradient shape mismatch")
 
-    g_u, g_f, g_o, g_c = _split_gates(cache.gates[rows], h)
+    gates = cache.gates[:, rows]
+    g_u, g_f, g_o, g_c = gates
     hidden = cache.hidden[rows]
     memory = cache.memory[rows]
 
     # hidden = tanh(g_o * memory)
     dz = d_hidden * (1.0 - hidden * hidden)
-    d_go = dz * memory
     dm = d_memory + dz * g_o
 
-    d_gu = dm * g_c
-    d_gc = dm * g_u
-    d_gf = dm * cache.m_prev[rows]
-    d_m_prev = dm * g_f
+    # the gradients wrt the activated gates u, f, o, c, then through the
+    # three sigmoids at once and the tanh
+    d_pre = np.empty((4, b, h))
+    np.multiply(dm, g_c, out=d_pre[0])
+    np.multiply(dm, cache.m_prev[rows], out=d_pre[1])
+    np.multiply(dz, memory, out=d_pre[2])
+    np.multiply(dm, g_u, out=d_pre[3])
+    sig = gates[:3]
+    d_pre[:3] *= sig
+    d_pre[:3] *= 1.0 - sig
+    d_pre[3] *= 1.0 - g_c * g_c
+    d_navg = _navg_rows(d_pre) @ params.un
 
-    d_pre = np.empty((b, 4 * h))
-    d_pre[:, :h] = d_gu * g_u * (1.0 - g_u)
-    d_pre[:, h:2 * h] = d_gf * g_f * (1.0 - g_f)
-    d_pre[:, 2 * h:3 * h] = d_go * g_o * (1.0 - g_o)
-    d_pre[:, 3 * h:] = d_gc * (1.0 - g_c * g_c)
-    d_navg = np.concatenate((d_pre[:, :h], d_pre[:, 2 * h:]), axis=1) @ params.un
-
-    d_msum = (dm * inv_k[:, None]).ravel().take(seg)
-    return d_pre, d_m_prev, d_navg, d_msum, d_msum * cache.nb_gate[slots]
+    d_msum = (dm * inv_deg).ravel().take(seg)
+    return d_pre, dm * g_f, d_navg, d_msum, d_msum * cache.nb_gate[slots]
 
 
-def cell_backward_batch(grads, cache, d_pre, d_msum, d_edge_probs):
+def cell_backward_batch(grads, cache, nbr_h_prev, m_sel, d_pre, d_msum, d_edge_probs):
     """Order-independent part of the reverse of every update in `cache`,
     the merge-probability readout's reverse included.
 
@@ -293,7 +324,10 @@ def cell_backward_batch(grads, cache, d_pre, d_msum, d_edge_probs):
     Args:
         grads: CellParams accumulator.
         cache: CellCache of the forward updates, B nodes and S slots.
-        d_pre, d_msum: (B, 4H) and (S, H) from cell_backward_node.
+        nbr_h_prev, m_sel: (S, H) the slots' neighbor inputs of the
+            forward updates: each neighbor's previous hidden state and
+            its memory selected by the visit flags.
+        d_pre, d_msum: (4, B, H) and (S, H) from cell_backward_node.
         d_edge_probs: (S,) upstream gradients wrt the slots' merging
             probabilities.
 
@@ -305,21 +339,23 @@ def cell_backward_batch(grads, cache, d_pre, d_msum, d_edge_probs):
     p = cache.merge_probs
     d_score = d_edge_probs * p * (1.0 - p)
     grads.w_e += cache.nb_gate.T @ d_score
-    d_nbgate = d_msum * cache.m_sel + d_score[:, None] * params.w_e
+    d_nbgate = d_msum * m_sel + d_score[:, None] * params.w_e
     d_prenb = d_nbgate * cache.nb_gate * (1.0 - cache.nb_gate)
-    grads.u_fn += d_prenb.T @ cache.nbr_h_prev
+    grads.u_fn += d_prenb.T @ nbr_h_prev
     d_nbr_h_prev = d_prenb @ params.u_fn
     # w_f and b_f are shared between the own forget gate and every
     # per-neighbor forget gate, so both pre-activations contribute
-    sum_prenb = segment_sum(d_prenb, cache.owner, d_pre.shape[0])
+    sum_prenb = segment_sum(d_prenb, cache.owner, d_pre.shape[1])
 
-    grads.uh += d_pre.T @ cache.h_prev
-    d_unpre = np.concatenate((d_pre[:, :h], d_pre[:, 2 * h:]), axis=1)
-    grads.un += d_unpre.T @ cache.navg
-    grads.b += d_pre.sum(axis=0)
+    # the gate blocks side by side, (B, 4H) as the packed weight rows run:
+    # the input gradients sum over all four gates in one product each
+    d_rows = np.concatenate(d_pre, axis=1)
+    d_h_prev = d_rows @ params.uh
+    grads.uh += d_rows.T @ cache.h_prev
+    grads.un += _navg_rows(d_pre).T @ cache.navg
+    grads.b += d_rows.sum(axis=0)
     grads.b[h:2 * h] += sum_prenb.sum(axis=0)
-    d_wx_rows = d_pre.copy()
-    d_wx_rows[:, h:2 * h] += sum_prenb
-    grads.wx += d_wx_rows.T @ cache.x
-    return d_wx_rows @ params.wx, d_pre @ params.uh, d_nbr_h_prev
+    d_rows[:, h:2 * h] += sum_prenb
+    grads.wx += d_rows.T @ cache.x
+    return d_rows @ params.wx, d_h_prev, d_nbr_h_prev
 

@@ -53,12 +53,12 @@ class LevelGraph:
     probability is associated with an edge.
 
     `csr` is the read-only compressed sparse row index (indptr, indices,
-    slot_edge), built with the edges. Node i's sorted neighbors are
-    indices[indptr[i]:indptr[i+1]]; positions in `indices` are the
-    directed slots, two per edge, one in each endpoint's row, and
-    slot_edge[s] is the canonical edge id of slot s. Because rows ascend,
-    the slot of an edge's lower endpoint precedes that of its upper
-    endpoint.
+    slot_edge, slot_rev), built with the edges. Node i's sorted neighbors
+    are indices[indptr[i]:indptr[i+1]]; positions in `indices` are the
+    directed slots, two per edge, one in each endpoint's row,
+    slot_edge[s] is the canonical edge id of slot s and slot_rev[s] the
+    edge's other slot. Because rows ascend, the slot of an edge's lower
+    endpoint precedes that of its upper endpoint.
     """
 
     __slots__ = ("num_nodes", "edges", "csr")
@@ -97,11 +97,16 @@ class LevelGraph:
         np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
         indices = dst[order]
         slot_edge = np.concatenate((np.arange(m),) * 2)[order]
-        for arr in (edges, indptr, indices, slot_edge):
+        # entries j and j + m of src/dst are the two directions of edge j;
+        # index j - m wraps round to j + m when j < m
+        slot = np.empty(2 * m, dtype=np.intp)
+        slot[order] = np.arange(2 * m)
+        slot_rev = slot[order - m]
+        for arr in (edges, indptr, indices, slot_edge, slot_rev):
             arr.setflags(write=False)
         self.num_nodes = num_nodes
         self.edges = edges
-        self.csr = (indptr, indices, slot_edge)
+        self.csr = (indptr, indices, slot_edge, slot_rev)
 
     @property
     def num_edges(self) -> int:

@@ -162,7 +162,8 @@ class StructurePlan:
 class WaveSchedule(NamedTuple):
     """Wave-major layout of one layer's sweep, from wave_schedule: the
     waves in sweep order, the nodes of a wave ascending, and each row's
-    slots its node's CSR slots in CSR order.
+    slots its node's CSR slots in CSR order. With it come the per-layer
+    indices that the forward and the backward sweep read wave by wave.
 
     perm: (n,) the node of each row; pos: (n,) the row of each node.
     waves: per wave, (r0, r1, s0, s1): its rows r0:r1 and slots s0:s1.
@@ -171,6 +172,13 @@ class WaveSchedule(NamedTuple):
         before the owner exactly when nbr < owner.
     slot_edge: (S,) the canonical edge id of each slot, which has one
         slot in each endpoint's row.
+    rev: (S,) the edge's other slot: owner and nbr swapped.
+    later: the slots whose neighbor is visited after the owner
+        (nbr > owner), ascending.
+    deg, inv_deg: (n, 1) max(degree, 1) of each row's node, and its
+        inverse, as float columns.
+    seg: (S, width) graph.segment_ids of local: a wave's block of it sums
+        the wave's slots into the wave's rows.
     """
 
     perm: np.ndarray
@@ -180,12 +188,17 @@ class WaveSchedule(NamedTuple):
     local: np.ndarray
     nbr: np.ndarray
     slot_edge: np.ndarray
+    rev: np.ndarray
+    later: np.ndarray
+    deg: np.ndarray
+    inv_deg: np.ndarray
+    seg: np.ndarray
 
 
-def wave_schedule(order, indptr, indices, slot_edge) -> WaveSchedule:
-    """Group the nodes of a sweep in visit order `order` over the CSR graph
-    (indptr, indices, slot_edge) into waves, and lay the layer out in wave
-    order.
+def wave_schedule(order, graph: LevelGraph, width: int) -> WaveSchedule:
+    """Group the nodes of a sweep over `graph` in visit order `order` into
+    waves, and lay the layer out in wave order, with segment ids for rows
+    of `width` values.
 
     A node's wave is 1 plus the largest wave of its earlier-visited
     neighbors, or 0 when it has none. So no edge joins two nodes of one
@@ -201,7 +214,8 @@ def wave_schedule(order, indptr, indices, slot_edge) -> WaveSchedule:
     neighbors, and the next wave is the neighbors left with no
     unscheduled earlier-visited neighbor. The layout follows in one pass.
     """
-    n = indptr.size - 1
+    indptr, indices, slot_edge, slot_rev = graph.csr
+    n = graph.num_nodes
     deg = np.diff(indptr)
     visit = np.empty(n, dtype=np.intp)
     visit[order] = np.arange(n)
@@ -232,14 +246,20 @@ def wave_schedule(order, indptr, indices, slot_edge) -> WaveSchedule:
     owner = np.repeat(np.arange(n), row_deg)
     row_ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(row_deg, out=row_ptr[1:])
-    # the CSR slot of each wave-major slot
+    # the CSR slot of each wave-major slot, and the other way round
     slots = np.arange(row_ptr[-1]) + np.repeat(indptr[perm] - row_ptr[:-1], row_deg)
+    wave_slot = np.empty(slots.size, dtype=np.intp)
+    wave_slot[slots] = np.arange(slots.size)
     row_off = np.cumsum([0] + sizes)
     local = (np.arange(n) - np.repeat(row_off[:-1], sizes))[owner]
     slot_off = row_ptr[row_off]
     waves = list(zip(row_off[:-1].tolist(), row_off[1:].tolist(),
                      slot_off[:-1].tolist(), slot_off[1:].tolist()))
-    return WaveSchedule(perm, pos, waves, owner, local, pos[indices[slots]], slot_edge[slots])
+    nbr = pos[indices[slots]]
+    div = np.maximum(row_deg, 1).astype(np.float64)[:, None]
+    return WaveSchedule(perm, pos, waves, owner, local, nbr, slot_edge[slots],
+                        wave_slot[slot_rev[slots]], np.flatnonzero(nbr > owner), div, 1.0 / div,
+                        segment_ids(local, width))
 
 
 class ForwardResult:
@@ -283,10 +303,11 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     """Run the full stack on one sample.
 
     Each layer gathers its inputs and previous states once into the
-    wave-major layout that wave_schedule builds from the visit order.
-    cell_forward_batch computes the visit-order independent gate terms
-    for every node and neighbor slot at once; cell_forward then updates
-    the waves in turn, each a block of rows and slots. It reads "current
+    wave-major layout that wave_schedule builds from the visit order,
+    with the layer's segment ids and degrees. cell_forward_batch computes
+    the visit-order independent gate terms for every node and neighbor
+    slot at once, gate-major; cell_forward then updates the waves in
+    turn, each a block of rows and slots. It reads "current
     state" arrays that start as the previous state and take a wave's new
     states when the wave is updated. Every earlier-visited neighbor of a
     node lies in an earlier wave and every later-visited one in a later
@@ -341,31 +362,27 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     for t in range(n_layers):
         n = g.num_nodes
         order = plan.visit_orders[t] if plan is not None else rng.permutation(n)
-        schedule = wave_schedule(order, *g.csr)
-        perm, owner, nbr = schedule.perm, schedule.owner, schedule.nbr
+        schedule = wave_schedule(order, g, h_dim)
+        perm, owner, nbr, seg = schedule.perm, schedule.owner, schedule.nbr, schedule.seg
+        deg, inv_deg = schedule.deg, schedule.inv_deg
         x, hp, mp = (a.take(perm, axis=0) for a in (feats, h_prev, m_prev))
         nbr_h_prev = hp.take(nbr, axis=0)
         pre, nb_gate, slot_probs = cell_forward_batch(cell, x, hp, owner, nbr_h_prev)
-        k = np.maximum(np.bincount(owner, minlength=n), 1)
-        k_div, inv_k = k[:, None], 1.0 / k
-        seg = segment_ids(schedule.local, h_dim)
         h_cur = hp.copy()
         m_cur = mp.copy()
         navg = np.empty((n, h_dim))
-        m_sel = np.empty((nbr.size, h_dim))
-        gates = np.empty((n, 4 * h_dim))
+        gates = np.empty((4, n, h_dim))
         for r0, r1, s0, s1 in schedule.waves:
             ids = seg[s0:s1]
             nb_sum = np.bincount(ids.ravel(), h_cur.take(nbr[s0:s1], axis=0).ravel(),
                                  (r1 - r0) * h_dim)
-            navg[r0:r1] = nb_sum.reshape(r1 - r0, h_dim) / k_div[r0:r1]
-            m_cur.take(nbr[s0:s1], axis=0, out=m_sel[s0:s1])
-            h_cur[r0:r1], m_cur[r0:r1], gates[r0:r1] = cell_forward(
-                cell, pre[r0:r1], mp[r0:r1], navg[r0:r1], nb_gate[s0:s1], m_sel[s0:s1],
-                ids, inv_k[r0:r1])
+            np.divide(nb_sum.reshape(r1 - r0, h_dim), deg[r0:r1], out=navg[r0:r1])
+            h_cur[r0:r1], m_cur[r0:r1], gates[:, r0:r1] = cell_forward(
+                cell, pre[:, r0:r1], mp[r0:r1], navg[r0:r1], nb_gate[s0:s1],
+                m_cur.take(nbr[s0:s1], axis=0), ids, inv_deg[r0:r1])
         schedules.append(schedule)
-        layers.append(CellCache(cell, owner, x, hp, mp, navg, nbr_h_prev, m_sel, nb_gate,
-                                slot_probs, gates, m_cur, h_cur))
+        layers.append(CellCache(cell, owner, x, hp, mp, navg, nb_gate, slot_probs, gates,
+                                m_cur, h_cur))
         h_new, m_new = h_cur.take(schedule.pos, axis=0), m_cur.take(schedule.pos, axis=0)
 
         # one probability per undirected edge: mean of the two directed
@@ -473,15 +490,19 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     The loss gradients wrt the combined logits and the edge probabilities
     come from _loss_terms, the definition compute_loss reads too. Per
     layer, cell_backward_node reverses the forward's waves in reverse
-    order, in the forward's wave-major layout. Every gradient into a
-    node's new state comes from a later-visited neighbor, in a later wave
-    that is reversed already, so a wave first pulls them through its
-    slots: the neighbor's gradient wrt its neighbor average over its
-    degree, and the gradient wrt the memory its reverse slot read. Slots
-    of earlier-visited neighbors, not reversed yet, pull zeros; their
-    owners read the neighbors' previous state, where those gradients go.
+    order, in the forward's wave-major layout, with the gate gradients
+    gate-major. Every gradient into a node's new state comes from a
+    later-visited neighbor, in a later wave that is reversed already, so
+    a wave first pulls them through its slots: the neighbor's gradient
+    wrt its neighbor average over its degree, and the gradient wrt the
+    memory its reverse slot read. Slots of earlier-visited neighbors, not
+    reversed yet, pull zeros; their owners read the neighbors' previous
+    state, where those gradients go. The reverse slots, the later-visited
+    slots, the segment ids and the inverse degrees come with the layer's
+    WaveSchedule.
     One cell_backward_batch call then does the order-independent rest for
-    the whole layer: the merge-probability readout's reverse, and the
+    the whole layer, on the slots' neighbor inputs gathered again from the
+    layer's rows: the merge-probability readout's reverse, and the
     parameter and layer-input gradients. Cell gradients of every layer
     land in the single shared cell block.
     """
@@ -520,15 +541,9 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         else:
             d_feats_t = np.zeros((n, sample.features.shape[1]))
 
-        # the two slots of an edge are each other's reverse
-        pairs = np.argsort(schedule.slot_edge, kind="stable").reshape(-1, 2)
-        rev = np.empty(nbr.size, dtype=np.intp)
-        rev[pairs] = pairs[:, ::-1]
-        inv_k = 1.0 / np.maximum(np.bincount(owner, minlength=n), 1)
-        seg = segment_ids(schedule.local, hh)
-
+        rev, seg, inv_deg = schedule.rev, schedule.seg, schedule.inv_deg
         d_m_prev_t = np.empty((n, hh))
-        d_pre = np.empty((n, 4 * hh))
+        d_pre = np.empty((4, n, hh))
         d_msum = np.empty((nbr.size, hh))
         # zero until their wave is reversed: what earlier-visited
         # neighbors pull
@@ -541,20 +556,25 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
                 flat, d_navg_k.take(nbr[s0:s1], axis=0).ravel(), b * hh).reshape(b, hh)
             d_m = d_m_new[r0:r1] + np.bincount(
                 flat, d_nbr_m.take(rev[s0:s1], axis=0).ravel(), b * hh).reshape(b, hh)
-            (d_pre[r0:r1], d_m_prev_t[r0:r1], d_navg, d_msum[s0:s1],
+            (d_pre[:, r0:r1], d_m_prev_t[r0:r1], d_navg, d_msum[s0:s1],
              d_nbr_m[s0:s1]) = cell_backward_node(
-                 cache, slice(r0, r1), slice(s0, s1), ids, inv_k[r0:r1], d_h, d_m)
-            d_navg_k[r0:r1] = d_navg * inv_k[r0:r1, None]
+                 cache, slice(r0, r1), slice(s0, s1), ids, inv_deg[r0:r1], d_h, d_m)
+            np.multiply(d_navg, inv_deg[r0:r1], out=d_navg_k[r0:r1])
 
-        # order-independent part, batched over the layer; each edge
-        # probability is the mean of its two directed slots. Gradients
-        # into neighbors updated after their slot's owner reach their
-        # previous state
+        # order-independent part, batched over the layer, on the slots'
+        # neighbor inputs gathered again: the memory a slot read is its
+        # neighbor's new one when the neighbor came first, else its
+        # previous one. Each edge probability is the mean of its two
+        # directed slots. Gradients into neighbors updated after their
+        # slot's owner reach their previous state
+        later, nbr_later = schedule.later, nbr[schedule.later]
+        m_sel = cache.memory.take(nbr, axis=0)
+        m_sel[later] = cache.m_prev.take(nbr_later, axis=0)
         d_x, d_h_own, d_nbr_hp = cell_backward_batch(
-            grads.cell, cache, d_pre, d_msum, (0.5 * d_p_levels[t])[schedule.slot_edge])
-        later = nbr > owner
+            grads.cell, cache, cache.h_prev.take(nbr, axis=0), m_sel, d_pre, d_msum,
+            (0.5 * d_p_levels[t])[schedule.slot_edge])
         d_nbr_hp[later] += d_navg_k[owner[later]]
-        d_m_prev_t += segment_sum(d_nbr_m[later], nbr[later], n)
+        d_m_prev_t += segment_sum(d_nbr_m[later], nbr_later, n)
         d_h_prev_t = segment_sum(d_nbr_hp, nbr, n) + d_h_own
         d_feats_t += d_x
 

@@ -55,9 +55,10 @@ from sevolve.network import (
 
 
 def _one_node(num_slots, hidden_dim):
-    """Segment ids and inverse degree of one node that owns every slot."""
+    """Segment ids and inverse degree (a (1, 1) column) of one node that
+    owns every slot."""
     owner = np.zeros(num_slots, dtype=np.intp)
-    return owner, segment_ids(owner, hidden_dim), np.array([1.0 / max(num_slots, 1)])
+    return owner, segment_ids(owner, hidden_dim), np.array([[1.0 / max(num_slots, 1)]])
 
 
 def cell_update(params, x, h_prev, m_prev, neighbor_avg,
@@ -76,31 +77,32 @@ def cell_update(params, x, h_prev, m_prev, neighbor_avg,
             the visit flag picks which one enters the memory sum.
 
     Returns:
-        (hidden, memory, merge_probs, cache) with merge_probs of shape (k,).
+        (hidden, memory, merge_probs, node) with merge_probs of shape (k,)
+        and node = (cache, nbr_h_prev, m_sel): the CellCache and the
+        slots' neighbor inputs, which cell_backward_batch takes besides it.
     """
     if nbr_visited is None:
         nbr_h_prev = m_sel = np.zeros((0, params.hidden_dim))
     else:
         m_sel = np.where(np.asarray(nbr_visited, dtype=bool)[:, None], nbr_m_cur, nbr_m_prev)
-    owner, seg, inv_k = _one_node(nbr_h_prev.shape[0], params.hidden_dim)
+    owner, seg, inv_deg = _one_node(nbr_h_prev.shape[0], params.hidden_dim)
     pre, nb_gate, merge_probs = cell_forward_batch(
         params, x[None], h_prev[None], owner, nbr_h_prev)
     hidden, memory, gates = cell_forward(
-        params, pre, m_prev[None], neighbor_avg[None], nb_gate, m_sel, seg, inv_k)
+        params, pre, m_prev[None], neighbor_avg[None], nb_gate, m_sel, seg, inv_deg)
     cache = CellCache(params, owner, x[None], h_prev[None], m_prev[None],
-                      neighbor_avg[None], nbr_h_prev, m_sel, nb_gate, merge_probs,
-                      gates, memory, hidden)
-    return hidden[0], memory[0], merge_probs, cache
+                      neighbor_avg[None], nb_gate, merge_probs, gates, memory, hidden)
+    return hidden[0], memory[0], merge_probs, (cache, nbr_h_prev, m_sel)
 
 
-def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
+def cell_backward(node, d_hidden, d_memory, d_edge_probs, grads=None):
     """Exact reverse of cell_update: cell_backward_node followed by
     cell_backward_batch over its one node. The merge-probability
     readout's reverse, which d_edge_probs enters, is in
     cell_backward_batch.
 
     Args:
-        cache: CellCache from cell_update.
+        node: (cache, nbr_h_prev, m_sel) from cell_update.
         d_hidden, d_memory: upstream gradients wrt the node's new state (H,).
         d_edge_probs: upstream gradients wrt the merging probabilities
             (k,), or None for zeros.
@@ -113,16 +115,17 @@ def cell_backward(cache, d_hidden, d_memory, d_edge_probs, grads=None):
         state otherwise, as the forward pass selected). The two neighbor
         gradients are None for a node without neighbors.
     """
+    cache, nbr_h_prev, m_sel = node
     if grads is None:
         grads = cache.params.zeros_like()
     k = cache.owner.shape[0]
     if d_edge_probs is None:
         d_edge_probs = np.zeros(k)
-    _, seg, inv_k = _one_node(k, cache.params.hidden_dim)
+    _, seg, inv_deg = _one_node(k, cache.params.hidden_dim)
     d_pre, d_m_prev, d_navg, d_msum, d_nbr_m = cell_backward_node(
-        cache, slice(0, 1), slice(0, k), seg, inv_k, d_hidden[None], d_memory[None])
+        cache, slice(0, 1), slice(0, k), seg, inv_deg, d_hidden[None], d_memory[None])
     d_x, d_h_prev, d_nbr_h_prev = cell_backward_batch(
-        grads, cache, d_pre, d_msum, d_edge_probs)
+        grads, cache, nbr_h_prev, m_sel, d_pre, d_msum, d_edge_probs)
     if not k:
         d_nbr_h_prev = d_nbr_m = None
     return grads, d_x[0], d_h_prev[0], d_m_prev[0], d_navg[0], d_nbr_h_prev, d_nbr_m
@@ -295,16 +298,16 @@ def _sweep_forward(cell, graph, order, x, h_prev, m_prev):
         vis = visited[nb]
         if nb:
             navg = np.where(vis[:, None], h_new[nb], h_prev[nb]).sum(axis=0) / len(nb)
-            hid, mem, mp, cache = cell_update(cell, x[i], h_prev[i], m_prev[i], navg,
-                                              vis, h_prev[nb], m_new[nb], m_prev[nb])
+            hid, mem, mp, node = cell_update(cell, x[i], h_prev[i], m_prev[i], navg,
+                                             vis, h_prev[nb], m_new[nb], m_prev[nb])
         else:
-            hid, mem, mp, cache = cell_update(cell, x[i], h_prev[i], m_prev[i],
-                                              np.zeros(cell.hidden_dim))
+            hid, mem, mp, node = cell_update(cell, x[i], h_prev[i], m_prev[i],
+                                             np.zeros(cell.hidden_dim))
         h_new[i], m_new[i] = hid, mem
         visited[i] = True
         for j, p in zip(nb, mp):
             probs[i, j] = p
-        nodes[i] = (nb, vis, cache)
+        nodes[i] = (nb, vis, node)
     return h_new, m_new, probs, nodes
 
 
@@ -416,9 +419,9 @@ def _sequential_backward(out, sample, params, cfg):
         d_h_prev = np.zeros_like(h_prev)
         d_m_prev = np.zeros_like(m_prev)
         for i in reversed(order):
-            nb, vis, cache = nodes[i]
+            nb, vis, node = nodes[i]
             _, dx, dhp, dmp, d_navg, d_nbr_h, d_nbr_m = cell_backward(
-                cache, d_h_new[i], d_m_new[i], np.array([d_p[i, j] for j in nb]), grads.cell)
+                node, d_h_new[i], d_m_new[i], np.array([d_p[i, j] for j in nb]), grads.cell)
             d_x[i] += dx
             d_h_prev[i] += dhp
             d_m_prev[i] += dmp

@@ -58,10 +58,11 @@ class TestCellForward:
             d, h, k = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(0, 4))
             p = random_params(rng, d, h, scale=2.0)
             x, hp, mp, navg, vis, nhp, nmc, nmp = random_cell_inputs(rng, d, h, k)
-            _, _, probs, cache = cell_update(p, x, hp, mp, navg, vis, nhp, nmc, nmp)
-            h3 = 3 * h
-            assert (cache.gates[:, :h3] > 0).all() and (cache.gates[:, :h3] < 1).all()
-            assert (cache.gates[:, h3:] > -1).all() and (cache.gates[:, h3:] < 1).all()
+            _, _, probs, (cache, _, _) = cell_update(p, x, hp, mp, navg, vis, nhp, nmc, nmp)
+            # gate-major: the sigmoid gates u, f, o, then the tanh gate c
+            assert cache.gates.shape == (4, 1, h)
+            assert (cache.gates[:3] > 0).all() and (cache.gates[:3] < 1).all()
+            assert (cache.gates[3] > -1).all() and (cache.gates[3] < 1).all()
             assert (probs > 0).all() and (probs < 1).all()
             assert (np.abs(cache.hidden) < 1).all()
 
@@ -131,9 +132,9 @@ def run_cell_grad_check(seed, step=1e-5):
     x, h_prev, m_prev, navg, vis, nhp, nmc, nmp = inputs
     wh, wm, wp = _loss_weights(rng, h, k)
 
-    _, _, _, cache = cell_update(p, *inputs)
+    _, _, _, node = cell_update(p, *inputs)
     grads, d_x, d_hp, d_mp, d_navg, d_nhp, d_nm = cell_backward(
-        cache, wh.copy(), wm.copy(), wp.copy() if k else None)
+        node, wh.copy(), wm.copy(), wp.copy() if k else None)
 
     worst = {}
     for name, t in p.tensors():
@@ -197,9 +198,9 @@ class TestCellBackward:
         rng = np.random.default_rng(3)
         p = random_params(rng, 3, 3)
         inputs = random_cell_inputs(rng, 3, 3, 2)
-        _, _, _, cache = cell_update(p, *inputs)
+        _, _, _, node = cell_update(p, *inputs)
         grads, d_x, d_hp, d_mp, d_navg, d_nhp, d_nm = cell_backward(
-            cache, np.zeros(3), np.zeros(3), np.zeros(2))
+            node, np.zeros(3), np.zeros(3), np.zeros(2))
         for _, t in grads.tensors():
             assert np.array_equal(t, np.zeros_like(t))
         for arr in (d_x, d_hp, d_mp, d_navg, d_nhp, d_nm):
@@ -209,10 +210,10 @@ class TestCellBackward:
         rng = np.random.default_rng(4)
         p = random_params(rng, 2, 3)
         inputs = random_cell_inputs(rng, 2, 3, 2)
-        _, _, _, cache = cell_update(p, *inputs)
+        _, _, _, node = cell_update(p, *inputs)
         dh, dm, dp = rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
-        g1, *outs1 = cell_backward(cache, dh, dm, dp)
-        g2, *outs2 = cell_backward(cache, 2.5 * dh, 2.5 * dm, 2.5 * dp)
+        g1, *outs1 = cell_backward(node, dh, dm, dp)
+        g2, *outs2 = cell_backward(node, 2.5 * dh, 2.5 * dm, 2.5 * dp)
         for (_, t1), (_, t2) in zip(g1.tensors(), g2.tensors()):
             np.testing.assert_allclose(t2, 2.5 * t1, rtol=1e-12, atol=1e-14)
         for a, b in zip(outs1, outs2):
@@ -232,8 +233,8 @@ class TestCellBackward:
         navg = rng.normal(size=3)
         inputs = (x, h_prev, m_prev, navg, vis, nhp, nmc, nmp)
         wh, wm, wp = _loss_weights(rng, 3, 2)
-        _, _, _, cache = cell_update(p, *inputs)
-        grads, *_ = cell_backward(cache, wh.copy(), wm.copy(), wp.copy())
+        _, _, _, node = cell_update(p, *inputs)
+        grads, *_ = cell_backward(node, wh.copy(), wm.copy(), wp.copy())
         step = 1e-5
         for name, t in p.tensors():
             a = dict(grads.tensors())[name]
@@ -264,9 +265,9 @@ class TestCellBackward:
         p = random_params(rng, 2, 2)
         x, hp, mp, navg, _, nhp, nmc, nmp = random_cell_inputs(rng, 2, 2, 2)
         vis = np.array([True, False])
-        _, _, _, cache = cell_update(p, x, hp, mp, navg, vis, nhp, nmc, nmp)
+        _, _, _, node = cell_update(p, x, hp, mp, navg, vis, nhp, nmc, nmp)
         _, _, _, _, _, _, d_nm = cell_backward(
-            cache, np.ones(2), np.ones(2), np.zeros(2))
+            node, np.ones(2), np.ones(2), np.zeros(2))
         # row 0 was visited: its gradient belongs to nbr_m_cur[0]; verify
         # numerically that perturbing the unselected slot changes nothing
         wh, wm, wp = np.ones(2), np.ones(2), np.zeros(2)

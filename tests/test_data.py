@@ -22,7 +22,7 @@ class TestGridGraph:
         g = grid_graph(3)
         assert g.num_nodes == 9
         assert g.num_edges == 12  # 2 * 3 * 2 per direction
-        indptr, indices, _ = g.csr
+        indptr, indices, _, _ = g.csr
         assert indices[indptr[4]:indptr[5]].tolist() == [1, 3, 5, 7]  # center cell
         assert indices[indptr[0]:indptr[1]].tolist() == [1, 3]        # corner
 

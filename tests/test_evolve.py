@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sevolve import evolve
-from sevolve.data import grid_graph
+from sevolve.data import GenConfig, generate_sample, grid_graph
 from sevolve.evolve import (
     EvolveConfig,
     evolve_deterministic,
@@ -317,6 +317,30 @@ class TestEvolveStep:
             assert trial.alpha == pytest.approx(0.3, abs=1e-12)
             accepted += int(trial.accepted)
         assert 0.28 <= accepted / draws <= 0.32
+
+
+class TestCoarseningHappens:
+    """Structures evolve under the documented condition: with an ideal
+    readout, p = 0.99 on same-label edges and 0.01 across, test-mode
+    evolve_step merges a generated 8x8 grid into exactly its label
+    regions."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ideal_readout_merges_the_label_regions(self, seed):
+        sample = generate_sample(GenConfig(grid_n=8, seed=seed), np.random.default_rng([seed, 8]))
+        g, labels = sample.graph, sample.labels
+        ends = labels[g.edges]
+        same = ends[:, 0] == ends[:, 1]
+        coarse, part, log = evolve_step(g, np.where(same, 0.99, 0.01), None,
+                                        EvolveConfig(max_trials=50),
+                                        np.random.default_rng([seed, 1]))
+        assert log.accepted[-1]
+        regions, region_graph = coarsen(g, g.edges[same])
+        assert part == regions and coarse == region_graph
+        # the generator's label regions are contiguous: one clique per label
+        assert part.num_cliques == 4
+        assert sorted(np.unique(labels[part.assignment == c]).tolist()
+                      for c in range(4)) == [[0], [1], [2], [3]]
 
 
 class ScriptedRng:

@@ -32,7 +32,7 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 2)])
         assert g.num_nodes == 3
         assert g.edges.tolist() == [[0, 1], [1, 2]]
-        indptr, indices, _ = g.csr
+        indptr, indices, _, _ = g.csr
         assert indices[indptr[1]:indptr[2]].tolist() == [0, 2]
 
     def test_single_isolated_node(self):
@@ -99,9 +99,10 @@ class TestBuildGraph:
 class TestCSR:
     @staticmethod
     def check_csr(g):
-        indptr, indices, slot_edge = g.csr
+        indptr, indices, slot_edge, slot_rev = g.csr
         assert not (indptr.flags.writeable or indices.flags.writeable
-                    or slot_edge.flags.writeable or g.edges.flags.writeable)
+                    or slot_edge.flags.writeable or slot_rev.flags.writeable
+                    or g.edges.flags.writeable)
         adjacency = [[] for _ in range(g.num_nodes)]
         for a, b in g.edges.tolist():
             adjacency[a].append(b)
@@ -112,6 +113,11 @@ class TestCSR:
         for s, e in enumerate(slot_edge):
             assert g.edges[e].tolist() == sorted((int(owner[s]), int(indices[s])))
         assert np.bincount(slot_edge, minlength=g.num_edges).tolist() == [2] * g.num_edges
+        # the reverse slot: the same edge, seen from the other endpoint
+        slots = np.arange(indices.size)
+        assert (slot_rev[slot_rev] == slots).all() and (slot_rev != slots).all()
+        assert (slot_edge[slot_rev] == slot_edge).all()
+        assert (owner[slot_rev] == indices).all() and (indices[slot_rev] == owner).all()
 
     def test_matches_edges_on_all_small_graphs(self):
         for g in all_graphs(5):

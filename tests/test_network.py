@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sevolve import network
 from sevolve.cell import CellParams
 from sevolve.evolve import EvolveConfig
 from sevolve.graph import CliquePartition, HierarchyTrace, build_graph
@@ -319,6 +320,28 @@ class TestWaveSweep:
         res = _assert_matches_sequential(sample, random_model(rng, cfg), cfg, plan=plan)
         assert [len(s.waves) for s in res.schedules] == [n, n]
 
+    @pytest.mark.parametrize("mode", ["train", "test"])
+    def test_cell_forward_called_once_per_wave(self, mode, monkeypatch):
+        # the benchmark's cell.cell_forward call counts read as waves per
+        # sample only while forward calls network.cell_forward once a wave
+        calls = []
+        inner = network.cell_forward
+
+        def counted(*args):
+            calls.append(args[1].shape[1])
+            return inner(*args)
+
+        monkeypatch.setattr(network, "cell_forward", counted)
+        for seed in range(6):
+            rng = np.random.default_rng([50, seed])
+            cfg = tiny_cfg(layers=3, max_trials=20)
+            sample = make_sample(rng, n=int(rng.integers(1, 13)))
+            calls.clear()
+            res = forward(sample, random_model(rng, cfg), cfg, np.random.default_rng(seed),
+                          mode=mode)
+            assert len(calls) == sum(len(s.waves) for s in res.schedules)
+            assert calls == [r1 - r0 for s in res.schedules for r0, r1, _, _ in s.waves]
+
 
 @st.composite
 def graphs_and_orders(draw, max_nodes=7):
@@ -327,17 +350,17 @@ def graphs_and_orders(draw, max_nodes=7):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [pair for pair, k in zip(pairs, keep) if k]
     order = draw(st.permutations(range(n)))
-    return build_graph(n, edges), np.array(order, dtype=np.intp)
+    return build_graph(n, edges), np.array(order, dtype=np.intp), draw(st.integers(1, 4))
 
 
 class TestWaveSchedule:
     @settings(max_examples=300, deadline=None)
     @given(graphs_and_orders())
     def test_waves_are_a_level_schedule(self, case):
-        g, order = case
+        g, order, width = case
         n = g.num_nodes
-        indptr, indices, slot_edge = g.csr
-        sched = wave_schedule(order, indptr, indices, slot_edge)
+        indptr, indices, slot_edge, _ = g.csr
+        sched = wave_schedule(order, g, width)
         perm, pos, owner, nbr = sched.perm, sched.pos, sched.owner, sched.nbr
         visit = np.empty(n, dtype=np.intp)
         visit[order] = np.arange(n)
@@ -372,6 +395,20 @@ class TestWaveSchedule:
             assert (wave[nbrs] != wave[i]).all()        # no edge inside a wave
             assert (wave[before] < wave[i]).all()
             assert wave[i] == (wave[before].max() + 1 if before.size else 0)
+
+        # the per-layer indices: reverse slots, later-visited slots,
+        # inverse degrees and segment ids
+        rev = sched.rev
+        assert (rev[rev] == np.arange(nbr.size)).all()
+        assert (sched.slot_edge[rev] == sched.slot_edge).all()
+        assert (owner[rev] == nbr).all() and (nbr[rev] == owner).all()
+        assert sched.later.tolist() == [s for s in range(nbr.size) if nbr[s] > owner[s]]
+        degree = np.diff(indptr)[perm]
+        assert sched.deg.shape == sched.inv_deg.shape == (n, 1)
+        assert (sched.deg[:, 0] == np.maximum(degree, 1)).all()
+        assert (sched.inv_deg[:, 0] == 1.0 / np.maximum(degree, 1)).all()
+        assert sched.seg.tolist() == [[sched.local[s] * width + j for j in range(width)]
+                                      for s in range(nbr.size)]
 
         # the wave count is the longest path whose nodes come in visit order
         edges = set(map(tuple, g.edges.tolist()))

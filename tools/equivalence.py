@@ -6,8 +6,9 @@
 
 `dump` runs forward, compute_loss and backward of the package on the
 import path over a fixed set of cases and saves every output to one .npz:
-visit orders, partitions, each level's edges (so the quotient graphs
-are compared directly), trial decisions, each transition's
+visit orders, each layer's wave schedule (perm, pos, owner, local, nbr,
+slot_edge and the wave bounds), partitions, each level's edges (so the
+quotient graphs are compared directly), trial decisions, each transition's
 `trace_records` text (as uint8 bytes, so the per-trial detail is compared
 exactly), the next rng draw, per-level logits and edge probabilities, the
 combined logits, the losses and every gradient tensor. The cases are 4
@@ -43,6 +44,10 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKPOINT = ROOT / "perfbench" / "model.ckpt"
+# the layout arrays of each layer's WaveSchedule; the per-layer indices a
+# schedule may also carry follow from them, and leaving those out keeps a
+# dump comparable with one of a package whose schedules lack them
+SCHEDULE_FIELDS = ("perm", "pos", "owner", "local", "nbr", "slot_edge")
 
 
 def _model_cases(network, data, EvolveConfig):
@@ -162,6 +167,10 @@ def dump(path):
             arrays[f"orders/{t}"] = np.asarray(order)
             arrays[f"level_logits/{t}"] = res.level_logits[t]
             arrays[f"edge_probs/{t}"] = res.trace.edge_probs[t]
+        for t, sched in enumerate(res.schedules):
+            for field in SCHEDULE_FIELDS:
+                arrays[f"schedule/{t}/{field}"] = getattr(sched, field)
+            arrays[f"schedule/{t}/waves"] = np.array(sched.waves, dtype=np.intp).reshape(-1, 4)
         for t, g in enumerate(res.trace.levels):
             arrays[f"edges/{t}"] = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
         for t, (part, log) in enumerate(zip(res.trace.partitions, res.trace.decisions)):
