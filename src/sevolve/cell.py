@@ -18,10 +18,10 @@ it once per wave, a set of pairwise non-adjacent nodes whose
 earlier-visited neighbors are all updated already. In reverse,
 cell_backward_node does the node-local work, once per wave in reverse
 wave order, and cell_backward_batch the order-independent rest, once per
-layer: the reverse of the merge-probability readout and the neighbor
-forget gates, and the parameter and input gradients. So the readout
-(the merge_probs of cell_forward_batch, weights w_e) and its reverse
-live in the two batch parts only.
+layer: the reverse of the readout and the neighbor forget gates, and
+the parameter and previous-state gradients, none wrt the data x. So the
+readout (the merge_probs of cell_forward_batch, weights w_e) and its
+reverse live in the two batch parts only.
 
 The four gates are laid out gate-major: the pre-activations, the
 activated gates and their gradients are (4, B, H) arrays, one contiguous
@@ -38,7 +38,7 @@ a wave's block of rows and block of slots, plus the slots' segment ids
 WaveSchedule carries.
 
 Everything is float64 and purely functional: same inputs, bit-identical
-outputs.
+outputs. A non-finite new state raises NumericError.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ from sevolve.graph import segment_sum
 # application, the candidate gate uses tanh, and the neighbor-averaged
 # term enters only the u/o/c rows.
 _GATES = ("u", "f", "o", "c")
+
+
+class NumericError(RuntimeError):
+    """Raised when a state, loss or gradient turns non-finite."""
 
 
 def sigmoid(x, out=None):
@@ -251,7 +255,7 @@ def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, seg, inv_deg):
     memory = nb_sum * inv_deg + g_f * m_prev + g_u * g_c
     hidden = np.tanh(g_o * memory)
     if not math.isfinite(memory.sum() + hidden.sum()):
-        raise ValueError("non-finite values in cell inputs or parameters")
+        raise NumericError("non-finite values in cell inputs or parameters")
     return hidden, memory, gates
 
 
@@ -280,7 +284,7 @@ def cell_backward_node(cache, rows, slots, seg, inv_deg, d_hidden, d_memory):
         neighbor mean (S, H) and wrt the flag-selected neighbor memory
         (S, H).
         cell_backward_batch turns d_pre and d_msum into parameter and
-        input gradients.
+        previous-state gradients.
     """
     params = cache.params
     h = params.hidden_dim
@@ -319,7 +323,7 @@ def cell_backward_batch(grads, cache, nbr_h_prev, m_sel, d_pre, d_msum, d_edge_p
     the merge-probability readout's reverse included.
 
     Accumulates every parameter gradient into `grads` and returns the
-    gradients wrt the inputs.
+    gradients wrt the previous hidden states, none wrt the data x.
 
     Args:
         grads: CellParams accumulator.
@@ -332,7 +336,7 @@ def cell_backward_batch(grads, cache, nbr_h_prev, m_sel, d_pre, d_msum, d_edge_p
             probabilities.
 
     Returns:
-        (d_x, d_h_prev, d_nbr_h_prev) of shapes (B, D), (B, H), (S, H).
+        (d_h_prev, d_nbr_h_prev) of shapes (B, H) and (S, H).
     """
     params = cache.params
     h = params.hidden_dim
@@ -348,7 +352,7 @@ def cell_backward_batch(grads, cache, nbr_h_prev, m_sel, d_pre, d_msum, d_edge_p
     sum_prenb = segment_sum(d_prenb, cache.owner, d_pre.shape[1])
 
     # the gate blocks side by side, (B, 4H) as the packed weight rows run:
-    # the input gradients sum over all four gates in one product each
+    # each gradient sums over all four gates in one product
     d_rows = np.concatenate(d_pre, axis=1)
     d_h_prev = d_rows @ params.uh
     grads.uh += d_rows.T @ cache.h_prev
@@ -357,5 +361,5 @@ def cell_backward_batch(grads, cache, nbr_h_prev, m_sel, d_pre, d_msum, d_edge_p
     grads.b[h:2 * h] += sum_prenb.sum(axis=0)
     d_rows[:, h:2 * h] += sum_prenb
     grads.wx += d_rows.T @ cache.x
-    return d_rows @ params.wx, d_h_prev, d_nbr_h_prev
+    return d_h_prev, d_nbr_h_prev
 

@@ -124,6 +124,8 @@ def _resolve_config(args) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
+    if cfg.seed < 0:   # numpy's own error names neither the flag nor the bound
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 

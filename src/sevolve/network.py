@@ -14,8 +14,9 @@ layout of the layer (see wave_schedule), which gives exactly the states
 of a node-by-node sweep in visit order. The backward pass reverses the
 realized structure exactly: heads, then layers in reverse, waves in
 reverse, with aggregated-state gradients split uniformly over merged
-members. No gradient flows through the discrete merge decisions; the
-edge-supervision loss trains the merge-probability readout.
+members, and only gradients that reach a parameter. No gradient flows
+through the discrete merge decisions; the edge-supervision loss trains
+the merge-probability readout.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class WaveSchedule(NamedTuple):
 
     perm: (n,) the node of each row; pos: (n,) the row of each node.
     waves: per wave, (r0, r1, s0, s1): its rows r0:r1 and slots s0:s1.
-    owner: (S,) the row of each slot; local: (S,) owner - r0 of its wave.
+    owner: (S,) the row of each slot.
     nbr: (S,) the row of each slot's neighbor. The neighbor is visited
         before the owner exactly when nbr < owner.
     slot_edge: (S,) the canonical edge id of each slot, which has one
@@ -177,15 +178,14 @@ class WaveSchedule(NamedTuple):
         (nbr > owner), ascending.
     deg, inv_deg: (n, 1) max(degree, 1) of each row's node, and its
         inverse, as float columns.
-    seg: (S, width) graph.segment_ids of local: a wave's block of it sums
-        the wave's slots into the wave's rows.
+    seg: (S, width) graph.segment_ids of owner - r0 of each slot's wave:
+        a wave's block of it sums the wave's slots into the wave's rows.
     """
 
     perm: np.ndarray
     pos: np.ndarray
     waves: list
     owner: np.ndarray
-    local: np.ndarray
     nbr: np.ndarray
     slot_edge: np.ndarray
     rev: np.ndarray
@@ -257,7 +257,7 @@ def wave_schedule(order, graph: LevelGraph, width: int) -> WaveSchedule:
                      slot_off[:-1].tolist(), slot_off[1:].tolist()))
     nbr = pos[indices[slots]]
     div = np.maximum(row_deg, 1).astype(np.float64)[:, None]
-    return WaveSchedule(perm, pos, waves, owner, local, nbr, slot_edge[slots],
+    return WaveSchedule(perm, pos, waves, owner, nbr, slot_edge[slots],
                         wave_slot[slot_rev[slots]], np.flatnonzero(nbr > owner), div, 1.0 / div,
                         segment_ids(local, width))
 
@@ -502,9 +502,10 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     WaveSchedule.
     One cell_backward_batch call then does the order-independent rest for
     the whole layer, on the slots' neighbor inputs gathered again from the
-    layer's rows: the merge-probability readout's reverse, and the
-    parameter and layer-input gradients. Cell gradients of every layer
-    land in the single shared cell block.
+    layer's rows: the readout's reverse, and the parameter and
+    previous-state gradients, none below level 0 or wrt the sample's
+    features, so only the labels of `sample` are read. Cell gradients of
+    every layer land in the single shared cell block.
     """
     params = result.params
     _, _, d_comb, d_p_levels = _loss_terms(result, sample, cfg)
@@ -512,9 +513,6 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     n_layers = len(result.level_logits)
     hh = params.cell.hidden_dim
 
-    d_feats_next = None
-    d_hprev_next = None
-    d_mprev_next = None
     for t in range(n_layers - 1, -1, -1):
         cache = result.layers[t]
         schedule = result.schedules[t]
@@ -537,9 +535,6 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
             clique = part.assignment[perm]
             d_h_new += (d_hprev_next * inv[:, None]).take(clique, axis=0)
             d_m_new += (d_mprev_next * inv[:, None]).take(clique, axis=0)
-            d_feats_t = (d_feats_next * inv[:, None]).take(clique, axis=0)
-        else:
-            d_feats_t = np.zeros((n, sample.features.shape[1]))
 
         rev, seg, inv_deg = schedule.rev, schedule.seg, schedule.inv_deg
         d_m_prev_t = np.empty((n, hh))
@@ -570,16 +565,16 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         later, nbr_later = schedule.later, nbr[schedule.later]
         m_sel = cache.memory.take(nbr, axis=0)
         m_sel[later] = cache.m_prev.take(nbr_later, axis=0)
-        d_x, d_h_own, d_nbr_hp = cell_backward_batch(
+        d_h_own, d_nbr_hp = cell_backward_batch(
             grads.cell, cache, cache.h_prev.take(nbr, axis=0), m_sel, d_pre, d_msum,
             (0.5 * d_p_levels[t])[schedule.slot_edge])
+        if t == 0:
+            break   # level 0's previous state is the zero initial state, not a parameter
         d_nbr_hp[later] += d_navg_k[owner[later]]
         d_m_prev_t += segment_sum(d_nbr_m[later], nbr_later, n)
         d_h_prev_t = segment_sum(d_nbr_hp, nbr, n) + d_h_own
-        d_feats_t += d_x
 
         # back to node order for the level below
-        d_feats_next = d_feats_t.take(schedule.pos, axis=0)
         d_hprev_next = d_h_prev_t.take(schedule.pos, axis=0)
         d_mprev_next = d_m_prev_t.take(schedule.pos, axis=0)
 

@@ -8,12 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sevolve.cell import NumericError
 from sevolve.network import (backward, compute_loss, forward, predict, save_checkpoint,
                              write_lines_atomic)
-
-
-class NumericError(RuntimeError):
-    """Raised when a loss or gradient turns non-finite."""
 
 
 @dataclass
@@ -61,6 +58,11 @@ def sgd_step(params, grads, state: OptimState, cfg: OptimConfig):
         w += v
 
 
+GRAD_CHECK_STEP = 1e-5
+GRAD_CHECK_TOLERANCE = 1e-5
+GRAD_CHECK_MODE = "train"
+
+
 @dataclass
 class GradCheckReport:
     tensor_errors: dict
@@ -69,46 +71,42 @@ class GradCheckReport:
     passed: bool
 
 
-def grad_check(sample, params, cfg, rng, step: float = 1e-5,
-               tolerance: float = 1e-5, mode: str = "train") -> GradCheckReport:
+def grad_check(sample, params, cfg, rng) -> GradCheckReport:
     """Central-difference check of the full-network backward pass.
 
-    Runs one forward pass, freezes its structure (visit orders and
-    partitions), and compares the analytic gradient of the total loss
-    against (L(w+step) - L(w-step)) / (2 step) per parameter coordinate,
-    replaying the frozen structure for every probe. Relative error is
-    |a - n| / max(|a|, |n|, 1e-8). Parameters are restored afterwards.
+    Runs one GRAD_CHECK_MODE forward pass, freezes its structure (visit
+    orders and partitions), and compares the analytic gradient of the
+    total loss against (L(w+step) - L(w-step)) / (2 step), step
+    GRAD_CHECK_STEP, per parameter coordinate, replaying the frozen
+    structure for every probe. It passes when every relative error
+    |a - n| / max(|a|, |n|, 1e-8) is below GRAD_CHECK_TOLERANCE; the
+    parameters are restored afterwards.
     """
-    result = forward(sample, params, cfg, rng, mode=mode)
+    result = forward(sample, params, cfg, rng, mode=GRAD_CHECK_MODE)
     plan = result.plan()
-    analytic = backward(result, sample, cfg)
-    analytic_by_name = dict(analytic.tensors())
+    analytic = dict(backward(result, sample, cfg).tensors())
 
     def loss_now():
-        replay = forward(sample, params, cfg, None, mode=mode, plan=plan)
+        replay = forward(sample, params, cfg, None, mode=GRAD_CHECK_MODE, plan=plan)
         return compute_loss(replay, sample, cfg)[0]
 
     errors = {}
-    worst = 0.0
     for name, w in params.tensors():
-        a = analytic_by_name[name]
         tensor_worst = 0.0
-        flat_w = w.reshape(-1)
-        flat_a = a.reshape(-1)
+        flat_w, flat_a = w.reshape(-1), analytic[name].reshape(-1)
         for k in range(flat_w.size):
             orig = flat_w[k]
-            flat_w[k] = orig + step
+            flat_w[k] = orig + GRAD_CHECK_STEP
             loss_plus = loss_now()
-            flat_w[k] = orig - step
+            flat_w[k] = orig - GRAD_CHECK_STEP
             loss_minus = loss_now()
             flat_w[k] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
+            numeric = (loss_plus - loss_minus) / (2.0 * GRAD_CHECK_STEP)
             rel = abs(flat_a[k] - numeric) / max(abs(flat_a[k]), abs(numeric), 1e-8)
-            if rel > tensor_worst:
-                tensor_worst = rel
+            tensor_worst = max(tensor_worst, rel)
         errors[name] = tensor_worst
-        worst = max(worst, tensor_worst)
-    return GradCheckReport(errors, worst, tolerance, worst < tolerance)
+    worst = max(errors.values())
+    return GradCheckReport(errors, worst, GRAD_CHECK_TOLERANCE, worst < GRAD_CHECK_TOLERANCE)
 
 
 def evaluate_accuracy(dataset, params, cfg, seed: int, epoch: int = 0) -> float:

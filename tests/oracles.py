@@ -109,7 +109,7 @@ def cell_backward(node, d_hidden, d_memory, d_edge_probs, grads=None):
         grads: CellParams accumulator; allocated fresh when None.
 
     Returns:
-        (grads, d_x, d_h_prev, d_m_prev, d_neighbor_avg, d_nbr_h_prev, d_nbr_m)
+        (grads, d_h_prev, d_m_prev, d_neighbor_avg, d_nbr_h_prev, d_nbr_m)
         where d_nbr_m is the gradient wrt the flag-selected neighbor memory
         (route it to the updated state for visited neighbors, the previous
         state otherwise, as the forward pass selected). The two neighbor
@@ -124,11 +124,11 @@ def cell_backward(node, d_hidden, d_memory, d_edge_probs, grads=None):
     _, seg, inv_deg = _one_node(k, cache.params.hidden_dim)
     d_pre, d_m_prev, d_navg, d_msum, d_nbr_m = cell_backward_node(
         cache, slice(0, 1), slice(0, k), seg, inv_deg, d_hidden[None], d_memory[None])
-    d_x, d_h_prev, d_nbr_h_prev = cell_backward_batch(
+    d_h_prev, d_nbr_h_prev = cell_backward_batch(
         grads, cache, nbr_h_prev, m_sel, d_pre, d_msum, d_edge_probs)
     if not k:
         d_nbr_h_prev = d_nbr_m = None
-    return grads, d_x[0], d_h_prev[0], d_m_prev[0], d_navg[0], d_nbr_h_prev, d_nbr_m
+    return grads, d_h_prev[0], d_m_prev[0], d_navg[0], d_nbr_h_prev, d_nbr_m
 
 
 def propose(g, edge_probs, rng):
@@ -339,7 +339,7 @@ def sequential_network(sample, params, cfg, rng=None, mode="train", plan=None):
         logits = h_new @ head_w.T + head_b
         for key, value in (("orders", order), ("level_logits", logits), ("edge_probs", p_edge),
                            ("levels", g), ("amaps", amap),
-                           ("sweeps", (order, x, h_prev, m_prev, h_new, m_new, nodes))):
+                           ("sweeps", (order, h_prev, m_prev, h_new, m_new, nodes))):
             out[key].append(value)
         if t == n_layers - 1:
             break
@@ -391,7 +391,7 @@ def _sequential_backward(out, sample, params, cfg):
     d_next = None
     for t in range(n_layers - 1, -1, -1):
         g = out["levels"][t]
-        order, x, h_prev, m_prev, h_new, m_new, nodes = out["sweeps"][t]
+        order, h_prev, m_prev, h_new, m_new, nodes = out["sweeps"][t]
         lvl = _level_labels(out, labels, cfg.num_classes, t)
         d_p = {}
         for e, (a, b) in enumerate(g.edges.tolist()):
@@ -408,21 +408,18 @@ def _sequential_backward(out, sample, params, cfg):
         gb += d_logits.sum(axis=0)
         d_h_new = d_logits @ head_w
         d_m_new = np.zeros_like(d_h_new)
-        d_x = np.zeros_like(x)
         if d_next is not None:
             part = out["partitions"][t]
             sizes = np.bincount(part.assignment, minlength=part.num_cliques)
             for i, c in enumerate(part.assignment):
-                d_x[i] += d_next[0][c] / sizes[c]
-                d_h_new[i] += d_next[1][c] / sizes[c]
-                d_m_new[i] += d_next[2][c] / sizes[c]
+                d_h_new[i] += d_next[0][c] / sizes[c]
+                d_m_new[i] += d_next[1][c] / sizes[c]
         d_h_prev = np.zeros_like(h_prev)
         d_m_prev = np.zeros_like(m_prev)
         for i in reversed(order):
             nb, vis, node = nodes[i]
-            _, dx, dhp, dmp, d_navg, d_nbr_h, d_nbr_m = cell_backward(
+            _, dhp, dmp, d_navg, d_nbr_h, d_nbr_m = cell_backward(
                 node, d_h_new[i], d_m_new[i], np.array([d_p[i, j] for j in nb]), grads.cell)
-            d_x[i] += dx
             d_h_prev[i] += dhp
             d_m_prev[i] += dmp
             for s, j in enumerate(nb):
@@ -430,7 +427,7 @@ def _sequential_backward(out, sample, params, cfg):
                 (d_h_new if vis[s] else d_h_prev)[j] += d_navg / len(nb)
                 (d_m_new if vis[s] else d_m_prev)[j] += d_nbr_m[s]
                 d_h_prev[j] += d_nbr_h[s]
-        d_next = (d_x, d_h_prev, d_m_prev)
+        d_next = (d_h_prev, d_m_prev)
     return grads
 
 

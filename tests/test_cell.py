@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sevolve.cell import CellParams
+from sevolve.cell import CellParams, NumericError
 from oracles import cell_backward, cell_update
 
 
@@ -103,7 +103,7 @@ class TestCellForward:
     def test_rejects_non_finite(self):
         p = CellParams(2, 2)
         x = np.array([np.inf, 0.0])
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
             cell_update(p, x, np.zeros(2), np.zeros(2), np.zeros(2))
 
 
@@ -124,16 +124,17 @@ def _max_rel_error(analytic, numeric):
 
 
 def run_cell_grad_check(seed, step=1e-5):
-    """Central-difference oracle over every parameter tensor and input."""
+    """Central-difference oracle over every parameter tensor and every
+    input but x, which is data: the backward takes no gradient wrt it."""
     rng = np.random.default_rng(seed)
     d, h, k = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(0, 4))
     p = random_params(rng, d, h)
     inputs = random_cell_inputs(rng, d, h, k)
-    x, h_prev, m_prev, navg, vis, nhp, nmc, nmp = inputs
+    _, h_prev, m_prev, navg, vis, nhp, nmc, nmp = inputs
     wh, wm, wp = _loss_weights(rng, h, k)
 
     _, _, _, node = cell_update(p, *inputs)
-    grads, d_x, d_hp, d_mp, d_navg, d_nhp, d_nm = cell_backward(
+    grads, d_hp, d_mp, d_navg, d_nhp, d_nm = cell_backward(
         node, wh.copy(), wm.copy(), wp.copy() if k else None)
 
     worst = {}
@@ -151,8 +152,8 @@ def run_cell_grad_check(seed, step=1e-5):
             flat_n[i] = (up - down) / (2 * step)
         worst[name] = _max_rel_error(a, num)
 
-    for label, arr, analytic in (("x", x, d_x), ("h_prev", h_prev, d_hp),
-                                 ("m_prev", m_prev, d_mp), ("navg", navg, d_navg)):
+    for label, arr, analytic in (("h_prev", h_prev, d_hp), ("m_prev", m_prev, d_mp),
+                                 ("navg", navg, d_navg)):
         num = np.zeros_like(arr)
         flat_t, flat_n = arr.reshape(-1), num.reshape(-1)
         for i in range(flat_t.size):
@@ -199,11 +200,11 @@ class TestCellBackward:
         p = random_params(rng, 3, 3)
         inputs = random_cell_inputs(rng, 3, 3, 2)
         _, _, _, node = cell_update(p, *inputs)
-        grads, d_x, d_hp, d_mp, d_navg, d_nhp, d_nm = cell_backward(
+        grads, d_hp, d_mp, d_navg, d_nhp, d_nm = cell_backward(
             node, np.zeros(3), np.zeros(3), np.zeros(2))
         for _, t in grads.tensors():
             assert np.array_equal(t, np.zeros_like(t))
-        for arr in (d_x, d_hp, d_mp, d_navg, d_nhp, d_nm):
+        for arr in (d_hp, d_mp, d_navg, d_nhp, d_nm):
             assert np.array_equal(arr, np.zeros_like(arr))
 
     def test_linearity_in_upstream(self):
@@ -266,7 +267,7 @@ class TestCellBackward:
         x, hp, mp, navg, _, nhp, nmc, nmp = random_cell_inputs(rng, 2, 2, 2)
         vis = np.array([True, False])
         _, _, _, node = cell_update(p, x, hp, mp, navg, vis, nhp, nmc, nmp)
-        _, _, _, _, _, _, d_nm = cell_backward(
+        _, _, _, _, _, d_nm = cell_backward(
             node, np.ones(2), np.ones(2), np.zeros(2))
         # row 0 was visited: its gradient belongs to nbr_m_cur[0]; verify
         # numerically that perturbing the unselected slot changes nothing

@@ -7,6 +7,7 @@ import pytest
 from sevolve.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     RunConfig,
     _metrics,
@@ -135,6 +136,20 @@ class TestTrain:
         assert (outs[0] / "train_log.tsv").read_bytes() == (outs[1] / "train_log.tsv").read_bytes()
         assert (outs[0] / "final.ckpt").read_bytes() == (outs[1] / "final.ckpt").read_bytes()
 
+    def test_diverging_run_exits_4(self, tmp_path, capsys):
+        # lr 1e100 makes sgd_step write inf weights; the next forward's
+        # non-finite check is a numeric failure, not a config error
+        data = tmp_path / "ds.txt"
+        assert run(["generate", "--out", str(data), "--samples", "4",
+                    "--grid-n", "4"]) == EXIT_OK
+        with np.errstate(all="ignore"):
+            code = run(["train", "--dataset", str(data), "--out-dir", str(tmp_path / "out"),
+                        "--epochs", "3", "--lr", "1e100"])
+        assert code == EXIT_NUMERIC
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: non-finite values in cell inputs or parameters"]
+
     def test_missing_dataset_file_exits_3(self, tmp_path):
         assert run(["train", "--dataset", str(tmp_path / "nope.txt"),
                     "--out-dir", str(tmp_path / "r")]) == EXIT_IO
@@ -239,6 +254,30 @@ class TestInspect:
                     "--dataset", str(workdir["data"]),
                     "--out-dir", str(tmp_path / "x"),
                     "--sample-index", "99"]) == EXIT_CONFIG
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "inspect"])
+    def test_flag_exits_2_before_writing(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        model = ["--checkpoint", str(workdir["ckpt"]), "--dataset", str(workdir["data"])]
+        argv = {"generate": ["--out", str(out)],
+                "train": ["--dataset", str(workdir["data"]), "--out-dir", str(out),
+                          "--layers", "1", "--epochs", "1"],
+                "eval": model,
+                "inspect": model + ["--out-dir", str(out)]}[command]
+        assert run([command, *argv, "--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_config_file_exits_2_before_writing(self, workdir, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed = -1\n")
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfgfile), "--dataset", str(workdir["data"]),
+                    "--out-dir", str(out), "--layers", "1", "--epochs", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
 
 class TestConfigFile:

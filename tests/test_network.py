@@ -269,6 +269,9 @@ class TestWaveSweep:
             res = _assert_matches_sequential(
                 sample, random_model(rng, cfg), cfg, [41, seed], mode)
             merged += res.trace.levels[-1].num_nodes < sample.num_nodes
+            # one layer: level 0 is the top level, with no aggregation above it
+            one = tiny_cfg(layers=1)
+            _assert_matches_sequential(sample, random_model(rng, one), one, [41, seed], mode)
         assert merged >= 2
 
     def test_threshold_mode(self):
@@ -385,7 +388,7 @@ class TestWaveSchedule:
             assert sched.slot_edge[s0:s1].tolist() == slot_edge[want].tolist()
             assert owner[s0:s1].tolist() == [r0 + k for k, r in enumerate(rows)
                                              for _ in range(indptr[r], indptr[r + 1])]
-            assert (sched.local[s0:s1] == owner[s0:s1] - r0).all()
+            assert (sched.seg[s0:s1] // width == (owner[s0:s1] - r0)[:, None]).all()
         assert (wave >= 0).all()                       # the waves partition the nodes
         # "visited earlier" is "laid out earlier"
         assert ((nbr < owner) == (visit[perm[nbr]] < visit[perm[owner]])).all()
@@ -407,8 +410,8 @@ class TestWaveSchedule:
         assert sched.deg.shape == sched.inv_deg.shape == (n, 1)
         assert (sched.deg[:, 0] == np.maximum(degree, 1)).all()
         assert (sched.inv_deg[:, 0] == 1.0 / np.maximum(degree, 1)).all()
-        assert sched.seg.tolist() == [[sched.local[s] * width + j for j in range(width)]
-                                      for s in range(nbr.size)]
+        assert sched.seg.shape == (nbr.size, width)
+        assert (sched.seg % width == np.arange(width)).all()
 
         # the wave count is the longest path whose nodes come in visit order
         edges = set(map(tuple, g.edges.tolist()))

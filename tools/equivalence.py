@@ -6,7 +6,7 @@
 
 `dump` runs forward, compute_loss and backward of the package on the
 import path over a fixed set of cases and saves every output to one .npz:
-visit orders, each layer's wave schedule (perm, pos, owner, local, nbr,
+visit orders, each layer's wave schedule (perm, pos, owner, nbr,
 slot_edge and the wave bounds), partitions, each level's edges (so the
 quotient graphs are compared directly), trial decisions, each transition's
 `trace_records` text (as uint8 bytes, so the per-trial detail is compared
@@ -16,7 +16,8 @@ seeds x 8x8/16x16/32x32 grids with the benchmark checkpoint
 (perfbench/model.ckpt) in Metropolis-Hastings train
 mode, MH test mode and threshold-0.8 mode; a replay of 2x2 block pooling
 on a 32x32 grid; and 20 small random graphs with widened random weights,
-in train and test mode. `dump` also saves generated datasets of 8x8,
+in train and test mode, the first 5 also with one layer only (level 0
+is then the top level). `dump` also saves generated datasets of 8x8,
 16x16 and 32x32 grids, and a copy of the 8x8 one with \r\n line ends,
 loads each back with load_dataset and saves every sample's edges, labels
 and feature bits (as int64, so -0.0 and 0.0 differ). It loads the
@@ -47,7 +48,7 @@ CHECKPOINT = ROOT / "perfbench" / "model.ckpt"
 # the layout arrays of each layer's WaveSchedule; the per-layer indices a
 # schedule may also carry follow from them, and leaving those out keeps a
 # dump comparable with one of a package whose schedules lack them
-SCHEDULE_FIELDS = ("perm", "pos", "owner", "local", "nbr", "slot_edge")
+SCHEDULE_FIELDS = ("perm", "pos", "owner", "nbr", "slot_edge")
 
 
 def _model_cases(network, data, EvolveConfig):
@@ -111,6 +112,12 @@ def _random_graph_cases(network, graph, EvolveConfig):
         for mode in ("train", "test"):
             yield (f"rand{k}-{mode}", sample, params, cfg, mode,
                    np.random.default_rng([12, k]), None)
+        if k < 5:
+            one = network.NetworkConfig(input_dim=3, num_classes=3, num_layers=1)
+            for mode in ("train", "test"):
+                yield (f"rand{k}-1layer-{mode}", sample,
+                       network.ModelParams(params.cell, params.heads[:1]), one, mode,
+                       np.random.default_rng([12, k]), None)
 
 
 def _loaded_datasets(data):
