@@ -51,17 +51,9 @@ class LevelGraph:
     stored once as (min, max) and the rows sorted lexicographically. That
     order is the "canonical edge order" used everywhere an rng draw or
     probability is associated with an edge.
-
-    `csr` is the read-only compressed sparse row index (indptr, indices,
-    slot_edge, slot_rev), built with the edges. Node i's sorted neighbors
-    are indices[indptr[i]:indptr[i+1]]; positions in `indices` are the
-    directed slots, two per edge, one in each endpoint's row,
-    slot_edge[s] is the canonical edge id of slot s and slot_rev[s] the
-    edge's other slot. Because rows ascend, the slot of an edge's lower
-    endpoint precedes that of its upper endpoint.
     """
 
-    __slots__ = ("num_nodes", "edges", "csr")
+    __slots__ = ("num_nodes", "edges")
 
     def __init__(self, num_nodes: int, edge_list=()):
         if num_nodes < 1:
@@ -87,26 +79,9 @@ class LevelGraph:
         return g
 
     def _build(self, num_nodes, edges):
-        m = len(edges)
-        # upper endpoints first: a stable sort by row then leaves each row
-        # its lower neighbors, then its upper ones, each ascending
-        src = np.concatenate((edges[:, 1], edges[:, 0]))
-        dst = np.concatenate((edges[:, 0], edges[:, 1]))
-        order = np.argsort(src, kind="stable")
-        indptr = np.zeros(num_nodes + 1, dtype=np.intp)
-        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-        indices = dst[order]
-        slot_edge = np.concatenate((np.arange(m),) * 2)[order]
-        # entries j and j + m of src/dst are the two directions of edge j;
-        # index j - m wraps round to j + m when j < m
-        slot = np.empty(2 * m, dtype=np.intp)
-        slot[order] = np.arange(2 * m)
-        slot_rev = slot[order - m]
-        for arr in (edges, indptr, indices, slot_edge, slot_rev):
-            arr.setflags(write=False)
+        edges.setflags(write=False)
         self.num_nodes = num_nodes
         self.edges = edges
-        self.csr = (indptr, indices, slot_edge, slot_rev)
 
     @property
     def num_edges(self) -> int:
@@ -262,11 +237,7 @@ def aggregate_node_values(partition: CliquePartition, values) -> np.ndarray:
             f"got values for {vals.shape[0]} nodes, partition has "
             f"{partition.num_nodes} source nodes")
     out = segment_sum(vals, partition.assignment, partition.num_cliques)
-    sizes = partition.sizes().astype(np.float64)
-    if vals.ndim == 1:
-        out /= sizes
-    else:
-        out /= sizes.reshape((-1,) + (1,) * (vals.ndim - 1))
+    out /= partition.sizes().reshape((-1,) + (1,) * (vals.ndim - 1))
     return out
 
 

@@ -163,7 +163,7 @@ class StructurePlan:
 class WaveSchedule(NamedTuple):
     """Wave-major layout of one layer's sweep, from wave_schedule: the
     waves in sweep order, the nodes of a wave ascending, and each row's
-    slots its node's CSR slots in CSR order. With it come the per-layer
+    slots its node's neighbors, ascending. With it come the per-layer
     indices that the forward and the backward sweep read wave by wave.
 
     perm: (n,) the node of each row; pos: (n,) the row of each node.
@@ -209,59 +209,57 @@ def wave_schedule(order, graph: LevelGraph, width: int) -> WaveSchedule:
     the number of nodes on the longest path whose nodes come in visit
     order.
 
-    Built level by level (Kahn's algorithm): one vectorised pass per wave
-    takes the edges out of the wave's nodes to their later-visited
-    neighbors, and the next wave is the neighbors left with no
-    unscheduled earlier-visited neighbor. The layout follows in one pass.
+    The waves come from the edge list by relaxation: with every edge
+    oriented from its earlier-visited end, all waves start at 0 and each
+    round raises every node's wave to 1 plus the largest wave of its
+    earlier-visited neighbors, until a round changes nothing. That takes
+    one round per wave, each O(m) for m edges. The layout is one sort of
+    the 2m slots, two per edge, by row and then neighbor id.
     """
-    indptr, indices, slot_edge, slot_rev = graph.csr
     n = graph.num_nodes
-    deg = np.diff(indptr)
+    m = graph.num_edges
     visit = np.empty(n, dtype=np.intp)
     visit[order] = np.arange(n)
-    csr_owner = np.repeat(np.arange(n), deg)
-    # the later-visited neighbors of each node, as a CSR of their own
-    later = visit[indices] > visit[csr_owner]
-    succ = indices[later]
-    succ_count = np.bincount(csr_owner[later], minlength=n)
-    succ_end = np.cumsum(succ_count)
-    # unscheduled earlier-visited neighbors; -1 once scheduled
-    pending = deg - succ_count
-    rows = np.flatnonzero(pending == 0)
-    wave_rows = []
-    while rows.size:
-        wave_rows.append(rows)
-        pending[rows] = -1
-        k = succ_count[rows]
-        ends = np.cumsum(k)
-        reached = succ[np.arange(ends[-1]) + np.repeat(succ_end[rows] - ends, k)]
-        pending -= np.bincount(reached, minlength=n)
-        rows = np.flatnonzero(pending == 0)
+    a, b = graph.edges.T
+    first = visit[a] < visit[b]
+    src, dst = np.where(first, a, b), np.where(first, b, a)
+    wave = np.zeros(n, dtype=np.intp)
+    total = 0
+    # waves only rise, so a round that leaves their sum changed nothing
+    while True:
+        np.maximum.at(wave, dst, wave[src] + 1)
+        raised = wave.sum()
+        if raised == total:
+            break
+        total = raised
 
-    perm = np.concatenate(wave_rows)
-    sizes = [r.size for r in wave_rows]
+    perm = np.argsort(wave, kind="stable")
     pos = np.empty(n, dtype=np.intp)
     pos[perm] = np.arange(n)
-    row_deg = deg[perm]
-    owner = np.repeat(np.arange(n), row_deg)
-    row_ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(row_deg, out=row_ptr[1:])
-    # the CSR slot of each wave-major slot, and the other way round
-    slots = np.arange(row_ptr[-1]) + np.repeat(indptr[perm] - row_ptr[:-1], row_deg)
-    wave_slot = np.empty(slots.size, dtype=np.intp)
-    wave_slot[slots] = np.arange(slots.size)
-    row_off = np.cumsum([0] + sizes)
-    local = (np.arange(n) - np.repeat(row_off[:-1], sizes))[owner]
-    slot_off = row_ptr[row_off]
+    row_off = np.concatenate(([0], np.cumsum(np.bincount(wave))))
+    # entry j < m of (ends, others) is edge j seen from its lower end,
+    # entry j + m from its upper end; the keys are distinct, so any sort
+    # gives the one layout, and slot[e] is the slot of entry e
+    ends, others = np.concatenate((a, b)), np.concatenate((b, a))
+    rows = pos[ends]
+    by_row = np.argsort(rows * n + others)
+    owner = rows[by_row]
+    nbr = pos[others[by_row]]
+    slot = np.empty(2 * m, dtype=np.intp)
+    slot[by_row] = np.arange(2 * m)
+    row_deg = np.bincount(owner, minlength=n)
+    slot_off = np.concatenate(([0], np.cumsum(row_deg)))[row_off]
     waves = list(zip(row_off[:-1].tolist(), row_off[1:].tolist(),
                      slot_off[:-1].tolist(), slot_off[1:].tolist()))
-    nbr = pos[indices[slots]]
+    local = owner - row_off[wave[perm]][owner]
     div = np.maximum(row_deg, 1).astype(np.float64)[:, None]
-    return WaveSchedule(perm, pos, waves, owner, nbr, slot_edge[slots],
-                        wave_slot[slot_rev[slots]], np.flatnonzero(nbr > owner), div, 1.0 / div,
+    # the reverse slot: index j - m of `slot` wraps round to j + m when j < m
+    return WaveSchedule(perm, pos, waves, owner, nbr, np.where(by_row < m, by_row, by_row - m),
+                        slot[by_row - m], np.flatnonzero(nbr > owner), div, 1.0 / div,
                         segment_ids(local, width))
 
 
+@dataclass(slots=True)
 class ForwardResult:
     """Everything one forward pass produced: per-level logits and edge
     probabilities, the realized hierarchy trace, the combined base-level
@@ -269,8 +267,15 @@ class ForwardResult:
     CellCache for the backward pass, whose rows are in the schedule's
     wave-major order."""
 
-    __slots__ = ("mode", "params", "level_logits", "combined_logits", "trace",
-                 "amaps", "orders", "schedules", "layers")
+    mode: str
+    params: ModelParams
+    level_logits: list
+    combined_logits: np.ndarray
+    trace: HierarchyTrace
+    amaps: list
+    orders: list
+    schedules: list
+    layers: list
 
     def plan(self) -> StructurePlan:
         return StructurePlan(
@@ -420,17 +425,9 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     for t in range(1, n_layers):
         combined += level_logits[t][amaps[t]]
 
-    result = ForwardResult()
-    result.mode = mode
-    result.params = params
-    result.level_logits = level_logits
-    result.combined_logits = combined
-    result.trace = HierarchyTrace(levels, partitions, edge_probs, decisions)
-    result.amaps = amaps
-    result.orders = orders
-    result.schedules = schedules
-    result.layers = layers
-    return result
+    return ForwardResult(mode, params, level_logits, combined,
+                         HierarchyTrace(levels, partitions, edge_probs, decisions),
+                         amaps, orders, schedules, layers)
 
 
 def _level_edge_targets(trace: HierarchyTrace, labels, num_classes):

@@ -43,7 +43,10 @@ class OptimState:
 
 
 def sgd_step(params, grads, state: OptimState, cfg: OptimConfig):
-    """v <- momentum * v - lr * (g + weight_decay * w); w <- w + v."""
+    """v <- momentum * v - lr * (g + weight_decay * w); w <- w + v.
+
+    A tensor whose gradient or updated weights are not finite raises
+    NumericError naming it, and keeps its weights and velocity."""
     for (name, w), (gname, g) in zip(params.tensors(), grads.tensors()):
         if name != gname or w.shape != g.shape:
             raise ValueError(f"gradient tensor {gname}{g.shape} does not match "
@@ -53,9 +56,15 @@ def sgd_step(params, grads, state: OptimState, cfg: OptimConfig):
         v = state.velocity[name]
         if v.shape != w.shape:
             raise ValueError(f"velocity shape mismatch for tensor {name}")
-        v *= cfg.momentum
-        v -= cfg.learning_rate * (g + cfg.weight_decay * w)
-        w += v
+        # an overflow shows in the new weights, which are checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            v_new = cfg.momentum * v
+            v_new -= cfg.learning_rate * (g + cfg.weight_decay * w)
+            w_new = w + v_new
+        if not np.isfinite(w_new).all():
+            raise NumericError(f"non-finite update of tensor {name}")
+        v[...] = v_new
+        w[...] = w_new
 
 
 GRAD_CHECK_STEP = 1e-5
@@ -139,7 +148,8 @@ def train(dataset, params, net_cfg, opt_cfg: OptimConfig, eval_dataset=None,
     set), an optional checkpoint, and one log row. Returns the log rows.
     write_lines_atomic writes the log at `log_path` whole: the header
     first, and after each epoch the header and every row so far. A
-    non-finite loss aborts with the offending sample id.
+    non-finite loss, gradient or weight update aborts with the offending
+    sample id and epoch.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -164,7 +174,10 @@ def train(dataset, params, net_cfg, opt_cfg: OptimConfig, eval_dataset=None,
                 raise NumericError(
                     f"non-finite loss {total} at sample {sample_id} in epoch {epoch}")
             grads = backward(result, sample, net_cfg)
-            sgd_step(params, grads, state, opt_cfg)
+            try:
+                sgd_step(params, grads, state, opt_cfg)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at sample {sample_id} in epoch {epoch}") from exc
             total_sum += total
             task_sum += task
             edge_sum += edge

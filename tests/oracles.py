@@ -279,22 +279,28 @@ def _mean_cross_entropy(logits, labels):
     return float(np.mean(lse - z[np.arange(len(labels)), labels]))
 
 
+def neighbor_lists(graph):
+    """Each node's neighbors, ascending, read off the graph's edge list."""
+    nbrs = [[] for _ in range(graph.num_nodes)]
+    for a, b in graph.edges.tolist():
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return [sorted(nb) for nb in nbrs]
+
+
 def _sweep_forward(cell, graph, order, x, h_prev, m_prev):
     """One layer, node by node in visit order, each node a cell_update
     fed by visit flags. Returns the new hidden and memory states, one
     merging probability per directed edge (i, j), and the per-node caches
     with the flags they were built from."""
-    nbrs = [[] for _ in range(graph.num_nodes)]
-    for a, b in graph.edges.tolist():
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    nbrs = neighbor_lists(graph)
     h_new = h_prev.copy()
     m_new = m_prev.copy()
     visited = np.zeros(graph.num_nodes, dtype=bool)
     probs = {}
     nodes = {}
     for i in order:
-        nb = sorted(nbrs[i])
+        nb = nbrs[i]
         vis = visited[nb]
         if nb:
             navg = np.where(vis[:, None], h_new[nb], h_prev[nb]).sum(axis=0) / len(nb)

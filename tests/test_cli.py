@@ -137,8 +137,8 @@ class TestTrain:
         assert (outs[0] / "final.ckpt").read_bytes() == (outs[1] / "final.ckpt").read_bytes()
 
     def test_diverging_run_exits_4(self, tmp_path, capsys):
-        # lr 1e100 makes sgd_step write inf weights; the next forward's
-        # non-finite check is a numeric failure, not a config error
+        # lr 1e100 makes an update overflow; sgd_step refuses to store it,
+        # a numeric failure, not a config error
         data = tmp_path / "ds.txt"
         assert run(["generate", "--out", str(data), "--samples", "4",
                     "--grid-n", "4"]) == EXIT_OK
@@ -148,7 +148,7 @@ class TestTrain:
         assert code == EXIT_NUMERIC
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
-        assert errors == ["error: non-finite values in cell inputs or parameters"]
+        assert errors == ["error: non-finite update of tensor w_u at sample 1 in epoch 1"]
 
     def test_missing_dataset_file_exits_3(self, tmp_path):
         assert run(["train", "--dataset", str(tmp_path / "nope.txt"),

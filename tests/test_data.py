@@ -14,7 +14,7 @@ from sevolve.data import (
     load_dataset,
     save_dataset,
 )
-from oracles import bfs_component
+from oracles import bfs_component, neighbor_lists
 
 
 class TestGridGraph:
@@ -22,9 +22,9 @@ class TestGridGraph:
         g = grid_graph(3)
         assert g.num_nodes == 9
         assert g.num_edges == 12  # 2 * 3 * 2 per direction
-        indptr, indices, _, _ = g.csr
-        assert indices[indptr[4]:indptr[5]].tolist() == [1, 3, 5, 7]  # center cell
-        assert indices[indptr[0]:indptr[1]].tolist() == [1, 3]        # corner
+        nbrs = neighbor_lists(g)
+        assert nbrs[4] == [1, 3, 5, 7]  # center cell
+        assert nbrs[0] == [1, 3]        # corner
 
     def test_edge_count_formula(self):
         for n in (2, 4, 8):

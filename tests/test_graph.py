@@ -13,8 +13,10 @@ from sevolve.graph import (
     build_graph,
     coarsen,
 )
+from sevolve.network import wave_schedule
 from oracles import (
     bfs_component,
+    neighbor_lists,
     random_connected_graph,
     union_find_components,
 )
@@ -32,14 +34,13 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 2)])
         assert g.num_nodes == 3
         assert g.edges.tolist() == [[0, 1], [1, 2]]
-        indptr, indices, _, _ = g.csr
-        assert indices[indptr[1]:indptr[2]].tolist() == [0, 2]
+        assert neighbor_lists(g) == [[1], [0, 2], [1]]
 
     def test_single_isolated_node(self):
         g = build_graph(1, [])
         assert g.num_nodes == 1
         assert g.edges.tolist() == []
-        assert g.csr[0].tolist() == [0, 0]
+        assert g.edges.shape == (0, 2)
 
     def test_duplicate_edges_canonicalized(self):
         # dedup oracle: canonicalize by sorting each pair, then set-dedup
@@ -96,39 +97,40 @@ class TestBuildGraph:
         assert _distinct(np.array([], dtype=np.intp)).tolist() == []
 
 
-class TestCSR:
+class TestWaveSlots:
+    """The slots of wave_schedule's layout: two per edge, one in each
+    endpoint's row, each row's slots its node's neighbors ascending."""
+
     @staticmethod
-    def check_csr(g):
-        indptr, indices, slot_edge, slot_rev = g.csr
-        assert not (indptr.flags.writeable or indices.flags.writeable
-                    or slot_edge.flags.writeable or slot_rev.flags.writeable
-                    or g.edges.flags.writeable)
-        adjacency = [[] for _ in range(g.num_nodes)]
-        for a, b in g.edges.tolist():
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        for i in range(g.num_nodes):
-            assert indices[indptr[i]:indptr[i + 1]].tolist() == sorted(adjacency[i])
-        owner = np.repeat(np.arange(g.num_nodes), np.diff(indptr))
-        for s, e in enumerate(slot_edge):
-            assert g.edges[e].tolist() == sorted((int(owner[s]), int(indices[s])))
-        assert np.bincount(slot_edge, minlength=g.num_edges).tolist() == [2] * g.num_edges
-        # the reverse slot: the same edge, seen from the other endpoint
-        slots = np.arange(indices.size)
-        assert (slot_rev[slot_rev] == slots).all() and (slot_rev != slots).all()
-        assert (slot_edge[slot_rev] == slot_edge).all()
-        assert (owner[slot_rev] == indices).all() and (indices[slot_rev] == owner).all()
+    def check_slots(g):
+        assert not g.edges.flags.writeable
+        adjacency = neighbor_lists(g)
+        for order in (np.arange(g.num_nodes), np.arange(g.num_nodes)[::-1]):
+            sched = wave_schedule(order, g, 1)
+            owner, nbr, slot_edge, rev = (sched.owner, sched.nbr, sched.slot_edge,
+                                          sched.rev)
+            owner_node, nbr_node = sched.perm[owner], sched.perm[nbr]
+            assert nbr_node.tolist() == [j for i in sched.perm for j in adjacency[i]]
+            assert owner_node.tolist() == [i for i in sched.perm for _ in adjacency[i]]
+            for s, e in enumerate(slot_edge):
+                assert g.edges[e].tolist() == sorted((int(owner_node[s]), int(nbr_node[s])))
+            assert np.bincount(slot_edge, minlength=g.num_edges).tolist() == [2] * g.num_edges
+            # the reverse slot: the same edge, seen from the other endpoint
+            slots = np.arange(nbr.size)
+            assert (rev[rev] == slots).all() and (rev != slots).all()
+            assert (slot_edge[rev] == slot_edge).all()
+            assert (owner[rev] == nbr).all() and (nbr[rev] == owner).all()
 
     def test_matches_edges_on_all_small_graphs(self):
         for g in all_graphs(5):
-            self.check_csr(g)
+            self.check_slots(g)
 
     def test_single_node_isolated_nodes_and_disconnected(self):
         for g in (build_graph(1, []),
                   build_graph(4, []),
                   build_graph(5, [(1, 3)]),
                   build_graph(7, [(0, 1), (1, 2), (4, 5), (4, 6), (5, 6)])):
-            self.check_csr(g)
+            self.check_slots(g)
 
 
 class TestCoarsen:

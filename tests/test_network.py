@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sevolve import network
 from sevolve.cell import CellParams
@@ -25,7 +25,7 @@ from sevolve.network import (
     save_checkpoint,
     wave_schedule,
 )
-from oracles import cell_update, random_connected_graph, sequential_network
+from oracles import cell_update, neighbor_lists, random_connected_graph, sequential_network
 
 
 def tiny_cfg(d=3, c=3, layers=2, max_trials=5, **kw):
@@ -359,10 +359,20 @@ def graphs_and_orders(draw, max_nodes=7):
 class TestWaveSchedule:
     @settings(max_examples=300, deadline=None)
     @given(graphs_and_orders())
+    # a path visited along its length: one wave per node
+    @example((build_graph(7, [(i, i + 1) for i in range(6)]), np.arange(7), 2))
+    # K_7: every node has all the earlier-visited ones as neighbors
+    @example((build_graph(7, list(itertools.combinations(range(7), 2))),
+              np.array([3, 0, 6, 1, 5, 2, 4]), 3))
+    # a star whose centre comes last: the leaves in wave 0, the centre in 1
+    @example((build_graph(6, [(0, k) for k in range(1, 6)]), np.array([4, 2, 5, 1, 3, 0]), 1))
+    @example((build_graph(5, []), np.array([2, 4, 0, 3, 1]), 2))
+    @example((build_graph(1, []), np.array([0]), 4))
     def test_waves_are_a_level_schedule(self, case):
         g, order, width = case
         n = g.num_nodes
-        indptr, indices, slot_edge, _ = g.csr
+        adjacency = neighbor_lists(g)
+        edge_id = {tuple(e): k for k, e in enumerate(g.edges.tolist())}
         sched = wave_schedule(order, g, width)
         perm, pos, owner, nbr = sched.perm, sched.pos, sched.owner, sched.nbr
         visit = np.empty(n, dtype=np.intp)
@@ -373,7 +383,7 @@ class TestWaveSchedule:
         assert sorted(perm.tolist()) == list(range(n))
         assert (pos[perm] == np.arange(n)).all()
         assert sched.waves[0][0] == 0 and sched.waves[0][2] == 0
-        assert sched.waves[-1][1] == n and sched.waves[-1][3] == indices.size
+        assert sched.waves[-1][1] == n and sched.waves[-1][3] == 2 * g.num_edges
         for (_, r1, _, s1), (r0, _, s0, _) in zip(sched.waves, sched.waves[1:]):
             assert (r0, s0) == (r1, s1)
         wave = np.full(n, -1)
@@ -382,18 +392,18 @@ class TestWaveSchedule:
             rows = perm[r0:r1]
             assert (np.diff(rows) > 0).all()              # nodes within a wave ascend
             wave[rows] = w
-            # the slots are the rows' CSR slots, row by row
-            want = [s for r in rows for s in range(indptr[r], indptr[r + 1])]
-            assert perm[nbr[s0:s1]].tolist() == indices[want].tolist()
-            assert sched.slot_edge[s0:s1].tolist() == slot_edge[want].tolist()
+            # the slots are the rows' neighbors, ascending, row by row
+            assert perm[nbr[s0:s1]].tolist() == [j for r in rows for j in adjacency[r]]
+            assert sched.slot_edge[s0:s1].tolist() == [
+                edge_id[min(r, j), max(r, j)] for r in rows for j in adjacency[r]]
             assert owner[s0:s1].tolist() == [r0 + k for k, r in enumerate(rows)
-                                             for _ in range(indptr[r], indptr[r + 1])]
+                                             for _ in adjacency[r]]
             assert (sched.seg[s0:s1] // width == (owner[s0:s1] - r0)[:, None]).all()
         assert (wave >= 0).all()                       # the waves partition the nodes
         # "visited earlier" is "laid out earlier"
         assert ((nbr < owner) == (visit[perm[nbr]] < visit[perm[owner]])).all()
         for i in range(n):
-            nbrs = indices[indptr[i]:indptr[i + 1]]
+            nbrs = np.array(adjacency[i], dtype=np.intp)
             before = nbrs[visit[nbrs] < visit[i]]
             assert (wave[nbrs] != wave[i]).all()        # no edge inside a wave
             assert (wave[before] < wave[i]).all()
@@ -406,7 +416,7 @@ class TestWaveSchedule:
         assert (sched.slot_edge[rev] == sched.slot_edge).all()
         assert (owner[rev] == nbr).all() and (nbr[rev] == owner).all()
         assert sched.later.tolist() == [s for s in range(nbr.size) if nbr[s] > owner[s]]
-        degree = np.diff(indptr)[perm]
+        degree = np.array([len(adjacency[r]) for r in perm])
         assert sched.deg.shape == sched.inv_deg.shape == (n, 1)
         assert (sched.deg[:, 0] == np.maximum(degree, 1)).all()
         assert (sched.inv_deg[:, 0] == 1.0 / np.maximum(degree, 1)).all()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,21 @@ class TestSgdStep:
         grads.cell.b_u[...] = np.nan
         with pytest.raises(NumericError, match="b_u"):
             sgd_step(params, grads, OptimState(params), OptimConfig())
+
+    def test_rejects_overflowing_update_and_keeps_the_tensor(self):
+        params = scalar_model()
+        params.cell.w_u[...] = 1e308
+        grads = params.zeros_like()
+        grads.cell.w_u[...] = -1e10
+        state = OptimState(params)
+        state.velocity["w_u"][...] = 0.5
+        cfg = OptimConfig(learning_rate=1e300, momentum=0.5, weight_decay=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite update of tensor w_u$"):
+                sgd_step(params, grads, state, cfg)
+        assert params.cell.w_u[0, 0] == 1e308
+        assert state.velocity["w_u"][0, 0] == 0.5
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="momentum"):

@@ -7,10 +7,11 @@
 `dump` runs forward, compute_loss and backward of the package on the
 import path over a fixed set of cases and saves every output to one .npz:
 visit orders, each layer's wave schedule (perm, pos, owner, nbr,
-slot_edge and the wave bounds), partitions, each level's edges (so the
-quotient graphs are compared directly), trial decisions, each transition's
-`trace_records` text (as uint8 bytes, so the per-trial detail is compared
-exactly), the next rng draw, per-level logits and edge probabilities, the
+slot_edge, rev, later, deg, inv_deg, seg and the wave bounds),
+partitions, each level's edges (so the quotient graphs are compared
+directly), trial decisions, each transition's `trace_records` text (as
+uint8 bytes, so the per-trial detail is compared exactly), the next rng
+draw, per-level logits and edge probabilities, the
 combined logits, the losses and every gradient tensor. The cases are 4
 seeds x 8x8/16x16/32x32 grids with the benchmark checkpoint
 (perfbench/model.ckpt) in Metropolis-Hastings train
@@ -45,10 +46,9 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKPOINT = ROOT / "perfbench" / "model.ckpt"
-# the layout arrays of each layer's WaveSchedule; the per-layer indices a
-# schedule may also carry follow from them, and leaving those out keeps a
-# dump comparable with one of a package whose schedules lack them
-SCHEDULE_FIELDS = ("perm", "pos", "owner", "nbr", "slot_edge")
+# every array of each layer's WaveSchedule; the wave bounds are saved too
+SCHEDULE_FIELDS = ("perm", "pos", "owner", "nbr", "slot_edge", "rev", "later", "deg",
+                   "inv_deg", "seg")
 
 
 def _model_cases(network, data, EvolveConfig):
