@@ -74,7 +74,8 @@ class CellParams:
 
     Exposes the conventional per-gate tensors (w_u, u_u, u_un, ..., w_e,
     b_u) as views into packed storage so the whole gate bank multiplies
-    in one matvec. Mutating a view mutates the cell.
+    in one matvec. A per-gate view cannot be reassigned; writing into it
+    (`view[...] = value`) mutates the cell.
     """
 
     __slots__ = ("input_dim", "hidden_dim", "wx", "uh", "un", "u_fn", "w_e", "b")
@@ -107,10 +108,7 @@ class CellParams:
             k = gates.index(slot)
             return getattr(self, storage)[k * h:(k + 1) * h]
 
-        def put(self, value):
-            get(self)[...] = value
-
-        return property(get, put)
+        return property(get)
 
     # Per-gate views in the conventional naming.
     w_u = _view("wx", "u")

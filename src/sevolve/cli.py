@@ -23,7 +23,6 @@ import numpy as np
 
 from sevolve.data import (
     DatasetError,
-    DatasetFile,
     GenConfig,
     generate_dataset,
     load_dataset,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sevolve.graph import LevelGraph, _components_canonical, build_graph
+from sevolve.graph import LevelGraph, _components_canonical
 from sevolve.network import Sample, parse_block, parse_ints, read_lines, write_lines_atomic
 
 _MAX_REGION_RESAMPLES = 200
@@ -68,7 +68,7 @@ def grid_graph(n: int) -> LevelGraph:
     ids = np.arange(n * n).reshape(n, n)
     right = np.stack((ids[:, :-1].ravel(), ids[:, 1:].ravel()), axis=1)
     down = np.stack((ids[:-1].ravel(), ids[1:].ravel()), axis=1)
-    return build_graph(n * n, np.concatenate((right, down)))
+    return LevelGraph(n * n, np.concatenate((right, down)))
 
 
 def _regions_connected(labels, grid: LevelGraph) -> bool:
@@ -242,9 +242,9 @@ def load_dataset(path) -> DatasetFile:
             fail(pos, f"label out of range for K={num_labels}")
 
         try:
-            graph = build_graph(n, edges)
+            graph = LevelGraph(n, edges)
         except ValueError as exc:
-            # build_graph stops at the first bad edge
+            # LevelGraph reports the first bad edge
             k = next(k for k, (a, b) in enumerate(edges)
                      if a == b or not (0 <= a < n and 0 <= b < n))
             fail(edge_line + k, f"invalid edge: {exc}")

@@ -185,10 +185,13 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
     log_cap = math.log(ratio_cap)
     per_block = max(1, _BLOCK_DRAWS // (m + 1))
     start = rng.bit_generator.state
-    columns = []   # per block: accepted, posterior_evaluated, posterior_ratio
-    trial = 0
-    while trial < cfg.max_trials:
-        count = min(per_block, cfg.max_trials - trial)
+    # per trial: accepted, posterior_evaluated, posterior_ratio, filled
+    # as for a trial the prefilter rejects
+    accepted = np.zeros(cfg.max_trials, dtype=bool)
+    evaluated = np.full(cfg.max_trials, test_mode)
+    ratios = np.full(cfg.max_trials, ratio_cap)
+    for first in range(0, cfg.max_trials, per_block):
+        count = min(per_block, cfg.max_trials - first)
         block_start = rng.bit_generator.state
         block = rng.random((count, m + 1))
         draws = block[:, m]
@@ -209,26 +212,22 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
         margin = (4 * m + 8) * _EPS * (np.abs(log_upper) + abs(log_cap) + 1.0)
         sure = draws > np.exp(log_upper + log_cap + margin)
         # sure trials are rejected under any admissible transition/posterior
-        accepted = np.zeros(count, dtype=bool)
-        evaluated = np.full(count, test_mode)
-        ratios = np.full(count, ratio_cap)
-        columns.append((accepted, evaluated, ratios))
         for k in np.flatnonzero(~sure):
             decided = _exact_trial(g, probs, chosen[k], draws[k], loss_eval, loss_old,
                                    ratio_cap)
             if decided is None:
                 continue
-            part, ratios[k], evaluated[k], accepted[k] = decided
-            if accepted[k]:
+            t = first + k
+            part, ratios[t], evaluated[t], accepted[t] = decided
+            if accepted[t]:
                 # leave rng just after this trial's draws
                 rng.bit_generator.state = block_start
                 rng.random((k + 1) * (m + 1))
-                columns[-1] = (accepted[:k + 1], evaluated[:k + 1], ratios[:k + 1])
                 return (quotient_graph(g, part), part,
-                        TrialLog(g, probs, start, None, *map(np.concatenate, zip(*columns))))
-        trial += count
+                        TrialLog(g, probs, start, None, accepted[:t + 1], evaluated[:t + 1],
+                                 ratios[:t + 1]))
     return (g, CliquePartition.identity(g.num_nodes),
-            TrialLog(g, probs, start, None, *map(np.concatenate, zip(*columns))))
+            TrialLog(g, probs, start, None, accepted, evaluated, ratios))
 
 
 def _exact_trial(g, probs, chosen, draw, loss_eval, loss_old, ratio_cap):

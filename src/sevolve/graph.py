@@ -96,17 +96,13 @@ class LevelGraph:
         return f"LevelGraph(num_nodes={self.num_nodes}, num_edges={len(self.edges)})"
 
 
-def build_graph(num_nodes: int, edge_list) -> LevelGraph:
-    """Validate and canonicalize a node count plus edge list into a LevelGraph."""
-    return LevelGraph(num_nodes, edge_list)
-
-
 class CliquePartition:
     """Surjective map from source node ids onto dense clique ids.
 
     Clique ids are ordered by ascending minimum member id, which makes
-    every coarsening step deterministic. Produced by `coarsen`, so every
-    clique is connected in the source graph over the selected edges.
+    every coarsening step deterministic. The ones _components_canonical
+    builds from a selection of edges have every clique connected over
+    the selected edges.
     """
 
     __slots__ = ("assignment", "num_nodes", "num_cliques", "_sizes")
@@ -147,24 +143,6 @@ class CliquePartition:
     def __repr__(self):
         return (f"CliquePartition(num_nodes={self.num_nodes}, "
                 f"num_cliques={self.num_cliques})")
-
-
-def coarsen(g: LevelGraph, selected_edges) -> tuple[CliquePartition, LevelGraph]:
-    """Merge the connected components of (V, selected_edges) into cliques.
-
-    Returns the partition and the coarsened graph: one node per clique,
-    a simple edge between two cliques iff any edge of `g` crosses them.
-    Clique ids follow ascending minimum member id.
-    """
-    sel = _pairs(selected_edges)
-    n = g.num_nodes
-    lo, hi = _ordered(sel)
-    known = (lo >= 0) & (hi < n) & np.isin(lo * n + hi, g.edges[:, 0] * n + g.edges[:, 1])
-    if not known.all():
-        k = np.argmin(known)
-        raise ValueError(f"selected edge ({lo[k]}, {hi[k]}) is not an edge of the graph")
-    part = _components_canonical(g, sel)
-    return part, quotient_graph(g, part)
 
 
 def _components_canonical(g: LevelGraph, selected) -> CliquePartition:

@@ -38,7 +38,6 @@ from sevolve.cell import (
 )
 from sevolve.evolve import EvolveConfig, TrialLog, evolve_deterministic, evolve_step
 from sevolve.graph import (
-    CliquePartition,
     HierarchyTrace,
     LevelGraph,
     aggregate_node_values,
@@ -283,10 +282,14 @@ class ForwardResult:
             partitions=list(self.trace.partitions))
 
 
-def _mean_cross_entropy(logits, labels):
+def _softmax_cross_entropy(logits, labels):
+    """(mean cross-entropy, softmax) of the rows of `logits`, both from
+    one exp of the max-shifted logits and its row sums."""
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(len(labels)), labels]))
+    e = np.exp(z)
+    sums = e.sum(axis=1)
+    loss = float(np.mean(np.log(sums) - z[np.arange(len(labels)), labels]))
+    return loss, np.divide(e, sums[:, None], out=e)
 
 
 def _make_loss_eval(node_logits, amap, labels):
@@ -298,11 +301,14 @@ def _make_loss_eval(node_logits, amap, labels):
     # same values.
     def loss_eval(partition, graph):
         agg = aggregate_node_values(partition, node_logits)
-        return _mean_cross_entropy(agg[partition.assignment[amap]], labels)
+        return _softmax_cross_entropy(agg[partition.assignment[amap]], labels)[0]
 
     return loss_eval
 
 
+# sigmoid's exp overflows where the gate saturates, which is exact; a
+# non-finite state still raises NumericError
+@np.errstate(over="ignore")
 def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             rng=None, mode: str = "train", plan: StructurePlan | None = None) -> ForwardResult:
     """Run the full stack on one sample.
@@ -459,10 +465,7 @@ def _loss_terms(result: ForwardResult, sample: Sample, cfg: NetworkConfig):
     labels = sample.labels
     if labels.max() >= cfg.num_classes or labels.min() < 0:
         raise ValueError(f"label out of range for {cfg.num_classes} classes")
-    logits = result.combined_logits
-    task = _mean_cross_entropy(logits, labels)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    d_comb = e / e.sum(axis=1, keepdims=True)
+    task, d_comb = _softmax_cross_entropy(result.combined_logits, labels)
     d_comb[np.arange(labels.size), labels] -= 1.0
     d_comb /= labels.size
 

@@ -11,8 +11,9 @@ at a time).
 
 The single-node and single-proposal helpers the tests and oracles build
 on live here too: cell_update and cell_backward compose the package's
-cell parts for one node, propose draws one candidate coarsening and
-transition_ratio scores a partition. Nothing in the package calls them.
+cell parts for one node, propose draws one candidate coarsening, coarsen
+merges the components of a given edge selection, and transition_ratio
+scores a partition. Nothing in the package calls them.
 """
 
 import math
@@ -38,9 +39,9 @@ from sevolve.evolve import (
 )
 from sevolve.graph import (
     CliquePartition,
+    LevelGraph,
     _components_canonical,
     aggregate_node_values,
-    build_graph,
     quotient_graph,
     segment_ids,
 )
@@ -141,8 +142,14 @@ def propose(g, edge_probs, rng):
     """
     probs = _validated_probs(g, edge_probs)
     selected = g.edges[rng.random(probs.size) < probs]
-    part = _components_canonical(g, selected)
-    return selected, part, quotient_graph(g, part)
+    return (selected, *coarsen(g, selected))
+
+
+def coarsen(g, selected_edges):
+    """Merge the connected components of (V, selected_edges) into cliques:
+    (partition, coarsened graph). The selected edges must be edges of g."""
+    part = _components_canonical(g, np.asarray(selected_edges, dtype=np.intp).reshape(-1, 2))
+    return part, quotient_graph(g, part)
 
 
 def transition_ratio(g, partition, edge_probs):
@@ -509,7 +516,7 @@ def load_dataset_per_line(path):
         pos += 1
 
         try:
-            graph = build_graph(n, edges)
+            graph = LevelGraph(n, edges)
         except ValueError as exc:
             k = next(k for k, (a, b) in enumerate(edges)
                      if a == b or not (0 <= a < n and 0 <= b < n))

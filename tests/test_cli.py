@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -138,17 +139,20 @@ class TestTrain:
 
     def test_diverging_run_exits_4(self, tmp_path, capsys):
         # lr 1e100 makes an update overflow; sgd_step refuses to store it,
-        # a numeric failure, not a config error
+        # a numeric failure, not a config error. The sigmoids saturate on
+        # the way, which is exact: no numpy RuntimeWarning reaches stderr.
         data = tmp_path / "ds.txt"
         assert run(["generate", "--out", str(data), "--samples", "4",
                     "--grid-n", "4"]) == EXIT_OK
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run(["train", "--dataset", str(data), "--out-dir", str(tmp_path / "out"),
                         "--epochs", "3", "--lr", "1e100"])
         assert code == EXIT_NUMERIC
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert errors == ["error: non-finite update of tensor w_u at sample 1 in epoch 1"]
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_missing_dataset_file_exits_3(self, tmp_path):
         assert run(["train", "--dataset", str(tmp_path / "nope.txt"),

@@ -1,11 +1,10 @@
-import numpy as np
-
 from sevolve.dot import graph_to_dot, trace_to_dot
-from sevolve.graph import HierarchyTrace, build_graph, coarsen
+from sevolve.graph import HierarchyTrace, LevelGraph
+from oracles import coarsen
 
 
 def test_graph_to_dot_basic():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = LevelGraph(3, [(0, 1), (1, 2)])
     text = graph_to_dot(g, name="lvl")
     assert text.startswith("graph lvl {")
     assert "  n0 -- n1;" in text
@@ -14,14 +13,14 @@ def test_graph_to_dot_basic():
 
 
 def test_graph_to_dot_with_labels():
-    g = build_graph(2, [(0, 1)])
+    g = LevelGraph(2, [(0, 1)])
     text = graph_to_dot(g, node_labels=[0, 1])
     assert 'n0 [label="0/0"' in text
     assert "fillcolor=" in text
 
 
 def test_trace_to_dot_levels_and_arrows():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = LevelGraph(4, [(0, 1), (1, 2), (2, 3)])
     part, coarse = coarsen(g, [(1, 2)])
     trace = HierarchyTrace([g, coarse], [part])
     text = trace_to_dot(trace)
@@ -33,7 +32,7 @@ def test_trace_to_dot_levels_and_arrows():
 
 
 def test_dot_deterministic():
-    g = build_graph(5, [(0, 1), (0, 2), (3, 4)])
+    g = LevelGraph(5, [(0, 1), (0, 2), (3, 4)])
     assert graph_to_dot(g) == graph_to_dot(g)
     part, coarse = coarsen(g, [(0, 1)])
     trace = HierarchyTrace([g, coarse], [part])

@@ -16,9 +16,10 @@ from sevolve.evolve import (
     replay_trials,
     trace_records,
 )
-from sevolve.graph import CliquePartition, build_graph, coarsen
+from sevolve.graph import CliquePartition, LevelGraph
 from sevolve.network import NetworkConfig, Sample, StructurePlan, forward, init_params
 from oracles import (
+    coarsen,
     eliminated_edge_product,
     mh_search,
     propose,
@@ -27,12 +28,12 @@ from oracles import (
     union_find_components,
 )
 
-TRIANGLE = build_graph(3, [(0, 1), (0, 2), (1, 2)])
+TRIANGLE = LevelGraph(3, [(0, 1), (0, 2), (1, 2)])
 
 
 class TestPropose:
     def test_certain_selection_merges_components(self):
-        g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+        g = LevelGraph(5, [(0, 1), (1, 2), (3, 4)])
         selected, part, coarse = propose(g, np.ones(3), np.random.default_rng(0))
         assert selected.tolist() == g.edges.tolist()
         assert part.num_cliques == 2
@@ -40,7 +41,7 @@ class TestPropose:
         assert coarse.edges.tolist() == []
 
     def test_impossible_selection_is_identity(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
+        g = LevelGraph(4, [(0, 1), (2, 3)])
         selected, part, coarse = propose(g, np.zeros(2), np.random.default_rng(0))
         assert selected.tolist() == []
         assert part.num_cliques == part.num_nodes
@@ -76,13 +77,13 @@ class TestTransitionRatio:
         assert transition_ratio(TRIANGLE, part, np.array([0.2, 0.4, 0.9])) == 1.0
 
     def test_single_eliminated_edge(self):
-        g = build_graph(2, [(0, 1)])
+        g = LevelGraph(2, [(0, 1)])
         part, _ = coarsen(g, [(0, 1)])
         assert transition_ratio(g, part, np.array([0.3])) == pytest.approx(0.3, abs=1e-15)
 
     def test_two_eliminated_edges(self):
         # direct product: 0.9 * 0.8 = 0.72
-        g = build_graph(3, [(0, 1), (1, 2)])
+        g = LevelGraph(3, [(0, 1), (1, 2)])
         part, _ = coarsen(g, g.edges)
         got = transition_ratio(g, part, np.array([0.9, 0.8]))
         assert got == pytest.approx(0.72, abs=1e-12)
@@ -103,7 +104,7 @@ class TestTransitionRatio:
         for _ in range(300):
             n = int(rng.integers(2, 7))
             edges = random_connected_graph(rng, n)
-            g = build_graph(n, edges)
+            g = LevelGraph(n, edges)
             probs = rng.uniform(0.05, 0.95, g.num_edges)
             sel = [e for e in edges if rng.random() < 0.5]
             part, _ = coarsen(g, sel)
@@ -113,7 +114,7 @@ class TestTransitionRatio:
     def test_underflow_safe_in_log_space(self):
         n = 80
         edges = [(i, i + 1) for i in range(n - 1)]
-        g = build_graph(n, edges)
+        g = LevelGraph(n, edges)
         part, _ = coarsen(g, edges)
         probs = np.full(n - 1, 1e-6)
         got = transition_ratio(g, part, probs)
@@ -144,7 +145,7 @@ class TestPosteriorRatio:
 
 class TestEvolveStep:
     def test_certain_merge_accepted_first_trial(self):
-        g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+        g = LevelGraph(5, [(0, 1), (1, 2), (3, 4)])
         cfg = EvolveConfig()
         coarse, part, log = evolve_step(g, np.ones(3), None, cfg, np.random.default_rng(0))
         assert len(log) == 1
@@ -169,7 +170,7 @@ class TestEvolveStep:
         assert [list(map(tuple, t.selected.tolist())) for t in replayed] == [w[0] for w in want]
 
     def test_exhaustion_returns_identity(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = LevelGraph(4, [(0, 1), (1, 2), (2, 3)])
         probs = np.full(3, 0.999)  # empty proposals effectively never happen
 
         def loss_eval(part, graph):
@@ -184,7 +185,7 @@ class TestEvolveStep:
         assert coarse == g
 
     def test_train_mode_trace_reproducible(self):
-        g = build_graph(6, random_connected_graph(np.random.default_rng(3), 6))
+        g = LevelGraph(6, random_connected_graph(np.random.default_rng(3), 6))
         probs = np.random.default_rng(4).uniform(0.3, 0.9, g.num_edges)
 
         def loss_eval(part, graph):
@@ -201,7 +202,7 @@ class TestEvolveStep:
     def test_test_mode_never_calls_loss_eval(self):
         # without a loss callback the posterior ratio is 1, so alpha is
         # the transition ratio capped at 1
-        g = build_graph(6, random_connected_graph(np.random.default_rng(5), 6))
+        g = LevelGraph(6, random_connected_graph(np.random.default_rng(5), 6))
         probs = np.random.default_rng(6).uniform(0.2, 0.95, g.num_edges)
         cfg = EvolveConfig(max_trials=20)
         _, _, log = evolve_step(g, probs, None, cfg, np.random.default_rng(7))
@@ -217,7 +218,7 @@ class TestEvolveStep:
         evaluated = skipped = accepted = 0
         for _ in range(200):
             n = int(rng.integers(2, 9))
-            g = build_graph(n, random_connected_graph(rng, n))
+            g = LevelGraph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.05, 0.95, g.num_edges)
             labels = rng.integers(0, 2, size=n)
             base, mix = rng.uniform(0.0, 3.0), rng.uniform(0.0, 5.0)
@@ -265,14 +266,14 @@ class TestEvolveStep:
             return old if part.num_cliques == part.num_nodes else new
 
         with pytest.raises(ValueError, match="non-negative"):
-            evolve_step(build_graph(2, [(0, 1)]), np.ones(1), loss_eval,
+            evolve_step(LevelGraph(2, [(0, 1)]), np.ones(1), loss_eval,
                         EvolveConfig(max_trials=1), np.random.default_rng(0))
 
     def test_node_count_never_increases_and_alpha_in_range(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             n = int(rng.integers(2, 12))
-            g = build_graph(n, random_connected_graph(rng, n))
+            g = LevelGraph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.0, 1.0, g.num_edges)
             cfg = EvolveConfig(max_trials=5)
             coarse, part, log = evolve_step(g, probs, None, cfg, rng)
@@ -286,7 +287,7 @@ class TestEvolveStep:
         rng = np.random.default_rng(12)
         for _ in range(50):
             n = int(rng.integers(3, 9))
-            g = build_graph(n, random_connected_graph(rng, n))
+            g = LevelGraph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.2, 0.9, g.num_edges)
             cfg = EvolveConfig(max_trials=3)
             _, _, log = evolve_step(g, probs, None, cfg, rng)
@@ -301,7 +302,7 @@ class TestEvolveStep:
         # force alpha = 0.3 on every trial: the single edge always merges
         # (p = 1, transition ratio 1) and the posterior ratio is
         # exp(0 - (-ln 0.3)) = 0.3
-        g = build_graph(2, [(0, 1)])
+        g = LevelGraph(2, [(0, 1)])
         loss_new = -math.log(0.3)
 
         def loss_eval(part, graph):
@@ -389,12 +390,12 @@ def mh_cases(draw):
         # ratio is its bound t_upper
         n = draw(st.integers(1, 24))
         links = [draw(st.integers(-1, i - 1)) for i in range(n)]
-        g = build_graph(n, [(j, i) for i, j in enumerate(links) if j >= 0])
+        g = LevelGraph(n, [(j, i) for i, j in enumerate(links) if j >= 0])
     else:
         n = draw(st.integers(1, 7))
         pairs = list(itertools.combinations(range(n), 2))
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-        g = build_graph(n, [pair for pair, k in zip(pairs, keep) if k])
+        g = LevelGraph(n, [pair for pair, k in zip(pairs, keep) if k])
     # uniform probabilities, some of them replaced by 0 or 1
     probs = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
         0.0, 1.0, g.num_edges)
@@ -494,7 +495,7 @@ class TestEvolveStepOracle:
         for seed in range(100):
             rng = np.random.default_rng([seed, 5])
             n = int(rng.integers(2, 30))
-            g = build_graph(n, [(int(rng.integers(i)), i) for i in range(1, n)])
+            g = LevelGraph(n, [(int(rng.integers(i)), i) for i in range(1, n)])
             labels = rng.integers(0, 2, n)
             weights = tuple(rng.uniform(0.0, 3.0, 2)) if train else None
             cap = 1.0
@@ -525,7 +526,7 @@ class TestEvolveStepOracle:
 
 class TestDeterministicThreshold:
     def test_selects_edges_at_or_above_threshold(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = LevelGraph(4, [(0, 1), (1, 2), (2, 3)])
         probs = np.array([0.95, 0.7, 0.3])
         coarse, part, log = evolve_deterministic(g, probs, 0.7)
         (trial,) = replay_trials(log)
@@ -537,7 +538,7 @@ class TestDeterministicThreshold:
         rng = np.random.default_rng(20)
         for _ in range(50):
             n = int(rng.integers(3, 10))
-            g = build_graph(n, random_connected_graph(rng, n))
+            g = LevelGraph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.0, 1.0, g.num_edges)
             _, part_lo, log_lo = evolve_deterministic(g, probs, 0.5)
             _, part_hi, log_hi = evolve_deterministic(g, probs, 0.9)
@@ -558,7 +559,7 @@ class TestConfigAndRecords:
             EvolveConfig(threshold=1.5)
 
     def test_trace_records_format(self):
-        g = build_graph(2, [(0, 1)])
+        g = LevelGraph(2, [(0, 1)])
         cfg = EvolveConfig(max_trials=1)
         _, _, traces = evolve_step(g, np.ones(1), None, cfg, np.random.default_rng(0))
         lines = trace_records(traces)
@@ -566,7 +567,7 @@ class TestConfigAndRecords:
                          "posterior_ratio=1.0 alpha=1.0 accepted=1"]
 
     def test_trace_records_fallback_line(self):
-        g = build_graph(2, [(0, 1)])
+        g = LevelGraph(2, [(0, 1)])
 
         def loss_eval(part, graph):
             return 0.0 if part.num_cliques == part.num_nodes else 1e9
@@ -583,7 +584,7 @@ class TestConfigAndRecords:
 # are ruled out by the bound (posterior ratio = the cap, e^0.5), and none
 # is accepted; "threshold" reports alpha 1.0 under a transition ratio
 # below 1; a StructurePlan replay has no trials and gives no lines.
-GOLDEN_GRAPH = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+GOLDEN_GRAPH = LevelGraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
 GOLDEN_PROBS = np.array([0.9, 0.6, 0.8, 0.3, 0.95])
 
 

@@ -18,7 +18,7 @@ from sevolve.data import (
     save_dataset,
 )
 from sevolve.evolve import EvolveConfig
-from sevolve.graph import build_graph
+from sevolve.graph import LevelGraph
 from sevolve.network import NetworkConfig, Sample, init_params, load_checkpoint, save_checkpoint
 from oracles import load_checkpoint_per_row, load_dataset_per_line
 
@@ -187,7 +187,7 @@ def test_block_loader_matches_per_line_oracle(tmp_path, index, edit):
 
 def test_block_loader_reads_signed_zero_and_edgeless_samples(tmp_path):
     rng = np.random.default_rng(5)
-    samples = [Sample(build_graph(n, edges), rng.normal(size=(n, 3)), rng.integers(0, 2, n))
+    samples = [Sample(LevelGraph(n, edges), rng.normal(size=(n, 3)), rng.integers(0, 2, n))
                for n, edges in ((1, []), (3, []), (3, [(0, 2)]))]
     samples[1].features[1, 2] = -0.0
     path = tmp_path / "data.txt"

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from sevolve import network
 from sevolve.cell import CellParams
 from sevolve.evolve import EvolveConfig
-from sevolve.graph import CliquePartition, HierarchyTrace, build_graph
+from sevolve.graph import CliquePartition, HierarchyTrace, LevelGraph
 from sevolve.network import (
     ModelParams,
     NetworkConfig,
@@ -34,7 +34,7 @@ def tiny_cfg(d=3, c=3, layers=2, max_trials=5, **kw):
 
 
 def make_sample(rng, n=6, d=3, c=3):
-    g = build_graph(n, random_connected_graph(rng, n))
+    g = LevelGraph(n, random_connected_graph(rng, n))
     feats = rng.normal(size=(n, d))
     labels = rng.integers(0, c, size=n)
     return Sample(g, feats, labels)
@@ -53,13 +53,13 @@ def random_model(rng, cfg):
 
 class TestSample:
     def test_edge_targets_from_labels(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = LevelGraph(4, [(0, 1), (1, 2), (2, 3)])
         s = Sample(g, np.zeros((4, 2)), [0, 0, 1, 1])
         (targets,) = _level_edge_targets(HierarchyTrace([g], []), s.labels, 2)
         assert targets.tolist() == [1.0, 0.0, 1.0]
 
     def test_validates_coverage(self):
-        g = build_graph(3, [(0, 1)])
+        g = LevelGraph(3, [(0, 1)])
         with pytest.raises(ValueError, match="features"):
             Sample(g, np.zeros((2, 2)), [0, 1, 0])
         with pytest.raises(ValueError, match="labels"):
@@ -143,7 +143,7 @@ class TestForward:
         # the new hidden state of 1 and 2 with the previous state of 3
         rng = np.random.default_rng(7)
         cfg = tiny_cfg(layers=2)
-        sample = Sample(build_graph(4, [(0, 1), (0, 2), (0, 3)]),
+        sample = Sample(LevelGraph(4, [(0, 1), (0, 2), (0, 3)]),
                         rng.normal(size=(4, 3)), [0, 1, 2, 0])
         params = random_model(rng, cfg)
         plan = StructurePlan(visit_orders=[np.array([3, 1, 0, 2]), np.array([2, 1, 0, 3])],
@@ -285,7 +285,7 @@ class TestWaveSweep:
     def test_isolated_nodes(self):
         rng = np.random.default_rng(44)
         cfg = tiny_cfg(layers=3)
-        g = build_graph(9, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 8)])
+        g = LevelGraph(9, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 8)])
         sample = Sample(g, rng.normal(size=(9, 3)), rng.integers(0, 3, size=9))
         params = random_model(rng, cfg)
         for seed in range(3):
@@ -294,14 +294,14 @@ class TestWaveSweep:
     def test_single_node(self):
         rng = np.random.default_rng(46)
         cfg = tiny_cfg(layers=2)
-        sample = Sample(build_graph(1, []), rng.normal(size=(1, 3)), [2])
+        sample = Sample(LevelGraph(1, []), rng.normal(size=(1, 3)), [2])
         res = _assert_matches_sequential(sample, random_model(rng, cfg), cfg, 47)
         assert [len(s.waves) for s in res.schedules] == [1, 1]
 
     def test_fixed_plan_hierarchy(self):
         rng = np.random.default_rng(48)
         cfg = tiny_cfg(layers=3)
-        g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (2, 5)])
+        g = LevelGraph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (2, 5)])
         sample = Sample(g, rng.normal(size=(8, 3)), rng.integers(0, 3, size=8))
         plan = StructurePlan(
             visit_orders=[np.array([5, 2, 7, 0, 3, 1, 6, 4]), np.array([3, 0, 2, 1, 4]),
@@ -316,7 +316,7 @@ class TestWaveSweep:
         rng = np.random.default_rng(49)
         n = 9
         cfg = tiny_cfg(layers=2)
-        g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        g = LevelGraph(n, [(i, i + 1) for i in range(n - 1)])
         sample = Sample(g, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
         plan = StructurePlan(visit_orders=[np.arange(n), np.arange(n)[::-1]],
                              partitions=[CliquePartition.identity(n)])
@@ -353,21 +353,21 @@ def graphs_and_orders(draw, max_nodes=7):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [pair for pair, k in zip(pairs, keep) if k]
     order = draw(st.permutations(range(n)))
-    return build_graph(n, edges), np.array(order, dtype=np.intp), draw(st.integers(1, 4))
+    return LevelGraph(n, edges), np.array(order, dtype=np.intp), draw(st.integers(1, 4))
 
 
 class TestWaveSchedule:
     @settings(max_examples=300, deadline=None)
     @given(graphs_and_orders())
     # a path visited along its length: one wave per node
-    @example((build_graph(7, [(i, i + 1) for i in range(6)]), np.arange(7), 2))
+    @example((LevelGraph(7, [(i, i + 1) for i in range(6)]), np.arange(7), 2))
     # K_7: every node has all the earlier-visited ones as neighbors
-    @example((build_graph(7, list(itertools.combinations(range(7), 2))),
+    @example((LevelGraph(7, list(itertools.combinations(range(7), 2))),
               np.array([3, 0, 6, 1, 5, 2, 4]), 3))
     # a star whose centre comes last: the leaves in wave 0, the centre in 1
-    @example((build_graph(6, [(0, k) for k in range(1, 6)]), np.array([4, 2, 5, 1, 3, 0]), 1))
-    @example((build_graph(5, []), np.array([2, 4, 0, 3, 1]), 2))
-    @example((build_graph(1, []), np.array([0]), 4))
+    @example((LevelGraph(6, [(0, k) for k in range(1, 6)]), np.array([4, 2, 5, 1, 3, 0]), 1))
+    @example((LevelGraph(5, []), np.array([2, 4, 0, 3, 1]), 2))
+    @example((LevelGraph(1, []), np.array([0]), 4))
     def test_waves_are_a_level_schedule(self, case):
         g, order, width = case
         n = g.num_nodes
@@ -457,7 +457,7 @@ class TestLoss:
 
     def test_single_edge_squared_error(self):
         # one layer, one edge, equal labels: p = 0.5 vs target 1 -> 0.25
-        g = build_graph(2, [(0, 1)])
+        g = LevelGraph(2, [(0, 1)])
         sample = Sample(g, np.zeros((2, 2)), [1, 1])
         cfg = tiny_cfg(d=2, c=2, layers=1)
         params = ModelParams(CellParams(2, 2), [(np.zeros((2, 2)), np.zeros(2))])
@@ -469,7 +469,7 @@ class TestLoss:
     def test_label_out_of_range(self):
         rng = np.random.default_rng(9)
         cfg = tiny_cfg(c=3)
-        g = build_graph(3, [(0, 1), (1, 2)])
+        g = LevelGraph(3, [(0, 1), (1, 2)])
         sample = Sample(g, rng.normal(size=(3, 3)), [0, 1, 5])
         params = random_model(rng, cfg)
         with pytest.raises(ValueError, match="label"):
@@ -525,7 +525,7 @@ class TestBackward:
         rng = np.random.default_rng(16)
         if fixed_plan:
             cfg = tiny_cfg(d=3, c=3, layers=3)
-            g = build_graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
+            g = LevelGraph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
             sample = Sample(g, rng.normal(size=(7, 3)), rng.integers(0, 3, size=7))
             plan = StructurePlan(
                 visit_orders=[np.array([3, 6, 0, 5, 2, 1, 4]), np.array([2, 4, 0, 3, 1]),
@@ -577,7 +577,7 @@ class TestBackward:
         plan = res.plan()
 
         pi = np.random.default_rng(22).permutation(n)  # old id -> new id
-        g2 = build_graph(n, [(int(pi[a]), int(pi[b])) for a, b in sample.graph.edges])
+        g2 = LevelGraph(n, [(int(pi[a]), int(pi[b])) for a, b in sample.graph.edges])
         feats2 = np.zeros_like(sample.features)
         feats2[pi] = sample.features
         labels2 = np.zeros_like(sample.labels)

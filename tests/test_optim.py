@@ -7,7 +7,7 @@ import sevolve.network as network_module
 from sevolve.cell import CellParams
 from sevolve.data import GenConfig, generate_dataset
 from sevolve.evolve import EvolveConfig
-from sevolve.graph import build_graph
+from sevolve.graph import LevelGraph
 from sevolve.network import (
     ModelParams,
     NetworkConfig,
@@ -38,7 +38,7 @@ def tiny_cfg(d=3, c=3, layers=2):
 
 
 def make_sample(rng, n=6, d=3, c=3):
-    g = build_graph(n, random_connected_graph(rng, n))
+    g = LevelGraph(n, random_connected_graph(rng, n))
     return Sample(g, rng.normal(size=(n, d)), rng.integers(0, c, size=n))
 
 

@@ -99,7 +99,7 @@ def _random_graph_cases(network, graph, EvolveConfig):
         n = int(rng.integers(2, 14))
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.7)
-        g = graph.build_graph(n, [p for p, c in zip(pairs, keep) if c])
+        g = graph.LevelGraph(n, [p for p, c in zip(pairs, keep) if c])
         cfg = network.NetworkConfig(input_dim=3, num_classes=3, num_layers=3,
                                     evolve=EvolveConfig(max_trials=20))
         sample = network.Sample(g, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
