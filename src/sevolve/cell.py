@@ -50,12 +50,6 @@ import numpy as np
 
 from sevolve.graph import segment_sum
 
-# Gate storage order for the packed weight blocks and the gate-major
-# (4, B, H) arrays. The input/forget/output gates share one sigmoid
-# application, the candidate gate uses tanh, and the neighbor-averaged
-# term enters only the u/o/c rows.
-_GATES = ("u", "f", "o", "c")
-
 
 class NumericError(RuntimeError):
     """Raised when a state, loss or gradient turns non-finite."""
@@ -72,22 +66,28 @@ def sigmoid(x, out=None):
 class CellParams:
     """All weight matrices and biases of one cell, shared by every layer.
 
-    Exposes the conventional per-gate tensors (w_u, u_u, u_un, ..., w_e,
-    b_u) as views into packed storage so the whole gate bank multiplies
-    in one matvec. A per-gate view cannot be reassigned; writing into it
+    The gates are packed in the order [u, f, o, c] (rows of wx, uh and b)
+    so the whole gate bank multiplies in one matvec: the input, forget
+    and output gates share one sigmoid application, and the candidate
+    gate uses tanh. The neighbor-averaged term enters only the u/o/c rows
+    (un). tensors() exposes the conventional per-gate tensors (w_u, u_u,
+    u_un, ..., w_e, b_u) as views into this storage; writing into a view
     (`view[...] = value`) mutates the cell.
     """
 
-    __slots__ = ("input_dim", "hidden_dim", "wx", "uh", "un", "u_fn", "w_e", "b")
+    #: tensor name -> (storage array, gate block, or None for the whole
+    #: array), in the canonical checkpoint and optimizer order
+    TENSORS = {
+        "w_u": ("wx", 0), "w_f": ("wx", 1), "w_c": ("wx", 3), "w_o": ("wx", 2),
+        "u_u": ("uh", 0), "u_f": ("uh", 1), "u_c": ("uh", 3), "u_o": ("uh", 2),
+        "u_un": ("un", 0), "u_fn": ("u_fn", None), "u_cn": ("un", 2), "u_on": ("un", 1),
+        "w_e": ("w_e", None),
+        "b_u": ("b", 0), "b_f": ("b", 1), "b_c": ("b", 3), "b_o": ("b", 2),
+    }
+    #: the packed arrays, in their order of first appearance in TENSORS
+    STORAGE = tuple(dict.fromkeys(a for a, _ in TENSORS.values()))
 
-    #: canonical tensor enumeration order (checkpoint + optimizer order)
-    TENSOR_NAMES = (
-        "w_u", "w_f", "w_c", "w_o",
-        "u_u", "u_f", "u_c", "u_o",
-        "u_un", "u_fn", "u_cn", "u_on",
-        "w_e",
-        "b_u", "b_f", "b_c", "b_o",
-    )
+    __slots__ = ("input_dim", "hidden_dim", *STORAGE)
 
     def __init__(self, input_dim: int, hidden_dim: int):
         if input_dim < 1 or hidden_dim < 1:
@@ -95,51 +95,23 @@ class CellParams:
         d, h = input_dim, hidden_dim
         self.input_dim = d
         self.hidden_dim = h
-        self.wx = np.zeros((4 * h, d))   # rows [u, f, o, c]: input weights
-        self.uh = np.zeros((4 * h, h))   # rows [u, f, o, c]: own-hidden weights
+        self.wx = np.zeros((4 * h, d))   # input weights
+        self.uh = np.zeros((4 * h, h))   # own-hidden weights
         self.un = np.zeros((3 * h, h))   # rows [u, o, c]: neighbor-average weights
         self.u_fn = np.zeros((h, h))     # per-neighbor forget-gate weights
         self.w_e = np.zeros(h)           # merge-probability readout
-        self.b = np.zeros(4 * h)         # rows [u, f, o, c]
-
-    def _view(storage, slot, gates=_GATES):
-        def get(self):
-            h = self.hidden_dim
-            k = gates.index(slot)
-            return getattr(self, storage)[k * h:(k + 1) * h]
-
-        return property(get)
-
-    # Per-gate views in the conventional naming.
-    w_u = _view("wx", "u")
-    w_f = _view("wx", "f")
-    w_o = _view("wx", "o")
-    w_c = _view("wx", "c")
-    u_u = _view("uh", "u")
-    u_f = _view("uh", "f")
-    u_o = _view("uh", "o")
-    u_c = _view("uh", "c")
-    u_un = _view("un", "u", gates=("u", "o", "c"))
-    u_on = _view("un", "o", gates=("u", "o", "c"))
-    u_cn = _view("un", "c", gates=("u", "o", "c"))
-    b_u = _view("b", "u")
-    b_f = _view("b", "f")
-    b_o = _view("b", "o")
-    b_c = _view("b", "c")
-    del _view
+        self.b = np.zeros(4 * h)
 
     def tensors(self):
         """(name, array-view) pairs in canonical order."""
-        return [(name, getattr(self, name)) for name in self.TENSOR_NAMES]
+        h = self.hidden_dim
+        return [(name, getattr(self, a) if k is None else getattr(self, a)[k * h:(k + 1) * h])
+                for name, (a, k) in self.TENSORS.items()]
 
     def copy(self) -> "CellParams":
         out = CellParams(self.input_dim, self.hidden_dim)
-        out.wx[...] = self.wx
-        out.uh[...] = self.uh
-        out.un[...] = self.un
-        out.u_fn[...] = self.u_fn
-        out.w_e[...] = self.w_e
-        out.b[...] = self.b
+        for a in self.STORAGE:
+            getattr(out, a)[...] = getattr(self, a)
         return out
 
     def zeros_like(self) -> "CellParams":

@@ -227,6 +227,8 @@ def _load_model(cfg: RunConfig, command: str):
 
 def cmd_eval(cfg: RunConfig) -> int:
     params, dataset, net = _load_model(cfg, "eval")
+    if not dataset.samples:
+        raise ValueError(f"{cfg.dataset}: dataset has no samples")
     conf = np.zeros((net.num_classes, net.num_classes), dtype=np.int64)
     for idx, sample in enumerate(dataset.samples):
         pred = predict(sample, params, net, np.random.default_rng([cfg.seed, 3, idx]))

@@ -589,6 +589,9 @@ def predict(sample: Sample, params: ModelParams, cfg: NetworkConfig, rng):
 
 
 CHECKPOINT_MAGIC = "SEVOLVE-CKPT v1"
+#: checkpoint header field -> NetworkConfig field, in header order
+CHECKPOINT_FIELDS = {"D": "input_dim", "H": "hidden_dim", "C": "num_classes",
+                     "layers": "num_layers"}
 
 
 def write_lines_atomic(path, lines):
@@ -683,8 +686,8 @@ def save_checkpoint(path, params: ModelParams, cfg: NetworkConfig):
     every named tensor with its dims and row-major full-precision values.
     Written atomically (write_lines_atomic)."""
     def lines():
-        yield (f"{CHECKPOINT_MAGIC} D={cfg.input_dim} H={cfg.hidden_dim} "
-               f"C={cfg.num_classes} layers={cfg.num_layers}")
+        yield " ".join([CHECKPOINT_MAGIC, *(f"{key}={getattr(cfg, name)}"
+                                            for key, name in CHECKPOINT_FIELDS.items())])
         for name, t in params.tensors():
             yield f"tensor {name} " + " ".join(str(d) for d in t.shape)
             for row in (t.reshape(1, -1) if t.ndim == 1 else t):
@@ -699,8 +702,8 @@ def load_checkpoint(path):
     finite number; errors name the path and line. Each tensor's rows are
     read as one block (parse_block).
 
-    Returns (params, meta) with meta holding input_dim, hidden_dim,
-    num_classes, and num_layers.
+    Returns (params, meta) with meta holding the NetworkConfig fields that
+    CHECKPOINT_FIELDS names.
     """
     lines = read_lines(path)
 
@@ -709,19 +712,18 @@ def load_checkpoint(path):
 
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC + " "):
         fail(1, f"not a {CHECKPOINT_MAGIC} checkpoint")
-    names = {"D": "input_dim", "H": "hidden_dim", "C": "num_classes", "layers": "num_layers"}
     fields = {}
     for token in lines[0].split()[2:]:
         key, sep, value = token.partition("=")
         if not (key and sep):
             fail(1, f"malformed header token {token!r}")
-        if key not in names:
+        if key not in CHECKPOINT_FIELDS:
             fail(1, f"unknown header field {key!r}")
         if key in fields:
             fail(1, f"repeated header field {key!r}")
         fields[key] = value
     meta = {}
-    for key, name in names.items():
+    for key, name in CHECKPOINT_FIELDS.items():
         if key not in fields:
             fail(1, f"checkpoint header missing field {key!r}")
         try:

@@ -153,6 +153,8 @@ def train(dataset, params, net_cfg, opt_cfg: OptimConfig, eval_dataset=None,
     """
     if not dataset:
         raise ValueError("training dataset is empty")
+    if eval_dataset is not None and not eval_dataset:
+        raise ValueError("evaluation dataset is empty")
     state = OptimState(params)
     rows = []
 

@@ -76,10 +76,11 @@ class TestCellForward:
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        g_u = sig(p.w_u @ x + p.u_u @ hp + p.b_u)
-        g_f = sig(p.w_f @ x + p.u_f @ hp + p.b_f)
-        g_o = sig(p.w_o @ x + p.u_o @ hp + p.b_o)
-        g_c = np.tanh(p.w_c @ x + p.u_c @ hp + p.b_c)
+        t = dict(p.tensors())
+        g_u = sig(t["w_u"] @ x + t["u_u"] @ hp + t["b_u"])
+        g_f = sig(t["w_f"] @ x + t["u_f"] @ hp + t["b_f"])
+        g_o = sig(t["w_o"] @ x + t["u_o"] @ hp + t["b_o"])
+        g_c = np.tanh(t["w_c"] @ x + t["u_c"] @ hp + t["b_c"])
         memory_ref = g_f * mp + g_u * g_c
         hidden_ref = np.tanh(g_o * memory_ref)
 
@@ -278,3 +279,64 @@ class TestCellBackward:
         moved = _cell_loss(p, (x, hp, mp, navg, vis, nhp, nmc, nmp2), wh, wm, wp)
         assert moved == base
         assert d_nm.shape == (2, 2)
+
+
+def packed_blocks(h):
+    """name -> (packed array, rows) of every cell tensor, written out from
+    the gate order of each array: wx, uh and b hold [u, f, o, c], un holds
+    [u, o, c], and u_fn and w_e are whole arrays."""
+    blocks = {"u_fn": ("u_fn", slice(None)), "w_e": ("w_e", slice(None))}
+    for array, name, gates in (("wx", "w_{}", "ufoc"), ("uh", "u_{}", "ufoc"),
+                               ("un", "u_{}n", "uoc"), ("b", "b_{}", "ufoc")):
+        for k, gate in enumerate(gates):
+            blocks[name.format(gate)] = (array, slice(k * h, (k + 1) * h))
+    return blocks
+
+
+class TestCellParamsLayout:
+    ARRAYS = ("wx", "uh", "un", "u_fn", "w_e", "b")
+
+    def numbered(self, d=2, h=3):
+        """Cell params whose packed arrays hold 0, 1, 2, ... across all six."""
+        p = CellParams(d, h)
+        start = 0
+        for a in self.ARRAYS:
+            arr = getattr(p, a)
+            arr[...] = np.arange(start, start + arr.size).reshape(arr.shape)
+            start += arr.size
+        return p, start
+
+    def test_each_view_is_its_block(self):
+        p, _ = self.numbered()
+        blocks = packed_blocks(3)
+        views = dict(p.tensors())
+        assert len(views) == 17 and views.keys() == blocks.keys()
+        for name, view in views.items():
+            array, rows = blocks[name]
+            storage = getattr(p, array)
+            assert np.shares_memory(view, storage), name
+            assert np.array_equal(view, storage[rows]), name
+
+    def test_views_tile_the_arrays(self):
+        p, total = self.numbered()
+        covered = np.concatenate([t.ravel() for _, t in p.tensors()])
+        assert np.array_equal(np.sort(covered), np.arange(total))
+
+    def test_writing_a_view_changes_the_storage(self):
+        p, _ = self.numbered()
+        blocks = packed_blocks(3)
+        for k, (_, view) in enumerate(p.tensors()):
+            view[...] = -1.0 - k
+        for k, (name, _) in enumerate(p.tensors()):
+            array, rows = blocks[name]
+            assert (getattr(p, array)[rows] == -1.0 - k).all(), name
+
+    def test_copy_shares_no_memory(self):
+        p, _ = self.numbered()
+        q = p.copy()
+        for a in self.ARRAYS:
+            assert not np.shares_memory(getattr(p, a), getattr(q, a)), a
+            assert np.array_equal(getattr(p, a), getattr(q, a)), a
+        for (n1, t1), (n2, t2) in zip(p.tensors(), q.tensors(), strict=True):
+            assert n1 == n2 and np.array_equal(t1, t2)
+            assert not np.shares_memory(t1, t2), n1

@@ -154,6 +154,22 @@ class TestTrain:
         assert errors == ["error: non-finite update of tensor w_u at sample 1 in epoch 1"]
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_empty_dataset_exits_2(self, workdir, tmp_path, capsys):
+        # an empty evaluation set has no accuracy, for train and for eval
+        empty = tmp_path / "empty.txt"
+        assert run(["generate", "--out", str(empty), "--samples", "0", "--grid-n", "4",
+                    "--labels", "2", "--feature-dim", "4"]) == EXIT_OK
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", str(workdir["data"]), "--eval-dataset", str(empty),
+                    "--out-dir", str(out), "--epochs", "1"]) == EXIT_CONFIG
+        assert not (out / "train_log.tsv").exists()
+        assert run(["eval", "--dataset", str(empty),
+                    "--checkpoint", str(workdir["ckpt"])]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "accuracy" not in captured.out
+        assert "error: evaluation dataset is empty" in captured.err
+        assert f"error: {empty}: dataset has no samples" in captured.err
+
     def test_missing_dataset_file_exits_3(self, tmp_path):
         assert run(["train", "--dataset", str(tmp_path / "nope.txt"),
                     "--out-dir", str(tmp_path / "r")]) == EXIT_IO

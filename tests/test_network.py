@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,6 +641,14 @@ class TestCheckpoint:
         for (n1, t1), (n2, t2) in zip(params.tensors(), loaded.tensors()):
             assert n1 == n2
             assert np.array_equal(t1, t2)
+
+    def test_shipped_checkpoint_rewrites_its_bytes(self, tmp_path):
+        # pins the tensor order and the header every existing checkpoint has
+        shipped = Path(__file__).resolve().parent.parent / "perfbench" / "model.ckpt"
+        params, meta = load_checkpoint(shipped)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, NetworkConfig(**meta))
+        assert path.read_bytes() == shipped.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         cfg = tiny_cfg()

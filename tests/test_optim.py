@@ -45,7 +45,7 @@ def make_sample(rng, n=6, d=3, c=3):
 class TestSgdStep:
     def test_zero_gradient_zero_decay_is_noop(self):
         params = scalar_model()
-        params.cell.w_u[...] = 0.7
+        dict(params.tensors())["w_u"][...] = 0.7
         before = {n: t.copy() for n, t in params.tensors()}
         cfg = OptimConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
         sgd_step(params, params.zeros_like(), OptimState(params), cfg)
@@ -56,35 +56,38 @@ class TestSgdStep:
         # w = 1, g = 0, wd = 0.5, lr = 0.1, momentum = 0:
         # v = -0.1 * (0 + 0.5 * 1) = -0.05, w = 0.95
         params = scalar_model()
-        params.cell.w_u[...] = 1.0
+        w_u = dict(params.tensors())["w_u"]
+        w_u[...] = 1.0
         cfg = OptimConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5)
         sgd_step(params, params.zeros_like(), OptimState(params), cfg)
-        assert params.cell.w_u[0, 0] == pytest.approx(0.95, abs=1e-15)
+        assert w_u[0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_momentum_two_steps(self):
         # momentum 0.9, constant g = 1, lr = 0.1, wd = 0, from w = 0:
         # v1 = -0.1, v2 = -0.19, w = -0.29
         params = scalar_model()
+        w_u = dict(params.tensors())["w_u"]
         grads = params.zeros_like()
-        grads.cell.w_u[...] = 1.0
+        dict(grads.tensors())["w_u"][...] = 1.0
         cfg = OptimConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
         state = OptimState(params)
         sgd_step(params, grads, state, cfg)
-        assert params.cell.w_u[0, 0] == pytest.approx(-0.1, abs=1e-15)
+        assert w_u[0, 0] == pytest.approx(-0.1, abs=1e-15)
         sgd_step(params, grads, state, cfg)
         assert state.velocity["w_u"][0, 0] == pytest.approx(-0.19, abs=1e-15)
-        assert params.cell.w_u[0, 0] == pytest.approx(-0.29, abs=1e-15)
+        assert w_u[0, 0] == pytest.approx(-0.29, abs=1e-15)
 
     def test_pure_decay_contracts_geometrically(self):
         params = scalar_model()
-        params.cell.w_u[...] = 2.0
+        w_u = dict(params.tensors())["w_u"]
+        w_u[...] = 2.0
         cfg = OptimConfig(learning_rate=0.01, momentum=0.0, weight_decay=0.1)
         state = OptimState(params)
         zeros = params.zeros_like()
         for _ in range(10):
             sgd_step(params, zeros, state, cfg)
         expect = 2.0 * (1.0 - 0.01 * 0.1) ** 10
-        assert params.cell.w_u[0, 0] == pytest.approx(expect, rel=1e-12)
+        assert w_u[0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_matches_per_tensor_rule_any_order(self):
         # the rule is element-wise per tensor, so iteration order is moot;
@@ -111,15 +114,16 @@ class TestSgdStep:
     def test_rejects_non_finite_gradient(self):
         params = scalar_model()
         grads = params.zeros_like()
-        grads.cell.b_u[...] = np.nan
+        dict(grads.tensors())["b_u"][...] = np.nan
         with pytest.raises(NumericError, match="b_u"):
             sgd_step(params, grads, OptimState(params), OptimConfig())
 
     def test_rejects_overflowing_update_and_keeps_the_tensor(self):
         params = scalar_model()
-        params.cell.w_u[...] = 1e308
+        w_u = dict(params.tensors())["w_u"]
+        w_u[...] = 1e308
         grads = params.zeros_like()
-        grads.cell.w_u[...] = -1e10
+        dict(grads.tensors())["w_u"][...] = -1e10
         state = OptimState(params)
         state.velocity["w_u"][...] = 0.5
         cfg = OptimConfig(learning_rate=1e300, momentum=0.5, weight_decay=0.0)
@@ -127,7 +131,7 @@ class TestSgdStep:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="^non-finite update of tensor w_u$"):
                 sgd_step(params, grads, state, cfg)
-        assert params.cell.w_u[0, 0] == 1e308
+        assert w_u[0, 0] == 1e308
         assert state.velocity["w_u"][0, 0] == 0.5
 
     def test_config_validation(self):
@@ -271,11 +275,16 @@ class TestTrain:
         with pytest.raises(NumericError, match="sample"):
             train(ds.samples, params, cfg, OptimConfig(epochs=1, seed=0))
 
-    def test_empty_dataset_rejected(self):
+    def test_empty_dataset_rejected(self, tmp_path):
         cfg = tiny_cfg()
         params = init_params(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty"):
             train([], params, cfg, OptimConfig())
+        log = tmp_path / "log.tsv"
+        samples = [make_sample(np.random.default_rng(1))]
+        with pytest.raises(ValueError, match="^evaluation dataset is empty$"):
+            train(samples, params, cfg, OptimConfig(), eval_dataset=[], log_path=log)
+        assert not log.exists()
 
     def test_checkpoints_written_per_epoch(self, tmp_path):
         ds = tiny_dataset(count=4)

@@ -1,10 +1,12 @@
-"""The package names the benchmark wraps.
+"""The package names the benchmark wraps, and the checks it runs once per run.
 
 perfbench/workloads.py installs its timing spans (SPANS) and its checking
 wrappers (Hooks.wrappers()) by replacing module attributes, such as
 `network.cell_forward` or `optim.backward`. A refactor that moves or
 renames one of them breaks `perfbench/run.py --trace 1` runs, which the
-package's own tests do not start.
+package's own tests do not start. Each benchmark run also calls
+check_replay and check_gradients; a failed one counts as a failed
+operation.
 """
 
 import sys
@@ -42,3 +44,11 @@ def test_each_name_is_one_function_in_all_its_modules(workloads):
     # all reach the same function
     for attr, modules in wrapped(workloads):
         assert len({id(getattr(module, attr)) for module in modules}) == 1, attr
+
+
+def test_once_per_run_checks_pass(workloads):
+    # check_gradients scales the weights through the tensors() views: were
+    # those copies, it would fail and the benchmark count a failed operation
+    assert workloads.check_replay(1) is True
+    assert workloads.check_replay(2) is True
+    assert workloads.check_gradients() is True
