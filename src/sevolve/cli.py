@@ -194,17 +194,21 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _metrics(conf: np.ndarray):
+    """(accuracy, per-class IoU or None for a class absent from labels and
+    predictions, mean IoU over the present classes) of a confusion matrix
+    with labels along rows. A matrix that counts no node has no metrics:
+    ValueError."""
     total = conf.sum()
-    accuracy = float(np.trace(conf) / total) if total else 0.0
+    if not total:
+        raise ValueError("confusion matrix counts no nodes")
+    accuracy = float(np.trace(conf) / total)
     tp = np.diag(conf).astype(np.float64)
     fp = conf.sum(axis=0) - tp
     fn = conf.sum(axis=1) - tp
     denom = tp + fp + fn
     present = denom > 0
     iou = [float(tp[c] / denom[c]) if present[c] else None for c in range(len(tp))]
-    mean_iou = (float(np.mean([v for v in iou if v is not None]))
-                if present.any() else 0.0)
-    return accuracy, iou, mean_iou
+    return accuracy, iou, float(np.mean([v for v in iou if v is not None]))
 
 
 def _load_model(cfg: RunConfig, command: str):

@@ -192,15 +192,18 @@ def segment_sum(values, owner, num_rows):
     are bit-identical to it; one np.bincount does the work."""
     tail = values.shape[1:]
     width = math.prod(tail)
-    flat = segment_ids(owner, width).ravel()
+    flat = segment_ids(owner, width, num_rows).ravel()
     return np.bincount(flat, values.ravel(), num_rows * width).reshape((num_rows,) + tail)
 
 
-def segment_ids(owner, width):
-    """The (S, width) flat ids owner[s] * width + j: np.bincount over them
-    sums an (S, width) array's rows into rows owner[s] as segment_sum
-    does, and take() over a flattened (rows, width) array gathers them."""
-    return owner[:, None] * width + np.arange(width)
+def segment_ids(owner, width, num_rows):
+    """The (S, width) flat ids owner[s] * width + j of owners in
+    [0, num_rows): np.bincount over them sums an (S, width) array's rows
+    into rows owner[s] as segment_sum does, and take() over a flattened
+    (num_rows, width) array gathers them. They are the rows owner[s] of
+    the (num_rows, width) table of all ids, gathered whole, which beats a
+    broadcast add whose inner loop is only `width` long."""
+    return np.arange(num_rows * width).reshape(num_rows, width).take(owner, axis=0)
 
 
 def aggregate_node_values(partition: CliquePartition, values) -> np.ndarray:

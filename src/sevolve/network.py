@@ -212,16 +212,23 @@ def wave_schedule(order, graph: LevelGraph, width: int) -> WaveSchedule:
     oriented from its earlier-visited end, all waves start at 0 and each
     round raises every node's wave to 1 plus the largest wave of its
     earlier-visited neighbors, until a round changes nothing. That takes
-    one round per wave, each O(m) for m edges. The layout is one sort of
-    the 2m slots, two per edge, by row and then neighbor id.
+    one round per wave, each O(m) for m edges.
+
+    The layout takes two stable sorts of small ints, which numpy does as
+    counting (radix) sorts for n < 65536: the nodes by wave, then the 2m
+    entries, two per edge, by row. The entries are every edge seen from
+    its upper end, then every edge seen from its lower end, each half in
+    canonical edge order. So a node's entries come as its lower-id
+    neighbors ascending, then its higher-id ones ascending, and the
+    stable sort by row alone lists each row's neighbors ascending.
     """
     n = graph.num_nodes
     m = graph.num_edges
     visit = np.empty(n, dtype=np.intp)
     visit[order] = np.arange(n)
     a, b = graph.edges.T
-    first = visit[a] < visit[b]
-    src, dst = np.where(first, a, b), np.where(first, b, a)
+    src = np.where(visit[a] < visit[b], a, b)
+    dst = a + b - src
     wave = np.zeros(n, dtype=np.intp)
     total = 0
     # waves only rise, so a round that leaves their sum changed nothing
@@ -232,30 +239,33 @@ def wave_schedule(order, graph: LevelGraph, width: int) -> WaveSchedule:
             break
         total = raised
 
-    perm = np.argsort(wave, kind="stable")
+    # waves and rows are below n, so they sort as the smallest type that holds n
+    small = np.min_scalar_type(n)
+    perm = np.argsort(wave.astype(small), kind="stable")
     pos = np.empty(n, dtype=np.intp)
     pos[perm] = np.arange(n)
     row_off = np.concatenate(([0], np.cumsum(np.bincount(wave))))
-    # entry j < m of (ends, others) is edge j seen from its lower end,
-    # entry j + m from its upper end; the keys are distinct, so any sort
-    # gives the one layout, and slot[e] is the slot of entry e
-    ends, others = np.concatenate((a, b)), np.concatenate((b, a))
-    rows = pos[ends]
-    by_row = np.argsort(rows * n + others)
+    # entry j < m is edge j seen from its upper end, entry j + m from its
+    # lower end; slot[e] is the slot of entry e
+    rows = pos[np.concatenate((b, a))]
+    by_row = np.argsort(rows.astype(small), kind="stable")
     owner = rows[by_row]
-    nbr = pos[others[by_row]]
+    nbr = pos[np.concatenate((a, b))[by_row]]
     slot = np.empty(2 * m, dtype=np.intp)
     slot[by_row] = np.arange(2 * m)
-    row_deg = np.bincount(owner, minlength=n)
-    slot_off = np.concatenate(([0], np.cumsum(row_deg)))[row_off]
+    # the reverse slot: index j - m of `slot` wraps round to j + m when j < m
+    other_end = by_row - m
+    # owner ascends, so a wave's first slot is the first with owner >= r0
+    slot_off = np.searchsorted(owner, row_off)
     waves = list(zip(row_off[:-1].tolist(), row_off[1:].tolist(),
                      slot_off[:-1].tolist(), slot_off[1:].tolist()))
-    local = owner - row_off[wave[perm]][owner]
-    div = np.maximum(row_deg, 1).astype(np.float64)[:, None]
-    # the reverse slot: index j - m of `slot` wraps round to j + m when j < m
-    return WaveSchedule(perm, pos, waves, owner, nbr, np.where(by_row < m, by_row, by_row - m),
-                        slot[by_row - m], np.flatnonzero(nbr > owner), div, 1.0 / div,
-                        segment_ids(local, width))
+    # each row's index within its wave
+    row_local = np.arange(n) - row_off[wave[perm]]
+    div = np.maximum(np.bincount(owner, minlength=n), 1).astype(np.float64)[:, None]
+    return WaveSchedule(perm, pos, waves, owner, nbr,
+                        np.where(other_end < 0, by_row, other_end), slot[other_end],
+                        np.flatnonzero(nbr > owner), div, 1.0 / div,
+                        segment_ids(row_local[owner], width, n))
 
 
 @dataclass(slots=True)

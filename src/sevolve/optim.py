@@ -120,7 +120,7 @@ def grad_check(sample, params, cfg, rng) -> GradCheckReport:
 
 def evaluate_accuracy(dataset, params, cfg, seed: int, epoch: int = 0) -> float:
     """Pooled node accuracy under test-mode prediction, one derived rng
-    stream per sample."""
+    stream per sample. An empty dataset has no accuracy: ValueError."""
     correct = 0
     total = 0
     for idx, sample in enumerate(dataset):
@@ -128,7 +128,9 @@ def evaluate_accuracy(dataset, params, cfg, seed: int, epoch: int = 0) -> float:
         pred = predict(sample, params, cfg, rng)
         correct += int((pred == sample.labels).sum())
         total += sample.labels.size
-    return correct / total if total else 0.0
+    if not total:
+        raise ValueError("evaluation dataset is empty")
+    return correct / total
 
 
 LOG_COLUMNS = ("epoch", "total_loss", "task_loss", "edge_loss", "eval_accuracy")

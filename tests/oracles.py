@@ -3,11 +3,12 @@
 These deliberately use different algorithms than the package (union-find
 instead of min-label hooking, direct products instead of log-space sums,
 per-node ancestor walks instead of composed index maps, a node-by-node
-sweep with visit flags instead of waves, one Metropolis-Hastings trial at
-a time instead of draw blocks, and a dataset loader that converts one
-line at a time and a checkpoint loader that converts one row at a time,
-load_dataset_per_line and load_checkpoint_per_row, instead of one block
-at a time).
+sweep with visit flags instead of waves, a wave layout by comparison
+sorts on a composite key instead of counting sorts (wave_schedule_sorted),
+one Metropolis-Hastings trial at a time instead of draw blocks, and a
+dataset loader that converts one line at a time and a checkpoint loader
+that converts one row at a time, load_dataset_per_line and
+load_checkpoint_per_row, instead of one block at a time).
 
 The single-node and single-proposal helpers the tests and oracles build
 on live here too: cell_update and cell_backward compose the package's
@@ -50,6 +51,7 @@ from sevolve.network import (
     INT_TEXT,
     ModelParams,
     Sample,
+    WaveSchedule,
     parse_ints,
     read_lines,
 )
@@ -59,7 +61,7 @@ def _one_node(num_slots, hidden_dim):
     """Segment ids and inverse degree (a (1, 1) column) of one node that
     owns every slot."""
     owner = np.zeros(num_slots, dtype=np.intp)
-    return owner, segment_ids(owner, hidden_dim), np.array([[1.0 / max(num_slots, 1)]])
+    return owner, segment_ids(owner, hidden_dim, 1), np.array([[1.0 / max(num_slots, 1)]])
 
 
 def cell_update(params, x, h_prev, m_prev, neighbor_avg,
@@ -442,6 +444,50 @@ def _sequential_backward(out, sample, params, cfg):
                 d_h_prev[j] += d_nbr_h[s]
         d_next = (d_h_prev, d_m_prev)
     return grads
+
+
+def wave_schedule_sorted(order, graph, width):
+    """network.wave_schedule laid out by comparison sorts: the nodes by a
+    stable argsort of their intp waves, and the 2m slots, edge j seen from
+    its lower end as entry j and from its upper end as entry j + m, by an
+    argsort of the distinct keys row * n + neighbor id. Segment ids by a
+    broadcast add."""
+    n = graph.num_nodes
+    m = graph.num_edges
+    visit = np.empty(n, dtype=np.intp)
+    visit[order] = np.arange(n)
+    a, b = graph.edges.T
+    first = visit[a] < visit[b]
+    src, dst = np.where(first, a, b), np.where(first, b, a)
+    wave = np.zeros(n, dtype=np.intp)
+    total = 0
+    while True:
+        np.maximum.at(wave, dst, wave[src] + 1)
+        raised = wave.sum()
+        if raised == total:
+            break
+        total = raised
+
+    perm = np.argsort(wave, kind="stable")
+    pos = np.empty(n, dtype=np.intp)
+    pos[perm] = np.arange(n)
+    row_off = np.concatenate(([0], np.cumsum(np.bincount(wave))))
+    ends, others = np.concatenate((a, b)), np.concatenate((b, a))
+    rows = pos[ends]
+    by_row = np.argsort(rows * n + others)
+    owner = rows[by_row]
+    nbr = pos[others[by_row]]
+    slot = np.empty(2 * m, dtype=np.intp)
+    slot[by_row] = np.arange(2 * m)
+    row_deg = np.bincount(owner, minlength=n)
+    slot_off = np.concatenate(([0], np.cumsum(row_deg)))[row_off]
+    waves = list(zip(row_off[:-1].tolist(), row_off[1:].tolist(),
+                     slot_off[:-1].tolist(), slot_off[1:].tolist()))
+    local = owner - row_off[wave[perm]][owner]
+    div = np.maximum(row_deg, 1).astype(np.float64)[:, None]
+    return WaveSchedule(perm, pos, waves, owner, nbr, np.where(by_row < m, by_row, by_row - m),
+                        slot[by_row - m], np.flatnonzero(nbr > owner), div, 1.0 / div,
+                        local[:, None] * width + np.arange(width))
 
 
 def load_dataset_per_line(path):

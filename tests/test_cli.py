@@ -203,6 +203,11 @@ class TestEval:
         assert iou[2] is None
         assert mean_iou == pytest.approx((8 / 12 + 4 / 8) / 2)
 
+    def test_metrics_reject_a_matrix_without_nodes(self):
+        # no node evaluated: no accuracy, rather than a reported 0.0
+        with pytest.raises(ValueError, match="^confusion matrix counts no nodes$"):
+            _metrics(np.zeros((3, 3), dtype=np.int64))
+
     def test_eval_emits_json_record(self, workdir, capsys):
         assert run(["eval", "--checkpoint", str(workdir["ckpt"]),
                     "--dataset", str(workdir["data"]), "--max-trials", "3",

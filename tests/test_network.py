@@ -16,6 +16,7 @@ from sevolve.network import (
     NetworkConfig,
     Sample,
     StructurePlan,
+    WaveSchedule,
     _level_edge_targets,
     backward,
     compute_loss,
@@ -26,7 +27,13 @@ from sevolve.network import (
     save_checkpoint,
     wave_schedule,
 )
-from oracles import cell_update, neighbor_lists, random_connected_graph, sequential_network
+from oracles import (
+    cell_update,
+    neighbor_lists,
+    random_connected_graph,
+    sequential_network,
+    wave_schedule_sorted,
+)
 
 
 def tiny_cfg(d=3, c=3, layers=2, max_trials=5, **kw):
@@ -433,6 +440,49 @@ class TestWaveSchedule:
                     longest = size
                     break
         assert len(sched.waves) == longest
+
+
+@st.composite
+def sparse_graphs_and_orders(draw, max_nodes=40):
+    n = draw(st.integers(1, max_nodes))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    order = draw(st.permutations(range(n)))
+    return (LevelGraph(n, [(a, b) for a, b in pairs if a != b]),
+            np.array(order, dtype=np.intp), draw(st.integers(1, 4)))
+
+
+def _path(n):
+    return LevelGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+class TestWaveScheduleOracle:
+    """The counting-sort layout equals the comparison-sort one, field by
+    field, in values and dtypes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_graphs_and_orders())
+    # paths visited along their length, one wave per node: wave and row
+    # ids around the 8-bit boundary, where the sort keys change dtype
+    @example((_path(255), np.arange(255), 2))
+    @example((_path(256), np.arange(256), 3))
+    @example((_path(257), np.arange(257), 1))
+    # the highest-id node is isolated: its row has no slots
+    @example((LevelGraph(6, [(0, 1), (1, 2), (0, 4), (3, 4)]),
+              np.array([5, 2, 0, 4, 1, 3]), 2))
+    @example((LevelGraph(1, []), np.array([0]), 3))
+    @example((LevelGraph(4, []), np.array([3, 1, 0, 2]), 1))
+    def test_matches_sorted_oracle(self, case):
+        g, order, width = case
+        got = wave_schedule(order, g, width)
+        want = wave_schedule_sorted(order, g, width)
+        assert got.waves == want.waves
+        for name in WaveSchedule._fields:
+            if name == "waves":
+                continue
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape and np.array_equal(a, b), name
 
 
 class TestLoss:

@@ -20,6 +20,7 @@ from sevolve.optim import (
     NumericError,
     OptimConfig,
     OptimState,
+    evaluate_accuracy,
     grad_check,
     sgd_step,
     train,
@@ -285,6 +286,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="^evaluation dataset is empty$"):
             train(samples, params, cfg, OptimConfig(), eval_dataset=[], log_path=log)
         assert not log.exists()
+
+    def test_accuracy_of_no_samples_is_an_error(self):
+        # an empty dataset has no accuracy, rather than a reported 0.0
+        cfg = tiny_cfg()
+        params = init_params(cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^evaluation dataset is empty$"):
+            evaluate_accuracy([], params, cfg, 0)
 
     def test_checkpoints_written_per_epoch(self, tmp_path):
         ds = tiny_dataset(count=4)

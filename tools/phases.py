@@ -1,0 +1,185 @@
+"""Time the phases of the model's forward and backward passes in process.
+
+    PYTHONPATH=src python3 tools/phases.py --grid 32 --mode test
+    PYTHONPATH=src python3 tools/phases.py --grid 16 --mode train --repeats 20
+
+Each phase function is wrapped at the name `network` looks it up by
+(PHASES), so the tool sees the calls the package makes internally. A
+wrapper adds the thread CPU time and the minor page faults of each call
+to its phase. Calls of one phase inside another (aggregate_node_values
+inside the train-mode posterior of evolve_step) count in both; `other`
+is the time of an operation outside every outermost phase call.
+
+One operation runs on one generated sample (GenConfig seed --seed,
+--samples inputs, derived rng streams per input, so every repeat does the
+same work) with the benchmark checkpoint (perfbench/model.ckpt, 5 layers,
+50 MH trials per transition):
+  test     network.predict, a test-mode forward pass;
+  train    a train-mode forward pass, compute_loss and backward, with no
+           weight update;
+  pyramid  the same, replaying 2x2 block pooling (a 32x32 grid gives
+           levels of 1024/256/64/16/4 nodes; a level of one node stays).
+One untimed pass over the inputs comes first. The JSON on stdout gives
+per sample: the operation's thread CPU time, system time and minor page
+faults, and per phase its ms, calls, us per call and minor page faults.
+To compare two checkouts, run each with its own PYTHONPATH, in
+alternating processes.
+"""
+
+import argparse
+import json
+import os
+import resource
+import sys
+import time
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "model.ckpt"
+PHASES = ("wave_schedule", "cell_forward_batch", "cell_forward", "evolve_step",
+          "aggregate_node_values", "cell_backward_node", "cell_backward_batch",
+          "_loss_terms")
+MODES = ("test", "train", "pyramid")
+
+
+class PhaseClock:
+    """Thread CPU time, minor page faults and calls per phase, and the time
+    spent inside any outermost phase call."""
+
+    def __init__(self):
+        self.ms = dict.fromkeys(PHASES, 0.0)
+        self.faults = dict.fromkeys(PHASES, 0)
+        self.calls = dict.fromkeys(PHASES, 0)
+        self.inside_ms = 0.0
+        self._depth = 0
+
+    def wrap(self, name, fn):
+        def timed(*args, **kwargs):
+            faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+            self._depth += 1
+            start = time.thread_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                ms = 1e3 * (time.thread_time() - start)
+                self._depth -= 1
+                self.ms[name] += ms
+                self.calls[name] += 1
+                self.faults[name] += resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - faults
+                if not self._depth:
+                    self.inside_ms += ms
+
+        return timed
+
+
+def pooling_plan(side, num_layers, orders_rng):
+    """2x2 block pooling of a side x side grid, once per transition, with
+    a visit order per level drawn from `orders_rng`. Built here, as in
+    tools/equivalence.py: importing perfbench/workloads.py would put this
+    checkout's src/ first on the import path."""
+    from sevolve.graph import CliquePartition
+    from sevolve.network import StructurePlan
+
+    parts, sizes = [], [side * side]
+    for _ in range(num_layers - 1):
+        rows, cols = np.divmod(np.arange(side * side), side)
+        half = (side + 1) // 2
+        parts.append(CliquePartition((rows // 2) * half + cols // 2, half * half))
+        side = half
+        sizes.append(side * side)
+    return StructurePlan([orders_rng.permutation(n) for n in sizes], parts)
+
+
+def operations(grid, mode, samples, seed):
+    """One callable per input, each one operation of `mode`."""
+    from sevolve import data, network
+    from sevolve.evolve import EvolveConfig
+
+    params, meta = network.load_checkpoint(CHECKPOINT)
+    cfg = network.NetworkConfig(input_dim=meta["input_dim"], num_classes=meta["num_classes"],
+                                num_layers=meta["num_layers"], hidden_dim=meta["hidden_dim"],
+                                evolve=EvolveConfig(max_trials=50))
+    gen = data.GenConfig(grid_n=grid, num_labels=cfg.num_classes, feature_dim=cfg.input_dim,
+                         seed=seed)
+    ops = []
+    for idx, sample in enumerate(data.generate_dataset(gen, samples).samples):
+        if mode == "test":
+            def op(sample=sample, idx=idx):
+                network.predict(sample, params, cfg, np.random.default_rng([seed, 3, idx]))
+        else:
+            plan = (pooling_plan(grid, cfg.num_layers, np.random.default_rng([seed, 5, idx]))
+                    if mode == "pyramid" else None)
+
+            def op(sample=sample, idx=idx, plan=plan):
+                rng = None if plan is not None else np.random.default_rng([seed, 1, idx])
+                result = network.forward(sample, params, cfg, rng, mode="train", plan=plan)
+                network.compute_loss(result, sample, cfg)
+                network.backward(result, sample, cfg)
+        ops.append(op)
+    return ops
+
+
+def measure(grid, mode, samples=4, repeats=10, seed=7):
+    """The phase record of `repeats` passes over `samples` inputs."""
+    from sevolve import network
+
+    ops = operations(grid, mode, samples, seed)
+    for op in ops:
+        op()
+    clock = PhaseClock()
+    saved = {name: getattr(network, name) for name in PHASES}
+    total_ms = sys_ms = 0.0
+    faults = 0
+    try:
+        for name in PHASES:
+            setattr(network, name, clock.wrap(name, saved[name]))
+        for _ in range(repeats):
+            for op in ops:
+                before = resource.getrusage(resource.RUSAGE_THREAD)
+                start = time.thread_time()
+                op()
+                total_ms += 1e3 * (time.thread_time() - start)
+                after = resource.getrusage(resource.RUSAGE_THREAD)
+                sys_ms += 1e3 * (after.ru_stime - before.ru_stime)
+                faults += after.ru_minflt - before.ru_minflt
+    finally:
+        for name in PHASES:
+            setattr(network, name, saved[name])
+    count = samples * repeats
+    phases = {name: {"ms": clock.ms[name] / count,
+                     "calls": clock.calls[name] / count,
+                     "us_per_call": 1e3 * clock.ms[name] / clock.calls[name]
+                     if clock.calls[name] else 0.0,
+                     "minor_faults": clock.faults[name] / count}
+              for name in PHASES}
+    return {"grid": grid, "mode": mode, "samples": samples, "repeats": repeats, "seed": seed,
+            "numpy": np.__version__,
+            "per_sample": {"ms": total_ms / count, "sys_ms": sys_ms / count,
+                           "minor_faults": faults / count,
+                           "other_ms": (total_ms - clock.inside_ms) / count},
+            "phases": phases}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--grid", type=int, default=32, help="grid side, >= 2 (default 32)")
+    parser.add_argument("--mode", choices=MODES, default="test")
+    parser.add_argument("--samples", type=int, default=4, help="inputs (default 4)")
+    parser.add_argument("--repeats", type=int, default=10,
+                        help="timed passes over the inputs (default 10)")
+    parser.add_argument("--seed", type=int, default=7, help="data seed (default 7)")
+    args = parser.parse_args(argv)
+    if args.grid < 2 or args.samples < 1 or args.repeats < 1 or args.seed < 0:
+        parser.error("--grid must be >= 2, --samples and --repeats positive and --seed "
+                     "non-negative")
+    print(json.dumps(measure(args.grid, args.mode, args.samples, args.repeats, args.seed),
+                     indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
