@@ -12,12 +12,17 @@ m + 1 uniform doubles, its m edge draws in canonical edge order and then
 its acceptance draw, and the trials consume them in trial order. The rng
 is left just after the accepted trial's draws, or after all trials'
 draws when none is accepted, as a loop calling rng.random(m) and then
-rng.random() per trial would leave it. The draws come in blocks of
-several trials whose size is capped (_BLOCK_DRAWS), so memory stays O(m)
-whatever max_trials is; on acceptance the generator is rewound to the
-start of the block and redraws up to the end of the accepted trial. A
-vectorised bound rejects most trials of a block at once; the others are
-decided one by one with the exact ratios.
+rng.random() per trial would leave it. On a graph of _JUMP_EDGES edges
+or more only the tail of each trial is drawn at first: its last
+_TAIL_EDGES edge draws and its acceptance draw, after a jump over its
+other edge draws. On a smaller graph one call draws every trial whole.
+The selected edges among those drawn bound the transition ratio from
+above, and a vectorised test of that bound rejects most trials at once.
+Each trial it cannot rule out is redrawn whole, from a jump to its
+start, and decided with the exact ratios. A PCG64 or PCG64DXSM
+generator jumps with bit_generator.advance, since each double is one
+64-bit output; other generators draw the skipped doubles and discard
+them. The jumps leave the generator's buffered 32-bit half as it was.
 
 Each transition is logged as one TrialLog: the rng state at its start
 and, per trial, the decision and the posterior ratio. replay_trials
@@ -28,6 +33,7 @@ partition, transition ratio, alpha) from that state under the contract.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -40,8 +46,15 @@ from sevolve.graph import (
     quotient_graph,
 )
 
-# A draw block of evolve_step holds at most this many doubles (1 MiB).
-_BLOCK_DRAWS = 1 << 17
+# evolve_step jumps on graphs of this many edges or more; on smaller
+# ones one call drawing every trial whole costs less than the per-trial
+# calls of the jumps
+_JUMP_EDGES = 512
+# edge draws per trial that evolve_step's prefilter reads when it jumps
+_TAIL_EDGES = 64
+# bit generators whose random() double is one output, so advance(k)
+# jumps over k doubles
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 # unit roundoff of float64
 _EPS = 2.0 ** -53
 
@@ -183,55 +196,88 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
     # bound's matvec free of 0 * -inf
     log_probs = np.log(probs, out=np.zeros(m), where=probs > 0.0)
     log_cap = math.log(ratio_cap)
-    per_block = max(1, _BLOCK_DRAWS // (m + 1))
-    start = rng.bit_generator.state
+    # a Python int: advance raises OverflowError on a numpy integer
+    trials = operator.index(cfg.max_trials)
+    j = min(_TAIL_EDGES, m) if m >= _JUMP_EDGES else m
+    bit_gen = rng.bit_generator
+    start = bit_gen.state
+    # skip(k) moves rng past k doubles as drawing them would, but for a
+    # jump's cleared buffered 32-bit half (_restore_buffered_half)
+    skip = bit_gen.advance if isinstance(bit_gen, _JUMPABLE) else rng.random
+    # per trial: the tail of j edge draws, then the acceptance draw
+    tails = np.empty((trials, j + 1))
+    if j == m:
+        # nothing to jump over
+        rng.random(out=tails)
+    else:
+        for row in tails:
+            skip(m - j)
+            rng.random(out=row)
+    draws = tails[:, j]
+    # the edge draws become the 0/1 selection in place, which the bound's
+    # matvec reads without a cast copy
+    chosen = tails[:, :j]
+    np.less(chosen, probs[m - j:], out=chosen, casting="unsafe")
+    # Prefilter: every factor of t_upper, the product over the selected
+    # edges, is at most 1, so the product over the selected tail edges,
+    # exp(log_upper), bounds t_upper and so the transition ratio from
+    # above; a draw >= that bound times ratio_cap rejects the trial
+    # without its posterior. Rounding: the logs are all <= 0, so each
+    # float sum lies within a relative (terms + 2) ulps of the exact sum
+    # of its exact logs (the logs of single probabilities within one ulp
+    # each), and the exact sum over all selected edges is at most the one
+    # over the selected tail edges. So _exact_trial's log t_upper lies at
+    # most (m + j + 4) <= (2m + 4) ulps of |log_upper| above log_upper,
+    # which 4m + 8 covers with room for the exp, log and product
+    # roundings. A trial marked sure is thus one that _exact_trial
+    # rejects unevaluated.
+    log_upper = chosen @ log_probs[m - j:]
+    margin = (4 * m + 8) * _EPS * (np.abs(log_upper) + abs(log_cap) + 1.0)
+    sure = draws > np.exp(log_upper + log_cap + margin)
     # per trial: accepted, posterior_evaluated, posterior_ratio, filled
     # as for a trial the prefilter rejects
-    accepted = np.zeros(cfg.max_trials, dtype=bool)
-    evaluated = np.full(cfg.max_trials, test_mode)
-    ratios = np.full(cfg.max_trials, ratio_cap)
-    for first in range(0, cfg.max_trials, per_block):
-        count = min(per_block, cfg.max_trials - first)
-        block_start = rng.bit_generator.state
-        block = rng.random((count, m + 1))
-        draws = block[:, m]
-        # the edge draws become the 0/1 selection in place, which the
-        # bound's matvec and _exact_trial read without a cast copy
-        chosen = block[:, :m]
-        np.less(chosen, probs, out=chosen, casting="unsafe")
-        # Prefilter: every selected edge ends up intra-clique, so the
-        # product over the selected edges, t_upper, bounds the transition
-        # ratio from above, and a draw >= t_upper * ratio_cap rejects the
-        # trial without its posterior. The matvec sums the logs in another
-        # order than _exact_trial; either sum is within m ulps of
-        # |log t_upper| of the exact one (the logs of single probabilities
-        # within one ulp each), which 4m covers, and the +8 covers the
-        # exp, log and product roundings. A trial marked sure is thus one
-        # that _exact_trial rejects unevaluated.
-        log_upper = chosen @ log_probs
-        margin = (4 * m + 8) * _EPS * (np.abs(log_upper) + abs(log_cap) + 1.0)
-        sure = draws > np.exp(log_upper + log_cap + margin)
-        # sure trials are rejected under any admissible transition/posterior
-        for k in np.flatnonzero(~sure):
-            decided = _exact_trial(g, probs, chosen[k], draws[k], loss_eval, loss_old,
+    accepted = np.zeros(trials, dtype=bool)
+    evaluated = np.full(trials, test_mode)
+    ratios = np.full(trials, ratio_cap)
+    undecided = np.flatnonzero(~sure).tolist()
+    if undecided:
+        # redraw each undecided trial whole, from the start on
+        bit_gen.state = start
+        done = 0
+        for k in undecided:
+            skip((k - done) * (m + 1))
+            row = rng.random(m + 1)
+            done = k + 1
+            decided = _exact_trial(g, probs, row[:m] < probs, row[m], loss_eval, loss_old,
                                    ratio_cap)
             if decided is None:
                 continue
-            t = first + k
-            part, ratios[t], evaluated[t], accepted[t] = decided
-            if accepted[t]:
-                # leave rng just after this trial's draws
-                rng.bit_generator.state = block_start
-                rng.random((k + 1) * (m + 1))
+            part, ratios[k], evaluated[k], accepted[k] = decided
+            if accepted[k]:
+                # rng is just after this trial's draws
+                _restore_buffered_half(bit_gen, start)
                 return (quotient_graph(g, part), part,
-                        TrialLog(g, probs, start, None, accepted[:t + 1], evaluated[:t + 1],
-                                 ratios[:t + 1]))
+                        TrialLog(g, probs, start, None, accepted[:done], evaluated[:done],
+                                 ratios[:done]))
+        skip((trials - done) * (m + 1))
+    if j < m or undecided:
+        _restore_buffered_half(bit_gen, start)
     return (g, CliquePartition.identity(g.num_nodes),
             TrialLog(g, probs, start, None, accepted, evaluated, ratios))
 
 
+def _restore_buffered_half(bit_gen, start):
+    """Puts back the buffered 32-bit half of the state `start`, which
+    advance clears and random() leaves alone; the next bounded integer
+    draw (rng.permutation, say) reads it."""
+    if isinstance(bit_gen, _JUMPABLE):
+        state = bit_gen.state
+        state["has_uint32"], state["uinteger"] = start["has_uint32"], start["uinteger"]
+        bit_gen.state = state
+
+
 def _exact_trial(g, probs, chosen, draw, loss_eval, loss_old, ratio_cap):
-    """Decides one trial exactly from its 0/1 selection row and acceptance
+    """Decides one trial exactly from its edge selection mask and acceptance
     draw: (partition, posterior ratio, posterior evaluated, accepted), or
     None when the draw is at least ratio_cap times t_upper, the product
     over the selected edges."""

@@ -5,7 +5,7 @@ instead of min-label hooking, direct products instead of log-space sums,
 per-node ancestor walks instead of composed index maps, a node-by-node
 sweep with visit flags instead of waves, a wave layout by comparison
 sorts on a composite key instead of counting sorts (wave_schedule_sorted),
-one Metropolis-Hastings trial at a time instead of draw blocks, and a
+one Metropolis-Hastings trial at a time instead of tail draws, and a
 dataset loader that converts one line at a time and a checkpoint loader
 that converts one row at a time, load_dataset_per_line and
 load_checkpoint_per_row, instead of one block at a time).

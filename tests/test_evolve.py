@@ -346,21 +346,26 @@ class TestCoarseningHappens:
 
 class ScriptedRng:
     """Stands in for a numpy Generator: hands out fixed uniform doubles in
-    order, as new arrays, and its bit_generator.state is the read
-    position, so a stream can hold draws placed on purpose."""
+    order, as new arrays or into `out`, and its bit_generator.state is the
+    read position, so a stream can hold draws placed on purpose."""
 
     def __init__(self, values):
         self.values = values
         self.state = 0
         self.bit_generator = self
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            size = out.shape
         count = 1 if size is None else math.prod(np.atleast_1d(size))
         if self.state + count > self.values.size:
             raise IndexError("scripted draws exhausted")
-        out = self.values[self.state:self.state + count].copy()
+        values = self.values[self.state:self.state + count]
         self.state += count
-        return float(out[0]) if size is None else out.reshape(size)
+        if out is not None:
+            out[...] = values.reshape(size)
+            return out
+        return float(values[0]) if size is None else values.reshape(size).copy()
 
 
 def placed_draws(g, probs, cap, max_trials, seed, offsets):
@@ -380,6 +385,13 @@ def placed_draws(g, probs, cap, max_trials, seed, offsets):
             continue
         row[m] = {-1: np.nextafter(bound, 0.0), 0: bound, 1: np.nextafter(bound, 1.0)}[offset]
     return values
+
+
+# the numpy generators the oracle test draws from: PCG64 and PCG64DXSM
+# jump, MT19937 draws and discards
+GENERATORS = {"pcg64": np.random.default_rng,
+              "pcg64dxsm": lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
+              "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed))}
 
 
 @st.composite
@@ -410,8 +422,13 @@ def mh_cases(draw):
     return dict(
         g=g, probs=probs, labels=labels, weights=weights,
         max_trials=draw(st.integers(1, 200)),
-        # one trial per block up to the real block size
-        block_draws=draw(st.sampled_from([1, 9, 64, evolve._BLOCK_DRAWS])),
+        # jumps on every graph (0) or on none of these small ones, to
+        # tails from none to longer than any of their edge lists
+        jump_edges=draw(st.sampled_from([0, evolve._JUMP_EDGES])),
+        tail_edges=draw(st.sampled_from([0, 1, 9, evolve._TAIL_EDGES, 1000])),
+        generator=draw(st.sampled_from(sorted(GENERATORS))),
+        # a generator left with a buffered 32-bit half, or without one
+        buffered=draw(st.booleans()),
         seed=draw(st.integers(0, 2 ** 32 - 1)),
         offsets=draw(st.none() | st.lists(st.sampled_from([None, -1, 0, 1]),
                                           min_size=1, max_size=4)))
@@ -445,7 +462,8 @@ class TestEvolveStepOracle:
         calls, oracle_calls = [], []
         loss_eval = counting_loss(g, case["labels"], case["weights"], calls)
         rng = make_rng()
-        with mock.patch.object(evolve, "_BLOCK_DRAWS", case["block_draws"]):
+        with (mock.patch.object(evolve, "_JUMP_EDGES", case["jump_edges"]),
+              mock.patch.object(evolve, "_TAIL_EDGES", case["tail_edges"])):
             coarse, part, traces = evolve_step(g, probs, loss_eval,
                                                EvolveConfig(max_trials=max_trials), rng)
         ref_rng = make_rng()
@@ -464,7 +482,9 @@ class TestEvolveStepOracle:
         assert coarse.num_nodes == part.num_cliques
         n_eval = sum(t.posterior_evaluated for t in traces)
         assert len(calls) == (0 if loss_eval is None else 1 + n_eval)
-        assert rng.random() == ref_rng.random()
+        # the whole state: for a numpy generator also the buffered 32-bit
+        # half, which no double drawn next would read
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
         return list(traces)
 
     @settings(max_examples=200, deadline=None)
@@ -472,7 +492,10 @@ class TestEvolveStepOracle:
     def test_matches_per_trial_loop(self, case):
         if case["offsets"] is None:
             def make_rng():
-                return np.random.default_rng(case["seed"])
+                rng = GENERATORS[case["generator"]](case["seed"])
+                if case["buffered"]:
+                    rng.integers(1000)
+                return rng
         else:
             cap = 1.0
             if case["weights"] is not None:
@@ -489,7 +512,7 @@ class TestEvolveStepOracle:
     @pytest.mark.parametrize("train", [False, True])
     def test_draws_next_to_the_bound(self, train):
         # acceptance draws 1 ulp below, at and 1 ulp above cap x t_upper on
-        # random forests, where t_upper is the transition ratio: the block
+        # random forests, where t_upper is the transition ratio: the tail
         # prefilter must leave each trial it cannot rule out to the exact
         # code
         for seed in range(100):
@@ -503,25 +526,60 @@ class TestEvolveStepOracle:
                 loss = counting_loss(g, labels, weights, [])
                 cap = posterior_ratio(loss(CliquePartition.identity(n), g), 0.0)
             case = dict(g=g, probs=rng.uniform(0.3, 1.0, g.num_edges), labels=labels,
-                        weights=weights, max_trials=20, block_draws=evolve._BLOCK_DRAWS)
+                        weights=weights, max_trials=20, jump_edges=evolve._JUMP_EDGES,
+                        tail_edges=evolve._TAIL_EDGES)
             values = placed_draws(g, case["probs"], cap, 20, seed, [-1, 0, 1])
             self.assert_matches(case, lambda: ScriptedRng(values))
 
     @pytest.mark.parametrize("train", [False, True])
-    def test_accepts_in_a_later_block(self, train):
-        # 32x32 grid at the real block size: 66 trials per block. The
-        # p = 1 edges connect the grid, so all seven p = 0.5 edges are
-        # eliminated and every trial has alpha = 2^-7 (times the
-        # posterior ratio in train mode); seed 8 accepts trial 86.
+    def test_accepts_a_late_trial(self, train):
+        # 32x32 grid, so the trials' tails are drawn after jumps. One
+        # p = 0.5 edge lies in the tail, so the prefilter rules no trial
+        # out and every trial is redrawn whole. The p = 1 edges connect
+        # the grid, so all eight p = 0.5 edges are eliminated and every
+        # trial has alpha = 2^-8 (times the posterior ratio in train
+        # mode); seed 8 accepts trial 86.
         g = grid_graph(32)
         probs = np.ones(g.num_edges)
         probs[::283] = 0.5
         case = dict(g=g, probs=probs, labels=np.arange(g.num_nodes) % 2,
                     weights=(0.0, 0.01) if train else None, max_trials=400,
-                    block_draws=evolve._BLOCK_DRAWS)
+                    jump_edges=evolve._JUMP_EDGES, tail_edges=evolve._TAIL_EDGES)
         traces = self.assert_matches(case, lambda: np.random.default_rng(8))
         assert traces[-1].accepted
-        assert traces[-1].trial > evolve._BLOCK_DRAWS // (g.num_edges + 1)
+        assert traces[-1].trial == 86
+
+    @pytest.mark.parametrize("case", ["jump", "accept", "redraw"])
+    def test_keeps_the_buffered_32bit_half(self, case):
+        # bit_generator.advance clears the buffered 32-bit half that
+        # random() leaves alone, and the next layer's permutation reads it
+        def make_rng():
+            rng = np.random.default_rng(1)
+            rng.permutation(1024)
+            return rng
+
+        assert make_rng().bit_generator.state["has_uint32"] == 1
+        if case == "jump":
+            # 32x32, tails drawn after jumps: every trial is ruled out
+            g = grid_graph(32)
+            probs = np.full(g.num_edges, 0.8)
+        elif case == "accept":
+            # 8x8, trials drawn whole: TestCoarseningHappens' readout, on
+            # which a trial is accepted after a jump to its start
+            sample = generate_sample(GenConfig(grid_n=8, seed=0), np.random.default_rng([0, 8]))
+            ends = sample.labels[sample.graph.edges]
+            g, probs = sample.graph, np.where(ends[:, 0] == ends[:, 1], 0.99, 0.01)
+        else:
+            # trials drawn whole: every one is redrawn, as t_upper is 1 on
+            # the two p = 1 edges, and rejected, as all three are eliminated
+            g = TRIANGLE
+            probs = np.array([1.0, 1.0, 1e-9])
+        rng, ref_rng = make_rng(), make_rng()
+        _, _, log = evolve_step(g, probs, None, EvolveConfig(max_trials=50), rng)
+        want, _ = mh_search(g, probs, None, 50, ref_rng)
+        assert log.accepted.tolist() == [w[1] for w in want]
+        assert log.accepted[-1] == (case == "accept")
+        np.testing.assert_array_equal(rng.permutation(1024), ref_rng.permutation(1024))
 
 
 class TestDeterministicThreshold:

@@ -10,8 +10,10 @@ visit orders, each layer's wave schedule (perm, pos, owner, nbr,
 slot_edge, rev, later, deg, inv_deg, seg and the wave bounds),
 partitions, each level's edges (so the quotient graphs are compared
 directly), trial decisions, each transition's `trace_records` text (as
-uint8 bytes, so the per-trial detail is compared exactly), the next rng
-draw, per-level logits and edge probabilities, the
+uint8 bytes, so the per-trial detail is compared exactly), the rng state
+after the forward pass (the PCG64 `state` and `inc` as uint64 words,
+`has_uint32` and `uinteger`, so the buffered 32-bit half is pinned too)
+and the next rng draw, per-level logits and edge probabilities, the
 combined logits, the losses and every gradient tensor. The cases are 4
 seeds x 8x8/16x16/32x32 grids with the benchmark checkpoint
 (perfbench/model.ckpt) in Metropolis-Hastings train
@@ -155,6 +157,15 @@ def _loaded_checkpoints(network):
             yield name, arrays
 
 
+def _pcg64_words(state):
+    """A PCG64 bit_generator.state as uint64 words: `state` and `inc` low
+    word first, then `has_uint32` and `uinteger`."""
+    mask = (1 << 64) - 1
+    words = [w for x in (state["state"]["state"], state["state"]["inc"])
+             for w in (x & mask, x >> 64)]
+    return np.array([*words, state["has_uint32"], state["uinteger"]], dtype=np.uint64)
+
+
 def dump(path):
     from sevolve import data, graph, network
     from sevolve.evolve import EvolveConfig, trace_records
@@ -169,6 +180,8 @@ def dump(path):
         grads = network.backward(res, sample, cfg)
         arrays = {"losses": np.array(losses), "combined_logits": res.combined_logits}
         if rng is not None:
+            # compute_loss and backward draw nothing: forward left this state
+            arrays["rng_state"] = _pcg64_words(rng.bit_generator.state)
             arrays["next_draw"] = np.array([rng.random()])
         for t, order in enumerate(res.plan().visit_orders):
             arrays[f"orders/{t}"] = np.asarray(order)
