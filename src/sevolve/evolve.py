@@ -177,7 +177,8 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
     non-negative task loss under the coarsening `partition` of the source
     `graph` (the candidate graph itself is quotient_graph(graph,
     partition)); a negative loss raises ValueError. If no candidate is
-    accepted the graph is kept unchanged with the identity partition.
+    accepted the level is kept: the same LevelGraph object `g` comes back
+    with the identity partition, the one train mode scores loss_old on.
 
     `rng` is a numpy Generator, drawn from under the module's draw
     contract. Returns (next_graph, partition, TrialLog); the log keeps
@@ -187,8 +188,9 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
     probs = _validated_probs(g, edge_probs)
     test_mode = loss_eval is None
     ratio_cap, loss_old = 1.0, None
+    keep = CliquePartition.identity(g.num_nodes)
     if not test_mode:
-        loss_old = float(loss_eval(CliquePartition.identity(g.num_nodes), g))
+        loss_old = float(loss_eval(keep, g))
         # a loss of 0 is the best any candidate can reach
         ratio_cap = posterior_ratio(loss_old, 0.0)
     m = probs.size
@@ -262,8 +264,7 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
         skip((trials - done) * (m + 1))
     if j < m or undecided:
         _restore_buffered_half(bit_gen, start)
-    return (g, CliquePartition.identity(g.num_nodes),
-            TrialLog(g, probs, start, None, accepted, evaluated, ratios))
+    return g, keep, TrialLog(g, probs, start, None, accepted, evaluated, ratios)
 
 
 def _restore_buffered_half(bit_gen, start):

@@ -230,7 +230,8 @@ class HierarchyTrace:
     probability per edge of `levels[k]` in canonical edge order, and
     `decisions[k]` the TrialLog of transition k: its trials' decisions,
     with the rng state from which evolve.replay_trials redraws their
-    detail.
+    detail. A level that evolve_step kept is the same object as the one
+    below it (see kept), with the identity partition.
     """
 
     __slots__ = ("levels", "partitions", "edge_probs", "decisions")
@@ -249,7 +250,15 @@ class HierarchyTrace:
                 raise ValueError(f"partition {k} does not map level {k}'s nodes")
             if p.num_cliques != levels[k + 1].num_nodes:
                 raise ValueError(f"partition {k} does not map onto level {k + 1}")
+            if levels[k + 1] is levels[k] and (p.assignment != np.arange(p.num_nodes)).any():
+                raise ValueError(f"level {k} is kept, but partition {k} is not the identity")
         self.levels = levels
         self.partitions = partitions
         self.edge_probs = list(edge_probs) if edge_probs is not None else []
         self.decisions = list(decisions) if decisions is not None else []
+
+    def kept(self, k) -> bool:
+        """Whether transition k kept level k as level k + 1, the same graph
+        object; a replayed or accepted partition, even the identity, builds
+        a new graph."""
+        return self.levels[k + 1] is self.levels[k]

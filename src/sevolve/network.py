@@ -308,8 +308,11 @@ def _make_loss_eval(node_logits, amap, labels):
     # current level's head, broadcast to the base nodes, scored with the
     # same mean cross-entropy convention as the task loss. The head is
     # linear, so averaging the per-node logits over each clique gives the
-    # same values.
+    # same values. A partition of one node per clique (the kept level's
+    # identity) maps each base node back to its own node's logits.
     def loss_eval(partition, graph):
+        if partition.num_cliques == partition.num_nodes:
+            return _softmax_cross_entropy(node_logits[amap], labels)[0]
         agg = aggregate_node_values(partition, node_logits)
         return _softmax_cross_entropy(agg[partition.assignment[amap]], labels)[0]
 
@@ -430,16 +433,22 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
                 g_next, part, trial_log = evolve_step(g, p_edge, loss_eval, cfg.evolve, rng)
             partitions.append(part)
             decisions.append(trial_log)
-            feats = aggregate_node_values(part, feats)
-            h_prev = aggregate_node_values(part, h_new)
-            m_prev = aggregate_node_values(part, m_new)
-            amap = part.assignment[amap]
+            if g_next is g:
+                # a kept level: its arrays carry over, as their means over
+                # the identity's one-node cliques would copy them
+                h_prev, m_prev = h_new, m_new
+            else:
+                feats = aggregate_node_values(part, feats)
+                h_prev = aggregate_node_values(part, h_new)
+                m_prev = aggregate_node_values(part, m_new)
+                amap = part.assignment[amap]
             g = g_next
             levels.append(g)
 
     combined = level_logits[0].copy()
     for t in range(1, n_layers):
-        combined += level_logits[t][amaps[t]]
+        # level 0's own amap, the identity, is carried up to the first merge
+        combined += level_logits[t] if amaps[t] is amaps[0] else level_logits[t][amaps[t]]
 
     return ForwardResult(mode, params, level_logits, combined,
                          HierarchyTrace(levels, partitions, edge_probs, decisions),
@@ -449,15 +458,18 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
 def _level_edge_targets(trace: HierarchyTrace, labels, num_classes):
     """Merge targets for every level: 1 iff the two endpoints' level
     labels agree. A level node's label is the majority base label of its
-    descendants, ties to the smaller label id."""
+    descendants, ties to the smaller label id. A kept level has its
+    predecessor's targets."""
     counts = np.zeros((trace.levels[0].num_nodes, num_classes))
     counts[np.arange(labels.size), labels] = 1.0
     targets = []
     for t, g in enumerate(trace.levels):
-        lvl_labels = counts.argmax(axis=1)
-        ends = lvl_labels[g.edges]
-        targets.append((ends[:, 0] == ends[:, 1]).astype(np.float64))
-        if t < len(trace.partitions):
+        if not (t and trace.kept(t - 1)):
+            ends = counts.argmax(axis=1)[g.edges]
+            level_targets = (ends[:, 0] == ends[:, 1]).astype(np.float64)
+        targets.append(level_targets)
+        # a merge after a kept level still pools the counts it carries
+        if t < len(trace.partitions) and not trace.kept(t):
             part = trace.partitions[t]
             counts = segment_sum(counts, part.assignment, part.num_cliques)
     return targets
@@ -530,7 +542,8 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         n = perm.size
 
         # head path, in the layer's rows
-        d_logits = segment_sum(d_comb, schedule.pos[result.amaps[t]], n)
+        d_logits = (d_comb.take(perm, axis=0) if result.amaps[t] is result.amaps[0]
+                    else segment_sum(d_comb, schedule.pos[result.amaps[t]], n))
         head_w, _ = params.heads[t]
         gw, gb = grads.heads[t]
         gw += d_logits.T @ cache.hidden
@@ -538,8 +551,12 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         d_h_new = d_logits @ head_w
         d_m_new = np.zeros((n, hh))
 
-        # adjoint of the mean-aggregation into level t+1
-        if t < n_layers - 1:
+        # adjoint of the mean-aggregation into level t+1; a kept level's
+        # cliques are single nodes, of weight 1
+        if t < n_layers - 1 and result.trace.kept(t):
+            d_h_new += d_hprev_next.take(perm, axis=0)
+            d_m_new += d_mprev_next.take(perm, axis=0)
+        elif t < n_layers - 1:
             part = result.trace.partitions[t]
             inv = 1.0 / part.sizes().astype(np.float64)
             clique = part.assignment[perm]

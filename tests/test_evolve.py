@@ -184,6 +184,30 @@ class TestEvolveStep:
         assert part.num_cliques == part.num_nodes
         assert coarse == g
 
+    @pytest.mark.parametrize("train", [False, True], ids=["test", "train"])
+    def test_rejection_keeps_the_graph_object(self, train):
+        # network.forward carries a kept level's arrays over on this
+        # contract: the same LevelGraph object comes back with the identity
+        # partition, in train mode the very one the current loss was
+        # scored on
+        g = grid_graph(6)
+        scored = []
+
+        def loss_eval(part, graph):
+            scored.append(part)
+            return 0.0 if part.num_cliques == part.num_nodes else 1e9
+
+        coarse, part, log = evolve_step(g, np.full(g.num_edges, 0.5),
+                                        loss_eval if train else None,
+                                        EvolveConfig(max_trials=20), np.random.default_rng(1))
+        assert len(log) == 20 and not log.accepted.any()
+        assert coarse is g
+        assert part == CliquePartition.identity(g.num_nodes)
+        if train:
+            assert scored[0] is part
+        else:
+            assert not scored
+
     def test_train_mode_trace_reproducible(self):
         g = LevelGraph(6, random_connected_graph(np.random.default_rng(3), 6))
         probs = np.random.default_rng(4).uniform(0.3, 0.9, g.num_edges)

@@ -356,6 +356,15 @@ class TestHierarchyTrace:
         with pytest.raises(ValueError, match="does not map"):
             HierarchyTrace([coarse, g], [part])
 
+    def test_kept_level_is_the_same_object_with_the_identity(self):
+        g = LevelGraph(3, [(0, 1), (1, 2)])
+        identity = CliquePartition.identity(3)
+        trace = HierarchyTrace([g, g, LevelGraph(3, [(0, 1), (1, 2)])], [identity, identity])
+        # an equal graph built anew is a merge, as a replayed plan makes it
+        assert [trace.kept(0), trace.kept(1)] == [True, False]
+        with pytest.raises(ValueError, match="not the identity"):
+            HierarchyTrace([g, g], [CliquePartition([1, 0, 2], 3)])
+
     def test_node_counts_non_increasing(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

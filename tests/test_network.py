@@ -136,15 +136,37 @@ class TestForward:
             assert np.array_equal(pa.assignment, pb.assignment)
 
     def test_replay_reproduces_run(self):
+        # A run carries a kept level's arrays over; the replay of its plan
+        # builds every level with quotient_graph and aggregates over the
+        # identity partitions, so each path checks the other, bit for bit.
+        # The cases are tools/equivalence.py's random graphs in both modes,
+        # among them kept levels followed by a merge.
+        from sevolve import graph
+        from test_tools import load_tool
+
         rng = np.random.default_rng(4)
         cfg = tiny_cfg(layers=3)
-        sample = make_sample(rng, n=8)
-        params = random_model(rng, cfg)
-        res = forward(sample, params, cfg, np.random.default_rng(6), mode="train")
-        replay = forward(sample, params, cfg, None, mode="train", plan=res.plan())
-        assert np.array_equal(res.combined_logits, replay.combined_logits)
-        for a, b in zip(res.trace.edge_probs, replay.trace.edge_probs):
-            assert np.array_equal(a, b)
+        cases = [("seed4", make_sample(rng, n=8), random_model(rng, cfg), cfg, "train",
+                  np.random.default_rng(6), None),
+                 *load_tool("equivalence")._random_graph_cases(network, graph, EvolveConfig)]
+        kept_then_merged = set()
+        for name, sample, params, cfg, mode, rng, _ in cases:
+            res = forward(sample, params, cfg, rng, mode=mode)
+            replay = forward(sample, params, cfg, None, mode=mode, plan=res.plan())
+            trace = res.trace
+            transitions = range(len(trace.partitions))
+            assert not any(replay.trace.kept(k) for k in transitions)
+            if any(trace.kept(k) and not trace.kept(k + 1) for k in transitions[:-1]):
+                kept_then_merged.add(mode)
+            assert np.array_equal(res.combined_logits, replay.combined_logits), name
+            for a, b in zip(res.level_logits + res.trace.edge_probs,
+                            replay.level_logits + replay.trace.edge_probs):
+                assert np.array_equal(a, b), name
+            assert compute_loss(res, sample, cfg) == compute_loss(replay, sample, cfg), name
+            for (tname, a), (_, b) in zip(backward(res, sample, cfg).tensors(),
+                                          backward(replay, sample, cfg).tensors()):
+                assert np.array_equal(a, b), (name, tname)
+        assert kept_then_merged == {"train", "test"}
 
     def test_sweep_reads_new_state_of_visited_neighbors(self):
         # star 0-{1, 2, 3}; layer 1 visits 2, 1, 0, 3, so node 0 averages

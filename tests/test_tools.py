@@ -50,3 +50,6 @@ def test_phases_reports_every_phase(mode, capsys):
     assert phases["wave_schedule"]["calls"] == phases["cell_forward_batch"]["calls"] == 5
     assert (phases["cell_backward_batch"]["calls"] > 0) == (mode != "test")
     assert (phases["evolve_step"]["calls"] > 0) == (mode != "pyramid")
+    # forward builds each level of the replayed 2x2 pooling; an accepted MH
+    # trial builds its level inside evolve_step, where nothing is wrapped
+    assert phases["quotient_graph"]["calls"] == (4 if mode == "pyramid" else 0)

@@ -8,7 +8,10 @@ Each phase function is wrapped at the name `network` looks it up by
 wrapper adds the thread CPU time and the minor page faults of each call
 to its phase. Calls of one phase inside another (aggregate_node_values
 inside the train-mode posterior of evolve_step) count in both; `other`
-is the time of an operation outside every outermost phase call.
+is the time of an operation outside every outermost phase call. Calls
+that evolve.py makes by its own names (the quotient_graph of an accepted
+MH trial) count in their caller's phase only, so `quotient_graph` counts
+the levels that forward builds from a replayed plan.
 
 One operation runs on one generated sample (GenConfig seed --seed,
 --samples inputs, derived rng streams per input, so every repeat does the
@@ -41,8 +44,8 @@ import numpy as np  # noqa: E402
 
 CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "model.ckpt"
 PHASES = ("wave_schedule", "cell_forward_batch", "cell_forward", "evolve_step",
-          "aggregate_node_values", "cell_backward_node", "cell_backward_batch",
-          "_loss_terms")
+          "quotient_graph", "aggregate_node_values", "cell_backward_node",
+          "cell_backward_batch", "_loss_terms")
 MODES = ("test", "train", "pyramid")
 
 
