@@ -31,11 +31,12 @@ wave's rows r0:r1 are the view [:, r0:r1]. Only cell_backward_batch puts
 the blocks side by side, once per layer, for the products that run over
 the packed weight rows.
 
-A CellCache holds the activations of all the nodes of one such layer,
-laid out wave by wave (network.wave_schedule): the node-local parts take
-a wave's block of rows and block of slots, plus the slots' segment ids
-(graph.segment_ids) and the nodes' inverse degrees, which the layer's
-WaveSchedule carries.
+A CellCache, which cell_forward_batch builds, holds the activations of
+all the nodes of one such layer, laid out wave by wave
+(network.wave_schedule); the sweep writes each wave's rows of it in turn.
+The node-local parts take the cache, a wave's block of rows and block of
+slots, plus the slots' segment ids (graph.segment_ids) and the nodes'
+inverse degrees, which the layer's WaveSchedule carries.
 
 Everything is float64 and purely functional: same inputs, bit-identical
 outputs. A non-finite new state raises NumericError.
@@ -128,11 +129,13 @@ class CellCache:
 
     Node rows run 0..B-1, and owner[s] is the row of slot s. A sweep's
     rows are in wave-major order (network.wave_schedule): each wave is a
-    contiguous block of rows, and the slots follow the rows. The sweep
-    fills the node-local rows one wave at a time; afterwards the cache is
-    read-only. The slots' neighbor inputs, the previous hidden state and
-    the flag-selected memory of each neighbor, are not kept: a sweep
-    gathers them again from its rows for cell_backward_batch.
+    contiguous block of rows, and the slots follow the rows.
+    cell_forward_batch builds the cache; the sweep, network.forward, fills
+    a wave's `navg` rows and writes cell_forward's results over its rows
+    of `hidden`, `memory` and `gates`, one wave at a time; afterwards the
+    cache is read-only. The slots' neighbor inputs, the previous hidden
+    state and the flag-selected memory of each neighbor, are not kept: a
+    sweep gathers them again from its rows for cell_backward_batch.
     """
 
     params: CellParams
@@ -148,20 +151,20 @@ class CellCache:
     hidden: np.ndarray       # (B, H) new hidden state
 
 
-def cell_forward_batch(params, x, h_prev, owner, nbr_h_prev):
+def cell_forward_batch(params, x, h_prev, m_prev, owner, nbr_h_prev):
     """Order-independent part of B cell updates over S neighbor slots.
 
     Args:
         params: CellParams.
-        x, h_prev: (B, D) inputs and (B, H) own previous hidden states.
+        x, h_prev, m_prev: (B, D) inputs and (B, H) own previous hidden
+            states and memory.
         owner: (S,) index of the node, 0..B-1, that owns each slot.
         nbr_h_prev: (S, H) previous hidden state of each slot's neighbor.
 
     Returns:
-        (pre, nb_gate, merge_probs): the static gate pre-activations
-        x @ wx.T + h_prev @ uh.T + b, gate-major (4, B, H), the per-slot
-        neighbor forget gates (S, H) and the per-slot merging
-        probabilities (S,).
+        The CellCache of the updates, `gates` holding the static gate
+        pre-activations x @ wx.T + h_prev @ uh.T + b, gate-major (4, B, H),
+        `hidden` and `memory` copies of h_prev and m_prev, `navg` unfilled.
     """
     h = params.hidden_dim
     if x.ndim != 2 or x.shape[1] != params.input_dim:
@@ -174,7 +177,8 @@ def cell_forward_batch(params, x, h_prev, owner, nbr_h_prev):
     sigmoid(nb_gate, out=nb_gate)
     pre += h_prev @ _gate_major(params.uh, h)
     pre += params.b.reshape(-1, 1, h)
-    return pre, nb_gate, sigmoid(nb_gate @ params.w_e)
+    return CellCache(params, owner, x, h_prev, m_prev, np.empty_like(h_prev), nb_gate,
+                     sigmoid(nb_gate @ params.w_e), pre, m_prev.copy(), h_prev.copy())
 
 
 def _gate_major(weights, h):
@@ -189,29 +193,28 @@ def _navg_rows(d_pre):
     return np.concatenate((d_pre[0], d_pre[2], d_pre[3]), axis=1)
 
 
-def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, seg, inv_deg):
-    """Node-local part of B cell updates: the work that needs the neighbor
-    average, so a sweep runs it once per wave, on the wave's blocks.
+def cell_forward(cache, rows, slots, seg, inv_deg, m_sel):
+    """Node-local part of B updates in `cache`: the work that needs the
+    neighbor average, so a sweep runs it once per wave, on the wave's blocks.
 
     Args:
-        params: CellParams.
-        pre: (4, B, H) the nodes' static pre-activations from
-            cell_forward_batch.
-        m_prev: (B, H) the nodes' own previous memory.
-        navg: (B, H) means of the neighbor hidden states, zero rows for
-            nodes without neighbors.
-        nb_gate: (S, H) the nodes' neighbor forget gates.
-        m_sel: (S, H) neighbor memory selected by the visit flags.
+        cache: CellCache from cell_forward_batch, with the nodes' `navg`
+            rows filled and their `gates` rows still the pre-activations.
+        rows: the nodes' rows in the cache, a slice or an index array.
+        slots: the cache slots of those nodes, row by row, likewise.
         seg: (S, H) segment ids of the slots, graph.segment_ids of the
-            row, 0..B-1, of the node that owns each slot.
+            position, 0..B-1, of each slot's node in `rows`.
         inv_deg: (B, 1) 1 / max(degree, 1) of each node.
+        m_sel: (S, H) neighbor memory selected by the visit flags.
 
     Returns:
-        (hidden, memory, gates) with the activated gates g_u, g_f, g_o,
-        g_c gate-major, of shape (4, B, H).
+        New arrays (hidden, memory, gates), the activated gates g_u, g_f,
+        g_o, g_c gate-major (4, B, H): the sweep writes them over the rows.
     """
+    params = cache.params
     h = params.hidden_dim
-    b = m_prev.shape[0]
+    pre, navg = cache.gates[:, rows], cache.navg[rows]
+    b = navg.shape[0]
     # the neighbor average enters the u, o and c gates, rows [u, o, c] of un
     unv = navg @ _gate_major(params.un, h)
     gates = np.empty((4, b, h))
@@ -221,8 +224,9 @@ def cell_forward(params, pre, m_prev, navg, nb_gate, m_sel, seg, inv_deg):
     sigmoid(gates[:3], out=gates[:3])
     np.tanh(gates[3], out=gates[3])
     g_u, g_f, g_o, g_c = gates
-    nb_sum = np.bincount(seg.ravel(), (nb_gate * m_sel).ravel(), b * h).reshape(b, h)
-    memory = nb_sum * inv_deg + g_f * m_prev + g_u * g_c
+    nb_sum = np.bincount(seg.ravel(), (cache.nb_gate[slots] * m_sel).ravel(),
+                         b * h).reshape(b, h)
+    memory = nb_sum * inv_deg + g_f * cache.m_prev[rows] + g_u * g_c
     hidden = np.tanh(g_o * memory)
     if not math.isfinite(memory.sum() + hidden.sum()):
         raise NumericError("non-finite values in cell inputs or parameters")

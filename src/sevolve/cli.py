@@ -5,8 +5,8 @@ COMMANDS is the one list of flags: per command, its handler, its help
 string and the RunConfig fields it takes as `--<field>` flags, each
 typed from the field's annotation.
 
-Exit codes: 0 success, 2 config/validation error, 3 I/O error, 4 numeric
-failure.
+Exit codes: 0 success, 2 config/validation error or a size that does not
+fit in memory, 3 I/O error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
     except (OSError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -29,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from sevolve.cell import (
-    CellCache,
     CellParams,
     cell_backward_batch,
     cell_backward_node,
@@ -330,20 +329,22 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     wave-major layout that wave_schedule builds from the visit order,
     with the layer's segment ids and degrees. cell_forward_batch computes
     the visit-order independent gate terms for every node and neighbor
-    slot at once, gate-major; cell_forward then updates the waves in
-    turn, each a block of rows and slots. It reads "current
-    state" arrays that start as the previous state and take a wave's new
-    states when the wave is updated. Every earlier-visited neighbor of a
-    node lies in an earlier wave and every later-visited one in a later
-    wave, so a neighbor enters with its new state exactly when it comes
-    earlier in the visit order, as in a node-by-node sweep. The layer's
-    activations go into one CellCache; its new states return to node
-    order once, for the head and the aggregation.
+    slot at once, gate-major, into the layer's CellCache; cell_forward
+    then updates the waves in turn, each a block of rows and slots. The
+    cache's hidden and memory rows start as the previous state; a wave's
+    neighbor means go into its `navg` rows, and its new states and
+    activated gates over its rows, when the wave is updated. Every
+    earlier-visited neighbor of a node lies in an earlier wave and every
+    later-visited one in a later wave, so a neighbor enters with its new
+    state exactly when it comes earlier in the visit order, as in a
+    node-by-node sweep. The new states return to node order once, for the
+    head and the aggregation.
 
     In train mode the evolution step may query the label-dependent
     posterior; in test mode acceptance uses the transition ratio alone and
     labels are never read. Passing a StructurePlan replays a recorded
-    structure (visit orders + partitions) with no rng involved.
+    structure (visit orders + partitions) with no rng involved; a visit
+    order that is not a permutation of its level's nodes raises ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -386,32 +387,30 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     for t in range(n_layers):
         n = g.num_nodes
         order = plan.visit_orders[t] if plan is not None else rng.permutation(n)
+        if plan is not None and not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"replay plan's visit order for layer {t} is not a "
+                             f"permutation of the level's {n} nodes")
         schedule = wave_schedule(order, g, h_dim)
         perm, owner, nbr, seg = schedule.perm, schedule.owner, schedule.nbr, schedule.seg
         deg, inv_deg = schedule.deg, schedule.inv_deg
         x, hp, mp = (a.take(perm, axis=0) for a in (feats, h_prev, m_prev))
-        nbr_h_prev = hp.take(nbr, axis=0)
-        pre, nb_gate, slot_probs = cell_forward_batch(cell, x, hp, owner, nbr_h_prev)
-        h_cur = hp.copy()
-        m_cur = mp.copy()
-        navg = np.empty((n, h_dim))
-        gates = np.empty((4, n, h_dim))
+        cache = cell_forward_batch(cell, x, hp, mp, owner, hp.take(nbr, axis=0))
+        h_cur, m_cur = cache.hidden, cache.memory
         for r0, r1, s0, s1 in schedule.waves:
-            ids = seg[s0:s1]
+            rows, ids = slice(r0, r1), seg[s0:s1]
             nb_sum = np.bincount(ids.ravel(), h_cur.take(nbr[s0:s1], axis=0).ravel(),
                                  (r1 - r0) * h_dim)
-            np.divide(nb_sum.reshape(r1 - r0, h_dim), deg[r0:r1], out=navg[r0:r1])
-            h_cur[r0:r1], m_cur[r0:r1], gates[:, r0:r1] = cell_forward(
-                cell, pre[:, r0:r1], mp[r0:r1], navg[r0:r1], nb_gate[s0:s1],
-                m_cur.take(nbr[s0:s1], axis=0), ids, inv_deg[r0:r1])
+            np.divide(nb_sum.reshape(r1 - r0, h_dim), deg[rows], out=cache.navg[rows])
+            h_cur[rows], m_cur[rows], cache.gates[:, rows] = cell_forward(
+                cache, rows, slice(s0, s1), ids, inv_deg[rows],
+                m_cur.take(nbr[s0:s1], axis=0))
         schedules.append(schedule)
-        layers.append(CellCache(cell, owner, x, hp, mp, navg, nb_gate, slot_probs, gates,
-                                m_cur, h_cur))
+        layers.append(cache)
         h_new, m_new = h_cur.take(schedule.pos, axis=0), m_cur.take(schedule.pos, axis=0)
 
         # one probability per undirected edge: mean of the two directed
         # evaluations, a sum of two that no slot order changes
-        p_edge = 0.5 * np.bincount(schedule.slot_edge, slot_probs, g.num_edges)
+        p_edge = 0.5 * np.bincount(schedule.slot_edge, cache.merge_probs, g.num_edges)
         head_w, head_b = params.heads[t]
         logits = h_new @ head_w.T + head_b
 
@@ -726,8 +725,9 @@ def save_checkpoint(path, params: ModelParams, cfg: NetworkConfig):
 def load_checkpoint(path):
     """Reads a checkpoint, validating the header fields (each known one
     exactly once), tensor names and dims exactly and every value as a
-    finite number; errors name the path and line. Each tensor's rows are
-    read as one block (parse_block).
+    finite number; errors, header dims too large to allocate included,
+    name the path and line. Each tensor's rows are read as one block
+    (parse_block).
 
     Returns (params, meta) with meta holding the NetworkConfig fields that
     CHECKPOINT_FIELDS names.
@@ -759,9 +759,13 @@ def load_checkpoint(path):
             fail(1, f"header field {key}={fields[key]!r} is not an integer")
         if meta[name] < 1:
             fail(1, f"header field {key}={meta[name]} must be positive")
-    cell = CellParams(meta["input_dim"], meta["hidden_dim"])
-    heads = [(np.zeros((meta["num_classes"], meta["hidden_dim"])),
-              np.zeros(meta["num_classes"])) for _ in range(meta["num_layers"])]
+    try:
+        cell = CellParams(meta["input_dim"], meta["hidden_dim"])
+        heads = [(np.zeros((meta["num_classes"], meta["hidden_dim"])),
+                  np.zeros(meta["num_classes"])) for _ in range(meta["num_layers"])]
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError for a size beyond its own limit
+        fail(1, f"header dims do not fit in memory: {exc}")
     params = ModelParams(cell, heads)
 
     pos = 1

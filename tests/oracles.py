@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from sevolve.cell import (
-    CellCache,
     CellParams,
     cell_backward_batch,
     cell_backward_node,
@@ -89,13 +88,12 @@ def cell_update(params, x, h_prev, m_prev, neighbor_avg,
     else:
         m_sel = np.where(np.asarray(nbr_visited, dtype=bool)[:, None], nbr_m_cur, nbr_m_prev)
     owner, seg, inv_deg = _one_node(nbr_h_prev.shape[0], params.hidden_dim)
-    pre, nb_gate, merge_probs = cell_forward_batch(
-        params, x[None], h_prev[None], owner, nbr_h_prev)
-    hidden, memory, gates = cell_forward(
-        params, pre, m_prev[None], neighbor_avg[None], nb_gate, m_sel, seg, inv_deg)
-    cache = CellCache(params, owner, x[None], h_prev[None], m_prev[None],
-                      neighbor_avg[None], nb_gate, merge_probs, gates, memory, hidden)
-    return hidden[0], memory[0], merge_probs, (cache, nbr_h_prev, m_sel)
+    cache = cell_forward_batch(params, x[None], h_prev[None], m_prev[None], owner, nbr_h_prev)
+    cache.navg[0] = neighbor_avg
+    hidden, memory, cache.gates[...] = cell_forward(
+        cache, slice(0, 1), slice(0, owner.size), seg, inv_deg, m_sel)
+    cache.hidden[...], cache.memory[...] = hidden, memory
+    return hidden[0], memory[0], cache.merge_probs, (cache, nbr_h_prev, m_sel)
 
 
 def cell_backward(node, d_hidden, d_memory, d_edge_probs, grads=None):
@@ -611,9 +609,12 @@ def load_checkpoint_per_row(path):
                 f"{path}:1: header field {key}={fields[key]!r} is not an integer") from None
         if meta[name] < 1:
             raise ValueError(f"{path}:1: header field {key}={meta[name]} must be positive")
-    cell = CellParams(meta["input_dim"], meta["hidden_dim"])
-    heads = [(np.zeros((meta["num_classes"], meta["hidden_dim"])),
-              np.zeros(meta["num_classes"])) for _ in range(meta["num_layers"])]
+    try:
+        cell = CellParams(meta["input_dim"], meta["hidden_dim"])
+        heads = [(np.zeros((meta["num_classes"], meta["hidden_dim"])),
+                  np.zeros(meta["num_classes"])) for _ in range(meta["num_layers"])]
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"{path}:1: header dims do not fit in memory: {exc}") from None
     params = ModelParams(cell, heads)
 
     pos = 1

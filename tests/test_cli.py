@@ -68,6 +68,15 @@ class TestGenerate:
         assert "num_seeds (6)" in err and "4 cells" in err
         assert not out.exists()
 
+    def test_grid_beyond_memory_exits_2(self, tmp_path, capsys):
+        # 10**14 cells of int64 exceed any address space, so this fails at once
+        out = tmp_path / "x.txt"
+        code = run(["generate", "--grid-n", "10000000", "--samples", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_out_exits_2(self):
         assert run(["generate", "--samples", "2"]) == EXIT_CONFIG
 

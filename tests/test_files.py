@@ -197,6 +197,16 @@ def test_block_loader_reads_signed_zero_and_edgeless_samples(tmp_path):
     assert loaded[1][2][1, 2] == np.float64(-0.0).view(np.int64)
 
 
+@pytest.mark.parametrize("dim", ["10000000", "1000000000"])
+def test_checkpoint_dims_beyond_memory_fail_on_the_header(tmp_path, dim):
+    # the cell's (4H, D) weights take 2.84 PiB at 10**7, beyond any address
+    # space, and exceed numpy's own size limit at 10**9
+    path = tmp_path / "model.ckpt"
+    path.write_text(f"SEVOLVE-CKPT v1 D={dim} H={dim} C=4 layers=5\n")
+    message = assert_same_checkpoint_load(path)
+    assert re.match(re.escape(str(path)) + ":1: header dims do not fit in memory", message)
+
+
 @pytest.mark.parametrize("token", ODD_TOKENS + ("-inf", "infinity", "0x1p3"))
 def test_block_checkpoint_reader_matches_per_row_oracle(tmp_path, token):
     # the token replaces the last one of each dims line and value row

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sevolve import network
 from sevolve.cell import CellParams
+from sevolve.data import grid_graph
 from sevolve.evolve import EvolveConfig
 from sevolve.graph import CliquePartition, HierarchyTrace, LevelGraph
 from sevolve.network import (
@@ -222,6 +223,21 @@ class TestForward:
             [k] for k in accepted]
         assert run_rng.random() == next_draw
 
+    @pytest.mark.parametrize("order", [[0, 0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2]],
+                             ids=["duplicated", "short"])
+    def test_replayed_visit_order_must_be_a_permutation(self, order):
+        # a duplicate left node 8's visit rank uninitialised, and a short
+        # order raised numpy's shape mismatch without naming the layer
+        rng = np.random.default_rng(6)
+        cfg = tiny_cfg(layers=2)
+        sample = Sample(grid_graph(3), rng.normal(size=(9, 3)), rng.integers(0, 3, size=9))
+        params = random_model(rng, cfg)
+        plan = forward(sample, params, cfg, np.random.default_rng(0)).plan()
+        forward(sample, params, cfg, plan=plan)
+        plan.visit_orders[0] = np.array(order)
+        with pytest.raises(ValueError, match="visit order for layer 0 is not a permutation"):
+            forward(sample, params, cfg, plan=plan)
+
     def test_validates_dimensions(self):
         rng = np.random.default_rng(5)
         cfg = tiny_cfg(d=3)
@@ -361,7 +377,7 @@ class TestWaveSweep:
         inner = network.cell_forward
 
         def counted(*args):
-            calls.append(args[1].shape[1])
+            calls.append(args[1].stop - args[1].start)
             return inner(*args)
 
         monkeypatch.setattr(network, "cell_forward", counted)

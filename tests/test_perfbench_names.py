@@ -1,17 +1,20 @@
-"""The package names the benchmark wraps, and the checks it runs once per run.
+"""The package names the benchmark wraps, the wrappers run on the package,
+and the checks it runs once per run.
 
 perfbench/workloads.py installs its timing spans (SPANS) and its checking
 wrappers (Hooks.wrappers()) by replacing module attributes, such as
 `network.cell_forward` or `optim.backward`. A refactor that moves or
 renames one of them breaks `perfbench/run.py --trace 1` runs, which the
-package's own tests do not start. Each benchmark run also calls
-check_replay and check_gradients; a failed one counts as a failed
-operation.
+package's own tests do not start; so does one that renames a parameter
+the wrappers bind by name or a result field their checks read. Each
+benchmark run also calls check_replay and check_gradients; a failed one
+counts as a failed operation.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,3 +55,33 @@ def test_once_per_run_checks_pass(workloads):
     assert workloads.check_replay(1) is True
     assert workloads.check_replay(2) is True
     assert workloads.check_gradients() is True
+
+
+def test_wrappers_run_on_the_package(workloads, tmp_path):
+    # the wrappers bind `sample`, `cfg` and `mode` by name, and their checks
+    # and counters read ForwardResult and trace fields: drift there fails
+    # only a benchmark run
+    from sevolve import data, network, optim
+
+    cfg = workloads.model_config()
+    params, _ = network.load_checkpoint(workloads.MODEL_PATH)
+    samples = data.generate_dataset(workloads.gen_config(4, 0), 2).samples
+    originals = [(module, attr, getattr(module, attr))
+                 for attr, modules in wrapped(workloads) for module in modules]
+    ops = workloads.Ops()
+    hooks = workloads.Hooks(ops)
+    tracer = workloads.Tracer(ops)
+    patches = workloads.Patches()
+    try:
+        workloads.install(patches, hooks, tracer)
+        ops.run(lambda: network.predict(samples[0], params, cfg, np.random.default_rng(0)))
+        ops.run(lambda: optim.train(samples, params.copy(), cfg, optim.OptimConfig(),
+                                    eval_dataset=samples[1:], checkpoint_dir=str(tmp_path),
+                                    log_path=tmp_path / "train_log.tsv"))
+    finally:
+        patches.restore()
+    assert (ops.attempted, ops.failed, ops.errors) == (4, 0, [])
+    assert all(getattr(module, attr) is fn for module, attr, fn in originals)
+    assert tracer.summary()["cell.cell_forward"][0] > 0
+    metrics = workloads.per_layer_metrics(tracer, hooks, 0.0)
+    assert set(metrics) == set(workloads.PER_LAYER)
