@@ -9,12 +9,18 @@ Features are per-label prototype vectors plus Gaussian noise, with
 normalized grid coordinates appended when the feature dimension allows.
 
 `load_dataset` reads each sample's edge, feature and label blocks through
-`network.parse_block`, the reader the checkpoint loader uses too: one
-numpy call per block converts every token as int() or float() would, and
-a block that does not convert (a bad token, a line with another token
-count, or integer text beyond ASCII digits and '-') has its first line at
-fault named in the error. An id or label too large for intp comes back as
-Python ints, which the edge and label range checks report exactly.
+`network.parse_block`, the reader the checkpoint loader uses too. It
+reads a block with one `np.loadtxt` call, whose C reader gives the values
+float() gives, and keeps the result only when it has the block's shape
+(rows, width); integer text must pass the `INT_TEXT` gate first (ASCII
+digits, '-' and blanks), because loadtxt also reads '+1'. A zero-row
+block (an edgeless sample) is an empty array without a call, and a block
+of blank lines skips loadtxt, which would warn that it holds no data. A
+block that does not convert (a bad token, a blank line, a line with
+another token count, integer text beyond the gate) is tried line by line
+with int() or float(), and its first line at fault is named in the
+error. An id or label too large for intp comes back as Python ints,
+which the edge and label range checks report exactly.
 """
 
 from __future__ import annotations
@@ -186,10 +192,10 @@ def load_dataset(path) -> DatasetFile:
     holds fewer or more samples than its header declares.
 
     Each sample's edge, feature and label blocks are read in that order by
-    parse_block, which converts a block with one numpy call and, when it
-    does not convert, names its first line at fault. Label range, bad
-    edges and non-finite features are checked per block, and their line
-    is looked for only when the check fails."""
+    parse_block, which converts a block with one np.loadtxt call and,
+    when it does not convert, names its first line at fault. Label range,
+    bad edges and non-finite features are checked per block, and their
+    line is looked for only when the check fails."""
     lines = read_lines(path, DatasetError)
 
     def fail(lineno, msg):

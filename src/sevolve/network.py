@@ -672,26 +672,39 @@ def parse_ints(tokens) -> list[int]:
 
 def parse_block(lines, start, rows, width, dtype, fail, wrong_count, bad_token):
     """The `rows` lines of `lines` from index `start`, `width` tokens
-    each, as one (rows, width) array of `dtype`, np.intp or np.float64,
-    converted by one numpy call that reads every token as int() or float()
-    does; integer lines must also match INT_TEXT.
+    each, as one (rows, width) array of `dtype`, np.intp or np.float64.
 
-    When the block does not convert, its lines are tried in order and the
-    first one at fault is named by calling fail(lineno, message), lineno
-    1-based: the message is wrong_count(r, line) for a line of another
-    token count and bad_token(r, line) for a token that does not convert,
-    r being the row within the block and line its text. When no line is
-    at fault, an integer does not fit intp: the rows are then returned as
-    lists of Python ints, so a range check that follows sees the exact
-    value.
+    The block is read by np.loadtxt (no comments, blank-separated), whose
+    C reader converts each float token with the same correctly rounded
+    conversion float() uses, and its result is kept only when it has
+    shape (rows, width): loadtxt skips blank lines and reads a block whose
+    every row is short as a narrower array. Integer lines must also match
+    INT_TEXT, because loadtxt reads '+1'. A zero-row block is an empty
+    (0, width) array, and a block whose every line is blank skips loadtxt,
+    which would warn that the input holds no data.
+
+    Any other block is tried line by line, converting with int() or
+    float(), and the first line at fault is named by calling
+    fail(lineno, message), lineno 1-based: the message is
+    wrong_count(r, line) for a line of another token count and
+    bad_token(r, line) for a token that does not convert, r being the row
+    within the block and line its text. When no line is at fault, the
+    rows are returned as lists of Python numbers: float() read a token
+    loadtxt refuses ('1_0', non-ASCII digits), or an integer does not fit
+    intp, and a range check that follows sees its exact value.
     """
+    if not rows:
+        return np.empty((0, width), dtype)
     block = lines[start:start + rows]
     is_int = dtype == np.intp
-    if not is_int or INT_TEXT.fullmatch(" ".join(block)):
+    if any(map(str.strip, block)) and (not is_int or INT_TEXT.fullmatch(" ".join(block))):
         try:
-            return np.array([line.split() for line in block], dtype=dtype).reshape(rows, width)
-        except (ValueError, OverflowError):
+            array = np.loadtxt(block, dtype=dtype, comments=None, ndmin=2)
+        except ValueError:
             pass
+        else:
+            if array.shape == (rows, width):
+                return array
     convert = int if is_int else float
     values = []
     for r, line in enumerate(block):

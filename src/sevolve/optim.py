@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sevolve.cell import NumericError
+from sevolve.cell import CellParams, NumericError
 from sevolve.network import (backward, compute_loss, forward, predict, save_checkpoint,
                              write_lines_atomic)
 
@@ -34,37 +34,67 @@ class OptimConfig:
 
 
 class OptimState:
-    """Velocity buffer per parameter tensor, shapes mirroring the params."""
+    """The velocity of every parameter tensor, kept in `store`, a
+    ModelParams of zeros shaped like the parameters; `velocity` maps each
+    tensor name to its view there."""
 
-    __slots__ = ("velocity",)
+    __slots__ = ("store", "velocity")
 
     def __init__(self, params):
-        self.velocity = {name: np.zeros_like(t) for name, t in params.tensors()}
+        self.store = params.zeros_like()
+        self.velocity = dict(self.store.tensors())
+
+
+def _storage(params):
+    """The arrays that params.tensors() are views of: the cell's packed
+    arrays, then each head's w and b."""
+    return ([getattr(params.cell, a) for a in CellParams.STORAGE]
+            + [t for head in params.heads for t in head])
+
+
+def _layout(params):
+    return [(name, t.shape) for name, t in params.tensors()]
 
 
 def sgd_step(params, grads, state: OptimState, cfg: OptimConfig):
     """v <- momentum * v - lr * (g + weight_decay * w); w <- w + v.
 
-    A tensor whose gradient or updated weights are not finite raises
-    NumericError naming it, and keeps its weights and velocity."""
-    for (name, w), (gname, g) in zip(params.tensors(), grads.tensors()):
-        if name != gname or w.shape != g.shape:
-            raise ValueError(f"gradient tensor {gname}{g.shape} does not match "
-                             f"parameter {name}{w.shape}")
+    The rule is elementwise, so it runs once per packed array rather than
+    once per tensor view. When a gradient or an updated weight is not
+    finite, NumericError names the first such tensor in canonical order,
+    a non-finite gradient before a non-finite update of the same tensor,
+    and no weight or velocity changes, not even those of the tensors
+    before it."""
+    ws, gs, vs = _storage(params), _storage(grads), _storage(state.store)
+    shapes = [w.shape for w in ws]
+    for other, what in ((grads, "gradient"), (state.store, "velocity")):
+        if [a.shape for a in _storage(other)] != shapes:
+            raise ValueError(f"{what} tensors {_layout(other)} do not match the "
+                             f"parameters {_layout(params)}")
+    # an overflow shows in the new weights, which are checked (a
+    # non-finite gradient makes them non-finite too); only the new
+    # velocities are held until the check passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_new = [cfg.momentum * v - cfg.learning_rate * (g + cfg.weight_decay * w)
+                 for w, g, v in zip(ws, gs, vs)]
+        if not all(np.isfinite(w + v).all() for w, v in zip(ws, v_new)):
+            _raise_first_fault(params, grads, v_new)
+    for w, v, v1 in zip(ws, vs, v_new):
+        v[...] = v1
+        w += v1
+
+
+def _raise_first_fault(params, grads, v_new):
+    """NumericError naming the first tensor, in canonical order, whose
+    gradient or else whose new weights w + v_new are not finite."""
+    updated = params.zeros_like()
+    for a, w, v in zip(_storage(updated), _storage(params), v_new):
+        np.add(w, v, out=a)
+    for (name, g), (_, w) in zip(grads.tensors(), updated.tensors()):
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in tensor {name}")
-        v = state.velocity[name]
-        if v.shape != w.shape:
-            raise ValueError(f"velocity shape mismatch for tensor {name}")
-        # an overflow shows in the new weights, which are checked
-        with np.errstate(over="ignore", invalid="ignore"):
-            v_new = cfg.momentum * v
-            v_new -= cfg.learning_rate * (g + cfg.weight_decay * w)
-            w_new = w + v_new
-        if not np.isfinite(w_new).all():
+        if not np.isfinite(w).all():
             raise NumericError(f"non-finite update of tensor {name}")
-        v[...] = v_new
-        w[...] = w_new
 
 
 GRAD_CHECK_STEP = 1e-5

@@ -3,6 +3,7 @@ atomic writes by both savers and by the training log."""
 
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -68,9 +69,11 @@ def checkpoint_outcome(loader, path):
 
 def assert_same_checkpoint_load(path):
     """load_checkpoint and the per-row oracle return the same tensors bit
-    for bit, or raise the same error text; returns load_checkpoint's
-    outcome."""
-    got = checkpoint_outcome(load_checkpoint, path)
+    for bit, or raise the same error text, and load_checkpoint warns of
+    nothing; returns load_checkpoint's outcome."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = checkpoint_outcome(load_checkpoint, path)
     assert got == checkpoint_outcome(load_checkpoint_per_row, path)
     return got
 
@@ -120,8 +123,11 @@ def assert_same_outcome(got, expected):
 
 def assert_same_load(path):
     """load_dataset and the per-line oracle return the same arrays bit for
-    bit, or raise the same error text; returns load_dataset's outcome."""
-    got = load_outcome(load_dataset, path)
+    bit, or raise the same error text, and load_dataset warns of nothing;
+    returns load_dataset's outcome."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_outcome(load_dataset, path)
     assert_same_outcome(got, load_outcome(load_dataset_per_line, path))
     return got
 
@@ -145,12 +151,17 @@ def test_fuzzed_datasets_fail_with_a_line(tmp_path):
         assert_same_load(path)
 
 
-# tokens that int() or float() read in ways a digit-only parser would not
+# tokens that int() or float() read in ways a digit-only parser would not,
+# and tokens that np.loadtxt might read where float() does not
 ODD_TOKENS = ("1_0", "+1", "\uff11", "0x10", "1-2", "7e", ".", "-0.0", "1e400", "nan",
-              str(2**70))
+              str(2**70), "#", '"1.0"', "\x00", "-nan", "Infinity", "\u0663")
 # blanks str.split reads between or around tokens: a tab, a double space,
-# a trailing blank and a form feed
-BLANKS = (("\t", 1), ("  ", 1), (" ", 0), ("\x0c", 1))
+# a trailing blank, a form feed, a file separator, a no-break space and an
+# ideographic space
+BLANKS = (("\t", 1), ("  ", 1), (" ", 0), ("\x0c", 1), ("\x1c", 1), ("\xa0", 1),
+          ("\u3000", 1))
+# the line indices of the first sample's blocks in a saved FUZZ_CONFIG dataset
+BLOCKS = {"edge": range(2, 14), "feature": range(14, 23), "label": range(23, 24)}
 
 
 def targeted_edits():
@@ -167,6 +178,7 @@ def targeted_edits():
             def spread(line, blank=blank, inner=inner):
                 return line.replace(" ", blank, 1) if inner else line + blank
             yield f"{what}-blank-{blank!r}", index, spread
+        yield f"{what}-blank-line", index, lambda line: ""
 
 
 @pytest.mark.parametrize("index, edit", [case[1:] for case in targeted_edits()],
@@ -183,6 +195,38 @@ def test_block_loader_matches_per_line_oracle(tmp_path, index, edit):
         outcomes.append(assert_same_load(path))
     for outcome in outcomes[1:]:
         assert_same_outcome(outcome, outcomes[0])
+
+
+def saved_fuzz_lines(path):
+    save_dataset(path, generate_dataset(FUZZ_CONFIG, 2))
+    lines = path.read_text().splitlines()
+    assert lines[1] == "sample nodes=9 edges=12" and lines[24] == "sample nodes=9 edges=12"
+    return lines
+
+
+@pytest.mark.parametrize("what", BLOCKS)
+def test_block_of_blank_lines_fails_on_its_first_line(tmp_path, what):
+    # np.loadtxt warns that such a block holds no data
+    path = tmp_path / "data.txt"
+    lines = saved_fuzz_lines(path)
+    for k, index in enumerate(BLOCKS[what]):
+        lines[index] = ("", " ", "\t\x1c", "\xa0\u3000")[k % 4]
+    path.write_text("".join(line + "\n" for line in lines))
+    assert assert_same_load(path) == f"{path}:{BLOCKS[what][0] + 1}: " + {
+        "edge": "bad edge line ''", "feature": "feature row has 0 values, expected 6",
+        "label": "label row has 0 values, expected 9"}[what]
+
+
+@pytest.mark.parametrize("what", BLOCKS)
+def test_block_of_short_rows_fails_on_its_first_line(tmp_path, what):
+    # np.loadtxt reads such a block as a consistent (rows, width - 1) array
+    path = tmp_path / "data.txt"
+    lines = saved_fuzz_lines(path)
+    for index in BLOCKS[what]:
+        lines[index] = " ".join(lines[index].split()[:-1])
+    path.write_text("".join(line + "\n" for line in lines))
+    message = assert_same_load(path)
+    assert message.startswith(f"{path}:{BLOCKS[what][0] + 1}: ")
 
 
 def test_block_loader_reads_signed_zero_and_edgeless_samples(tmp_path):

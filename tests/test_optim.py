@@ -135,6 +135,48 @@ class TestSgdStep:
         assert w_u[0, 0] == 1e308
         assert state.velocity["w_u"][0, 0] == 0.5
 
+    @pytest.mark.parametrize("nan_in, message", [
+        ("b_u", "non-finite update of tensor w_o"),
+        ("w_c", "non-finite gradient in tensor w_c"),
+    ])
+    def test_failed_step_names_the_first_fault_and_commits_nothing(self, nan_in, message):
+        # w_o (after w_u, w_f and w_c in canonical order) overflows, and
+        # one tensor has a NaN gradient; the tensors before the one named
+        # keep their weights and velocity too
+        rng = np.random.default_rng(3)
+        params = init_params(tiny_cfg(), rng)
+        grads = params.zeros_like()
+        for _, g in grads.tensors():
+            g[...] = rng.normal(size=g.shape)
+        state = OptimState(params)
+        for v in state.velocity.values():
+            v[...] = rng.normal(size=v.shape)
+        dict(params.tensors())["w_o"][0, 0] = 1.7e308
+        dict(grads.tensors())["w_o"][0, 0] = -1e308
+        dict(grads.tensors())[nan_in][0, ...] = np.nan
+        before = params.copy()
+        velocity = {name: v.copy() for name, v in state.velocity.items()}
+        cfg = OptimConfig(learning_rate=0.1, momentum=0.5, weight_decay=0.0)
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            sgd_step(params, grads, state, cfg)
+        for (name, t), (_, t0) in zip(params.tensors(), before.tensors()):
+            assert np.array_equal(t, t0), name
+            assert np.array_equal(state.velocity[name], velocity[name]), name
+
+    @pytest.mark.parametrize("grad_layers, state_layers, what", [
+        (3, 2, "gradient"), (2, 3, "velocity"),
+    ])
+    def test_rejects_gradients_or_velocity_of_another_model(self, grad_layers, state_layers,
+                                                            what):
+        params = init_params(tiny_cfg(), np.random.default_rng(0))
+        grads = init_params(tiny_cfg(layers=grad_layers), np.random.default_rng(1))
+        state = OptimState(init_params(tiny_cfg(layers=state_layers), np.random.default_rng(2)))
+        before = params.copy()
+        with pytest.raises(ValueError, match=f"^{what} tensors "):
+            sgd_step(params, grads, state, OptimConfig())
+        for (name, t), (_, t0) in zip(params.tensors(), before.tensors()):
+            assert np.array_equal(t, t0), name
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="momentum"):
             OptimConfig(momentum=1.0)

@@ -28,24 +28,33 @@ def test_equivalence_dump_compares_equal_to_itself(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "OK"
 
 
-@pytest.mark.parametrize("mode", ["test", "train", "pyramid"])
+@pytest.mark.parametrize("mode", ["test", "train", "pyramid", "load"])
 def test_phases_reports_every_phase(mode, capsys):
-    from sevolve import network
+    from sevolve import data, network
 
     tool = load_tool("phases")
-    saved = {name: getattr(network, name) for name in tool.PHASES}
+    names = tool.LOAD_PHASES if mode == "load" else tool.PHASES
+    saved = {(module, name): getattr(module, name)
+             for module in (data, network) for name in names if hasattr(module, name)}
     assert tool.main(["--grid", "4", "--mode", mode, "--samples", "2", "--repeats", "1"]) == 0
     # the wrappers are gone again
-    assert all(getattr(network, name) is fn for name, fn in saved.items())
+    assert all(getattr(module, name) is fn for (module, name), fn in saved.items())
     record = json.loads(capsys.readouterr().out)
     assert set(record) == {"grid", "mode", "samples", "repeats", "seed", "numpy",
-                           "per_sample", "phases"}
+                           "per_operation", "phases"}
     assert (record["grid"], record["mode"]) == (4, mode)
-    assert set(record["per_sample"]) == {"ms", "sys_ms", "minor_faults", "other_ms"}
-    assert set(record["phases"]) == set(tool.PHASES)
+    assert set(record["per_operation"]) == {"ms", "sys_ms", "minor_faults", "other_ms"}
+    assert set(record["phases"]) == set(names)
     phases = record["phases"]
     for phase in phases.values():
         assert set(phase) == {"ms", "calls", "us_per_call", "minor_faults"}
+    if mode == "load":
+        # per operation: an edge, a feature and a label block per sample,
+        # then one block per checkpoint tensor (17 cell tensors, and w and
+        # b of each of 5 heads)
+        assert phases["parse_block"]["calls"] == 3 * 2 + 17 + 2 * 5
+        assert phases["read_lines"]["calls"] == phases["LevelGraph"]["calls"] == 2
+        return
     # one layout and one sweep setup per layer; backward only in training
     assert phases["wave_schedule"]["calls"] == phases["cell_forward_batch"]["calls"] == 5
     assert (phases["cell_backward_batch"]["calls"] > 0) == (mode != "test")

@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python3 tools/phases.py --grid 32 --mode test
     PYTHONPATH=src python3 tools/phases.py --grid 16 --mode train --repeats 20
+    PYTHONPATH=src python3 tools/phases.py --grid 32 --mode load --samples 8
 
 Each phase function is wrapped at the name `network` looks it up by
-(PHASES), so the tool sees the calls the package makes internally. A
+(PHASES; in load mode LOAD_PHASES, at the names `data` and `network` look
+them up by), so the tool sees the calls the package makes internally. A
 wrapper adds the thread CPU time and the minor page faults of each call
 to its phase. Calls of one phase inside another (aggregate_node_values
 inside the train-mode posterior of evolve_step) count in both; `other`
@@ -13,18 +15,21 @@ that evolve.py makes by its own names (the quotient_graph of an accepted
 MH trial) count in their caller's phase only, so `quotient_graph` counts
 the levels that forward builds from a replayed plan.
 
-One operation runs on one generated sample (GenConfig seed --seed,
---samples inputs, derived rng streams per input, so every repeat does the
-same work) with the benchmark checkpoint (perfbench/model.ckpt, 5 layers,
-50 MH trials per transition):
+The inputs are --samples generated samples (GenConfig seed --seed). In
+the first three modes one operation runs on one of them (derived rng
+streams per input, so every repeat does the same work) with the benchmark
+checkpoint (perfbench/model.ckpt, 5 layers, 50 MH trials per transition):
   test     network.predict, a test-mode forward pass;
   train    a train-mode forward pass, compute_loss and backward, with no
            weight update;
   pyramid  the same, replaying 2x2 block pooling (a 32x32 grid gives
            levels of 1024/256/64/16/4 nodes; a level of one node stays).
+In load mode the inputs are saved once to a temporary directory, and one
+operation is data.load_dataset of that file plus network.load_checkpoint
+of the benchmark checkpoint.
 One untimed pass over the inputs comes first. The JSON on stdout gives
-per sample: the operation's thread CPU time, system time and minor page
-faults, and per phase its ms, calls, us per call and minor page faults.
+per operation: its thread CPU time, system time and minor page faults,
+and per phase its ms, calls, us per call and minor page faults.
 To compare two checkouts, run each with its own PYTHONPATH, in
 alternating processes.
 """
@@ -34,6 +39,7 @@ import json
 import os
 import resource
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,17 +52,18 @@ CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "model.ckpt"
 PHASES = ("wave_schedule", "cell_forward_batch", "cell_forward", "evolve_step",
           "quotient_graph", "aggregate_node_values", "cell_backward_node",
           "cell_backward_batch", "_loss_terms")
-MODES = ("test", "train", "pyramid")
+LOAD_PHASES = ("read_lines", "parse_block", "LevelGraph")
+MODES = ("test", "train", "pyramid", "load")
 
 
 class PhaseClock:
     """Thread CPU time, minor page faults and calls per phase, and the time
     spent inside any outermost phase call."""
 
-    def __init__(self):
-        self.ms = dict.fromkeys(PHASES, 0.0)
-        self.faults = dict.fromkeys(PHASES, 0)
-        self.calls = dict.fromkeys(PHASES, 0)
+    def __init__(self, phases):
+        self.ms = dict.fromkeys(phases, 0.0)
+        self.faults = dict.fromkeys(phases, 0)
+        self.calls = dict.fromkeys(phases, 0)
         self.inside_ms = 0.0
         self._depth = 0
 
@@ -97,8 +104,9 @@ def pooling_plan(side, num_layers, orders_rng):
     return StructurePlan([orders_rng.permutation(n) for n in sizes], parts)
 
 
-def operations(grid, mode, samples, seed):
-    """One callable per input, each one operation of `mode`."""
+def operations(grid, mode, samples, seed, workdir):
+    """One callable per input, each one operation of `mode`; in load mode
+    one callable that loads every input from a file in `workdir`."""
     from sevolve import data, network
     from sevolve.evolve import EvolveConfig
 
@@ -108,6 +116,14 @@ def operations(grid, mode, samples, seed):
                                 evolve=EvolveConfig(max_trials=50))
     gen = data.GenConfig(grid_n=grid, num_labels=cfg.num_classes, feature_dim=cfg.input_dim,
                          seed=seed)
+    if mode == "load":
+        path = Path(workdir) / "data.txt"
+        data.save_dataset(path, data.generate_dataset(gen, samples))
+
+        def load():
+            data.load_dataset(path)
+            network.load_checkpoint(CHECKPOINT)
+        return [load]
     ops = []
     for idx, sample in enumerate(data.generate_dataset(gen, samples).samples):
         if mode == "test":
@@ -128,43 +144,45 @@ def operations(grid, mode, samples, seed):
 
 def measure(grid, mode, samples=4, repeats=10, seed=7):
     """The phase record of `repeats` passes over `samples` inputs."""
-    from sevolve import network
+    from sevolve import data, network
 
-    ops = operations(grid, mode, samples, seed)
-    for op in ops:
-        op()
-    clock = PhaseClock()
-    saved = {name: getattr(network, name) for name in PHASES}
+    phases, modules = (LOAD_PHASES, (data, network)) if mode == "load" else (PHASES, (network,))
+    sites = [(module, name) for module in modules for name in phases if hasattr(module, name)]
+    clock = PhaseClock(phases)
     total_ms = sys_ms = 0.0
     faults = 0
-    try:
-        for name in PHASES:
-            setattr(network, name, clock.wrap(name, saved[name]))
-        for _ in range(repeats):
-            for op in ops:
-                before = resource.getrusage(resource.RUSAGE_THREAD)
-                start = time.thread_time()
-                op()
-                total_ms += 1e3 * (time.thread_time() - start)
-                after = resource.getrusage(resource.RUSAGE_THREAD)
-                sys_ms += 1e3 * (after.ru_stime - before.ru_stime)
-                faults += after.ru_minflt - before.ru_minflt
-    finally:
-        for name in PHASES:
-            setattr(network, name, saved[name])
-    count = samples * repeats
-    phases = {name: {"ms": clock.ms[name] / count,
-                     "calls": clock.calls[name] / count,
-                     "us_per_call": 1e3 * clock.ms[name] / clock.calls[name]
-                     if clock.calls[name] else 0.0,
-                     "minor_faults": clock.faults[name] / count}
-              for name in PHASES}
+    with tempfile.TemporaryDirectory() as workdir:
+        ops = operations(grid, mode, samples, seed, workdir)
+        for op in ops:
+            op()
+        saved = [(module, name, getattr(module, name)) for module, name in sites]
+        try:
+            for module, name, fn in saved:
+                setattr(module, name, clock.wrap(name, fn))
+            for _ in range(repeats):
+                for op in ops:
+                    before = resource.getrusage(resource.RUSAGE_THREAD)
+                    start = time.thread_time()
+                    op()
+                    total_ms += 1e3 * (time.thread_time() - start)
+                    after = resource.getrusage(resource.RUSAGE_THREAD)
+                    sys_ms += 1e3 * (after.ru_stime - before.ru_stime)
+                    faults += after.ru_minflt - before.ru_minflt
+        finally:
+            for module, name, fn in saved:
+                setattr(module, name, fn)
+    count = len(ops) * repeats
     return {"grid": grid, "mode": mode, "samples": samples, "repeats": repeats, "seed": seed,
             "numpy": np.__version__,
-            "per_sample": {"ms": total_ms / count, "sys_ms": sys_ms / count,
-                           "minor_faults": faults / count,
-                           "other_ms": (total_ms - clock.inside_ms) / count},
-            "phases": phases}
+            "per_operation": {"ms": total_ms / count, "sys_ms": sys_ms / count,
+                              "minor_faults": faults / count,
+                              "other_ms": (total_ms - clock.inside_ms) / count},
+            "phases": {name: {"ms": clock.ms[name] / count,
+                              "calls": clock.calls[name] / count,
+                              "us_per_call": 1e3 * clock.ms[name] / clock.calls[name]
+                              if clock.calls[name] else 0.0,
+                              "minor_faults": clock.faults[name] / count}
+                       for name in phases}}
 
 
 def main(argv=None):
