@@ -231,7 +231,8 @@ class HierarchyTrace:
     `decisions[k]` the TrialLog of transition k: its trials' decisions,
     with the rng state from which evolve.replay_trials redraws their
     detail. A level that evolve_step kept is the same object as the one
-    below it (see kept), with the identity partition.
+    below it (see kept), with the identity partition; network reads that
+    only to carry its arrays over and to reuse its predecessor's targets.
     """
 
     __slots__ = ("levels", "partitions", "edge_probs", "decisions")

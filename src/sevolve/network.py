@@ -307,11 +307,8 @@ def _make_loss_eval(node_logits, amap, labels):
     # current level's head, broadcast to the base nodes, scored with the
     # same mean cross-entropy convention as the task loss. The head is
     # linear, so averaging the per-node logits over each clique gives the
-    # same values. A partition of one node per clique (the kept level's
-    # identity) maps each base node back to its own node's logits.
+    # same values.
     def loss_eval(partition, graph):
-        if partition.num_cliques == partition.num_nodes:
-            return _softmax_cross_entropy(node_logits[amap], labels)[0]
         agg = aggregate_node_values(partition, node_logits)
         return _softmax_cross_entropy(agg[partition.assignment[amap]], labels)[0]
 
@@ -339,6 +336,10 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     state exactly when it comes earlier in the visit order, as in a
     node-by-node sweep. The new states return to node order once, for the
     head and the aggregation.
+
+    A transition that keeps its level (evolve_step returns the same
+    graph) carries its features, states and base-node map over as they
+    are; every other reads its partition as it is, the identity too.
 
     In train mode the evolution step may query the label-dependent
     posterior; in test mode acceptance uses the transition ratio alone and
@@ -446,8 +447,7 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
 
     combined = level_logits[0].copy()
     for t in range(1, n_layers):
-        # level 0's own amap, the identity, is carried up to the first merge
-        combined += level_logits[t] if amaps[t] is amaps[0] else level_logits[t][amaps[t]]
+        combined += level_logits[t][amaps[t]]
 
     return ForwardResult(mode, params, level_logits, combined,
                          HierarchyTrace(levels, partitions, edge_probs, decisions),
@@ -526,7 +526,8 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     layer's rows: the readout's reverse, and the parameter and
     previous-state gradients, none below level 0 or wrt the sample's
     features, so only the labels of `sample` are read. Cell gradients of
-    every layer land in the single shared cell block.
+    every layer land in the single shared cell block. A kept level goes
+    through the head path and the aggregation adjoint as any other.
     """
     params = result.params
     _, _, d_comb, d_p_levels = _loss_terms(result, sample, cfg)
@@ -541,8 +542,7 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         n = perm.size
 
         # head path, in the layer's rows
-        d_logits = (d_comb.take(perm, axis=0) if result.amaps[t] is result.amaps[0]
-                    else segment_sum(d_comb, schedule.pos[result.amaps[t]], n))
+        d_logits = segment_sum(d_comb, schedule.pos[result.amaps[t]], n)
         head_w, _ = params.heads[t]
         gw, gb = grads.heads[t]
         gw += d_logits.T @ cache.hidden
@@ -550,12 +550,8 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
         d_h_new = d_logits @ head_w
         d_m_new = np.zeros((n, hh))
 
-        # adjoint of the mean-aggregation into level t+1; a kept level's
-        # cliques are single nodes, of weight 1
-        if t < n_layers - 1 and result.trace.kept(t):
-            d_h_new += d_hprev_next.take(perm, axis=0)
-            d_m_new += d_mprev_next.take(perm, axis=0)
-        elif t < n_layers - 1:
+        # adjoint of the mean-aggregation into level t+1
+        if t < n_layers - 1:
             part = result.trace.partitions[t]
             inv = 1.0 / part.sizes().astype(np.float64)
             clique = part.assignment[perm]

@@ -35,14 +35,12 @@ class OptimConfig:
 
 class OptimState:
     """The velocity of every parameter tensor, kept in `store`, a
-    ModelParams of zeros shaped like the parameters; `velocity` maps each
-    tensor name to its view there."""
+    ModelParams of zeros shaped like the parameters."""
 
-    __slots__ = ("store", "velocity")
+    __slots__ = ("store",)
 
     def __init__(self, params):
         self.store = params.zeros_like()
-        self.velocity = dict(self.store.tensors())
 
 
 def _storage(params):
@@ -118,8 +116,8 @@ def grad_check(sample, params, cfg, rng) -> GradCheckReport:
     total loss against (L(w+step) - L(w-step)) / (2 step), step
     GRAD_CHECK_STEP, per parameter coordinate, replaying the frozen
     structure for every probe. It passes when every relative error
-    |a - n| / max(|a|, |n|, 1e-8) is below GRAD_CHECK_TOLERANCE; the
-    parameters are restored afterwards.
+    |a - n| / max(|a|, |n|, 1e-8) is below GRAD_CHECK_TOLERANCE. Every
+    probed weight is restored, also when a probe raises.
     """
     result = forward(sample, params, cfg, rng, mode=GRAD_CHECK_MODE)
     plan = result.plan()
@@ -135,11 +133,13 @@ def grad_check(sample, params, cfg, rng) -> GradCheckReport:
         flat_w, flat_a = w.reshape(-1), analytic[name].reshape(-1)
         for k in range(flat_w.size):
             orig = flat_w[k]
-            flat_w[k] = orig + GRAD_CHECK_STEP
-            loss_plus = loss_now()
-            flat_w[k] = orig - GRAD_CHECK_STEP
-            loss_minus = loss_now()
-            flat_w[k] = orig
+            try:
+                flat_w[k] = orig + GRAD_CHECK_STEP
+                loss_plus = loss_now()
+                flat_w[k] = orig - GRAD_CHECK_STEP
+                loss_minus = loss_now()
+            finally:
+                flat_w[k] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * GRAD_CHECK_STEP)
             rel = abs(flat_a[k] - numeric) / max(abs(flat_a[k]), abs(numeric), 1e-8)
             tensor_worst = max(tensor_worst, rel)

@@ -75,7 +75,7 @@ class TestSgdStep:
         sgd_step(params, grads, state, cfg)
         assert w_u[0, 0] == pytest.approx(-0.1, abs=1e-15)
         sgd_step(params, grads, state, cfg)
-        assert state.velocity["w_u"][0, 0] == pytest.approx(-0.19, abs=1e-15)
+        assert dict(state.store.tensors())["w_u"][0, 0] == pytest.approx(-0.19, abs=1e-15)
         assert w_u[0, 0] == pytest.approx(-0.29, abs=1e-15)
 
     def test_pure_decay_contracts_geometrically(self):
@@ -126,14 +126,15 @@ class TestSgdStep:
         grads = params.zeros_like()
         dict(grads.tensors())["w_u"][...] = -1e10
         state = OptimState(params)
-        state.velocity["w_u"][...] = 0.5
+        v_u = dict(state.store.tensors())["w_u"]
+        v_u[...] = 0.5
         cfg = OptimConfig(learning_rate=1e300, momentum=0.5, weight_decay=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="^non-finite update of tensor w_u$"):
                 sgd_step(params, grads, state, cfg)
         assert w_u[0, 0] == 1e308
-        assert state.velocity["w_u"][0, 0] == 0.5
+        assert v_u[0, 0] == 0.5
 
     @pytest.mark.parametrize("nan_in, message", [
         ("b_u", "non-finite update of tensor w_o"),
@@ -149,19 +150,20 @@ class TestSgdStep:
         for _, g in grads.tensors():
             g[...] = rng.normal(size=g.shape)
         state = OptimState(params)
-        for v in state.velocity.values():
+        for _, v in state.store.tensors():
             v[...] = rng.normal(size=v.shape)
         dict(params.tensors())["w_o"][0, 0] = 1.7e308
         dict(grads.tensors())["w_o"][0, 0] = -1e308
         dict(grads.tensors())[nan_in][0, ...] = np.nan
         before = params.copy()
-        velocity = {name: v.copy() for name, v in state.velocity.items()}
+        velocity = state.store.copy()
         cfg = OptimConfig(learning_rate=0.1, momentum=0.5, weight_decay=0.0)
         with pytest.raises(NumericError, match=f"^{message}$"):
             sgd_step(params, grads, state, cfg)
         for (name, t), (_, t0) in zip(params.tensors(), before.tensors()):
             assert np.array_equal(t, t0), name
-            assert np.array_equal(state.velocity[name], velocity[name]), name
+        for (name, v), (_, v0) in zip(state.store.tensors(), velocity.tensors()):
+            assert np.array_equal(v, v0), name
 
     @pytest.mark.parametrize("grad_layers, state_layers, what", [
         (3, 2, "gradient"), (2, 3, "velocity"),
@@ -269,6 +271,30 @@ class TestGradCheck:
         grad_check(sample, params, cfg, np.random.default_rng(8))
         for n, t in params.tensors():
             assert np.array_equal(t, before[n])
+
+    def test_restores_parameters_when_a_probe_raises(self, monkeypatch):
+        # the first forward pass and backward run as usual; the second
+        # probe of the first weight raises
+        import sevolve.optim as optim_module
+        rng = np.random.default_rng(7)
+        cfg = tiny_cfg(d=2, c=2, layers=1)
+        sample = make_sample(rng, n=4, d=2, c=2)
+        params = init_params(cfg, rng)
+        before = params.copy()
+        calls = []
+
+        def failing_forward(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericError("probe failed")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(optim_module, "forward", failing_forward)
+        with pytest.raises(NumericError, match="probe failed"):
+            grad_check(sample, params, cfg, np.random.default_rng(8))
+        assert len(calls) == 3
+        for (name, t), (_, t0) in zip(params.tensors(), before.tensors()):
+            assert np.array_equal(t, t0), name
 
 
 def tiny_dataset(count=8, seed=0):

@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -25,6 +26,39 @@ def test_equivalence_dump_compares_equal_to_itself(tmp_path, capsys):
     dump = str(tmp_path / "dump.npz")
     assert tool.main(["dump", dump]) == 0
     assert tool.main(["compare", dump, dump, "--rtol", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "OK"
+
+
+def one_array_dumps(tmp_path, old, new):
+    """Paths of two dumps that hold one float array each."""
+    paths = [str(tmp_path / "old.npz"), str(tmp_path / "new.npz")]
+    for path, values in zip(paths, (old, new)):
+        np.savez(path, **{"case/logits/0": np.array(values)})
+    return paths
+
+
+@pytest.mark.parametrize("old, new, rtols", [
+    # a value turned NaN, an infinity flipped sign: failures at any rtol
+    ([1.0, 2.0], [1.0, np.nan], ["0", "1e-12", "1"]),
+    ([1.0, np.inf], [1.0, -np.inf], ["0", "1e-12", "1"]),
+    ([np.nan, 1.0], [1.0, np.nan], ["0", "1e-12", "1"]),
+    # a zero changed sign: equal values, other bits
+    ([-0.0, 1.0], [0.0, 1.0], ["0"]),
+], ids=["nan", "inf-sign", "nan-moved", "zero-sign"])
+def test_equivalence_compare_fails_on_changed_bits(tmp_path, capsys, old, new, rtols):
+    tool = load_tool("equivalence")
+    paths = one_array_dumps(tmp_path, old, new)
+    for rtol in rtols:
+        assert tool.main(["compare", *paths, "--rtol", rtol]) == 1, rtol
+        assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL"), rtol
+
+
+def test_equivalence_compare_passes_same_bits_and_tolerated_deviations(tmp_path, capsys):
+    tool = load_tool("equivalence")
+    old, new = one_array_dumps(tmp_path, [np.nan, -np.inf, -0.0, 1.0],
+                               [np.nan, -np.inf, 0.0, 1.0 + 1e-15])
+    assert tool.main(["compare", old, old, "--rtol", "0"]) == 0
+    assert tool.main(["compare", old, new, "--rtol", "1e-12"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "OK"
 
 

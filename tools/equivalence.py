@@ -30,9 +30,12 @@ both loaders are pinned as exactly as the model outputs.
 
 `compare` requires the discrete arrays (integer and bool) of both dumps
 to match exactly, and reports per output kind how many float arrays are
-bit-identical and the largest deviation relative to each array's largest
-entry. It exits 1 when the dumps hold different arrays, a discrete array
-differs, or a float deviation exceeds --rtol.
+bit-identical and the largest deviation of their finite entries relative
+to each array's largest finite entry. It exits 1 when the dumps hold
+different arrays, a discrete array differs, two float arrays differ in
+the position or bits of a non-finite entry (NaN, +inf or -inf), or a
+float deviation exceeds --rtol. Float arrays are compared as their bits,
+so --rtol 0 means bit for bit: -0.0 and 0.0 differ there.
 """
 
 import argparse
@@ -212,6 +215,12 @@ def dump(path):
     print(f"{len(cases)} cases, {len(files)} loaded files, {len(out)} arrays -> {path}")
 
 
+def _bits(array):
+    """A float array's bits as unsigned ints, so that -0.0 and 0.0, and two
+    NaNs, compare as their bits; any other array as it is."""
+    return array.view(f"u{array.itemsize}") if array.dtype.kind == "f" else array
+
+
 def compare(old_path, new_path, rtol):
     old, new = np.load(old_path), np.load(new_path)
     ok = True
@@ -225,27 +234,38 @@ def compare(old_path, new_path, rtol):
         kind = key.split("/")[1]         # keys are case/kind[/index]
         s = stats.setdefault(kind, {"arrays": 0, "identical": 0, "max_dev": 0.0, "worst": ""})
         s["arrays"] += 1
-        if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
+        if a.shape != b.shape or a.dtype != b.dtype:
             print(f"DIFFER {key}: shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}")
             ok = False
             continue
-        if np.array_equal(a, b):
+        if np.array_equal(_bits(a), _bits(b)):
             s["identical"] += 1
             continue
         if a.dtype.kind != "f":
             print(f"DIFFER {key}: discrete array differs")
             ok = False
             continue
+        finite = np.isfinite(a)
+        if (finite != np.isfinite(b)).any() or not np.array_equal(
+                _bits(a[~finite]), _bits(b[~finite])):
+            print(f"DIFFER {key}: non-finite entries differ")
+            ok = False
+            continue
+        a, b = a[finite], b[finite]
         scale = np.abs(a).max()
         dev = float(np.abs(a - b).max() / scale) if scale else float(np.abs(b).max())
         if dev > s["max_dev"]:
             s["max_dev"], s["worst"] = dev, key
-        if dev > rtol:
+        if dev > rtol or not rtol:
             ok = False
+            if not dev:
+                # equal finite values with other bits are zeros of either sign
+                print(f"DIFFER {key}: a zero changed sign")
     print(f"{'kind':<16} {'arrays':>7} {'identical':>9} {'max rel dev':>12}  worst")
     for kind, s in sorted(stats.items()):
         print(f"{kind:<16} {s['arrays']:>7} {s['identical']:>9} {s['max_dev']:>12.3g}  {s['worst']}")
-    print("OK" if ok else f"FAIL (discrete mismatch or float deviation above rtol {rtol:g})")
+    print("OK" if ok else f"FAIL (discrete or non-finite mismatch, or float deviation "
+                          f"above rtol {rtol:g})")
     return 0 if ok else 1
 
 
