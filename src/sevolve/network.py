@@ -16,7 +16,9 @@ realized structure exactly: heads, then layers in reverse, waves in
 reverse, with aggregated-state gradients split uniformly over merged
 members, and only gradients that reach a parameter. No gradient flows
 through the discrete merge decisions; the edge-supervision loss trains
-the merge-probability readout.
+the merge-probability readout. Only a train-mode pass keeps the per-layer
+state the backward pass reads; a test-mode pass, which only predicts,
+keeps none, so at most two layers' arrays are live at once.
 """
 
 from __future__ import annotations
@@ -271,9 +273,10 @@ def wave_schedule(order, graph: LevelGraph, width: int) -> WaveSchedule:
 class ForwardResult:
     """Everything one forward pass produced: per-level logits and edge
     probabilities, the realized hierarchy trace, the combined base-level
-    logits, and per layer the visit order, its WaveSchedule and the
-    CellCache for the backward pass, whose rows are in the schedule's
-    wave-major order."""
+    logits, per layer the visit order and, in train mode only, its
+    WaveSchedule and the CellCache for the backward pass, whose rows are
+    in the schedule's wave-major order. A test-mode result's `schedules`
+    and `layers` are empty."""
 
     mode: str
     params: ModelParams
@@ -343,7 +346,10 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
 
     In train mode the evolution step may query the label-dependent
     posterior; in test mode acceptance uses the transition ratio alone and
-    labels are never read. Passing a StructurePlan replays a recorded
+    labels are never read. Only train mode keeps each layer's WaveSchedule
+    and CellCache in the result, for backward; in test mode a layer's
+    arrays are freed once the next layer's replace them, so at most two
+    layers' arrays are live at once. Passing a StructurePlan replays a recorded
     structure (visit orders + partitions) with no rng involved; a visit
     order that is not a permutation of its level's nodes raises ValueError.
     """
@@ -405,8 +411,9 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             h_cur[rows], m_cur[rows], cache.gates[:, rows] = cell_forward(
                 cache, rows, slice(s0, s1), ids, inv_deg[rows],
                 m_cur.take(nbr[s0:s1], axis=0))
-        schedules.append(schedule)
-        layers.append(cache)
+        if mode == "train":
+            schedules.append(schedule)
+            layers.append(cache)
         h_new, m_new = h_cur.take(schedule.pos, axis=0), m_cur.take(schedule.pos, axis=0)
 
         # one probability per undirected edge: mean of the two directed
@@ -506,7 +513,9 @@ def compute_loss(result: ForwardResult, sample: Sample, cfg: NetworkConfig):
 
 
 def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> ModelParams:
-    """Exact gradients of the total loss over the realized structure.
+    """Exact gradients of the total loss over the realized structure of a
+    train-mode forward result; a test-mode result keeps no backward state
+    and raises ValueError.
 
     The loss gradients wrt the combined logits and the edge probabilities
     come from _loss_terms, the definition compute_loss reads too. Per
@@ -529,6 +538,9 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     every layer land in the single shared cell block. A kept level goes
     through the head path and the aggregation adjoint as any other.
     """
+    if result.mode != "train":
+        raise ValueError(f"backward needs a train-mode forward result; this one ran in "
+                         f"{result.mode} mode, which keeps no backward state")
     params = result.params
     _, _, d_comb, d_p_levels = _loss_terms(result, sample, cfg)
     grads = params.zeros_like()
@@ -620,13 +632,18 @@ def write_lines_atomic(path, lines):
     """Write each of `lines` plus a newline to `path`. The text goes to a
     temporary file in the same directory that replaces `path` only once
     it is complete, so a failure part-way leaves any previous file as it
-    was and no temporary file behind."""
+    was and no temporary file behind. An OSError on the temporary file
+    names `path`."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
             for line in lines:
                 fh.write(line + "\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -80,6 +80,22 @@ class TestGenerate:
     def test_missing_out_exits_2(self):
         assert run(["generate", "--samples", "2"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("out_name, message", [
+        ("missing/x.txt", "[Errno 2] No such file or directory"),
+        ("x", "[Errno 21] Is a directory"),
+    ], ids=["missing-dir", "is-dir"])
+    def test_write_error_names_the_out_path_exits_3(self, tmp_path, capsys, out_name,
+                                                    message):
+        # the text goes to a temporary file first; the error names --out
+        # and the temporary file is gone
+        (tmp_path / "x").mkdir()
+        out = tmp_path / out_name
+        code = run(["generate", "--samples", "2", "--grid-n", "4", "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {message}: '{out}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x"]
+        assert not any((tmp_path / "x").iterdir())
+
     def test_summary_line(self, tmp_path, capsys):
         assert run(["generate", "--samples", "2", "--grid-n", "4",
                     "--out", str(tmp_path / "x.txt")]) == EXIT_OK

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sevolve import network
 from sevolve.cell import CellParams
-from sevolve.data import grid_graph
+from sevolve.data import GenConfig, generate_sample, grid_graph
 from sevolve.evolve import EvolveConfig
 from sevolve.graph import CliquePartition, HierarchyTrace, LevelGraph
 from sevolve.network import (
@@ -139,9 +140,11 @@ class TestForward:
     def test_replay_reproduces_run(self):
         # A run carries a kept level's arrays over; the replay of its plan
         # builds every level with quotient_graph and aggregates over the
-        # identity partitions, so each path checks the other, bit for bit.
-        # The cases are tools/equivalence.py's random graphs in both modes,
-        # among them kept levels followed by a merge.
+        # identity partitions, so each path checks the other, bit for bit:
+        # the forward outputs in both modes, the gradients in train mode,
+        # the only mode backward takes. The cases are
+        # tools/equivalence.py's random graphs in both modes, among them
+        # kept levels followed by a merge.
         from sevolve import graph
         from test_tools import load_tool
 
@@ -164,10 +167,43 @@ class TestForward:
                             replay.level_logits + replay.trace.edge_probs):
                 assert np.array_equal(a, b), name
             assert compute_loss(res, sample, cfg) == compute_loss(replay, sample, cfg), name
+            if mode == "test":
+                with pytest.raises(ValueError, match="test mode"):
+                    backward(res, sample, cfg)
+                continue
             for (tname, a), (_, b) in zip(backward(res, sample, cfg).tensors(),
                                           backward(replay, sample, cfg).tensors()):
                 assert np.array_equal(a, b), (name, tname)
         assert kept_then_merged == {"train", "test"}
+
+    def test_test_mode_keeps_no_backward_state(self):
+        # a test-mode pass frees each layer's schedule and cache once the
+        # next layer replaces them: on a 16x16 grid with the benchmark's
+        # shape (D = H = 6, C = 4, 5 layers, 50 MH trials) its peak traced
+        # memory is under half of a train-mode pass over the same draws
+        cfg = NetworkConfig(input_dim=6, num_classes=4, num_layers=5,
+                            evolve=EvolveConfig(max_trials=50))
+        params = init_params(cfg, np.random.default_rng(0))
+        sample = generate_sample(GenConfig(grid_n=16, num_labels=4, feature_dim=6),
+                                 np.random.default_rng(1))
+        peaks, results = {}, {}
+        for mode in ("train", "test"):
+            # a first, untraced pass, so one-off allocations count in neither
+            forward(sample, params, cfg, np.random.default_rng(2), mode=mode)
+            tracemalloc.start()
+            try:
+                results[mode] = forward(sample, params, cfg, np.random.default_rng(2),
+                                        mode=mode)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        train, test = results["train"], results["test"]
+        assert len(train.layers) == len(train.schedules) == 5
+        assert test.layers == [] and test.schedules == []
+        assert np.array_equal(train.combined_logits, test.combined_logits)
+        assert peaks["test"] <= 0.5 * peaks["train"], peaks
+        with pytest.raises(ValueError, match="test mode"):
+            backward(test, sample, cfg)
 
     def test_sweep_reads_new_state_of_visited_neighbors(self):
         # star 0-{1, 2, 3}; layer 1 visits 2, 1, 0, 3, so node 0 averages
@@ -277,11 +313,11 @@ def _assert_close(actual, expected):
 
 
 def _assert_matches_sequential(sample, params, cfg, seed=None, mode="train", plan=None):
-    """forward + backward against the node-by-node oracle: the same
-    structure and rng draws, and floats within rtol 1e-12."""
+    """forward, and in train mode backward, against the node-by-node
+    oracle: the same structure and rng draws, and floats within rtol
+    1e-12. A test-mode result must refuse backward."""
     run = None if seed is None else np.random.default_rng(seed)
     res = forward(sample, params, cfg, run, mode=mode, plan=plan)
-    grads = backward(res, sample, cfg)
     ref_run = None if seed is None else np.random.default_rng(seed)
     ref, ref_grads = sequential_network(sample, params, cfg, ref_run, mode=mode, plan=plan)
 
@@ -297,7 +333,13 @@ def _assert_matches_sequential(sample, params, cfg, seed=None, mode="train", pla
                         ref[key], strict=True):
             _assert_close(a, b)
     _assert_close(res.combined_logits, ref["combined_logits"])
-    for (name, a), (_, b) in zip(grads.tensors(), ref_grads.tensors(), strict=True):
+    if mode == "test":
+        # a test-mode result keeps no backward state
+        with pytest.raises(ValueError, match="test mode"):
+            backward(res, sample, cfg)
+        return res
+    for (name, a), (_, b) in zip(backward(res, sample, cfg).tensors(), ref_grads.tensors(),
+                                 strict=True):
         _assert_close(a, b)
     return res
 
@@ -388,8 +430,11 @@ class TestWaveSweep:
             calls.clear()
             res = forward(sample, random_model(rng, cfg), cfg, np.random.default_rng(seed),
                           mode=mode)
-            assert len(calls) == sum(len(s.waves) for s in res.schedules)
-            assert calls == [r1 - r0 for s in res.schedules for r0, r1, _, _ in s.waves]
+            # a test-mode result keeps no schedules: rebuild each layer's
+            schedules = [wave_schedule(order, g, cfg.hidden_dim)
+                         for order, g in zip(res.orders, res.trace.levels, strict=True)]
+            assert len(calls) == sum(len(s.waves) for s in schedules)
+            assert calls == [r1 - r0 for s in schedules for r0, r1, _, _ in s.waves]
 
 
 @st.composite

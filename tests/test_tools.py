@@ -22,11 +22,19 @@ def load_tool(name):
 
 
 def test_equivalence_dump_compares_equal_to_itself(tmp_path, capsys):
+    # two dumps made one after the other in one process: an output that
+    # depends on what an earlier pass left behind fails --rtol 0
     tool = load_tool("equivalence")
-    dump = str(tmp_path / "dump.npz")
-    assert tool.main(["dump", dump]) == 0
-    assert tool.main(["compare", dump, dump, "--rtol", "0"]) == 0
+    first, second = str(tmp_path / "first.npz"), str(tmp_path / "second.npz")
+    assert tool.main(["dump", first]) == 0
+    assert tool.main(["dump", second]) == 0
+    assert tool.main(["compare", first, second, "--rtol", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "OK"
+    # backward state is saved for the train-mode cases only
+    keys = np.load(first).files
+    for kind in ("schedule", "grads"):
+        assert any(k.startswith(f"g8-s0-mh-train/{kind}/") for k in keys), kind
+        assert not any(k.startswith(f"g8-s0-mh-test/{kind}/") for k in keys), kind
 
 
 def one_array_dumps(tmp_path, old, new):
@@ -75,7 +83,9 @@ def test_phases_reports_every_phase(mode, capsys):
     assert all(getattr(module, name) is fn for (module, name), fn in saved.items())
     record = json.loads(capsys.readouterr().out)
     assert set(record) == {"grid", "mode", "samples", "repeats", "seed", "numpy",
-                           "per_operation", "phases"}
+                           "peak_rss_mb", "per_operation", "phases"}
+    # ru_maxrss of a process that imported numpy: at least a few MB
+    assert 5 < record["peak_rss_mb"] < 10_000
     assert (record["grid"], record["mode"]) == (4, mode)
     assert set(record["per_operation"]) == {"ms", "sys_ms", "minor_faults", "other_ms"}
     assert set(record["phases"]) == set(names)

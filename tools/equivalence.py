@@ -4,17 +4,21 @@
     PYTHONPATH=<other checkout>/src python3 tools/equivalence.py dump old.npz
     python3 tools/equivalence.py compare old.npz new.npz
 
-`dump` runs forward, compute_loss and backward of the package on the
-import path over a fixed set of cases and saves every output to one .npz:
-visit orders, each layer's wave schedule (perm, pos, owner, nbr,
-slot_edge, rev, later, deg, inv_deg, seg and the wave bounds),
-partitions, each level's edges (so the quotient graphs are compared
-directly), trial decisions, each transition's `trace_records` text (as
-uint8 bytes, so the per-trial detail is compared exactly), the rng state
-after the forward pass (the PCG64 `state` and `inc` as uint64 words,
-`has_uint32` and `uinteger`, so the buffered 32-bit half is pinned too)
-and the next rng draw, per-level logits and edge probabilities, the
-combined logits, the losses and every gradient tensor. The cases are 4
+`dump` runs forward and compute_loss of the package on the import path
+over a fixed set of cases, and backward for the train-mode ones, and
+saves every output to one .npz: visit orders, partitions, each level's
+edges (so the quotient graphs are compared directly), trial decisions,
+each transition's `trace_records` text (as uint8 bytes, so the per-trial
+detail is compared exactly), the rng state after the forward pass (the
+PCG64 `state` and `inc` as uint64 words, `has_uint32` and `uinteger`, so
+the buffered 32-bit half is pinned too) and the next rng draw, per-level
+logits and edge probabilities, the combined logits and the losses. A
+train-mode case also saves each layer's wave schedule (perm, pos, owner,
+nbr, slot_edge, rev, later, deg, inv_deg, seg and the wave bounds) and
+every gradient tensor, the backward state a test-mode forward does not
+keep. Which cases save them follows from each case's mode, not from what
+its result holds, so dumps of package versions that keep different
+state in test mode still compare. The cases are 4
 seeds x 8x8/16x16/32x32 grids with the benchmark checkpoint
 (perfbench/model.ckpt) in Metropolis-Hastings train
 mode, MH test mode and threshold-0.8 mode; a replay of 2x2 block pooling
@@ -180,7 +184,6 @@ def dump(path):
     for name, sample, params, cfg, mode, rng, plan in cases:
         res = network.forward(sample, params, cfg, rng, mode=mode, plan=plan)
         losses = network.compute_loss(res, sample, cfg)
-        grads = network.backward(res, sample, cfg)
         arrays = {"losses": np.array(losses), "combined_logits": res.combined_logits}
         if rng is not None:
             # compute_loss and backward draw nothing: forward left this state
@@ -190,10 +193,14 @@ def dump(path):
             arrays[f"orders/{t}"] = np.asarray(order)
             arrays[f"level_logits/{t}"] = res.level_logits[t]
             arrays[f"edge_probs/{t}"] = res.trace.edge_probs[t]
-        for t, sched in enumerate(res.schedules):
-            for field in SCHEDULE_FIELDS:
-                arrays[f"schedule/{t}/{field}"] = getattr(sched, field)
-            arrays[f"schedule/{t}/waves"] = np.array(sched.waves, dtype=np.intp).reshape(-1, 4)
+        if mode == "train":
+            for t, sched in enumerate(res.schedules):
+                for field in SCHEDULE_FIELDS:
+                    arrays[f"schedule/{t}/{field}"] = getattr(sched, field)
+                arrays[f"schedule/{t}/waves"] = np.array(
+                    sched.waves, dtype=np.intp).reshape(-1, 4)
+            for tname, tensor in network.backward(res, sample, cfg).tensors():
+                arrays[f"grads/{tname}"] = tensor
         for t, g in enumerate(res.trace.levels):
             arrays[f"edges/{t}"] = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
         for t, (part, log) in enumerate(zip(res.trace.partitions, res.trace.decisions)):
@@ -203,8 +210,6 @@ def dump(path):
                 dtype=np.int64).reshape(-1, 3)
             arrays[f"trace/{t}"] = np.frombuffer(
                 "\n".join(trace_records(log)).encode(), dtype=np.uint8)
-        for tname, tensor in grads.tensors():
-            arrays[f"grads/{tname}"] = tensor
         for key, value in arrays.items():
             out[f"{name}/{key}"] = np.asarray(value)
     files = [*_loaded_datasets(data), *_loaded_checkpoints(network)]

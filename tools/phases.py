@@ -28,6 +28,8 @@ In load mode the inputs are saved once to a temporary directory, and one
 operation is data.load_dataset of that file plus network.load_checkpoint
 of the benchmark checkpoint.
 One untimed pass over the inputs comes first. The JSON on stdout gives
+the process's peak resident set size at the end of the timed passes
+(`peak_rss_mb`, ru_maxrss in MB of 1024 KB, as perfbench reports it), and
 per operation: its thread CPU time, system time and minor page faults,
 and per phase its ms, calls, us per call and minor page faults.
 To compare two checkouts, run each with its own PYTHONPATH, in
@@ -174,6 +176,7 @@ def measure(grid, mode, samples=4, repeats=10, seed=7):
     count = len(ops) * repeats
     return {"grid": grid, "mode": mode, "samples": samples, "repeats": repeats, "seed": seed,
             "numpy": np.__version__,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "per_operation": {"ms": total_ms / count, "sys_ms": sys_ms / count,
                               "minor_faults": faults / count,
                               "other_ms": (total_ms - clock.inside_ms) / count},
