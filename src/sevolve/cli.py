@@ -38,6 +38,7 @@ from sevolve.network import (
     predict,
     read_lines,
     save_checkpoint,
+    union_batches,
     write_lines_atomic,
 )
 from sevolve.optim import NumericError, OptimConfig, train
@@ -234,9 +235,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not dataset.samples:
         raise ValueError(f"{cfg.dataset}: dataset has no samples")
     conf = np.zeros((net.num_classes, net.num_classes), dtype=np.int64)
-    for idx, sample in enumerate(dataset.samples):
-        pred = predict(sample, params, net, np.random.default_rng([cfg.seed, 3, idx]))
-        conf += np.bincount(sample.labels * net.num_classes + pred,
+    for union, rngs in union_batches(dataset.samples, [cfg.seed, 3]):
+        pred = predict(union, params, net, rngs)
+        conf += np.bincount(union.labels * net.num_classes + pred,
                             minlength=net.num_classes ** 2).reshape(conf.shape)
     accuracy, iou, mean_iou = _metrics(conf)
     record = {

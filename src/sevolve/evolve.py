@@ -101,6 +101,13 @@ class TrialLog:
     non-negative, so that ratio is posterior_ratio(loss_old, 0)), and
     `posterior_ratio` holds that bound. The decision is the same either
     way. len() counts the trials and iteration yields one Trial each.
+
+    The log of a union sample's transition (network.forward on a
+    Sample.union of several samples) holds its parts' trials one after
+    the other, in part order, on the union's graph and probabilities,
+    with `rng_state` and `threshold` None: each part drew from its own
+    rng, so replay_trials refuses it with ValueError, and each part must
+    be replayed on its own sample.
     """
 
     __slots__ = ("graph", "probs", "rng_state", "threshold", "accepted",
@@ -314,9 +321,14 @@ def replay_trials(log: TrialLog) -> list[ReplayedTrial]:
     """Each trial's detail, redrawn under the draw contract from a new
     numpy Generator set to `log.rng_state`, so the caller's rng is not
     touched. A threshold log's one trial selects the edges with
-    probability >= threshold and has alpha 1."""
+    probability >= threshold and has alpha 1. A log with trials but
+    neither an rng state nor a threshold, a union sample's, raises
+    ValueError."""
     g, probs = log.graph, log.probs
     if log.threshold is None and len(log):
+        if log.rng_state is None:
+            raise ValueError("the log keeps trials but no rng state, as a union sample's "
+                             "does: replay each part on its own sample")
         bit_gen = getattr(np.random, log.rng_state["bit_generator"])()
         bit_gen.state = log.rng_state
         rng = np.random.Generator(bit_gen)

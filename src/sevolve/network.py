@@ -18,7 +18,10 @@ members, and only gradients that reach a parameter. No gradient flows
 through the discrete merge decisions; the edge-supervision loss trains
 the merge-probability readout. Only a train-mode pass keeps the per-layer
 state the backward pass reads; a test-mode pass, which only predicts,
-keeps none, so at most two layers' arrays are live at once.
+keeps none, so at most two layers' arrays are live at once. A test-mode
+pass can also run a union of samples (Sample.union) at once: each part
+keeps its own visit orders and transitions, and the layers run once over
+the union.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from sevolve.cell import (
 )
 from sevolve.evolve import EvolveConfig, TrialLog, evolve_deterministic, evolve_step
 from sevolve.graph import (
+    CliquePartition,
     HierarchyTrace,
     LevelGraph,
     aggregate_node_values,
@@ -124,9 +128,16 @@ def init_params(cfg: NetworkConfig, rng) -> ModelParams:
 
 
 class Sample:
-    """A base graph with per-node feature vectors and class labels."""
+    """A base graph with per-node feature vectors and class labels.
 
-    __slots__ = ("graph", "features", "labels")
+    `offsets` is None for a plain sample. A union sample, which
+    Sample.union builds, is the disjoint union of several samples, its
+    parts: part k holds nodes offsets[k]:offsets[k + 1], numbered as in
+    its own sample plus offsets[k]. forward and predict run a union in
+    test mode only, with one rng per part.
+    """
+
+    __slots__ = ("graph", "features", "labels", "offsets")
 
     def __init__(self, graph: LevelGraph, features, labels):
         feats = np.ascontiguousarray(features, dtype=np.float64)
@@ -144,6 +155,30 @@ class Sample:
         self.graph = graph
         self.features = feats
         self.labels = lbls
+        self.offsets = None
+
+    @classmethod
+    def union(cls, samples) -> "Sample":
+        """The disjoint union of `samples`, each one part, in order: one
+        graph whose edges are the parts' edges with their node ids offset,
+        still in canonical order, and the parts' features and labels
+        stacked. `offsets` is the tuple (0, n_0, n_0 + n_1, ..., N) of
+        the parts' node offsets. Parts whose feature dims differ raise
+        ValueError."""
+        samples = list(samples)
+        if not samples:
+            raise ValueError("a union needs at least one sample")
+        dims = sorted({s.features.shape[1] for s in samples})
+        if len(dims) > 1:
+            raise ValueError(f"the parts of a union must share one feature dim, got {dims}")
+        offsets = np.cumsum([0] + [s.num_nodes for s in samples]).tolist()
+        # each part's edges are canonical and above the previous part's
+        edges = np.concatenate([s.graph.edges + off for s, off in zip(samples, offsets)])
+        union = cls(LevelGraph._from_canonical(offsets[-1], edges),
+                    np.concatenate([s.features for s in samples]),
+                    np.concatenate([s.labels for s in samples]))
+        union.offsets = tuple(offsets)
+        return union
 
     @property
     def num_nodes(self) -> int:
@@ -323,7 +358,8 @@ def _make_loss_eval(node_logits, amap, labels):
 @np.errstate(over="ignore")
 def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             rng=None, mode: str = "train", plan: StructurePlan | None = None) -> ForwardResult:
-    """Run the full stack on one sample.
+    """Run the full stack on one sample, or in test mode on a union of
+    samples.
 
     Each layer gathers its inputs and previous states once into the
     wave-major layout that wave_schedule builds from the visit order,
@@ -351,7 +387,27 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     arrays are freed once the next layer's replace them, so at most two
     layers' arrays are live at once. Passing a StructurePlan replays a recorded
     structure (visit orders + partitions) with no rng involved; a visit
-    order that is not a permutation of its level's nodes raises ValueError.
+    order that is not an integer permutation of its level's nodes raises
+    ValueError.
+
+    A union sample (Sample.union) runs in test mode only, with `rng` a
+    sequence of one Generator per part; train mode, a plan or another
+    number of rngs raise ValueError. Each part draws its visit order
+    (rng_k.permutation(n_k), offset) and runs its own transition
+    (_evolve_parts) with its own rng, exactly as its plain forward would;
+    everything else, wave_schedule, the sweep, the heads, the aggregation
+    and the combined logits, runs once over the union. A one-part union
+    gives the plain forward's outputs bit for bit. With more parts, the
+    sweep, heads and aggregation work row by row, so a part's rows come
+    out bit for bit as in its plain forward, with one bounded exception:
+    numpy computes a 1-row matrix product with another kernel, so the
+    rows of a part's 1-row wave or 1-node level, computed here inside a
+    larger product, can differ from it in the last bit. They are not
+    recomputed alone. Such a deviation stays near the unit roundoff (at
+    most 5e-15 relative in the combined logits of 40 16x16 samples) and
+    changes an MH decision only when an acceptance draw lies within it of
+    its threshold; the tests hold union predictions equal to per-sample
+    predictions and union logits to rtol 1e-12.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -373,6 +429,19 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     if plan is not None and (len(plan.visit_orders) != n_layers
                              or len(plan.partitions) != n_layers - 1):
         raise ValueError("replay plan does not match the layer count")
+    # the current level's part offsets, None for a plain sample
+    offsets = sample.offsets
+    if offsets is not None:
+        if mode != "test":
+            raise ValueError(f"a union sample runs in test mode only, not {mode} mode")
+        if plan is not None:
+            raise ValueError("a union sample replays no plan: replay each part on its own "
+                             "sample")
+        parts = len(offsets) - 1
+        rngs = [] if isinstance(rng, np.random.Generator) else list(rng)
+        if len(rngs) != parts:
+            raise ValueError(f"a union of {parts} samples needs a sequence of {parts} rngs, "
+                             "one per sample")
 
     g = sample.graph
     feats = sample.features
@@ -393,10 +462,19 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     cell = params.cell
     for t in range(n_layers):
         n = g.num_nodes
-        order = plan.visit_orders[t] if plan is not None else rng.permutation(n)
-        if plan is not None and not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError(f"replay plan's visit order for layer {t} is not a "
-                             f"permutation of the level's {n} nodes")
+        if plan is not None:
+            order = np.asarray(plan.visit_orders[t])
+            if order.dtype.kind not in "iu":
+                raise ValueError(f"replay plan's visit order for layer {t} is not an "
+                                 f"integer array, got dtype {order.dtype}")
+            if not np.array_equal(np.sort(order), np.arange(n)):
+                raise ValueError(f"replay plan's visit order for layer {t} is not a "
+                                 f"permutation of the level's {n} nodes")
+        elif offsets is None:
+            order = rng.permutation(n)
+        else:
+            order = np.concatenate([r.permutation(hi - lo) + lo
+                                    for r, lo, hi in zip(rngs, offsets, offsets[1:])])
         schedule = wave_schedule(order, g, h_dim)
         perm, owner, nbr, seg = schedule.perm, schedule.owner, schedule.nbr, schedule.seg
         deg, inv_deg = schedule.deg, schedule.inv_deg
@@ -432,6 +510,9 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
                 part = plan.partitions[t]
                 g_next = quotient_graph(g, part)
                 trial_log = TrialLog(g, p_edge)
+            elif offsets is not None:
+                g_next, part, trial_log, offsets = _evolve_parts(g, p_edge, offsets,
+                                                                 cfg.evolve, rngs)
             elif cfg.evolve.threshold is not None:
                 g_next, part, trial_log = evolve_deterministic(
                     g, p_edge, cfg.evolve.threshold)
@@ -459,6 +540,42 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     return ForwardResult(mode, params, level_logits, combined,
                          HierarchyTrace(levels, partitions, edge_probs, decisions),
                          amaps, orders, schedules, layers)
+
+
+def _evolve_parts(g: LevelGraph, p_edge, offsets, cfg: EvolveConfig, rngs):
+    """The test-mode transition of a union level `g` whose part k holds
+    nodes offsets[k]:offsets[k + 1]: each part's own transition, on its
+    own graph and edge probabilities and with its own rng.
+
+    Canonical order sorts the edges by their lower end, so a part's edges
+    are one block of g's, and its graph is that block less its offset.
+    The level is kept, the same object with the identity partition, only
+    when every part keeps its level; otherwise the partition is the
+    parts' partitions with their clique ids offset, and quotient_graph
+    builds the next level. The TrialLog holds the parts' trials in part
+    order (the part's own log when there is one part). Returns (next
+    graph, partition, TrialLog, the next level's part offsets).
+    """
+    cuts = np.searchsorted(g.edges[:, 0], offsets).tolist()
+    assignments, logs, next_offsets = [], [], [0]
+    kept = True
+    for lo, hi, e0, e1, rng in zip(offsets, offsets[1:], cuts, cuts[1:], rngs):
+        g_part = LevelGraph._from_canonical(hi - lo, g.edges[e0:e1] - lo)
+        if cfg.threshold is not None:
+            g_next, part, log = evolve_deterministic(g_part, p_edge[e0:e1], cfg.threshold)
+        else:
+            g_next, part, log = evolve_step(g_part, p_edge[e0:e1], None, cfg, rng)
+        kept = kept and g_next is g_part
+        assignments.append(part.assignment + next_offsets[-1])
+        next_offsets.append(next_offsets[-1] + part.num_cliques)
+        logs.append(log)
+    log = logs[0] if len(logs) == 1 else TrialLog(
+        g, p_edge, None, None, *(np.concatenate([getattr(part_log, f) for part_log in logs])
+                                 for f in ("accepted", "posterior_evaluated", "posterior_ratio")))
+    if kept:
+        return g, CliquePartition.identity(g.num_nodes), log, offsets
+    part = CliquePartition(np.concatenate(assignments), next_offsets[-1])
+    return quotient_graph(g, part), part, log, next_offsets
 
 
 def _level_edge_targets(trace: HierarchyTrace, labels, num_classes):
@@ -617,9 +734,28 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
 
 def predict(sample: Sample, params: ModelParams, cfg: NetworkConfig, rng):
     """Test-mode forward pass followed by an argmax over the combined
-    logits; ties go to the smaller class id."""
+    logits; ties go to the smaller class id. A union sample takes one rng
+    per part and gets one prediction per node of the union, the parts'
+    in part order."""
     result = forward(sample, params, cfg, rng, mode="test")
     return np.argmax(result.combined_logits, axis=1)
+
+
+#: the most samples one union of union_batches holds: per-sample test
+#: cost still falls up to 8 on 8x8 grids but little beyond 4 on 16x16 ones
+#: (BENCH_27.json), while a union's layer arrays grow with every sample
+UNION_SAMPLES = 8
+
+
+def union_batches(samples, stream):
+    """Consecutive runs of at most UNION_SAMPLES of `samples`, each as
+    (Sample.union of the run, its rngs): sample idx, counted over all of
+    `samples`, gets np.random.default_rng([*stream, idx])."""
+    samples = list(samples)
+    for first in range(0, len(samples), UNION_SAMPLES):
+        run = samples[first:first + UNION_SAMPLES]
+        yield Sample.union(run), [np.random.default_rng([*stream, idx])
+                                  for idx in range(first, first + len(run))]
 
 
 CHECKPOINT_MAGIC = "SEVOLVE-CKPT v1"

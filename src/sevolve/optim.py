@@ -10,7 +10,7 @@ import numpy as np
 
 from sevolve.cell import CellParams, NumericError
 from sevolve.network import (backward, compute_loss, forward, predict, save_checkpoint,
-                             write_lines_atomic)
+                             union_batches, write_lines_atomic)
 
 
 @dataclass
@@ -150,14 +150,15 @@ def grad_check(sample, params, cfg, rng) -> GradCheckReport:
 
 def evaluate_accuracy(dataset, params, cfg, seed: int, epoch: int = 0) -> float:
     """Pooled node accuracy under test-mode prediction, one derived rng
-    stream per sample. An empty dataset has no accuracy: ValueError."""
+    stream per sample. Consecutive samples are predicted together, as the
+    unions of network.union_batches, each sample with its own stream. An
+    empty dataset has no accuracy: ValueError."""
     correct = 0
     total = 0
-    for idx, sample in enumerate(dataset):
-        rng = np.random.default_rng([seed, epoch, 2, idx])
-        pred = predict(sample, params, cfg, rng)
-        correct += int((pred == sample.labels).sum())
-        total += sample.labels.size
+    for union, rngs in union_batches(dataset, [seed, epoch, 2]):
+        pred = predict(union, params, cfg, rngs)
+        correct += int((pred == union.labels).sum())
+        total += union.labels.size
     if not total:
         raise ValueError("evaluation dataset is empty")
     return correct / total

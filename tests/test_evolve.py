@@ -10,6 +10,7 @@ from sevolve import evolve
 from sevolve.data import GenConfig, generate_sample, grid_graph
 from sevolve.evolve import (
     EvolveConfig,
+    TrialLog,
     evolve_deterministic,
     evolve_step,
     posterior_ratio,
@@ -154,6 +155,17 @@ class TestEvolveStep:
         assert trial.alpha == 1.0
         assert trial.transition_ratio == 1.0
         assert coarse.num_nodes == 2  # one node per connected component
+
+    def test_replay_needs_the_rng_state(self):
+        # a log with trials but no rng state, as a union sample's is,
+        # raised TypeError from indexing the missing state
+        g = LevelGraph(3, [(0, 1), (1, 2)])
+        log = TrialLog(g, np.array([0.5, 0.5]), accepted=[False, True],
+                       posterior_evaluated=[True, True], posterior_ratio=[1.0, 1.0])
+        with pytest.raises(ValueError, match="no rng state.*replay each part on its own sample"):
+            replay_trials(log)
+        # without trials there is nothing to redraw
+        assert replay_trials(TrialLog(g, np.array([0.5, 0.5]))) == []
 
     def test_replay_leaves_the_callers_rng(self):
         # the replay redraws from the log's saved state the trials the

@@ -274,6 +274,18 @@ class TestForward:
         with pytest.raises(ValueError, match="visit order for layer 0 is not a permutation"):
             forward(sample, params, cfg, plan=plan)
 
+    def test_replayed_visit_order_must_be_integers(self):
+        # a float array holding a permutation's values passed the
+        # permutation check and then raised IndexError in wave_schedule
+        rng = np.random.default_rng(6)
+        cfg = tiny_cfg(layers=2)
+        sample = Sample(grid_graph(3), rng.normal(size=(9, 3)), rng.integers(0, 3, size=9))
+        params = random_model(rng, cfg)
+        plan = forward(sample, params, cfg, np.random.default_rng(0)).plan()
+        plan.visit_orders[1] = plan.visit_orders[1].astype(np.float64)
+        with pytest.raises(ValueError, match="visit order for layer 1 is not an integer array"):
+            forward(sample, params, cfg, plan=plan)
+
     def test_validates_dimensions(self):
         rng = np.random.default_rng(5)
         cfg = tiny_cfg(d=3)
@@ -759,6 +771,161 @@ class TestPredict:
                              [(np.zeros((3, 3)), np.zeros(3)) for _ in range(2)])
         pred = predict(sample, params, cfg, np.random.default_rng(0))
         assert np.array_equal(pred, np.zeros(5, dtype=np.intp))
+
+
+def _grid_samples(rng, sizes, d=3, c=3):
+    return [generate_sample(GenConfig(grid_n=n, num_labels=c, feature_dim=d), rng)
+            for n in sizes]
+
+
+def _union_cfg(threshold=None):
+    return NetworkConfig(input_dim=3, num_classes=3, num_layers=4,
+                         evolve=EvolveConfig(max_trials=20, threshold=threshold))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestUnion:
+    """A union sample's test-mode pass against each part's plain forward."""
+
+    # "mixed": some part merges nodes at some transition and some part
+    # merges none at another; "kept": no part ever merges
+    @pytest.mark.parametrize("case", ["mh-mixed", "mh-kept", "threshold-mixed"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parts_match_their_own_forward(self, case, seed):
+        rng = np.random.default_rng([seed, 40])
+        threshold = None
+        sizes = (16, 8, 5) if case == "mh-kept" else (2, 16, 3, 8, 5, 4)
+        cfg = _union_cfg()
+        params = random_model(rng, cfg)
+        parts = _grid_samples(rng, sizes)
+        seeds = [[seed, 41, k] for k in range(len(parts))]
+        if case == "threshold-mixed":
+            # between the parts' largest level-0 edge probabilities, which
+            # do not depend on the transitions: only some parts merge
+            tops = sorted(forward(p, params, cfg, np.random.default_rng(s), mode="test")
+                          .trace.edge_probs[0].max() for p, s in zip(parts, seeds))
+            threshold = 0.5 * (tops[2] + tops[3])
+            cfg = _union_cfg(threshold)
+        refs = [forward(p, params, cfg, np.random.default_rng(s), mode="test")
+                for p, s in zip(parts, seeds)]
+        union = Sample.union(parts)
+        assert union.offsets == tuple(np.cumsum([0] + [p.num_nodes for p in parts]))
+        res = forward(union, params, cfg, [np.random.default_rng(s) for s in seeds],
+                      mode="test")
+
+        # per level, each part's node offset in the union
+        sizes_by_level = np.array([[g.num_nodes for g in r.trace.levels] for r in refs])
+        starts = np.vstack([np.zeros(4, dtype=int), np.cumsum(sizes_by_level, axis=0)])
+        merged = unmerged = False
+        for t in range(4):
+            assert res.trace.levels[t].num_nodes == starts[-1, t]
+            p_union = res.trace.edge_probs[t]
+            edge_cut = 0
+            for k, ref in enumerate(refs):
+                lo, hi = starts[k, t], starts[k + 1, t]
+                np.testing.assert_array_equal(res.orders[t][lo:hi] - lo, ref.orders[t])
+                np.testing.assert_allclose(res.level_logits[t][lo:hi], ref.level_logits[t],
+                                           rtol=1e-12, atol=0)
+                m = ref.trace.levels[t].num_edges
+                np.testing.assert_array_equal(
+                    res.trace.levels[t].edges[edge_cut:edge_cut + m] - lo,
+                    ref.trace.levels[t].edges)
+                np.testing.assert_allclose(p_union[edge_cut:edge_cut + m],
+                                           ref.trace.edge_probs[t], rtol=1e-12, atol=0)
+                edge_cut += m
+                if t < 3:
+                    np.testing.assert_array_equal(
+                        res.trace.partitions[t].assignment[lo:hi] - starts[k, t + 1],
+                        ref.trace.partitions[t].assignment)
+                    shrinks = ref.trace.partitions[t].num_cliques < ref.trace.levels[t].num_nodes
+                    merged |= shrinks
+                    unmerged |= not shrinks
+            if t < 3:
+                # the parts' trials, in part order
+                assert [(d.accepted, d.posterior_evaluated) for d in res.trace.decisions[t]] \
+                    == [(d.accepted, d.posterior_evaluated)
+                        for r in refs for d in r.trace.decisions[t]]
+                # the union keeps a level only when every part keeps its own
+                assert res.trace.kept(t) == all(r.trace.kept(t) for r in refs)
+        assert (merged, unmerged) == ((False, True) if case == "mh-kept" else (True, True))
+        if case == "mh-kept":
+            assert all(res.trace.kept(t) for t in range(3))
+        if case == "mh-mixed":
+            # an MH transition that accepted a merge
+            assert any(r.trace.decisions[t].accepted.any()
+                       and r.trace.partitions[t].num_cliques < r.trace.levels[t].num_nodes
+                       for r in refs for t in range(3))
+
+        ref_logits = np.concatenate([r.combined_logits for r in refs])
+        np.testing.assert_allclose(res.combined_logits, ref_logits, rtol=1e-12, atol=0)
+        pred = predict(union, params, cfg, [np.random.default_rng(s) for s in seeds])
+        want = np.concatenate([predict(p, params, cfg, np.random.default_rng(s))
+                               for p, s in zip(parts, seeds)])
+        np.testing.assert_array_equal(pred, want)
+
+    @pytest.mark.parametrize("grid_n, threshold", [(2, None), (16, None), (5, 0.5)],
+                             ids=["mh-merges", "mh-keeps", "threshold"])
+    def test_one_part_union_is_the_plain_forward(self, grid_n, threshold):
+        rng = np.random.default_rng(43)
+        cfg = _union_cfg(threshold)
+        params = random_model(rng, cfg)
+        (sample,) = _grid_samples(rng, [grid_n])
+        ref_rng, rng = np.random.default_rng(44), np.random.default_rng(44)
+        ref = forward(sample, params, cfg, ref_rng, mode="test")
+        res = forward(Sample.union([sample]), params, cfg, [rng], mode="test")
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert _same_bits(res.combined_logits, ref.combined_logits)
+        for name in ("level_logits", "orders", "amaps"):
+            assert all(map(_same_bits, getattr(res, name), getattr(ref, name))), name
+        assert all(map(_same_bits, res.trace.edge_probs, ref.trace.edge_probs))
+        assert res.trace.levels == ref.trace.levels
+        assert res.trace.partitions == ref.trace.partitions
+        assert ([res.trace.kept(t) for t in range(3)]
+                == [ref.trace.kept(t) for t in range(3)])
+        for d, d_ref in zip(res.trace.decisions, ref.trace.decisions):
+            for f in ("accepted", "posterior_evaluated", "posterior_ratio"):
+                assert _same_bits(getattr(d, f), getattr(d_ref, f)), f
+            assert d.rng_state == d_ref.rng_state and d.threshold == d_ref.threshold
+        if threshold is None and grid_n == 2:
+            assert not ref.trace.kept(0)
+
+    def test_refusals(self):
+        rng = np.random.default_rng(45)
+        cfg = tiny_cfg(layers=2)
+        params = random_model(rng, cfg)
+        parts = _grid_samples(rng, [2, 3])
+        union = Sample.union(parts)
+        rngs = [np.random.default_rng(k) for k in range(2)]
+        plan = forward(parts[0], params, cfg, np.random.default_rng(0)).plan()
+        with pytest.raises(ValueError, match="test mode only, not train mode"):
+            forward(union, params, cfg, rngs, mode="train")
+        with pytest.raises(ValueError, match="replays no plan"):
+            forward(union, params, cfg, None, mode="test", plan=plan)
+        for wrong in (np.random.default_rng(0), rngs[:1], rngs * 2):
+            with pytest.raises(ValueError, match="needs a sequence of 2 rngs"):
+                predict(union, params, cfg, wrong)
+        with pytest.raises(ValueError, match="share one feature dim, got \\[3, 4\\]"):
+            Sample.union([parts[0], *_grid_samples(rng, [2], d=4)])
+        with pytest.raises(ValueError, match="at least one sample"):
+            Sample.union([])
+
+    def test_union_log_is_not_replayed(self):
+        from sevolve.evolve import replay_trials
+
+        rng = np.random.default_rng(46)
+        cfg = tiny_cfg(layers=2)
+        params = random_model(rng, cfg)
+        union = Sample.union(_grid_samples(rng, [3, 3]))
+        res = forward(union, params, cfg, [np.random.default_rng(k) for k in range(2)],
+                      mode="test")
+        (log,) = res.trace.decisions
+        assert len(log) and log.rng_state is None
+        with pytest.raises(ValueError, match="replay each part on its own sample"):
+            replay_trials(log)
 
 
 class TestCheckpoint:

@@ -14,6 +14,7 @@ from sevolve.network import (
     Sample,
     forward,
     init_params,
+    predict,
 )
 from sevolve.optim import (
     GradCheckReport,
@@ -361,6 +362,26 @@ class TestTrain:
         params = init_params(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="^evaluation dataset is empty$"):
             evaluate_accuracy([], params, cfg, 0)
+
+    def test_accuracy_predicts_in_unions_as_per_sample(self):
+        # more samples than one union holds, of mixed sizes: the pooled
+        # accuracy is that of predicting each sample on its own stream
+        rng = np.random.default_rng(9)
+        samples = [s for n in (2, 3, 4, 6) for s in generate_dataset(
+            GenConfig(grid_n=n, num_labels=3, feature_dim=3, seed=n), 3).samples]
+        assert len(samples) > network_module.UNION_SAMPLES
+        cfg = NetworkConfig(input_dim=3, num_classes=3, num_layers=3,
+                            evolve=EvolveConfig(max_trials=10))
+        params = init_params(cfg, rng)
+        for _, t in params.cell.tensors():
+            t *= 5.0
+        for w, _ in params.heads:
+            w += rng.normal(0.0, 0.3, w.shape)
+        hits = sum(int((predict(s, params, cfg, np.random.default_rng([4, 2, 2, idx]))
+                        == s.labels).sum()) for idx, s in enumerate(samples))
+        total = sum(s.num_nodes for s in samples)
+        assert 0 < hits < total
+        assert evaluate_accuracy(samples, params, cfg, seed=4, epoch=2) == hits / total
 
     def test_checkpoints_written_per_epoch(self, tmp_path):
         ds = tiny_dataset(count=4)

@@ -65,7 +65,8 @@ def test_wrappers_run_on_the_package(workloads, tmp_path):
 
     cfg = workloads.model_config()
     params, _ = network.load_checkpoint(workloads.MODEL_PATH)
-    samples = data.generate_dataset(workloads.gen_config(4, 0), 2).samples
+    samples = data.generate_dataset(workloads.gen_config(4, 0), 4).samples
+    train, held_out = samples[:2], samples[2:]
     originals = [(module, attr, getattr(module, attr))
                  for attr, modules in wrapped(workloads) for module in modules]
     ops = workloads.Ops()
@@ -75,12 +76,23 @@ def test_wrappers_run_on_the_package(workloads, tmp_path):
     try:
         workloads.install(patches, hooks, tracer)
         ops.run(lambda: network.predict(samples[0], params, cfg, np.random.default_rng(0)))
-        ops.run(lambda: optim.train(samples, params.copy(), cfg, optim.OptimConfig(),
-                                    eval_dataset=samples[1:], checkpoint_dir=str(tmp_path),
+        # a union's result passes the checks and feeds the counters
+        union = network.Sample.union(train)
+        ops.run(lambda: network.predict(union, params, cfg,
+                                        [np.random.default_rng(k) for k in range(2)]))
+        assert hooks.last_result.trace.levels[0] is union.graph
+        # the epoch predicts its two held-out samples as one union
+        ops.run(lambda: optim.train(train, params.copy(), cfg, optim.OptimConfig(),
+                                    eval_dataset=held_out, checkpoint_dir=str(tmp_path),
                                     log_path=tmp_path / "train_log.tsv"))
     finally:
         patches.restore()
-    assert (ops.attempted, ops.failed, ops.errors) == (4, 0, [])
+    # predictions: one plain, one union and one held-out union; training
+    # steps: two
+    assert (ops.attempted, ops.failed, ops.errors) == (5, 0, [])
+    assert len(ops.latency_ms["predict"]) == 3
+    assert hooks.counts["forwards"] == 5
+    assert hooks.counts["base_nodes"] == 16 * (1 + 2 + 2 + 2)
     assert all(getattr(module, attr) is fn for module, attr, fn in originals)
     assert tracer.summary()["cell.cell_forward"][0] > 0
     metrics = workloads.per_layer_metrics(tracer, hooks, 0.0)

@@ -70,7 +70,7 @@ def test_equivalence_compare_passes_same_bits_and_tolerated_deviations(tmp_path,
     assert capsys.readouterr().out.splitlines()[-1] == "OK"
 
 
-@pytest.mark.parametrize("mode", ["test", "train", "pyramid", "load"])
+@pytest.mark.parametrize("mode", ["test", "train", "pyramid", "union", "load"])
 def test_phases_reports_every_phase(mode, capsys):
     from sevolve import data, network
 
@@ -83,11 +83,15 @@ def test_phases_reports_every_phase(mode, capsys):
     assert all(getattr(module, name) is fn for (module, name), fn in saved.items())
     record = json.loads(capsys.readouterr().out)
     assert set(record) == {"grid", "mode", "samples", "repeats", "seed", "numpy",
-                           "peak_rss_mb", "per_operation", "phases"}
+                           "peak_rss_mb", "per_sample_ms", "per_operation", "phases"}
     # ru_maxrss of a process that imported numpy: at least a few MB
     assert 5 < record["peak_rss_mb"] < 10_000
     assert (record["grid"], record["mode"]) == (4, mode)
     assert set(record["per_operation"]) == {"ms", "sys_ms", "minor_faults", "other_ms"}
+    # a union or load operation covers both inputs, any other one input
+    per_op = record["per_operation"]["ms"]
+    assert record["per_sample_ms"] == pytest.approx(
+        per_op / 2 if mode in ("union", "load") else per_op)
     assert set(record["phases"]) == set(names)
     phases = record["phases"]
     for phase in phases.values():
@@ -99,10 +103,16 @@ def test_phases_reports_every_phase(mode, capsys):
         assert phases["parse_block"]["calls"] == 3 * 2 + 17 + 2 * 5
         assert phases["read_lines"]["calls"] == phases["LevelGraph"]["calls"] == 2
         return
-    # one layout and one sweep setup per layer; backward only in training
+    # one layout and one sweep setup per layer, for a union too; backward
+    # only in training
     assert phases["wave_schedule"]["calls"] == phases["cell_forward_batch"]["calls"] == 5
-    assert (phases["cell_backward_batch"]["calls"] > 0) == (mode != "test")
-    assert (phases["evolve_step"]["calls"] > 0) == (mode != "pyramid")
-    # forward builds each level of the replayed 2x2 pooling; an accepted MH
+    assert (phases["cell_backward_batch"]["calls"] > 0) == (mode in ("train", "pyramid"))
+    # a union runs each part's own transition: 4 per input
+    assert phases["evolve_step"]["calls"] == {"pyramid": 0, "union": 8}.get(mode, 4)
+    # forward builds each level of the replayed 2x2 pooling, and a union's
+    # level after a transition in which a part merged; a plain accepted MH
     # trial builds its level inside evolve_step, where nothing is wrapped
-    assert phases["quotient_graph"]["calls"] == (4 if mode == "pyramid" else 0)
+    if mode == "union":
+        assert phases["quotient_graph"]["calls"] <= 4
+    else:
+        assert phases["quotient_graph"]["calls"] == (4 if mode == "pyramid" else 0)

@@ -3,6 +3,7 @@
     PYTHONPATH=src python3 tools/phases.py --grid 32 --mode test
     PYTHONPATH=src python3 tools/phases.py --grid 16 --mode train --repeats 20
     PYTHONPATH=src python3 tools/phases.py --grid 32 --mode load --samples 8
+    PYTHONPATH=src python3 tools/phases.py --grid 16 --mode union --samples 8
 
 Each phase function is wrapped at the name `network` looks it up by
 (PHASES; in load mode LOAD_PHASES, at the names `data` and `network` look
@@ -24,16 +25,26 @@ checkpoint (perfbench/model.ckpt, 5 layers, 50 MH trials per transition):
            weight update;
   pyramid  the same, replaying 2x2 block pooling (a 32x32 grid gives
            levels of 1024/256/64/16/4 nodes; a level of one node stays).
-In load mode the inputs are saved once to a temporary directory, and one
-operation is data.load_dataset of that file plus network.load_checkpoint
-of the benchmark checkpoint.
+In union mode one operation is one network.predict over the union of all
+the inputs (network.Sample.union), each with the rng stream test mode
+gives it. In load mode the inputs are saved once to a temporary
+directory, and one operation is data.load_dataset of that file plus
+network.load_checkpoint of the benchmark checkpoint.
 One untimed pass over the inputs comes first. The JSON on stdout gives
 the process's peak resident set size at the end of the timed passes
-(`peak_rss_mb`, ru_maxrss in MB of 1024 KB, as perfbench reports it), and
-per operation: its thread CPU time, system time and minor page faults,
-and per phase its ms, calls, us per call and minor page faults.
+(`peak_rss_mb`, ru_maxrss in MB of 1024 KB, as perfbench reports it), the
+thread CPU ms per input sample (`per_sample_ms`: an operation's ms over
+the inputs it covers, all of them in union and load mode), and per
+operation: its thread CPU time, system time and minor page faults, and
+per phase its ms, calls, us per call and minor page faults.
 To compare two checkouts, run each with its own PYTHONPATH, in
 alternating processes.
+
+Minor fault counts follow the process's allocation layout (glibc's mmap
+threshold rises to the largest mmapped chunk the process has freed), not
+only the code: the same 16x16 train step has read 0 or 112 faults per
+operation depending only on how PYTHONPATH was spelled. Compare fault
+counts, like times, only over several alternating processes per side.
 """
 
 import argparse
@@ -55,7 +66,7 @@ PHASES = ("wave_schedule", "cell_forward_batch", "cell_forward", "evolve_step",
           "quotient_graph", "aggregate_node_values", "cell_backward_node",
           "cell_backward_batch", "_loss_terms")
 LOAD_PHASES = ("read_lines", "parse_block", "LevelGraph")
-MODES = ("test", "train", "pyramid", "load")
+MODES = ("test", "train", "pyramid", "union", "load")
 
 
 class PhaseClock:
@@ -107,8 +118,9 @@ def pooling_plan(side, num_layers, orders_rng):
 
 
 def operations(grid, mode, samples, seed, workdir):
-    """One callable per input, each one operation of `mode`; in load mode
-    one callable that loads every input from a file in `workdir`."""
+    """One callable per input, each one operation of `mode`; in union mode
+    one callable that predicts their union, and in load mode one that
+    loads every input from a file in `workdir`."""
     from sevolve import data, network
     from sevolve.evolve import EvolveConfig
 
@@ -126,8 +138,16 @@ def operations(grid, mode, samples, seed, workdir):
             data.load_dataset(path)
             network.load_checkpoint(CHECKPOINT)
         return [load]
+    inputs = data.generate_dataset(gen, samples).samples
+    if mode == "union":
+        union = network.Sample.union(inputs)
+
+        def predict_union():
+            network.predict(union, params, cfg,
+                            [np.random.default_rng([seed, 3, idx]) for idx in range(samples)])
+        return [predict_union]
     ops = []
-    for idx, sample in enumerate(data.generate_dataset(gen, samples).samples):
+    for idx, sample in enumerate(inputs):
         if mode == "test":
             def op(sample=sample, idx=idx):
                 network.predict(sample, params, cfg, np.random.default_rng([seed, 3, idx]))
@@ -177,6 +197,7 @@ def measure(grid, mode, samples=4, repeats=10, seed=7):
     return {"grid": grid, "mode": mode, "samples": samples, "repeats": repeats, "seed": seed,
             "numpy": np.__version__,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "per_sample_ms": total_ms / (samples * repeats),
             "per_operation": {"ms": total_ms / count, "sys_ms": sys_ms / count,
                               "minor_faults": faults / count,
                               "other_ms": (total_ms - clock.inside_ms) / count},
