@@ -102,12 +102,13 @@ class TrialLog:
     `posterior_ratio` holds that bound. The decision is the same either
     way. len() counts the trials and iteration yields one Trial each.
 
-    The log of a union sample's transition (network.forward on a
-    Sample.union of several samples) holds its parts' trials one after
-    the other, in part order, on the union's graph and probabilities,
-    with `rng_state` and `threshold` None: each part drew from its own
-    rng, so replay_trials refuses it with ValueError, and each part must
-    be replayed on its own sample.
+    network.forward logs a sample of one part with its transition's own
+    log. A sample of several parts (network.Sample.union) gets one log
+    per transition that holds its parts' trials one after the other, in
+    part order, on the union's graph and probabilities, with `rng_state`
+    and `threshold` None: each part drew from its own rng, so
+    replay_trials refuses it with ValueError, and each part must be
+    replayed on its own sample.
     """
 
     __slots__ = ("graph", "probs", "rng_state", "threshold", "accepted",

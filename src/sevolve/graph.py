@@ -230,13 +230,14 @@ class HierarchyTrace:
     probability per edge of `levels[k]` in canonical edge order, and
     `decisions[k]` the TrialLog of transition k: its trials' decisions,
     with the rng state from which evolve.replay_trials redraws their
-    detail. For a union sample (network.Sample.union) the levels are the
-    unions of the parts' levels, and `decisions[k]` iterates over the
-    parts' trials in part order, with no rng state to replay them from.
-    A level that evolve_step kept is the same object as the one below it
-    (see kept), with the identity partition; network reads that only to
-    carry its arrays over and to reuse its predecessor's targets. A union
-    level counts as kept only when every part kept its own level.
+    detail. For a sample of several parts (network.Sample.union) the
+    levels are the unions of the parts' levels, and `decisions[k]`
+    iterates over the parts' trials in part order, with no rng state to
+    replay them from. A level that evolve_step kept is the same object as
+    the one below it (see kept), with the identity partition; network
+    reads that only to carry its arrays over and to reuse its
+    predecessor's targets. A level of several parts counts as kept only
+    when every part kept its own.
     """
 
     __slots__ = ("levels", "partitions", "edge_probs", "decisions")

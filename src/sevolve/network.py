@@ -18,10 +18,9 @@ members, and only gradients that reach a parameter. No gradient flows
 through the discrete merge decisions; the edge-supervision loss trains
 the merge-probability readout. Only a train-mode pass keeps the per-layer
 state the backward pass reads; a test-mode pass, which only predicts,
-keeps none, so at most two layers' arrays are live at once. A test-mode
-pass can also run a union of samples (Sample.union) at once: each part
-keeps its own visit orders and transitions, and the layers run once over
-the union.
+keeps none, so at most two layers' arrays are live at once. A sample is
+one or more parts (Sample.union): each part keeps its own visit orders
+and transitions, and the layers run once over all of them.
 """
 
 from __future__ import annotations
@@ -130,11 +129,10 @@ def init_params(cfg: NetworkConfig, rng) -> ModelParams:
 class Sample:
     """A base graph with per-node feature vectors and class labels.
 
-    `offsets` is None for a plain sample. A union sample, which
-    Sample.union builds, is the disjoint union of several samples, its
-    parts: part k holds nodes offsets[k]:offsets[k + 1], numbered as in
-    its own sample plus offsets[k]. forward and predict run a union in
-    test mode only, with one rng per part.
+    A sample is the disjoint union of one or more parts: part k holds
+    nodes offsets[k]:offsets[k + 1], numbered as in its own sample plus
+    offsets[k]. A plain sample is one part, offsets (0, n); Sample.union
+    builds one of several, which forward runs in test mode only.
     """
 
     __slots__ = ("graph", "features", "labels", "offsets")
@@ -155,7 +153,7 @@ class Sample:
         self.graph = graph
         self.features = feats
         self.labels = lbls
-        self.offsets = None
+        self.offsets = (0, graph.num_nodes)
 
     @classmethod
     def union(cls, samples) -> "Sample":
@@ -358,8 +356,7 @@ def _make_loss_eval(node_logits, amap, labels):
 @np.errstate(over="ignore")
 def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             rng=None, mode: str = "train", plan: StructurePlan | None = None) -> ForwardResult:
-    """Run the full stack on one sample, or in test mode on a union of
-    samples.
+    """Run the full stack on one sample.
 
     Each layer gathers its inputs and previous states once into the
     wave-major layout that wave_schedule builds from the visit order,
@@ -390,16 +387,13 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     order that is not an integer permutation of its level's nodes raises
     ValueError.
 
-    A union sample (Sample.union) runs in test mode only, with `rng` a
-    sequence of one Generator per part; train mode, a plan or another
-    number of rngs raise ValueError. Each part draws its visit order
-    (rng_k.permutation(n_k), offset) and runs its own transition
-    (_evolve_parts) with its own rng, exactly as its plain forward would;
-    everything else, wave_schedule, the sweep, the heads, the aggregation
-    and the combined logits, runs once over the union. A one-part union
-    gives the plain forward's outputs bit for bit. With more parts, the
-    sweep, heads and aggregation work row by row, so a part's rows come
-    out bit for bit as in its plain forward, with one bounded exception:
+    A sample is one or more parts (Sample), a plain sample one, and `rng`
+    is one Generator per part, a bare Generator a sequence of one; another
+    count raises ValueError, as train mode or a plan do with several
+    parts. Each part draws its visit order as rng_k.permutation(n_k) does,
+    offset, and runs its own transition (_evolve_parts) with its own rng;
+    the rest runs once over all parts, row by row, so a part's rows come
+    out bit for bit as in its own forward, with one bounded exception:
     numpy computes a 1-row matrix product with another kernel, so the
     rows of a part's 1-row wave or 1-node level, computed here inside a
     larger product, can differ from it in the last bit. They are not
@@ -429,19 +423,20 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     if plan is not None and (len(plan.visit_orders) != n_layers
                              or len(plan.partitions) != n_layers - 1):
         raise ValueError("replay plan does not match the layer count")
-    # the current level's part offsets, None for a plain sample
+    # the current level's part offsets
     offsets = sample.offsets
-    if offsets is not None:
-        if mode != "test":
-            raise ValueError(f"a union sample runs in test mode only, not {mode} mode")
-        if plan is not None:
+    parts = len(offsets) - 1
+    if parts > 1 and mode != "test":
+        raise ValueError(f"a union sample runs in test mode only, not {mode} mode")
+    if plan is not None:
+        if parts > 1:
             raise ValueError("a union sample replays no plan: replay each part on its own "
                              "sample")
-        parts = len(offsets) - 1
-        rngs = [] if isinstance(rng, np.random.Generator) else list(rng)
+    else:
+        rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
         if len(rngs) != parts:
-            raise ValueError(f"a union of {parts} samples needs a sequence of {parts} rngs, "
-                             "one per sample")
+            raise ValueError(f"a sample of {parts} part(s) needs a sequence of {parts} rngs, "
+                             "one per part")
 
     g = sample.graph
     feats = sample.features
@@ -470,11 +465,11 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             if not np.array_equal(np.sort(order), np.arange(n)):
                 raise ValueError(f"replay plan's visit order for layer {t} is not a "
                                  f"permutation of the level's {n} nodes")
-        elif offsets is None:
-            order = rng.permutation(n)
         else:
-            order = np.concatenate([r.permutation(hi - lo) + lo
-                                    for r, lo, hi in zip(rngs, offsets, offsets[1:])])
+            # each part shuffles its block in place: rng_k.permutation(n_k) + offset
+            order = np.arange(n)
+            for r, lo, hi in zip(rngs, offsets, offsets[1:]):
+                r.shuffle(order[lo:hi])
         schedule = wave_schedule(order, g, h_dim)
         perm, owner, nbr, seg = schedule.perm, schedule.owner, schedule.nbr, schedule.seg
         deg, inv_deg = schedule.deg, schedule.inv_deg
@@ -510,15 +505,10 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
                 part = plan.partitions[t]
                 g_next = quotient_graph(g, part)
                 trial_log = TrialLog(g, p_edge)
-            elif offsets is not None:
-                g_next, part, trial_log, offsets = _evolve_parts(g, p_edge, offsets,
-                                                                 cfg.evolve, rngs)
-            elif cfg.evolve.threshold is not None:
-                g_next, part, trial_log = evolve_deterministic(
-                    g, p_edge, cfg.evolve.threshold)
             else:
                 loss_eval = _make_loss_eval(logits, amap, labels) if mode == "train" else None
-                g_next, part, trial_log = evolve_step(g, p_edge, loss_eval, cfg.evolve, rng)
+                g_next, part, trial_log, offsets = _evolve_parts(g, p_edge, offsets, loss_eval,
+                                                                 cfg.evolve, rngs)
             partitions.append(part)
             decisions.append(trial_log)
             if g_next is g:
@@ -542,40 +532,41 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
                          amaps, orders, schedules, layers)
 
 
-def _evolve_parts(g: LevelGraph, p_edge, offsets, cfg: EvolveConfig, rngs):
-    """The test-mode transition of a union level `g` whose part k holds
-    nodes offsets[k]:offsets[k + 1]: each part's own transition, on its
-    own graph and edge probabilities and with its own rng.
+def _evolve_parts(g: LevelGraph, p_edge, offsets, loss_eval, cfg: EvolveConfig, rngs):
+    """The transition of level `g`, whose part k holds nodes
+    offsets[k]:offsets[k + 1]: each part's own evolve_deterministic or
+    evolve_step with its own rng, and with `loss_eval`, the train-mode
+    posterior (None in test mode). Returns (next graph, partition,
+    TrialLog, the next level's part offsets).
 
-    Canonical order sorts the edges by their lower end, so a part's edges
-    are one block of g's, and its graph is that block less its offset.
-    The level is kept, the same object with the identity partition, only
-    when every part keeps its level; otherwise the partition is the
-    parts' partitions with their clique ids offset, and quotient_graph
-    builds the next level. The TrialLog holds the parts' trials in part
-    order (the part's own log when there is one part). Returns (next
-    graph, partition, TrialLog, the next level's part offsets).
+    One part runs on `g` itself and its result comes back as it is.
+    Several parts each run on their block of g's canonical edges (sorted
+    by lower end) less their offset. Their partition is the parts' ones
+    with clique ids offset, their log their trials in part order; the
+    level is kept (`g` itself) only when every part keeps its own.
     """
     cuts = np.searchsorted(g.edges[:, 0], offsets).tolist()
-    assignments, logs, next_offsets = [], [], [0]
-    kept = True
+    steps, kept = [], True
     for lo, hi, e0, e1, rng in zip(offsets, offsets[1:], cuts, cuts[1:], rngs):
-        g_part = LevelGraph._from_canonical(hi - lo, g.edges[e0:e1] - lo)
+        g_part = g if len(rngs) == 1 else LevelGraph._from_canonical(hi - lo,
+                                                                     g.edges[e0:e1] - lo)
         if cfg.threshold is not None:
-            g_next, part, log = evolve_deterministic(g_part, p_edge[e0:e1], cfg.threshold)
+            step = evolve_deterministic(g_part, p_edge[e0:e1], cfg.threshold)
         else:
-            g_next, part, log = evolve_step(g_part, p_edge[e0:e1], None, cfg, rng)
-        kept = kept and g_next is g_part
-        assignments.append(part.assignment + next_offsets[-1])
-        next_offsets.append(next_offsets[-1] + part.num_cliques)
-        logs.append(log)
-    log = logs[0] if len(logs) == 1 else TrialLog(
-        g, p_edge, None, None, *(np.concatenate([getattr(part_log, f) for part_log in logs])
-                                 for f in ("accepted", "posterior_evaluated", "posterior_ratio")))
-    if kept:
-        return g, CliquePartition.identity(g.num_nodes), log, offsets
-    part = CliquePartition(np.concatenate(assignments), next_offsets[-1])
-    return quotient_graph(g, part), part, log, next_offsets
+            step = evolve_step(g_part, p_edge[e0:e1], loss_eval, cfg, rng)
+        kept = kept and step[0] is g_part
+        steps.append(step)
+    if len(steps) == 1:
+        return *steps[0], [0, steps[0][1].num_cliques]
+    _, parts, logs = zip(*steps)
+    next_offsets = np.cumsum([0, *(p.num_cliques for p in parts)]).tolist()
+    part = CliquePartition(np.concatenate([p.assignment + off
+                                           for p, off in zip(parts, next_offsets)]),
+                           next_offsets[-1])
+    log = TrialLog(g, p_edge, None, None, *(
+        np.concatenate([getattr(part_log, f) for part_log in logs])
+        for f in ("accepted", "posterior_evaluated", "posterior_ratio")))
+    return g if kept else quotient_graph(g, part), part, log, next_offsets
 
 
 def _level_edge_targets(trace: HierarchyTrace, labels, num_classes):
@@ -734,9 +725,8 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
 
 def predict(sample: Sample, params: ModelParams, cfg: NetworkConfig, rng):
     """Test-mode forward pass followed by an argmax over the combined
-    logits; ties go to the smaller class id. A union sample takes one rng
-    per part and gets one prediction per node of the union, the parts'
-    in part order."""
+    logits; ties go to the smaller class id. `rng` is one Generator per
+    part of `sample`, as forward takes it."""
     result = forward(sample, params, cfg, rng, mode="test")
     return np.argmax(result.combined_logits, axis=1)
 

@@ -788,8 +788,26 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_same_pass(res, ref):
+    """Two forward results agree bit for bit, trial logs included."""
+    assert res.mode == ref.mode
+    assert _same_bits(res.combined_logits, ref.combined_logits)
+    for name in ("level_logits", "orders", "amaps"):
+        assert all(map(_same_bits, getattr(res, name), getattr(ref, name))), name
+    assert all(map(_same_bits, res.trace.edge_probs, ref.trace.edge_probs))
+    assert res.trace.levels == ref.trace.levels
+    assert res.trace.partitions == ref.trace.partitions
+    kept = range(len(ref.trace.partitions))
+    assert [res.trace.kept(t) for t in kept] == [ref.trace.kept(t) for t in kept]
+    for d, d_ref in zip(res.trace.decisions, ref.trace.decisions, strict=True):
+        for f in ("accepted", "posterior_evaluated", "posterior_ratio"):
+            assert _same_bits(getattr(d, f), getattr(d_ref, f)), f
+        assert d.rng_state == d_ref.rng_state and d.threshold == d_ref.threshold
+
+
 class TestUnion:
-    """A union sample's test-mode pass against each part's plain forward."""
+    """A union sample's test-mode pass against each part's plain forward;
+    a plain sample is a one-part union."""
 
     # "mixed": some part merges nodes at some transition and some part
     # merges none at another; "kept": no part ever merges
@@ -878,20 +896,64 @@ class TestUnion:
         ref = forward(sample, params, cfg, ref_rng, mode="test")
         res = forward(Sample.union([sample]), params, cfg, [rng], mode="test")
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert _same_bits(res.combined_logits, ref.combined_logits)
-        for name in ("level_logits", "orders", "amaps"):
-            assert all(map(_same_bits, getattr(res, name), getattr(ref, name))), name
-        assert all(map(_same_bits, res.trace.edge_probs, ref.trace.edge_probs))
-        assert res.trace.levels == ref.trace.levels
-        assert res.trace.partitions == ref.trace.partitions
-        assert ([res.trace.kept(t) for t in range(3)]
-                == [ref.trace.kept(t) for t in range(3)])
-        for d, d_ref in zip(res.trace.decisions, ref.trace.decisions):
-            for f in ("accepted", "posterior_evaluated", "posterior_ratio"):
-                assert _same_bits(getattr(d, f), getattr(d_ref, f)), f
-            assert d.rng_state == d_ref.rng_state and d.threshold == d_ref.threshold
+        _assert_same_pass(res, ref)
         if threshold is None and grid_n == 2:
             assert not ref.trace.kept(0)
+
+    @pytest.mark.parametrize("threshold", [None, 0.5], ids=["mh", "threshold"])
+    @pytest.mark.parametrize("one_part", ["plain", "union"])
+    def test_bare_generator_is_a_sequence_of_one(self, one_part, threshold):
+        rng = np.random.default_rng(47)
+        cfg = _union_cfg(threshold)
+        params = random_model(rng, cfg)
+        (sample,) = _grid_samples(rng, [3])
+        if one_part == "union":
+            sample = Sample.union([sample])
+        bare, seq = np.random.default_rng(48), np.random.default_rng(48)
+        ref = forward(sample, params, cfg, bare, mode="test")
+        _assert_same_pass(forward(sample, params, cfg, [seq], mode="test"), ref)
+        assert seq.bit_generator.state == bare.bit_generator.state
+        pred = predict(sample, params, cfg, [seq])
+        assert _same_bits(pred, predict(sample, params, cfg, bare))
+        assert seq.bit_generator.state == bare.bit_generator.state
+        assert sample.offsets == (0, 9)
+
+    def test_one_part_needs_one_rng(self):
+        rng = np.random.default_rng(49)
+        cfg = tiny_cfg(layers=2)
+        params = random_model(rng, cfg)
+        (sample,) = _grid_samples(rng, [2])
+        for one_part in (sample, Sample.union([sample])):
+            for wrong in ([], [np.random.default_rng(k) for k in range(2)]):
+                with pytest.raises(ValueError, match="needs a sequence of 1 rngs"):
+                    forward(one_part, params, cfg, wrong, mode="train")
+                with pytest.raises(ValueError, match="needs a sequence of 1 rngs"):
+                    predict(one_part, params, cfg, wrong)
+
+    @pytest.mark.parametrize("grid_n, threshold", [(2, None), (4, None), (5, 0.5)],
+                             ids=["mh-2x2", "mh-4x4", "threshold"])
+    def test_one_part_train_mode_is_the_plain_forward(self, grid_n, threshold):
+        rng = np.random.default_rng(50)
+        cfg = _union_cfg(threshold)
+        params = random_model(rng, cfg)
+        (sample,) = _grid_samples(rng, [grid_n])
+        ref_rng = np.random.default_rng(51)
+        ref = forward(sample, params, cfg, ref_rng)
+        ref_losses = compute_loss(ref, sample, cfg)
+        ref_grads = backward(ref, sample, cfg).tensors()
+        if threshold is None:
+            # the trials were scored with the train-mode posterior: a
+            # test-mode log holds posterior ratio 1 for every trial
+            assert any((d.posterior_ratio != 1.0).any() for d in ref.trace.decisions)
+        for one_part in (Sample.union([sample]), sample):
+            rng = np.random.default_rng(51)
+            res = forward(one_part, params, cfg, [rng], mode="train")
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            _assert_same_pass(res, ref)
+            assert compute_loss(res, one_part, cfg) == ref_losses
+            for (name, g), (_, g_ref) in zip(backward(res, one_part, cfg).tensors(), ref_grads,
+                                             strict=True):
+                assert _same_bits(g, g_ref), name
 
     def test_refusals(self):
         rng = np.random.default_rng(45)

@@ -35,6 +35,16 @@ def test_equivalence_dump_compares_equal_to_itself(tmp_path, capsys):
     for kind in ("schedule", "grads"):
         assert any(k.startswith(f"g8-s0-mh-train/{kind}/") for k in keys), kind
         assert not any(k.startswith(f"g8-s0-mh-test/{kind}/") for k in keys), kind
+    # a union case pins every part's rng and no trace records, which
+    # replay_trials refuses for a log of several parts
+    union = "union-rand-mh-test"
+    for key in ("combined_logits", "losses", "orders/0", "partitions/0", "decisions/0",
+                "edges/2", "rng_state/0", "next_draw/0", "rng_state/7", "next_draw/7"):
+        assert f"{union}/{key}" in keys, key
+    for kind in ("trace", "schedule", "grads"):
+        assert not any(k.startswith(f"{union}/{kind}/") for k in keys), kind
+    assert {f"union-{parts}-{tag}-test/rng_state/3" for parts in ("grids", "rand")
+            for tag in ("mh", "thr0.8")} <= set(keys)
 
 
 def one_array_dumps(tmp_path, old, new):

@@ -24,13 +24,20 @@ seeds x 8x8/16x16/32x32 grids with the benchmark checkpoint
 mode, MH test mode and threshold-0.8 mode; a replay of 2x2 block pooling
 on a 32x32 grid; and 20 small random graphs with widened random weights,
 in train and test mode, the first 5 also with one layer only (level 0
-is then the top level). `dump` also saves generated datasets of 8x8,
-16x16 and 32x32 grids, and a copy of the 8x8 one with \r\n line ends,
-loads each back with load_dataset and saves every sample's edges, labels
-and feature bits (as int64, so -0.0 and 0.0 differ). It loads the
-benchmark checkpoint, and a copy of it with \r\n line ends, with
-load_checkpoint and saves the header fields and every tensor's bits. So
-both loaders are pinned as exactly as the model outputs.
+is then the top level); and, in test mode, the only mode that takes
+several parts, two unions (network.Sample.union) of parts of mixed
+sizes, each in MH and threshold-0.8 mode: two 8x8 and two 16x16 grids
+with the benchmark checkpoint, and the first 8 random graphs under the
+first one's weights, where some parts accept an MH trial. A union case
+saves each part's rng state and next draw, and no `trace_records`,
+which replay_trials refuses for a log of several parts. `dump` also
+saves generated datasets of 8x8, 16x16 and 32x32 grids, and a copy of
+the 8x8 one with \r\n line ends, loads each back with load_dataset and
+saves every sample's edges, labels and feature bits (as int64, so -0.0
+and 0.0 differ). It loads the benchmark checkpoint, and a copy of it
+with \r\n line ends, with load_checkpoint and saves the header fields
+and every tensor's bits. So both loaders are pinned as exactly as the
+model outputs.
 
 `compare` requires the discrete arrays (integer and bool) of both dumps
 to match exactly, and reports per output kind how many float arrays are
@@ -102,22 +109,27 @@ def _pyramid_case(network, data, graph, EvolveConfig):
     yield "pyramid-g32", sample, params, cfg, "train", None, plan
 
 
+def _random_graph(network, graph, k, evolve):
+    """Random graph k: (sample, params with widened random weights, cfg)."""
+    rng = np.random.default_rng([11, k])
+    n = int(rng.integers(2, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.7)
+    g = graph.LevelGraph(n, [p for p, c in zip(pairs, keep) if c])
+    cfg = network.NetworkConfig(input_dim=3, num_classes=3, num_layers=3, evolve=evolve)
+    sample = network.Sample(g, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
+    params = network.init_params(cfg, rng)
+    for _, t in params.cell.tensors():
+        t *= 5.0
+    for w, b in params.heads:
+        w += rng.normal(0.0, 0.3, w.shape)
+        b += rng.normal(0.0, 0.1, b.shape)
+    return sample, params, cfg
+
+
 def _random_graph_cases(network, graph, EvolveConfig):
     for k in range(20):
-        rng = np.random.default_rng([11, k])
-        n = int(rng.integers(2, 14))
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.7)
-        g = graph.LevelGraph(n, [p for p, c in zip(pairs, keep) if c])
-        cfg = network.NetworkConfig(input_dim=3, num_classes=3, num_layers=3,
-                                    evolve=EvolveConfig(max_trials=20))
-        sample = network.Sample(g, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
-        params = network.init_params(cfg, rng)
-        for _, t in params.cell.tensors():
-            t *= 5.0
-        for w, b in params.heads:
-            w += rng.normal(0.0, 0.3, w.shape)
-            b += rng.normal(0.0, 0.1, b.shape)
+        sample, params, cfg = _random_graph(network, graph, k, EvolveConfig(max_trials=20))
         for mode in ("train", "test"):
             yield (f"rand{k}-{mode}", sample, params, cfg, mode,
                    np.random.default_rng([12, k]), None)
@@ -127,6 +139,31 @@ def _random_graph_cases(network, graph, EvolveConfig):
                 yield (f"rand{k}-1layer-{mode}", sample,
                        network.ModelParams(params.cell, params.heads[:1]), one, mode,
                        np.random.default_rng([12, k]), None)
+
+
+def _union_cases(network, data, graph, EvolveConfig):
+    # test mode, the only mode that takes several parts; parts of mixed
+    # sizes: grids with the benchmark checkpoint, whose MH trials all
+    # reject, and random graphs under the first one's params, where some
+    # parts accept
+    ckpt, meta = network.load_checkpoint(CHECKPOINT)
+    grids = []
+    for k, side in enumerate((8, 16, 8, 16)):
+        gen = data.GenConfig(grid_n=side, num_labels=meta["num_classes"],
+                             feature_dim=meta["input_dim"], seed=k)
+        grids.append(data.generate_sample(gen, np.random.default_rng([k, side, 13])))
+    for tag, evolve in (("mh", EvolveConfig(max_trials=50)),
+                        ("thr0.8", EvolveConfig(threshold=0.8))):
+        grid_cfg = network.NetworkConfig(
+            input_dim=meta["input_dim"], num_classes=meta["num_classes"],
+            num_layers=meta["num_layers"], hidden_dim=meta["hidden_dim"], evolve=evolve)
+        rands = [_random_graph(network, graph, k, evolve) for k in range(8)]
+        _, rand_params, rand_cfg = rands[0]
+        for name, parts, params, cfg in (
+                ("grids", grids, ckpt, grid_cfg),
+                ("rand", [sample for sample, _, _ in rands], rand_params, rand_cfg)):
+            yield (f"union-{name}-{tag}-test", network.Sample.union(parts), params, cfg,
+                   "test", [np.random.default_rng([14, k]) for k in range(len(parts))], None)
 
 
 def _loaded_datasets(data):
@@ -180,15 +217,19 @@ def dump(path):
     out = {}
     cases = [*_model_cases(network, data, EvolveConfig),
              *_pyramid_case(network, data, graph, EvolveConfig),
-             *_random_graph_cases(network, graph, EvolveConfig)]
+             *_random_graph_cases(network, graph, EvolveConfig),
+             *_union_cases(network, data, graph, EvolveConfig)]
     for name, sample, params, cfg, mode, rng, plan in cases:
         res = network.forward(sample, params, cfg, rng, mode=mode, plan=plan)
         losses = network.compute_loss(res, sample, cfg)
         arrays = {"losses": np.array(losses), "combined_logits": res.combined_logits}
+        # a union case's rngs are a list, one per part
+        union = isinstance(rng, list)
         if rng is not None:
-            # compute_loss and backward draw nothing: forward left this state
-            arrays["rng_state"] = _pcg64_words(rng.bit_generator.state)
-            arrays["next_draw"] = np.array([rng.random()])
+            # compute_loss and backward draw nothing: forward left these states
+            for k, part_rng in enumerate(rng if union else [rng]):
+                arrays[f"rng_state/{k}"] = _pcg64_words(part_rng.bit_generator.state)
+                arrays[f"next_draw/{k}"] = np.array([part_rng.random()])
         for t, order in enumerate(res.plan().visit_orders):
             arrays[f"orders/{t}"] = np.asarray(order)
             arrays[f"level_logits/{t}"] = res.level_logits[t]
@@ -208,8 +249,10 @@ def dump(path):
             arrays[f"decisions/{t}"] = np.array(
                 [(d.trial, d.accepted, d.posterior_evaluated) for d in log],
                 dtype=np.int64).reshape(-1, 3)
-            arrays[f"trace/{t}"] = np.frombuffer(
-                "\n".join(trace_records(log)).encode(), dtype=np.uint8)
+            # replay_trials refuses a union's log, which has no rng state
+            if not union:
+                arrays[f"trace/{t}"] = np.frombuffer(
+                    "\n".join(trace_records(log)).encode(), dtype=np.uint8)
         for key, value in arrays.items():
             out[f"{name}/{key}"] = np.asarray(value)
     files = [*_loaded_datasets(data), *_loaded_checkpoints(network)]
