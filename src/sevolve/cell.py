@@ -12,10 +12,13 @@ Both passes have two parts, and both parts act on B nodes at once, with
 the nodes' neighbor slots tied to them by an owner array.
 cell_forward_batch computes what does not depend on the visit order (the
 static gate pre-activations, the per-neighbor forget gates and the
-merging probabilities), once for all the nodes of a layer. cell_forward
-does the node-local rest, which needs the neighbor average; a sweep runs
-it once per wave, a set of pairwise non-adjacent nodes whose
-earlier-visited neighbors are all updated already. In reverse,
+merging probabilities), once for all the nodes of a layer. A forget
+gate's neighbor term depends on the neighbor alone, so it is computed
+once per node and gathered to the slots. cell_forward does the
+node-local rest, which needs the neighbor average; a sweep runs it once
+per wave, a set of pairwise non-adjacent nodes whose earlier-visited
+neighbors are all updated already, and then check_finite once over the
+layer's new states. In reverse,
 cell_backward_node does the node-local work, once per wave in reverse
 wave order, and cell_backward_batch the order-independent rest, once per
 layer: the reverse of the readout and the neighbor forget gates, and
@@ -39,7 +42,7 @@ slots, plus the slots' segment ids (graph.segment_ids) and the nodes'
 inverse degrees, which the layer's WaveSchedule carries.
 
 Everything is float64 and purely functional: same inputs, bit-identical
-outputs. A non-finite new state raises NumericError.
+outputs. check_finite raises NumericError on a non-finite new state.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ class CellCache:
     hidden: np.ndarray       # (B, H) new hidden state
 
 
-def cell_forward_batch(params, x, h_prev, m_prev, owner, nbr_h_prev):
+def cell_forward_batch(params, x, h_prev, m_prev, owner, nbr_src, nbr):
     """Order-independent part of B cell updates over S neighbor slots.
 
     Args:
@@ -159,21 +162,29 @@ def cell_forward_batch(params, x, h_prev, m_prev, owner, nbr_h_prev):
         x, h_prev, m_prev: (B, D) inputs and (B, H) own previous hidden
             states and memory.
         owner: (S,) index of the node, 0..B-1, that owns each slot.
-        nbr_h_prev: (S, H) previous hidden state of each slot's neighbor.
+        nbr_src, nbr: (R, H) previous hidden states and, per slot, the
+            row of nbr_src that holds its neighbor's, (S,). A sweep
+            passes its own rows, h_prev, and the slots' neighbor rows.
 
     Returns:
         The CellCache of the updates, `gates` holding the static gate
         pre-activations x @ wx.T + h_prev @ uh.T + b, gate-major (4, B, H),
         `hidden` and `memory` copies of h_prev and m_prev, `navg` unfilled.
+        A slot's forget gate is sigmoid(x_i @ w_f.T + b_f + h_j @ u_fn.T)
+        for owner i and neighbor j: the last term is one product per row
+        of nbr_src, gathered to the slots. BLAS gives a row of a product
+        of two or more rows the same bits whatever their number, so the
+        gates are bit for bit those of one product over the S gathered
+        neighbor states.
     """
     h = params.hidden_dim
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"input has shape {x.shape}, expected (B, {params.input_dim})")
     pre = x @ _gate_major(params.wx, h)
+    nb_gate = (nbr_src @ params.u_fn.T).take(nbr, axis=0)
     # before the hidden-state term joins it, pre[1] is x @ w_f.T: with b_f
     # it is the input term that every neighbor forget gate of the node shares
-    nb_gate = (pre[1] + params.b[h:2 * h]).take(owner, axis=0)
-    nb_gate += nbr_h_prev @ params.u_fn.T
+    nb_gate += (pre[1] + params.b[h:2 * h]).take(owner, axis=0)
     sigmoid(nb_gate, out=nb_gate)
     pre += h_prev @ _gate_major(params.uh, h)
     pre += params.b.reshape(-1, 1, h)
@@ -210,6 +221,8 @@ def cell_forward(cache, rows, slots, seg, inv_deg, m_sel):
     Returns:
         New arrays (hidden, memory, gates), the activated gates g_u, g_f,
         g_o, g_c gate-major (4, B, H): the sweep writes them over the rows.
+        They are not checked: a non-finite state passes on to the later
+        waves, and the caller runs check_finite once it has all of them.
     """
     params = cache.params
     h = params.hidden_dim
@@ -227,10 +240,14 @@ def cell_forward(cache, rows, slots, seg, inv_deg, m_sel):
     nb_sum = np.bincount(seg.ravel(), (cache.nb_gate[slots] * m_sel).ravel(),
                          b * h).reshape(b, h)
     memory = nb_sum * inv_deg + g_f * cache.m_prev[rows] + g_u * g_c
-    hidden = np.tanh(g_o * memory)
+    return np.tanh(g_o * memory), memory, gates
+
+
+def check_finite(hidden, memory):
+    """Raise NumericError unless the new states (hidden, memory) of a
+    layer, or of any set of updates, are finite (their sum is)."""
     if not math.isfinite(memory.sum() + hidden.sum()):
         raise NumericError("non-finite values in cell inputs or parameters")
-    return hidden, memory, gates
 
 
 def cell_backward_node(cache, rows, slots, seg, inv_deg, d_hidden, d_memory):

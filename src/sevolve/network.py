@@ -25,6 +25,7 @@ and transitions, and the layers run once over all of them.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ from sevolve.cell import (
     cell_backward_node,
     cell_forward,
     cell_forward_batch,
+    check_finite,
 )
 from sevolve.evolve import EvolveConfig, TrialLog, evolve_deterministic, evolve_step
 from sevolve.graph import (
@@ -329,8 +331,10 @@ class ForwardResult:
 
 def _softmax_cross_entropy(logits, labels):
     """(mean cross-entropy, softmax) of the rows of `logits`, both from
-    one exp of the max-shifted logits and its row sums."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    one exp of the max-shifted logits and its row sums. The row maximum
+    is a running np.maximum over the few columns, exact as max(axis=1)
+    is and much cheaper than its reduction along short rows."""
+    z = logits - functools.reduce(np.maximum, logits.T)[:, None]
     e = np.exp(z)
     sums = e.sum(axis=1)
     loss = float(np.mean(np.log(sums) - z[np.arange(len(labels)), labels]))
@@ -351,9 +355,10 @@ def _make_loss_eval(node_logits, amap, labels):
     return loss_eval
 
 
-# sigmoid's exp overflows where the gate saturates, which is exact; a
-# non-finite state still raises NumericError
-@np.errstate(over="ignore")
+# sigmoid's exp overflows where the gate saturates, which is exact. A
+# non-finite state still raises NumericError, once its layer is done: the
+# later waves may read it, and turn an infinity into NaN, first
+@np.errstate(over="ignore", invalid="ignore")
 def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             rng=None, mode: str = "train", plan: StructurePlan | None = None) -> ForwardResult:
     """Run the full stack on one sample.
@@ -362,16 +367,20 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     wave-major layout that wave_schedule builds from the visit order,
     with the layer's segment ids and degrees. cell_forward_batch computes
     the visit-order independent gate terms for every node and neighbor
-    slot at once, gate-major, into the layer's CellCache; cell_forward
-    then updates the waves in turn, each a block of rows and slots. The
-    cache's hidden and memory rows start as the previous state; a wave's
-    neighbor means go into its `navg` rows, and its new states and
-    activated gates over its rows, when the wave is updated. Every
-    earlier-visited neighbor of a node lies in an earlier wave and every
-    later-visited one in a later wave, so a neighbor enters with its new
-    state exactly when it comes earlier in the visit order, as in a
-    node-by-node sweep. The new states return to node order once, for the
-    head and the aggregation.
+    slot at once, gate-major, into the layer's CellCache; a slot's
+    neighbor term of its forget gate is its neighbor row's, one product
+    per row. cell_forward then updates the waves in turn, each a block of
+    rows and slots, and check_finite checks the layer's new states once,
+    after the last wave: a non-finite state raises NumericError before
+    the head, the transition or the next layer reads it. The cache's
+    hidden and memory rows start as the previous state; a wave's neighbor
+    means go into its `navg` rows, and its new states and activated gates
+    over its rows, when the wave is updated. Every earlier-visited
+    neighbor of a node lies in an earlier wave and every later-visited one
+    in a later wave, so a neighbor enters with its new state exactly when
+    it comes earlier in the visit order, as in a node-by-node sweep. The
+    new states return to node order once, for the head and the
+    aggregation.
 
     A transition that keeps its level (evolve_step returns the same
     graph) carries its features, states and base-node map over as they
@@ -474,7 +483,7 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
         perm, owner, nbr, seg = schedule.perm, schedule.owner, schedule.nbr, schedule.seg
         deg, inv_deg = schedule.deg, schedule.inv_deg
         x, hp, mp = (a.take(perm, axis=0) for a in (feats, h_prev, m_prev))
-        cache = cell_forward_batch(cell, x, hp, mp, owner, hp.take(nbr, axis=0))
+        cache = cell_forward_batch(cell, x, hp, mp, owner, hp, nbr)
         h_cur, m_cur = cache.hidden, cache.memory
         for r0, r1, s0, s1 in schedule.waves:
             rows, ids = slice(r0, r1), seg[s0:s1]
@@ -484,6 +493,7 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             h_cur[rows], m_cur[rows], cache.gates[:, rows] = cell_forward(
                 cache, rows, slice(s0, s1), ids, inv_deg[rows],
                 m_cur.take(nbr[s0:s1], axis=0))
+        check_finite(h_cur, m_cur)
         if mode == "train":
             schedules.append(schedule)
             layers.append(cache)

@@ -5,10 +5,12 @@ instead of min-label hooking, direct products instead of log-space sums,
 per-node ancestor walks instead of composed index maps, a node-by-node
 sweep with visit flags instead of waves, a wave layout by comparison
 sorts on a composite key instead of counting sorts (wave_schedule_sorted),
-one Metropolis-Hastings trial at a time instead of tail draws, and a
-dataset loader that converts one line at a time and a checkpoint loader
-that converts one row at a time, load_dataset_per_line and
-load_checkpoint_per_row, instead of one block at a time).
+the neighbor forget gates from one product over the slots instead of one
+over the nodes (static_gates_per_slot), one Metropolis-Hastings trial at
+a time instead of tail draws, and a dataset loader that converts one line
+at a time and a checkpoint loader that converts one row at a time,
+load_dataset_per_line and load_checkpoint_per_row, instead of one block
+at a time).
 
 The single-node and single-proposal helpers the tests and oracles build
 on live here too: cell_update and cell_backward compose the package's
@@ -23,10 +25,13 @@ import numpy as np
 
 from sevolve.cell import (
     CellParams,
+    _gate_major,
     cell_backward_batch,
     cell_backward_node,
     cell_forward,
     cell_forward_batch,
+    check_finite,
+    sigmoid,
 )
 from sevolve.data import DATASET_MAGIC, DatasetError, DatasetFile, _named_ints
 from sevolve.evolve import (
@@ -88,10 +93,13 @@ def cell_update(params, x, h_prev, m_prev, neighbor_avg,
     else:
         m_sel = np.where(np.asarray(nbr_visited, dtype=bool)[:, None], nbr_m_cur, nbr_m_prev)
     owner, seg, inv_deg = _one_node(nbr_h_prev.shape[0], params.hidden_dim)
-    cache = cell_forward_batch(params, x[None], h_prev[None], m_prev[None], owner, nbr_h_prev)
+    # the neighbors' states are no rows of the batch: slot s reads row s
+    cache = cell_forward_batch(params, x[None], h_prev[None], m_prev[None], owner,
+                               nbr_h_prev, np.arange(owner.size))
     cache.navg[0] = neighbor_avg
     hidden, memory, cache.gates[...] = cell_forward(
         cache, slice(0, 1), slice(0, owner.size), seg, inv_deg, m_sel)
+    check_finite(hidden, memory)
     cache.hidden[...], cache.memory[...] = hidden, memory
     return hidden[0], memory[0], cache.merge_probs, (cache, nbr_h_prev, m_sel)
 
@@ -130,6 +138,22 @@ def cell_backward(node, d_hidden, d_memory, d_edge_probs, grads=None):
     if not k:
         d_nbr_h_prev = d_nbr_m = None
     return grads, d_h_prev[0], d_m_prev[0], d_navg[0], d_nbr_h_prev, d_nbr_m
+
+
+def static_gates_per_slot(params, x, h_prev, owner, nbr_h_prev):
+    """(nb_gate, merge_probs, pre) of cell_forward_batch, with each slot's
+    forget gate from its own row of an (S, H) product over the slots'
+    gathered neighbor states: sigmoid(take(x @ w_f.T + b_f, owner) +
+    nbr_h_prev @ u_fn.T), where the package takes one product per node.
+    pre is the gate-major (4, B, H) static pre-activations."""
+    h = params.hidden_dim
+    pre = x @ _gate_major(params.wx, h)
+    nb_gate = (pre[1] + params.b[h:2 * h]).take(owner, axis=0)
+    nb_gate += nbr_h_prev @ params.u_fn.T
+    sigmoid(nb_gate, out=nb_gate)
+    pre += h_prev @ _gate_major(params.uh, h)
+    pre += params.b.reshape(-1, 1, h)
+    return nb_gate, sigmoid(nb_gate @ params.w_e), pre
 
 
 def propose(g, edge_probs, rng):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sevolve.cell import CellParams, NumericError
-from oracles import cell_backward, cell_update
+from sevolve.cell import CellParams, NumericError, cell_forward_batch
+from sevolve.data import grid_graph
+from sevolve.graph import LevelGraph
+from sevolve.network import wave_schedule
+from oracles import cell_backward, cell_update, random_connected_graph, static_gates_per_slot
 
 
 def random_params(rng, d, h, scale=0.5):
@@ -106,6 +110,51 @@ class TestCellForward:
         x = np.array([np.inf, 0.0])
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
             cell_update(p, x, np.zeros(2), np.zeros(2), np.zeros(2))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def swept_layers(draw):
+    """A layer as a sweep lays it out: a random connected graph of 2-300
+    nodes or a grid, a random visit order, widened weights and random
+    previous states, all from one drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = grid_graph(draw(st.integers(2, 17)))
+    else:
+        n = draw(st.integers(2, 300))
+        g = LevelGraph(n, random_connected_graph(rng, n, draw(st.sampled_from([0.0, 0.02, 0.3]))))
+    d, h = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    params = random_params(rng, d, h, scale=draw(st.sampled_from([0.5, 2.5, 50.0])))
+    schedule = wave_schedule(rng.permutation(g.num_nodes), g, h)
+    # the rows of the layout, in wave order
+    x = rng.normal(size=(g.num_nodes, d))
+    h_prev = rng.uniform(-1.0, 1.0, (g.num_nodes, h))
+    return params, x, h_prev, schedule
+
+
+class TestCellForwardBatch:
+    @settings(max_examples=100, deadline=None)
+    @given(swept_layers())
+    def test_per_node_neighbor_term_matches_per_slot_product(self, layer):
+        # the neighbor term of the forget gates from one product over the
+        # nodes, gathered to the slots, has the bits of one product over
+        # the slots' gathered states: BLAS gives a row the same bits in an
+        # n-row product as in an S-row one
+        params, x, h_prev, schedule = layer
+        m_prev = np.zeros_like(h_prev)
+        # the widest weights saturate gates, whose sigmoid overflows exactly
+        with np.errstate(over="ignore"):
+            cache = cell_forward_batch(params, x, h_prev, m_prev, schedule.owner, h_prev,
+                                       schedule.nbr)
+            nb_gate, merge_probs, pre = static_gates_per_slot(
+                params, x, h_prev, schedule.owner, h_prev.take(schedule.nbr, axis=0))
+        assert _same_bits(cache.nb_gate, nb_gate)
+        assert _same_bits(cache.merge_probs, merge_probs)
+        assert _same_bits(cache.gates, pre)
 
 
 def _loss_weights(rng, h, k):

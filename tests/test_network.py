@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sevolve import network
-from sevolve.cell import CellParams
+from sevolve.cell import CellParams, NumericError
 from sevolve.data import GenConfig, generate_sample, grid_graph
 from sevolve.evolve import EvolveConfig
 from sevolve.graph import CliquePartition, HierarchyTrace, LevelGraph
@@ -313,6 +314,43 @@ class TestForward:
         for a, b in zip(base.trace.edge_probs, res.trace.edge_probs):
             if a.size:
                 assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["train", "test", "union"])
+    def test_non_finite_state_partway_through_a_layer_raises(self, case, monkeypatch):
+        # the gates are bounded, so finite weights cannot overflow the
+        # memory itself; these overflow a gate. x @ w_u.T overflows to +inf,
+        # which saturates every input gate exactly. A wave-0 node then has a
+        # positive state, and u_un turns an earlier neighbor's positive
+        # state into a -inf neighbor term: inf - inf, a NaN state in a later
+        # wave that the waves after it read. The layer must still raise
+        # the cell's error, and warn nothing
+        cfg = NetworkConfig(input_dim=2, num_classes=2, num_layers=2, hidden_dim=8,
+                            evolve=EvolveConfig(max_trials=5))
+        params = init_params(cfg, np.random.default_rng(0))
+        weights = dict(params.cell.tensors())
+        weights["w_u"][...] = 1e308
+        weights["b_c"][...] = 2.0
+        weights["u_un"][...] = -1e308
+        sample = Sample(grid_graph(4), np.ones((16, 2)), np.zeros(16, dtype=np.intp))
+        rng = np.random.default_rng(1)
+        if case == "union":
+            sample, rng = Sample.union([sample, sample]), [rng, np.random.default_rng(2)]
+        checked = []
+        inner = network.check_finite
+
+        def spy(hidden, memory):
+            checked.append(np.isfinite(hidden).all(axis=1) & np.isfinite(memory).all(axis=1))
+            return inner(hidden, memory)
+
+        monkeypatch.setattr(network, "check_finite", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="^non-finite values in cell inputs or parameters$"):
+                forward(sample, params, cfg, rng, mode="train" if case == "train" else "test")
+        # one check, of layer 0, whose first wave is finite and a later one not
+        (finite,) = checked
+        assert finite[0] and not finite.all()
 
 
 def _assert_close(actual, expected):
@@ -635,6 +673,49 @@ class TestLoss:
         t2, task2, e2 = compute_loss(r2, sample, cfg2)
         assert task1 == task2 and e1 == e2
         assert t2 - task2 == pytest.approx(2 * (t1 - task1), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_softmax_cross_entropy_matches_the_max_reduction(self, seed):
+        # the running np.maximum over the columns against logits.max(axis=1):
+        # the same loss and softmax bits, ties, signed zeros and huge values
+        # among random logits included
+        rng = np.random.default_rng([seed, 60])
+        specials = np.array([0.0, -0.0, 1e300, -1e300])
+        for rows in (1, 2, 7, 100, 1024):
+            for classes in range(2, 9):
+                logits = rng.normal(scale=3.0, size=(rows, classes))
+                # exact ties with the row's largest value, then specials
+                top = logits.argmax(axis=1)
+                tie = (top + 1) % classes
+                logits[np.arange(rows), tie] = logits[np.arange(rows), top]
+                hit = rng.random((rows, classes)) < 0.2
+                logits[hit] = rng.choice(specials, hit.sum())
+                labels = rng.integers(0, classes, rows)
+                loss, soft = network._softmax_cross_entropy(logits, labels)
+                ref_loss, ref_soft = _softmax_cross_entropy_max_reduce(logits, labels)
+                assert _same_bits(loss, ref_loss), (rows, classes)
+                assert _same_bits(soft, ref_soft), (rows, classes)
+
+    def test_softmax_cross_entropy_nan_row(self):
+        rng = np.random.default_rng(61)
+        for col in range(3):
+            logits = rng.normal(size=(5, 3))
+            logits[2, col] = np.nan
+            labels = rng.integers(0, 3, 5)
+            loss, soft = network._softmax_cross_entropy(logits, labels)
+            ref_loss, ref_soft = _softmax_cross_entropy_max_reduce(logits, labels)
+            assert math.isnan(loss) and _same_bits(loss, ref_loss)
+            assert np.isnan(soft[2]).all() and np.isfinite(np.delete(soft, 2, axis=0)).all()
+            assert _same_bits(soft, ref_soft)
+
+
+def _softmax_cross_entropy_max_reduce(logits, labels):
+    """_softmax_cross_entropy with the row maximum by logits.max(axis=1)."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    sums = e.sum(axis=1)
+    loss = float(np.mean(np.log(sums) - z[np.arange(len(labels)), labels]))
+    return loss, e / sums[:, None]
 
 
 def _grads_by_name(g):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -126,3 +127,40 @@ def test_phases_reports_every_phase(mode, capsys):
         assert phases["quotient_graph"]["calls"] <= 4
     else:
         assert phases["quotient_graph"]["calls"] == (4 if mode == "pyramid" else 0)
+
+
+@pytest.mark.parametrize("mode", ["test", "train"])
+def test_phases_against_compares_two_packages_in_one_process(mode, capsys):
+    from sevolve import network
+
+    tool = load_tool("phases")
+    ours = {k: m for k, m in sys.modules.items() if k == "sevolve" or k.startswith("sevolve.")}
+    assert tool.main(["--grid", "4", "--mode", mode, "--samples", "2", "--repeats", "2",
+                      "--against", str(TOOLS.parent)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    # the checkout's own modules are back, the other copy sits beside them
+    # under its own name, and neither keeps a wrapper
+    assert all(sys.modules[k] is m for k, m in ours.items())
+    against = sys.modules[f"{tool.AGAINST}.network"]
+    assert against is not network
+    assert network.cell_forward.__module__ == against.cell_forward.__module__ == "sevolve.cell"
+    assert against.predict.__code__.co_filename.startswith(str(TOOLS.parent / "src"))
+    assert (record["grid"], record["mode"], record["rounds"]) == (4, mode, 2)
+    assert sum(record["wins"].values()) == 2
+    assert set(record["sides"]) == {"this", "against"}
+    for side in record["sides"].values():
+        assert set(side["phases"]) == set(tool.PHASES)
+        for stats in (side["per_operation_ms"], *side["phases"].values()):
+            assert set(stats) == {"q1", "median", "q3"}
+            assert 0 <= stats["q1"] <= stats["median"] <= stats["q3"]
+        assert side["per_operation_ms"]["median"] > 0
+        assert side["phases"]["cell_forward"]["median"] > 0
+        assert (side["phases"]["cell_backward_batch"]["median"] > 0) == (mode == "train")
+
+
+def test_phases_against_needs_a_checkout(tmp_path, capsys):
+    tool = load_tool("phases")
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--grid", "4", "--against", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "no sevolve package" in capsys.readouterr().err

@@ -4,6 +4,7 @@
     PYTHONPATH=src python3 tools/phases.py --grid 16 --mode train --repeats 20
     PYTHONPATH=src python3 tools/phases.py --grid 32 --mode load --samples 8
     PYTHONPATH=src python3 tools/phases.py --grid 16 --mode union --samples 8
+    PYTHONPATH=src python3 tools/phases.py --grid 32 --mode test --against ../parent
 
 Each phase function is wrapped at the name `network` looks it up by
 (PHASES; in load mode LOAD_PHASES, at the names `data` and `network` look
@@ -38,7 +39,15 @@ the inputs it covers, all of them in union and load mode), and per
 operation: its thread CPU time, system time and minor page faults, and
 per phase its ms, calls, us per call and minor page faults.
 To compare two checkouts, run each with its own PYTHONPATH, in
-alternating processes.
+alternating processes, or compare them in one process: --against DIR
+imports DIR/src/sevolve under the name `sevolve_against`, beside the
+`sevolve` on the import path, and runs the mode's operations of both
+packages in --repeats alternating rounds (the side that goes first
+alternates by round), each round one pass over the inputs. It prints
+per side the median and quartiles over the rounds of the thread CPU ms
+per operation and of each phase's ms per operation, and the rounds each
+side took less time in. Both sides read this checkout's benchmark
+checkpoint.
 
 Minor fault counts follow the process's allocation layout (glibc's mmap
 threshold rises to the largest mmapped chunk the process has freed), not
@@ -48,6 +57,7 @@ counts, like times, only over several alternating processes per side.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import resource
@@ -99,14 +109,13 @@ class PhaseClock:
         return timed
 
 
-def pooling_plan(side, num_layers, orders_rng):
+def pooling_plan(network, side, num_layers, orders_rng):
     """2x2 block pooling of a side x side grid, once per transition, with
-    a visit order per level drawn from `orders_rng`. Built here, as in
-    tools/equivalence.py: importing perfbench/workloads.py would put this
-    checkout's src/ first on the import path."""
-    from sevolve.graph import CliquePartition
-    from sevolve.network import StructurePlan
-
+    a visit order per level drawn from `orders_rng`, built by the package
+    of the `network` module. Built here, as in tools/equivalence.py:
+    importing perfbench/workloads.py would put this checkout's src/ first
+    on the import path."""
+    CliquePartition, StructurePlan = network.CliquePartition, network.StructurePlan
     parts, sizes = [], [side * side]
     for _ in range(num_layers - 1):
         rows, cols = np.divmod(np.arange(side * side), side)
@@ -117,17 +126,15 @@ def pooling_plan(side, num_layers, orders_rng):
     return StructurePlan([orders_rng.permutation(n) for n in sizes], parts)
 
 
-def operations(grid, mode, samples, seed, workdir):
-    """One callable per input, each one operation of `mode`; in union mode
-    one callable that predicts their union, and in load mode one that
-    loads every input from a file in `workdir`."""
-    from sevolve import data, network
-    from sevolve.evolve import EvolveConfig
-
+def operations(data, network, grid, mode, samples, seed, workdir):
+    """One callable per input, each one operation of `mode` by the package
+    of the modules `data` and `network`; in union mode one callable that
+    predicts their union, and in load mode one that loads every input
+    from a file in `workdir`."""
     params, meta = network.load_checkpoint(CHECKPOINT)
     cfg = network.NetworkConfig(input_dim=meta["input_dim"], num_classes=meta["num_classes"],
                                 num_layers=meta["num_layers"], hidden_dim=meta["hidden_dim"],
-                                evolve=EvolveConfig(max_trials=50))
+                                evolve=network.EvolveConfig(max_trials=50))
     gen = data.GenConfig(grid_n=grid, num_labels=cfg.num_classes, feature_dim=cfg.input_dim,
                          seed=seed)
     if mode == "load":
@@ -152,7 +159,8 @@ def operations(grid, mode, samples, seed, workdir):
             def op(sample=sample, idx=idx):
                 network.predict(sample, params, cfg, np.random.default_rng([seed, 3, idx]))
         else:
-            plan = (pooling_plan(grid, cfg.num_layers, np.random.default_rng([seed, 5, idx]))
+            plan = (pooling_plan(network, grid, cfg.num_layers,
+                                 np.random.default_rng([seed, 5, idx]))
                     if mode == "pyramid" else None)
 
             def op(sample=sample, idx=idx, plan=plan):
@@ -164,23 +172,39 @@ def operations(grid, mode, samples, seed, workdir):
     return ops
 
 
+def phase_sites(data, network, mode):
+    """The phase names of `mode` and the (module, name) sites to wrap."""
+    phases, modules = (LOAD_PHASES, (data, network)) if mode == "load" else (PHASES, (network,))
+    return phases, [(module, name) for module in modules for name in phases
+                    if hasattr(module, name)]
+
+
+@contextlib.contextmanager
+def wrapped(sites, clock):
+    """Within the block, each site's function is wrapped by `clock`."""
+    saved = [(module, name, getattr(module, name)) for module, name in sites]
+    try:
+        for module, name, fn in saved:
+            setattr(module, name, clock.wrap(name, fn))
+        yield
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+
+
 def measure(grid, mode, samples=4, repeats=10, seed=7):
     """The phase record of `repeats` passes over `samples` inputs."""
     from sevolve import data, network
 
-    phases, modules = (LOAD_PHASES, (data, network)) if mode == "load" else (PHASES, (network,))
-    sites = [(module, name) for module in modules for name in phases if hasattr(module, name)]
+    phases, sites = phase_sites(data, network, mode)
     clock = PhaseClock(phases)
     total_ms = sys_ms = 0.0
     faults = 0
     with tempfile.TemporaryDirectory() as workdir:
-        ops = operations(grid, mode, samples, seed, workdir)
+        ops = operations(data, network, grid, mode, samples, seed, workdir)
         for op in ops:
             op()
-        saved = [(module, name, getattr(module, name)) for module, name in sites]
-        try:
-            for module, name, fn in saved:
-                setattr(module, name, clock.wrap(name, fn))
+        with wrapped(sites, clock):
             for _ in range(repeats):
                 for op in ops:
                     before = resource.getrusage(resource.RUSAGE_THREAD)
@@ -190,9 +214,6 @@ def measure(grid, mode, samples=4, repeats=10, seed=7):
                     after = resource.getrusage(resource.RUSAGE_THREAD)
                     sys_ms += 1e3 * (after.ru_stime - before.ru_stime)
                     faults += after.ru_minflt - before.ru_minflt
-        finally:
-            for module, name, fn in saved:
-                setattr(module, name, fn)
     count = len(ops) * repeats
     return {"grid": grid, "mode": mode, "samples": samples, "repeats": repeats, "seed": seed,
             "numpy": np.__version__,
@@ -209,6 +230,78 @@ def measure(grid, mode, samples=4, repeats=10, seed=7):
                        for name in phases}}
 
 
+AGAINST = "sevolve_against"
+
+
+def import_against(checkout):
+    """The data and network modules of checkout/src/sevolve, imported as
+    the package AGAINST. The `sevolve` modules already imported are set
+    aside meanwhile and put back after, so both packages stay loaded."""
+    src = str(Path(checkout).resolve() / "src")
+    ours = {k: m for k, m in sys.modules.items() if k == "sevolve" or k.startswith("sevolve.")}
+    for k in ours:
+        del sys.modules[k]
+    sys.path.insert(0, src)
+    try:
+        import sevolve.data
+        import sevolve.network
+        data, network = sevolve.data, sevolve.network
+    finally:
+        sys.path.remove(src)
+        theirs = [k for k in sys.modules if k == "sevolve" or k.startswith("sevolve.")]
+        for k in theirs:
+            sys.modules[AGAINST + k[len("sevolve"):]] = sys.modules.pop(k)
+        sys.modules.update(ours)
+    return data, network
+
+
+def quartiles(values):
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"q1": float(q1), "median": float(median), "q3": float(q3)}
+
+
+def compare(checkout, grid, mode, samples=4, rounds=10, seed=7):
+    """The record of `rounds` alternating rounds of this package and the
+    one of `checkout`, each round one pass over the inputs per side."""
+    from sevolve import data, network
+
+    sides = {"this": (data, network), "against": import_against(checkout)}
+    clocks, ops = {}, {}
+    round_ms = {side: [] for side in sides}
+    phase_ms = {side: [] for side in sides}
+    with tempfile.TemporaryDirectory() as workdir, contextlib.ExitStack() as stack:
+        for side, (data_mod, network_mod) in sides.items():
+            phases, sites = phase_sites(data_mod, network_mod, mode)
+            Path(workdir, side).mkdir()
+            ops[side] = operations(data_mod, network_mod, grid, mode, samples, seed,
+                                   Path(workdir, side))
+            for op in ops[side]:
+                op()
+            clocks[side] = PhaseClock(phases)
+            stack.enter_context(wrapped(sites, clocks[side]))
+        for r in range(rounds):
+            for side in ("this", "against") if r % 2 == 0 else ("against", "this"):
+                clock, count = clocks[side], len(ops[side])
+                before = dict(clock.ms)
+                start = time.thread_time()
+                for op in ops[side]:
+                    op()
+                round_ms[side].append(1e3 * (time.thread_time() - start) / count)
+                phase_ms[side].append({name: (clock.ms[name] - before[name]) / count
+                                       for name in clock.ms})
+    wins = {"this": 0, "against": 0, "ties": 0}
+    for this_ms, against_ms in zip(round_ms["this"], round_ms["against"]):
+        wins["this" if this_ms < against_ms else "against" if against_ms < this_ms
+             else "ties"] += 1
+    return {"grid": grid, "mode": mode, "samples": samples, "rounds": rounds, "seed": seed,
+            "numpy": np.__version__, "against": str(Path(checkout).resolve()),
+            "wins": wins,
+            "sides": {side: {"per_operation_ms": quartiles(round_ms[side]),
+                             "phases": {name: quartiles([ms[name] for ms in phase_ms[side]])
+                                        for name in clocks[side].ms}}
+                      for side in sides}}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--grid", type=int, default=32, help="grid side, >= 2 (default 32)")
@@ -217,12 +310,20 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=10,
                         help="timed passes over the inputs (default 10)")
     parser.add_argument("--seed", type=int, default=7, help="data seed (default 7)")
+    parser.add_argument("--against", metavar="DIR",
+                        help="a checkout whose package to compare with, in one process")
     args = parser.parse_args(argv)
     if args.grid < 2 or args.samples < 1 or args.repeats < 1 or args.seed < 0:
         parser.error("--grid must be >= 2, --samples and --repeats positive and --seed "
                      "non-negative")
-    print(json.dumps(measure(args.grid, args.mode, args.samples, args.repeats, args.seed),
-                     indent=1))
+    if args.against is None:
+        record = measure(args.grid, args.mode, args.samples, args.repeats, args.seed)
+    elif not (Path(args.against) / "src" / "sevolve" / "__init__.py").is_file():
+        parser.error(f"--against: no sevolve package under {Path(args.against) / 'src'}")
+    else:
+        record = compare(args.against, args.grid, args.mode, args.samples, args.repeats,
+                         args.seed)
+    print(json.dumps(record, indent=1))
     return 0
 
 
