@@ -9,18 +9,9 @@ Features are per-label prototype vectors plus Gaussian noise, with
 normalized grid coordinates appended when the feature dimension allows.
 
 `load_dataset` reads each sample's edge, feature and label blocks through
-`network.parse_block`, the reader the checkpoint loader uses too. It
-reads a block with one `np.loadtxt` call, whose C reader gives the values
-float() gives, and keeps the result only when it has the block's shape
-(rows, width); integer text must pass the `INT_TEXT` gate first (ASCII
-digits, '-' and blanks), because loadtxt also reads '+1'. A zero-row
-block (an edgeless sample) is an empty array without a call, and a block
-of blank lines skips loadtxt, which would warn that it holds no data. A
-block that does not convert (a bad token, a blank line, a line with
-another token count, integer text beyond the gate) is tried line by line
-with int() or float(), and its first line at fault is named in the
-error. An id or label too large for intp comes back as Python ints,
-which the edge and label range checks report exactly.
+`network.parse_block`, the reader the checkpoint loader uses too: one
+`np.loadtxt` call per block, and a line-by-line pass that names the first
+line at fault when a block does not convert.
 """
 
 from __future__ import annotations

@@ -17,10 +17,12 @@ reverse, with aggregated-state gradients split uniformly over merged
 members, and only gradients that reach a parameter. No gradient flows
 through the discrete merge decisions; the edge-supervision loss trains
 the merge-probability readout. Only a train-mode pass keeps the per-layer
-state the backward pass reads; a test-mode pass, which only predicts,
-keeps none, so at most two layers' arrays are live at once. A sample is
-one or more parts (Sample.union): each part keeps its own visit orders
-and transitions, and the layers run once over all of them.
+state the backward pass reads, and it ends by computing its losses and
+their gradients once (_loss_terms), which compute_loss and backward both
+read; a test-mode pass, which only predicts, keeps none, so at most two
+layers' arrays are live at once. A sample is one or more parts
+(Sample.union): each part keeps its own visit orders and transitions,
+and the layers run once over all of them.
 """
 
 from __future__ import annotations
@@ -310,8 +312,8 @@ class ForwardResult:
     probabilities, the realized hierarchy trace, the combined base-level
     logits, per layer the visit order and, in train mode only, its
     WaveSchedule and the CellCache for the backward pass, whose rows are
-    in the schedule's wave-major order. A test-mode result's `schedules`
-    and `layers` are empty."""
+    in the schedule's wave-major order, and its LossTerms, `loss`. A
+    test-mode result's `schedules` and `layers` are empty, `loss` None."""
 
     mode: str
     params: ModelParams
@@ -322,6 +324,7 @@ class ForwardResult:
     orders: list
     schedules: list
     layers: list
+    loss: LossTerms | None
 
     def plan(self) -> StructurePlan:
         return StructurePlan(
@@ -389,12 +392,12 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     In train mode the evolution step may query the label-dependent
     posterior; in test mode acceptance uses the transition ratio alone and
     labels are never read. Only train mode keeps each layer's WaveSchedule
-    and CellCache in the result, for backward; in test mode a layer's
-    arrays are freed once the next layer's replace them, so at most two
-    layers' arrays are live at once. Passing a StructurePlan replays a recorded
-    structure (visit orders + partitions) with no rng involved; a visit
-    order that is not an integer permutation of its level's nodes raises
-    ValueError.
+    and CellCache in the result, for backward, and ends with _loss_terms,
+    the result's `loss`; in test mode a layer's arrays are freed once the
+    next layer's replace them, so at most two layers' arrays are live at
+    once. Passing a StructurePlan replays a recorded structure (visit
+    orders + partitions) with no rng involved; a visit order that is not
+    an integer permutation of its level's nodes raises ValueError.
 
     A sample is one or more parts (Sample), a plain sample one, and `rng`
     is one Generator per part, a bare Generator a sequence of one; another
@@ -536,10 +539,10 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     combined = level_logits[0].copy()
     for t in range(1, n_layers):
         combined += level_logits[t][amaps[t]]
-
-    return ForwardResult(mode, params, level_logits, combined,
-                         HierarchyTrace(levels, partitions, edge_probs, decisions),
-                         amaps, orders, schedules, layers)
+    trace = HierarchyTrace(levels, partitions, edge_probs, decisions)
+    loss = _loss_terms(combined, trace, labels, cfg) if mode == "train" else None
+    return ForwardResult(mode, params, level_logits, combined, trace, amaps, orders,
+                         schedules, layers, loss)
 
 
 def _evolve_parts(g: LevelGraph, p_edge, offsets, loss_eval, cfg: EvolveConfig, rngs):
@@ -599,45 +602,52 @@ def _level_edge_targets(trace: HierarchyTrace, labels, num_classes):
     return targets
 
 
-def _loss_terms(result: ForwardResult, sample: Sample, cfg: NetworkConfig):
-    """The one definition of the losses: (task, edge, d_comb, d_p_levels).
+class LossTerms(NamedTuple):
+    """The losses of a forward pass and their gradients (_loss_terms)."""
 
-    task: mean softmax cross-entropy of the combined base logits.
-    edge: mean squared error of the predicted merging probabilities
-    against the level merge targets, over all levels and edges.
-    d_comb and d_p_levels: the gradients of task + edge_loss_weight * edge
-    wrt the combined logits and each level's edge probabilities.
-    """
-    labels = sample.labels
+    total: float        # task + edge_loss_weight * edge
+    task: float         # mean softmax cross-entropy of the combined base logits
+    edge: float         # mean squared error of every level's edge probabilities
+                        # against its merge targets, over all levels and edges
+    d_comb: np.ndarray  # the gradient of total wrt the combined logits
+    d_p_levels: list    # per level, the gradient of total wrt its edge probabilities
+
+
+def _loss_terms(combined, trace: HierarchyTrace, labels, cfg: NetworkConfig) -> LossTerms:
+    """The one definition of the losses: a forward pass's LossTerms."""
     if labels.max() >= cfg.num_classes or labels.min() < 0:
         raise ValueError(f"label out of range for {cfg.num_classes} classes")
-    task, d_comb = _softmax_cross_entropy(result.combined_logits, labels)
+    task, d_comb = _softmax_cross_entropy(combined, labels)
     d_comb[np.arange(labels.size), labels] -= 1.0
     d_comb /= labels.size
 
-    targets = _level_edge_targets(result.trace, labels, cfg.num_classes)
-    diffs = [p_edge - tgt for p_edge, tgt in zip(result.trace.edge_probs, targets)]
+    targets = _level_edge_targets(trace, labels, cfg.num_classes)
+    diffs = [p_edge - tgt for p_edge, tgt in zip(trace.edge_probs, targets)]
     count = sum(d.size for d in diffs)
     edge = sum(float(d @ d) for d in diffs) / count if count else 0.0
     scale = 2.0 * cfg.edge_loss_weight / count if count else 0.0
-    return task, edge, d_comb, [scale * d for d in diffs]
+    return LossTerms(task + cfg.edge_loss_weight * edge, task, edge, d_comb,
+                     [scale * d for d in diffs])
 
 
 def compute_loss(result: ForwardResult, sample: Sample, cfg: NetworkConfig):
-    """Returns (total, task_loss, edge_loss), as _loss_terms defines them:
-    total = task_loss + edge_loss_weight * edge_loss."""
-    task, edge, _, _ = _loss_terms(result, sample, cfg)
-    return task + cfg.edge_loss_weight * edge, task, edge
+    """Returns (total, task_loss, edge_loss) of LossTerms: a train-mode
+    result's own, which its forward computed; only a test-mode result's is
+    computed here, the one case that reads `sample`'s labels and `cfg`."""
+    loss = result.loss
+    if loss is None:
+        loss = _loss_terms(result.combined_logits, result.trace, sample.labels, cfg)
+    return loss.total, loss.task, loss.edge
 
 
 def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> ModelParams:
     """Exact gradients of the total loss over the realized structure of a
-    train-mode forward result; a test-mode result keeps no backward state
-    and raises ValueError.
+    train-mode forward result, from the loss gradients its forward stored
+    in `loss`; a test-mode result keeps no backward state and raises
+    ValueError. `sample` and `cfg` are not read: they keep the callers'
+    three-argument call.
 
-    The loss gradients wrt the combined logits and the edge probabilities
-    come from _loss_terms, the definition compute_loss reads too. Per
-    layer, cell_backward_node reverses the forward's waves in reverse
+    Per layer, cell_backward_node reverses the forward's waves in reverse
     order, in the forward's wave-major layout, with the gate gradients
     gate-major. Every gradient into a node's new state comes from a
     later-visited neighbor, in a later wave that is reversed already, so
@@ -652,15 +662,14 @@ def backward(result: ForwardResult, sample: Sample, cfg: NetworkConfig) -> Model
     the whole layer, on the slots' neighbor inputs gathered again from the
     layer's rows: the readout's reverse, and the parameter and
     previous-state gradients, none below level 0 or wrt the sample's
-    features, so only the labels of `sample` are read. Cell gradients of
-    every layer land in the single shared cell block. A kept level goes
-    through the head path and the aggregation adjoint as any other.
+    features. Cell gradients of every layer land in the single shared
+    cell block. A kept level goes through the head path and the
+    aggregation adjoint as any other.
     """
     if result.mode != "train":
         raise ValueError(f"backward needs a train-mode forward result; this one ran in "
                          f"{result.mode} mode, which keeps no backward state")
-    params = result.params
-    _, _, d_comb, d_p_levels = _loss_terms(result, sample, cfg)
+    params, d_comb, d_p_levels = result.params, result.loss.d_comb, result.loss.d_p_levels
     grads = params.zeros_like()
     n_layers = len(result.level_logits)
     hh = params.cell.hidden_dim

@@ -172,6 +172,10 @@ class TestForward:
                 with pytest.raises(ValueError, match="test mode"):
                     backward(res, sample, cfg)
                 continue
+            # the loss a train-mode forward stored is the one compute_loss
+            # computes for a test-mode replay, merged levels included
+            test_replay = forward(sample, params, cfg, None, mode="test", plan=res.plan())
+            assert compute_loss(res, sample, cfg) == compute_loss(test_replay, sample, cfg), name
             for (tname, a), (_, b) in zip(backward(res, sample, cfg).tensors(),
                                           backward(replay, sample, cfg).tensors()):
                 assert np.array_equal(a, b), (name, tname)
@@ -633,7 +637,9 @@ class TestLoss:
         cfg = tiny_cfg(layers=2)
         sample = make_sample(rng, n=6)
         params = random_model(rng, cfg)
-        res = forward(sample, params, cfg, np.random.default_rng(0), mode="train")
+        # a test-mode result's loss is computed when asked for, so it sees
+        # the overwritten probabilities; a train-mode one carries its own
+        res = forward(sample, params, cfg, np.random.default_rng(0), mode="test")
         targets = _level_edge_targets(res.trace, sample.labels, cfg.num_classes)
         res.trace.edge_probs = [t.copy() for t in targets]
         _, _, edge = compute_loss(res, sample, cfg)
@@ -673,6 +679,55 @@ class TestLoss:
         t2, task2, e2 = compute_loss(r2, sample, cfg2)
         assert task1 == task2 and e1 == e2
         assert t2 - task2 == pytest.approx(2 * (t1 - task1), rel=1e-12)
+
+    def test_loss_terms_run_once_per_train_step(self, monkeypatch):
+        # a train-mode forward computes its loss once, for compute_loss and
+        # backward to read; a test-mode forward computes none, and
+        # compute_loss computes a test-mode result's when asked
+        from sevolve import optim
+
+        calls = []
+        inner = network._loss_terms
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(network, "_loss_terms", counted)
+        rng = np.random.default_rng(62)
+        cfg = tiny_cfg(layers=3)
+        params = random_model(rng, cfg)
+        samples = [make_sample(rng, n=n) for n in (5, 7, 9)]
+        # the epoch-end evaluations predict the samples in test mode
+        optim.train(samples, params, cfg, optim.OptimConfig(epochs=2, seed=3))
+        assert len(calls) == 2 * 3
+        calls.clear()
+        sample = samples[0]
+        res = forward(sample, params, cfg, np.random.default_rng(0), mode="test")
+        predict(sample, params, cfg, np.random.default_rng(0))
+        assert len(calls) == 0
+        compute_loss(res, sample, cfg)
+        assert len(calls) == 1
+        calls.clear()
+        res = forward(sample, params, cfg, np.random.default_rng(0), mode="train")
+        compute_loss(res, sample, cfg)
+        backward(res, sample, cfg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("grid_n", [4, 8, 16, 32])
+    def test_stored_loss_is_the_loss_of_a_test_mode_replay(self, grid_n):
+        # the loss a train-mode forward stores and the one compute_loss
+        # computes for a test-mode replay of its structure agree bit for bit
+        shipped = Path(__file__).resolve().parent.parent / "perfbench" / "model.ckpt"
+        params, meta = load_checkpoint(shipped)
+        cfg = NetworkConfig(**meta, evolve=EvolveConfig(max_trials=50))
+        gen = GenConfig(grid_n=grid_n, num_labels=cfg.num_classes, feature_dim=cfg.input_dim)
+        for idx in range(3):
+            sample = generate_sample(gen, np.random.default_rng([63, grid_n, idx]))
+            res = forward(sample, params, cfg, np.random.default_rng([64, idx]), mode="train")
+            replay = forward(sample, params, cfg, None, mode="test", plan=res.plan())
+            assert res.loss is not None and replay.loss is None
+            assert _same_bits(compute_loss(res, sample, cfg), compute_loss(replay, sample, cfg))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_softmax_cross_entropy_matches_the_max_reduction(self, seed):

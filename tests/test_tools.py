@@ -118,6 +118,8 @@ def test_phases_reports_every_phase(mode, capsys):
     # only in training
     assert phases["wave_schedule"]["calls"] == phases["cell_forward_batch"]["calls"] == 5
     assert (phases["cell_backward_batch"]["calls"] > 0) == (mode in ("train", "pyramid"))
+    # a train step computes its loss once, in its forward; a prediction none
+    assert phases["_loss_terms"]["calls"] == (1 if mode in ("train", "pyramid") else 0)
     # a union runs each part's own transition: 4 per input
     assert phases["evolve_step"]["calls"] == {"pyramid": 0, "union": 8}.get(mode, 4)
     # forward builds each level of the replayed 2x2 pooling, and a union's
