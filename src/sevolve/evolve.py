@@ -39,12 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sevolve.graph import (
-    CliquePartition,
-    LevelGraph,
-    _components_canonical,
-    quotient_graph,
-)
+from sevolve.graph import CliquePartition, LevelGraph, _components_canonical
+# unused: network.forward builds every level, but perfbench's traced
+# runs wrap evolve.quotient_graph
+from sevolve.graph import quotient_graph  # noqa: F401
 
 # evolve_step jumps on graphs of this many edges or more; on smaller
 # ones one call drawing every trial whole costs less than the per-trial
@@ -176,29 +174,28 @@ def posterior_ratio(loss_old: float, loss_new: float) -> float:
 
 
 def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
-    """Metropolis-Hastings search for the next-level graph.
+    """Metropolis-Hastings search for the partition of `g` into the
+    cliques of the next level.
 
     Proposes up to cfg.max_trials candidate coarsenings and accepts one
     with probability alpha = min(1, transition_ratio * posterior_ratio).
     With `loss_eval` None (test mode) the posterior ratio is fixed to 1.
-    Otherwise (train mode) `loss_eval(partition, graph)` must return the
-    non-negative task loss under the coarsening `partition` of the source
-    `graph` (the candidate graph itself is quotient_graph(graph,
-    partition)); a negative loss raises ValueError. If no candidate is
-    accepted the level is kept: the same LevelGraph object `g` comes back
-    with the identity partition, the one train mode scores loss_old on.
+    Otherwise (train mode) `loss_eval(partition)` must return the
+    non-negative task loss under the coarsening `partition` of `g`; a
+    negative loss raises ValueError. If no candidate is accepted the
+    result is the identity partition, the one train mode scores loss_old
+    on.
 
     `rng` is a numpy Generator, drawn from under the module's draw
-    contract. Returns (next_graph, partition, TrialLog); the log keeps
-    `rng`'s state at the start, from which replay_trials redraws each
-    trial.
+    contract. Returns (partition, TrialLog); the log keeps `rng`'s state
+    at the start, from which replay_trials redraws each trial.
     """
     probs = _validated_probs(g, edge_probs)
     test_mode = loss_eval is None
     ratio_cap, loss_old = 1.0, None
     keep = CliquePartition.identity(g.num_nodes)
     if not test_mode:
-        loss_old = float(loss_eval(keep, g))
+        loss_old = float(loss_eval(keep))
         # a loss of 0 is the best any candidate can reach
         ratio_cap = posterior_ratio(loss_old, 0.0)
     m = probs.size
@@ -266,13 +263,12 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
             if accepted[k]:
                 # rng is just after this trial's draws
                 _restore_buffered_half(bit_gen, start)
-                return (quotient_graph(g, part), part,
-                        TrialLog(g, probs, start, None, accepted[:done], evaluated[:done],
-                                 ratios[:done]))
+                return part, TrialLog(g, probs, start, None, accepted[:done],
+                                       evaluated[:done], ratios[:done])
         skip((trials - done) * (m + 1))
     if j < m or undecided:
         _restore_buffered_half(bit_gen, start)
-    return g, keep, TrialLog(g, probs, start, None, accepted, evaluated, ratios)
+    return keep, TrialLog(g, probs, start, None, accepted, evaluated, ratios)
 
 
 def _restore_buffered_half(bit_gen, start):
@@ -298,7 +294,7 @@ def _exact_trial(g, probs, chosen, draw, loss_eval, loss_old, ratio_cap):
     if draw >= t_ratio * ratio_cap:
         # the exact transition ratio already rules this draw out
         return part, ratio_cap, loss_eval is None, False
-    p_ratio = 1.0 if loss_eval is None else posterior_ratio(loss_old, float(loss_eval(part, g)))
+    p_ratio = 1.0 if loss_eval is None else posterior_ratio(loss_old, float(loss_eval(part)))
     return part, p_ratio, True, bool(draw < min(1.0, t_ratio * p_ratio))
 
 
@@ -306,16 +302,15 @@ def evolve_deterministic(g: LevelGraph, edge_probs, threshold: float):
     """Hard-threshold ablation: merge exactly the edges with merging
     probability >= threshold. No sampling, no acceptance loop.
 
-    Returns (next_graph, partition, TrialLog of one accepted trial that
-    keeps `threshold` for replay_trials).
+    Returns (partition, TrialLog of one accepted trial that keeps
+    `threshold` for replay_trials).
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     probs = _validated_probs(g, edge_probs)
-    part = _proposal(g, probs, np.flatnonzero(probs >= threshold))[0]
-    log = TrialLog(g, probs, threshold=threshold, accepted=[True],
-                   posterior_evaluated=[True], posterior_ratio=[1.0])
-    return quotient_graph(g, part), part, log
+    return (_proposal(g, probs, np.flatnonzero(probs >= threshold))[0],
+            TrialLog(g, probs, threshold=threshold, accepted=[True], posterior_evaluated=[True],
+                     posterior_ratio=[1.0]))
 
 
 def replay_trials(log: TrialLog) -> list[ReplayedTrial]:

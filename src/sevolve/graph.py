@@ -97,13 +97,11 @@ class LevelGraph:
 
 
 class CliquePartition:
-    """Surjective map from source node ids onto dense clique ids.
-
-    Clique ids are ordered by ascending minimum member id, which makes
-    every coarsening step deterministic. The ones _components_canonical
-    builds from a selection of edges have every clique connected over
-    the selected edges.
-    """
+    """Surjective map from source node ids onto dense clique ids, in any
+    order. The ones _components_canonical builds from a selection of
+    edges, which evolve.py's transitions return, order clique ids by
+    ascending minimum member id and have every clique connected over the
+    selected edges."""
 
     __slots__ = ("assignment", "num_nodes", "num_cliques", "_sizes")
 
@@ -233,11 +231,11 @@ class HierarchyTrace:
     detail. For a sample of several parts (network.Sample.union) the
     levels are the unions of the parts' levels, and `decisions[k]`
     iterates over the parts' trials in part order, with no rng state to
-    replay them from. A level that evolve_step kept is the same object as
-    the one below it (see kept), with the identity partition; network
+    replay them from. A transition whose partition is the identity keeps
+    its level: the next level is the same object (see kept); network
     reads that only to carry its arrays over and to reuse its
-    predecessor's targets. A level of several parts counts as kept only
-    when every part kept its own.
+    predecessor's targets. A level of several parts is kept exactly when
+    every part keeps its own.
     """
 
     __slots__ = ("levels", "partitions", "edge_probs", "decisions")
@@ -265,6 +263,6 @@ class HierarchyTrace:
 
     def kept(self, k) -> bool:
         """Whether transition k kept level k as level k + 1, the same graph
-        object; a replayed or accepted partition, even the identity, builds
-        a new graph."""
+        object: network.forward keeps a level exactly when its partition is
+        the identity, whatever gave it; a permutation builds a new graph."""
         return self.levels[k + 1] is self.levels[k]

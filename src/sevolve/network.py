@@ -351,7 +351,7 @@ def _make_loss_eval(node_logits, amap, labels):
     # same mean cross-entropy convention as the task loss. The head is
     # linear, so averaging the per-node logits over each clique gives the
     # same values.
-    def loss_eval(partition, graph):
+    def loss_eval(partition):
         agg = aggregate_node_values(partition, node_logits)
         return _softmax_cross_entropy(agg[partition.assignment[amap]], labels)[0]
 
@@ -385,9 +385,10 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     new states return to node order once, for the head and the
     aggregation.
 
-    A transition that keeps its level (evolve_step returns the same
-    graph) carries its features, states and base-node map over as they
-    are; every other reads its partition as it is, the identity too.
+    A transition yields a partition, sampled, thresholded or replayed.
+    The identity, recognised by value, keeps the level: the graph object,
+    features, states and base-node map carry over. Any other partition, a
+    permutation too, gives the quotient_graph and means over its cliques.
 
     In train mode the evolution step may query the label-dependent
     posterior; in test mode acceptance uses the transition ratio alone and
@@ -515,25 +516,23 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
 
         if t < n_layers - 1:
             if plan is not None:
-                part = plan.partitions[t]
-                g_next = quotient_graph(g, part)
-                trial_log = TrialLog(g, p_edge)
+                part, trial_log = plan.partitions[t], TrialLog(g, p_edge)
             else:
                 loss_eval = _make_loss_eval(logits, amap, labels) if mode == "train" else None
-                g_next, part, trial_log, offsets = _evolve_parts(g, p_edge, offsets, loss_eval,
-                                                                 cfg.evolve, rngs)
+                part, trial_log, offsets = _evolve_parts(g, p_edge, offsets, loss_eval,
+                                                         cfg.evolve, rngs)
             partitions.append(part)
             decisions.append(trial_log)
-            if g_next is g:
+            if np.array_equal(part.assignment, np.arange(n)):
                 # a kept level: its arrays carry over, as their means over
                 # the identity's one-node cliques would copy them
                 h_prev, m_prev = h_new, m_new
             else:
+                g = quotient_graph(g, part)
                 feats = aggregate_node_values(part, feats)
                 h_prev = aggregate_node_values(part, h_new)
                 m_prev = aggregate_node_values(part, m_new)
                 amap = part.assignment[amap]
-            g = g_next
             levels.append(g)
 
     combined = level_logits[0].copy()
@@ -549,29 +548,26 @@ def _evolve_parts(g: LevelGraph, p_edge, offsets, loss_eval, cfg: EvolveConfig, 
     """The transition of level `g`, whose part k holds nodes
     offsets[k]:offsets[k + 1]: each part's own evolve_deterministic or
     evolve_step with its own rng, and with `loss_eval`, the train-mode
-    posterior (None in test mode). Returns (next graph, partition,
-    TrialLog, the next level's part offsets).
+    posterior (None in test mode). Returns (partition, TrialLog, the next
+    level's part offsets).
 
     One part runs on `g` itself and its result comes back as it is.
     Several parts each run on their block of g's canonical edges (sorted
     by lower end) less their offset. Their partition is the parts' ones
-    with clique ids offset, their log their trials in part order; the
-    level is kept (`g` itself) only when every part keeps its own.
+    with clique ids offset, their log their trials in part order.
     """
     cuts = np.searchsorted(g.edges[:, 0], offsets).tolist()
-    steps, kept = [], True
+    steps = []
     for lo, hi, e0, e1, rng in zip(offsets, offsets[1:], cuts, cuts[1:], rngs):
         g_part = g if len(rngs) == 1 else LevelGraph._from_canonical(hi - lo,
                                                                      g.edges[e0:e1] - lo)
         if cfg.threshold is not None:
-            step = evolve_deterministic(g_part, p_edge[e0:e1], cfg.threshold)
+            steps.append(evolve_deterministic(g_part, p_edge[e0:e1], cfg.threshold))
         else:
-            step = evolve_step(g_part, p_edge[e0:e1], loss_eval, cfg, rng)
-        kept = kept and step[0] is g_part
-        steps.append(step)
+            steps.append(evolve_step(g_part, p_edge[e0:e1], loss_eval, cfg, rng))
     if len(steps) == 1:
-        return *steps[0], [0, steps[0][1].num_cliques]
-    _, parts, logs = zip(*steps)
+        return *steps[0], [0, steps[0][0].num_cliques]
+    parts, logs = zip(*steps)
     next_offsets = np.cumsum([0, *(p.num_cliques for p in parts)]).tolist()
     part = CliquePartition(np.concatenate([p.assignment + off
                                            for p, off in zip(parts, next_offsets)]),
@@ -579,7 +575,7 @@ def _evolve_parts(g: LevelGraph, p_edge, offsets, loss_eval, cfg: EvolveConfig, 
     log = TrialLog(g, p_edge, None, None, *(
         np.concatenate([getattr(part_log, f) for part_log in logs])
         for f in ("accepted", "posterior_evaluated", "posterior_ratio")))
-    return g if kept else quotient_graph(g, part), part, log, next_offsets
+    return part, log, next_offsets
 
 
 def _level_edge_targets(trace: HierarchyTrace, labels, num_classes):
@@ -930,17 +926,26 @@ def load_checkpoint(path):
             fail(1, f"header field {key}={fields[key]!r} is not an integer")
         if meta[name] < 1:
             fail(1, f"header field {key}={meta[name]} must be positive")
+    n_cls, h_dim = meta["num_classes"], meta["hidden_dim"]
     try:
-        cell = CellParams(meta["input_dim"], meta["hidden_dim"])
-        heads = [(np.zeros((meta["num_classes"], meta["hidden_dim"])),
-                  np.zeros(meta["num_classes"])) for _ in range(meta["num_layers"])]
+        cell = CellParams(meta["input_dim"], h_dim)
+        np.zeros((n_cls, h_dim))   # a head must fit too
     except (MemoryError, ValueError) as exc:
         # numpy raises ValueError for a size beyond its own limit
         fail(1, f"header dims do not fit in memory: {exc}")
-    params = ModelParams(cell, heads)
+    heads = []
+
+    def tensors():
+        # a head is allocated once the file reaches it, so a layer count
+        # beyond what the file holds fails at the file's end, not on memory
+        yield from cell.tensors()
+        for k in range(meta["num_layers"]):
+            heads.append((np.zeros((n_cls, h_dim)), np.zeros(n_cls)))
+            yield f"head{k}_w", heads[k][0]
+            yield f"head{k}_b", heads[k][1]
 
     pos = 1
-    for name, t in params.tensors():
+    for name, t in tensors():
         if pos >= len(lines):
             fail(pos, f"truncated before tensor {name}")
         parts = lines[pos].split()
@@ -972,4 +977,4 @@ def load_checkpoint(path):
             fail(pos, f"truncated inside tensor {name}")
     if pos != len(lines):
         fail(pos + 1, "trailing content after last tensor")
-    return params, meta
+    return ModelParams(cell, heads), meta

@@ -247,7 +247,7 @@ def mh_search(g, probs, loss_eval, max_trials, rng):
     test_mode = loss_eval is None
     cap = 1.0
     if not test_mode:
-        loss_old = loss_eval(CliquePartition.identity(n), g)
+        loss_old = loss_eval(CliquePartition.identity(n))
         cap = posterior_ratio(loss_old, 0.0)
     trials = []
     for _ in range(max_trials):
@@ -259,7 +259,7 @@ def mh_search(g, probs, loss_eval, max_trials, rng):
         part = CliquePartition(np.array(assign), count)
         t_ratio = transition_ratio(g, part, probs)
         ruled_out = draw >= cap * min(t_upper, t_ratio)
-        p_ratio = 1.0 if test_mode else posterior_ratio(loss_old, loss_eval(part, g))
+        p_ratio = 1.0 if test_mode else posterior_ratio(loss_old, loss_eval(part))
         accepted = not ruled_out and draw < min(1.0, t_ratio * p_ratio)
         trials.append((selected, accepted, test_mode or not ruled_out))
         if accepted:
@@ -382,15 +382,14 @@ def sequential_network(sample, params, cfg, rng=None, mode="train", plan=None):
             break
         if plan is not None:
             part, trial_log = plan.partitions[t], []
-            g_next = quotient_graph(g, part)
         elif cfg.evolve.threshold is not None:
-            g_next, part, trial_log = evolve_deterministic(g, p_edge, cfg.evolve.threshold)
+            part, trial_log = evolve_deterministic(g, p_edge, cfg.evolve.threshold)
         else:
-            def loss_eval(partition, graph, logits=logits, amap=amap):
+            def loss_eval(partition, logits=logits, amap=amap):
                 agg = aggregate_node_values(partition, logits)
                 return _mean_cross_entropy(agg[partition.assignment[amap]], labels)
 
-            g_next, part, trial_log = evolve_step(
+            part, trial_log = evolve_step(
                 g, p_edge, loss_eval if mode == "train" else None, cfg.evolve, rng)
         out["partitions"].append(part)
         out["decisions"].append(trial_log)
@@ -398,7 +397,7 @@ def sequential_network(sample, params, cfg, rng=None, mode="train", plan=None):
         h_prev = aggregate_node_values(part, h_new)
         m_prev = aggregate_node_values(part, m_new)
         amap = part.assignment[amap]
-        g = g_next
+        g = quotient_graph(g, part)
     combined = out["level_logits"][0].copy()
     for t in range(1, n_layers):
         combined += out["level_logits"][t][out["amaps"][t]]

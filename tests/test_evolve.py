@@ -148,13 +148,13 @@ class TestEvolveStep:
     def test_certain_merge_accepted_first_trial(self):
         g = LevelGraph(5, [(0, 1), (1, 2), (3, 4)])
         cfg = EvolveConfig()
-        coarse, part, log = evolve_step(g, np.ones(3), None, cfg, np.random.default_rng(0))
+        part, log = evolve_step(g, np.ones(3), None, cfg, np.random.default_rng(0))
         assert len(log) == 1
         (trial,) = replay_trials(log)
         assert trial.accepted
         assert trial.alpha == 1.0
         assert trial.transition_ratio == 1.0
-        assert coarse.num_nodes == 2  # one node per connected component
+        assert part.num_cliques == 2  # one clique per connected component
 
     def test_replay_needs_the_rng_state(self):
         # a log with trials but no rng state, as a union sample's is,
@@ -173,7 +173,7 @@ class TestEvolveStep:
         g = grid_graph(4)
         probs = np.full(g.num_edges, 0.9)
         rng = np.random.default_rng(0)
-        _, _, log = evolve_step(g, probs, None, EvolveConfig(max_trials=30), rng)
+        _, log = evolve_step(g, probs, None, EvolveConfig(max_trials=30), rng)
         assert len(log) == 19 and log.accepted[-1]
         left_at = rng.bit_generator.state
         replayed = replay_trials(log)
@@ -185,35 +185,31 @@ class TestEvolveStep:
         g = LevelGraph(4, [(0, 1), (1, 2), (2, 3)])
         probs = np.full(3, 0.999)  # empty proposals effectively never happen
 
-        def loss_eval(part, graph):
+        def loss_eval(part):
             return 0.0 if part.num_cliques == part.num_nodes else 1e9
 
         cfg = EvolveConfig(max_trials=50)
-        coarse, part, traces = evolve_step(g, probs, loss_eval, cfg,
-                                           np.random.default_rng(42))
+        part, traces = evolve_step(g, probs, loss_eval, cfg,
+                                   np.random.default_rng(42))
         assert len(traces) == 50
         assert not any(t.accepted for t in traces)
-        assert part.num_cliques == part.num_nodes
-        assert coarse == g
+        assert part == CliquePartition.identity(4)
 
     @pytest.mark.parametrize("train", [False, True], ids=["test", "train"])
-    def test_rejection_keeps_the_graph_object(self, train):
-        # network.forward carries a kept level's arrays over on this
-        # contract: the same LevelGraph object comes back with the identity
-        # partition, in train mode the very one the current loss was
-        # scored on
+    def test_rejection_returns_the_identity_partition(self, train):
+        # network.forward keeps a level whose partition is the identity;
+        # in train mode it is the very one the current loss was scored on
         g = grid_graph(6)
         scored = []
 
-        def loss_eval(part, graph):
+        def loss_eval(part):
             scored.append(part)
             return 0.0 if part.num_cliques == part.num_nodes else 1e9
 
-        coarse, part, log = evolve_step(g, np.full(g.num_edges, 0.5),
-                                        loss_eval if train else None,
-                                        EvolveConfig(max_trials=20), np.random.default_rng(1))
+        part, log = evolve_step(g, np.full(g.num_edges, 0.5),
+                                loss_eval if train else None,
+                                EvolveConfig(max_trials=20), np.random.default_rng(1))
         assert len(log) == 20 and not log.accepted.any()
-        assert coarse is g
         assert part == CliquePartition.identity(g.num_nodes)
         if train:
             assert scored[0] is part
@@ -224,13 +220,13 @@ class TestEvolveStep:
         g = LevelGraph(6, random_connected_graph(np.random.default_rng(3), 6))
         probs = np.random.default_rng(4).uniform(0.3, 0.9, g.num_edges)
 
-        def loss_eval(part, graph):
+        def loss_eval(part):
             return 0.1 * part.num_cliques
 
         cfg = EvolveConfig(max_trials=10)
         runs = []
         for _ in range(2):
-            _, _, log = evolve_step(g, probs, loss_eval, cfg, np.random.default_rng(99))
+            _, log = evolve_step(g, probs, loss_eval, cfg, np.random.default_rng(99))
             runs.append([(t.trial, t.selected.tolist(), t.transition_ratio, t.posterior_ratio,
                           t.alpha, t.accepted) for t in replay_trials(log)])
         assert runs[0] == runs[1]
@@ -241,7 +237,7 @@ class TestEvolveStep:
         g = LevelGraph(6, random_connected_graph(np.random.default_rng(5), 6))
         probs = np.random.default_rng(6).uniform(0.2, 0.95, g.num_edges)
         cfg = EvolveConfig(max_trials=20)
-        _, _, log = evolve_step(g, probs, None, cfg, np.random.default_rng(7))
+        _, log = evolve_step(g, probs, None, cfg, np.random.default_rng(7))
         assert len(log) > 1
         for t in replay_trials(log):
             assert t.posterior_ratio == 1.0 and t.posterior_evaluated
@@ -260,7 +256,7 @@ class TestEvolveStep:
             base, mix = rng.uniform(0.0, 3.0), rng.uniform(0.0, 5.0)
             calls = []
 
-            def loss_eval(part, graph):
+            def loss_eval(part):
                 calls.append(part)
                 assign = part.assignment
                 mixed = [(labels[assign == c].min() != labels[assign == c].max())
@@ -268,20 +264,20 @@ class TestEvolveStep:
                 return base * part.num_cliques / n + mix * sum(mixed) / n
 
             seed = int(rng.integers(1 << 30))
-            _, part, traces = evolve_step(g, probs, loss_eval, EvolveConfig(max_trials=5),
-                                          np.random.default_rng(seed))
+            part, traces = evolve_step(g, probs, loss_eval, EvolveConfig(max_trials=5),
+                                       np.random.default_rng(seed))
             n_eval = sum(t.posterior_evaluated for t in traces)
             assert len(calls) == 1 + n_eval  # the current graph, then each evaluated trial
 
             ref = np.random.default_rng(seed)
-            loss_old = loss_eval(CliquePartition.identity(n), g)
+            loss_old = loss_eval(CliquePartition.identity(n))
             want_assign = list(range(n))
             want = []
             for _ in range(5):
                 draws = ref.random(g.num_edges)
                 sel = [e for e, u, p in zip(g.edges, draws, probs) if u < p]
                 assign, count = union_find_components(n, sel)
-                loss_new = loss_eval(CliquePartition(np.array(assign), count), g)
+                loss_new = loss_eval(CliquePartition(np.array(assign), count))
                 alpha = min(1.0, eliminated_edge_product(g.edges, assign, probs)
                             * math.exp(min(50.0, max(-50.0, loss_old - loss_new))))
                 want.append(ref.random() < alpha)
@@ -298,7 +294,7 @@ class TestEvolveStep:
 
     @pytest.mark.parametrize("old, new", [(-0.5, 1.0), (1.0, -0.5)])
     def test_rejects_negative_loss(self, old, new):
-        def loss_eval(part, graph):
+        def loss_eval(part):
             return old if part.num_cliques == part.num_nodes else new
 
         with pytest.raises(ValueError, match="non-negative"):
@@ -312,9 +308,9 @@ class TestEvolveStep:
             g = LevelGraph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.0, 1.0, g.num_edges)
             cfg = EvolveConfig(max_trials=5)
-            coarse, part, log = evolve_step(g, probs, None, cfg, rng)
-            assert coarse.num_nodes <= g.num_nodes
-            assert part.num_cliques == coarse.num_nodes
+            part, log = evolve_step(g, probs, None, cfg, rng)
+            assert part.num_nodes == g.num_nodes
+            assert part.num_cliques <= g.num_nodes
             for t in replay_trials(log):
                 assert 0.0 <= t.alpha <= 1.0
                 assert t.alpha == min(1.0, t.transition_ratio * t.posterior_ratio)
@@ -326,7 +322,7 @@ class TestEvolveStep:
             g = LevelGraph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.2, 0.9, g.num_edges)
             cfg = EvolveConfig(max_trials=3)
-            _, _, log = evolve_step(g, probs, None, cfg, rng)
+            _, log = evolve_step(g, probs, None, cfg, rng)
             for t in replay_trials(log):
                 _, count = union_find_components(n, t.selected)
                 assert t.partition.num_cliques == count
@@ -341,15 +337,15 @@ class TestEvolveStep:
         g = LevelGraph(2, [(0, 1)])
         loss_new = -math.log(0.3)
 
-        def loss_eval(part, graph):
+        def loss_eval(part):
             return 0.0 if part.num_cliques == part.num_nodes else loss_new
 
         cfg = EvolveConfig(max_trials=1)
         accepted = 0
         draws = 10_000
         for k in range(draws):
-            _, _, log = evolve_step(g, np.ones(1), loss_eval, cfg,
-                                    np.random.default_rng([77, k]))
+            _, log = evolve_step(g, np.ones(1), loss_eval, cfg,
+                                 np.random.default_rng([77, k]))
             (trial,) = replay_trials(log)
             assert trial.alpha == pytest.approx(0.3, abs=1e-12)
             accepted += int(trial.accepted)
@@ -368,12 +364,12 @@ class TestCoarseningHappens:
         g, labels = sample.graph, sample.labels
         ends = labels[g.edges]
         same = ends[:, 0] == ends[:, 1]
-        coarse, part, log = evolve_step(g, np.where(same, 0.99, 0.01), None,
-                                        EvolveConfig(max_trials=50),
-                                        np.random.default_rng([seed, 1]))
+        part, log = evolve_step(g, np.where(same, 0.99, 0.01), None,
+                                EvolveConfig(max_trials=50),
+                                np.random.default_rng([seed, 1]))
         assert log.accepted[-1]
-        regions, region_graph = coarsen(g, g.edges[same])
-        assert part == regions and coarse == region_graph
+        regions, _ = coarsen(g, g.edges[same])
+        assert part == regions
         # the generator's label regions are contiguous: one clique per label
         assert part.num_cliques == 4
         assert sorted(np.unique(labels[part.assignment == c]).tolist()
@@ -478,8 +474,7 @@ def counting_loss(g, labels, weights, calls):
         return None
     size_w, mixed_w = weights
 
-    def loss_eval(part, graph):
-        assert graph is g
+    def loss_eval(part):
         calls.append(part)
         sizes = np.bincount(part.assignment, minlength=part.num_cliques)
         ones = np.bincount(part.assignment, labels, minlength=part.num_cliques)
@@ -500,8 +495,8 @@ class TestEvolveStepOracle:
         rng = make_rng()
         with (mock.patch.object(evolve, "_JUMP_EDGES", case["jump_edges"]),
               mock.patch.object(evolve, "_TAIL_EDGES", case["tail_edges"])):
-            coarse, part, traces = evolve_step(g, probs, loss_eval,
-                                               EvolveConfig(max_trials=max_trials), rng)
+            part, traces = evolve_step(g, probs, loss_eval,
+                                       EvolveConfig(max_trials=max_trials), rng)
         ref_rng = make_rng()
         want, want_assign = mh_search(
             g, probs, counting_loss(g, case["labels"], case["weights"], oracle_calls),
@@ -515,7 +510,6 @@ class TestEvolveStepOracle:
         assert [t.accepted for t in traces] == [w[1] for w in want]
         assert [t.posterior_evaluated for t in traces] == [w[2] for w in want]
         assert part.assignment.tolist() == want_assign
-        assert coarse.num_nodes == part.num_cliques
         n_eval = sum(t.posterior_evaluated for t in traces)
         assert len(calls) == (0 if loss_eval is None else 1 + n_eval)
         # the whole state: for a numpy generator also the buffered 32-bit
@@ -537,7 +531,7 @@ class TestEvolveStepOracle:
             if case["weights"] is not None:
                 loss = counting_loss(case["g"], case["labels"], case["weights"], [])
                 n = case["g"].num_nodes
-                cap = posterior_ratio(loss(CliquePartition.identity(n), case["g"]), 0.0)
+                cap = posterior_ratio(loss(CliquePartition.identity(n)), 0.0)
             values = placed_draws(case["g"], case["probs"], cap, case["max_trials"],
                                   case["seed"], case["offsets"])
 
@@ -560,7 +554,7 @@ class TestEvolveStepOracle:
             cap = 1.0
             if train:
                 loss = counting_loss(g, labels, weights, [])
-                cap = posterior_ratio(loss(CliquePartition.identity(n), g), 0.0)
+                cap = posterior_ratio(loss(CliquePartition.identity(n)), 0.0)
             case = dict(g=g, probs=rng.uniform(0.3, 1.0, g.num_edges), labels=labels,
                         weights=weights, max_trials=20, jump_edges=evolve._JUMP_EDGES,
                         tail_edges=evolve._TAIL_EDGES)
@@ -611,7 +605,7 @@ class TestEvolveStepOracle:
             g = TRIANGLE
             probs = np.array([1.0, 1.0, 1e-9])
         rng, ref_rng = make_rng(), make_rng()
-        _, _, log = evolve_step(g, probs, None, EvolveConfig(max_trials=50), rng)
+        _, log = evolve_step(g, probs, None, EvolveConfig(max_trials=50), rng)
         want, _ = mh_search(g, probs, None, 50, ref_rng)
         assert log.accepted.tolist() == [w[1] for w in want]
         assert log.accepted[-1] == (case == "accept")
@@ -622,7 +616,7 @@ class TestDeterministicThreshold:
     def test_selects_edges_at_or_above_threshold(self):
         g = LevelGraph(4, [(0, 1), (1, 2), (2, 3)])
         probs = np.array([0.95, 0.7, 0.3])
-        coarse, part, log = evolve_deterministic(g, probs, 0.7)
+        part, log = evolve_deterministic(g, probs, 0.7)
         (trial,) = replay_trials(log)
         assert trial.selected.tolist() == [[0, 1], [1, 2]]
         assert trial.accepted and trial.alpha == 1.0
@@ -634,8 +628,8 @@ class TestDeterministicThreshold:
             n = int(rng.integers(3, 10))
             g = LevelGraph(n, random_connected_graph(rng, n))
             probs = rng.uniform(0.0, 1.0, g.num_edges)
-            _, part_lo, log_lo = evolve_deterministic(g, probs, 0.5)
-            _, part_hi, log_hi = evolve_deterministic(g, probs, 0.9)
+            part_lo, log_lo = evolve_deterministic(g, probs, 0.5)
+            part_hi, log_hi = evolve_deterministic(g, probs, 0.9)
             (lo,), (hi,) = replay_trials(log_lo), replay_trials(log_hi)
             assert set(map(tuple, hi.selected.tolist())) <= set(map(tuple, lo.selected.tolist()))
             assert part_hi.num_cliques >= part_lo.num_cliques
@@ -655,7 +649,7 @@ class TestConfigAndRecords:
     def test_trace_records_format(self):
         g = LevelGraph(2, [(0, 1)])
         cfg = EvolveConfig(max_trials=1)
-        _, _, traces = evolve_step(g, np.ones(1), None, cfg, np.random.default_rng(0))
+        _, traces = evolve_step(g, np.ones(1), None, cfg, np.random.default_rng(0))
         lines = trace_records(traces)
         assert lines == ["trial=1 selected=1 transition_ratio=1.0 "
                          "posterior_ratio=1.0 alpha=1.0 accepted=1"]
@@ -663,11 +657,11 @@ class TestConfigAndRecords:
     def test_trace_records_fallback_line(self):
         g = LevelGraph(2, [(0, 1)])
 
-        def loss_eval(part, graph):
+        def loss_eval(part):
             return 0.0 if part.num_cliques == part.num_nodes else 1e9
 
         cfg = EvolveConfig(max_trials=3)
-        _, _, traces = evolve_step(g, np.ones(1), loss_eval, cfg, np.random.default_rng(0))
+        _, traces = evolve_step(g, np.ones(1), loss_eval, cfg, np.random.default_rng(0))
         lines = trace_records(traces)
         assert lines[-1] == "fallback=identity"
         assert len(lines) == 4
@@ -685,7 +679,7 @@ GOLDEN_PROBS = np.array([0.9, 0.6, 0.8, 0.3, 0.95])
 def golden_logs(case):
     """The trial logs of one case of test_golden_trace_records."""
     if case == "threshold":
-        return [evolve_deterministic(GOLDEN_GRAPH, GOLDEN_PROBS, 0.8)[2]]
+        return [evolve_deterministic(GOLDEN_GRAPH, GOLDEN_PROBS, 0.8)[1]]
     if case == "plan":
         rng = np.random.default_rng(3)
         cfg = NetworkConfig(input_dim=2, num_classes=2, num_layers=3)
@@ -697,13 +691,13 @@ def golden_logs(case):
         return res.trace.decisions
     if case == "mh-test":
         return [evolve_step(GOLDEN_GRAPH, GOLDEN_PROBS, None, EvolveConfig(max_trials=6),
-                            np.random.default_rng(1))[2]]
+                            np.random.default_rng(1))[1]]
 
-    def loss_eval(part, graph):
+    def loss_eval(part):
         return 0.5 * (6 - part.num_cliques)
 
     return [evolve_step(GOLDEN_GRAPH, GOLDEN_PROBS, loss_eval, EvolveConfig(max_trials=6),
-                        np.random.default_rng(1))[2]]
+                        np.random.default_rng(1))[1]]
 
 
 @pytest.mark.parametrize("case, lines", [

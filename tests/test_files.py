@@ -3,7 +3,9 @@ atomic writes by both savers and by the training log."""
 
 import os
 import re
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +251,26 @@ def test_checkpoint_dims_beyond_memory_fail_on_the_header(tmp_path, dim):
     path.write_text(f"SEVOLVE-CKPT v1 D={dim} H={dim} C=4 layers=5\n")
     message = assert_same_checkpoint_load(path)
     assert re.match(re.escape(str(path)) + ":1: header dims do not fit in memory", message)
+
+
+def test_checkpoint_layer_count_beyond_the_file_fails_at_its_end(tmp_path):
+    # a head is allocated once the file reaches its tensor, so a header
+    # that names 10**6 layers over the benchmark checkpoint's 5 heads
+    # fails where they end, in little memory
+    shipped = Path(__file__).resolve().parent.parent / "perfbench" / "model.ckpt"
+    text = shipped.read_text()
+    assert text.startswith("SEVOLVE-CKPT v1 D=6 H=6 C=4 layers=5\n")
+    path = tmp_path / "model.ckpt"
+    path.write_text(text.replace("layers=5", f"layers={10**6}", 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{path}:{len(text.splitlines())}: truncated before tensor head5_w"
+    assert peak < 10 * 2**20, peak
 
 
 @pytest.mark.parametrize("token", ODD_TOKENS + ("-inf", "infinity", "0x1p3"))

@@ -360,7 +360,7 @@ class TestHierarchyTrace:
         g = LevelGraph(3, [(0, 1), (1, 2)])
         identity = CliquePartition.identity(3)
         trace = HierarchyTrace([g, g, LevelGraph(3, [(0, 1), (1, 2)])], [identity, identity])
-        # an equal graph built anew is a merge, as a replayed plan makes it
+        # an equal graph built anew is not kept, whatever its partition
         assert [trace.kept(0), trace.kept(1)] == [True, False]
         with pytest.raises(ValueError, match="not the identity"):
             HierarchyTrace([g, g], [CliquePartition([1, 0, 2], 3)])

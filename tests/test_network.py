@@ -139,13 +139,13 @@ class TestForward:
             assert np.array_equal(pa.assignment, pb.assignment)
 
     def test_replay_reproduces_run(self):
-        # A run carries a kept level's arrays over; the replay of its plan
-        # builds every level with quotient_graph and aggregates over the
-        # identity partitions, so each path checks the other, bit for bit:
-        # the forward outputs in both modes, the gradients in train mode,
-        # the only mode backward takes. The cases are
-        # tools/equivalence.py's random graphs in both modes, among them
-        # kept levels followed by a merge.
+        # The replay of a run's plan keeps the levels the run kept, those
+        # of identity partitions, and reproduces the run bit for bit: the
+        # forward outputs in both modes, the gradients in train mode, the
+        # only mode backward takes. The cases are tools/equivalence.py's
+        # random graphs in both modes, among them kept levels followed by
+        # a merge. The oracle forward, which aggregates over every
+        # partition, checks the carry-over of kept levels (TestWaveSweep).
         from sevolve import graph
         from test_tools import load_tool
 
@@ -160,7 +160,8 @@ class TestForward:
             replay = forward(sample, params, cfg, None, mode=mode, plan=res.plan())
             trace = res.trace
             transitions = range(len(trace.partitions))
-            assert not any(replay.trace.kept(k) for k in transitions)
+            assert ([replay.trace.kept(k) for k in transitions]
+                    == [trace.kept(k) for k in transitions]), name
             if any(trace.kept(k) and not trace.kept(k + 1) for k in transitions[:-1]):
                 kept_then_merged.add(mode)
             assert np.array_equal(res.combined_logits, replay.combined_logits), name
@@ -180,6 +181,41 @@ class TestForward:
                                           backward(replay, sample, cfg).tensors()):
                 assert np.array_equal(a, b), (name, tname)
         assert kept_then_merged == {"train", "test"}
+
+    @pytest.mark.parametrize("mode", ["train", "test"])
+    def test_identity_from_any_source_keeps_its_level(self, mode, monkeypatch):
+        # MH rejects every trial on this 8x8 grid; a threshold that no
+        # edge probability reaches and the replay of the run's plan give
+        # the identity too, and keep the same levels, with no
+        # quotient_graph call
+        cfg = NetworkConfig(input_dim=3, num_classes=3, num_layers=4,
+                            evolve=EvolveConfig(max_trials=20))
+        rng = np.random.default_rng(50)
+        params = random_model(rng, cfg)
+        sample = generate_sample(GenConfig(grid_n=8, num_labels=3, feature_dim=3), rng)
+        built = []
+        inner = network.quotient_graph
+
+        def counted(g, part):
+            built.append(part)
+            return inner(g, part)
+
+        monkeypatch.setattr(network, "quotient_graph", counted)
+        transitions = range(cfg.num_layers - 1)
+        run = forward(sample, params, cfg, np.random.default_rng(51), mode=mode)
+        assert not any(log.accepted.any() for log in run.trace.decisions)
+        kept = [run.trace.kept(k) for k in transitions]
+        assert kept == [True] * 3
+        threshold_cfg = NetworkConfig(input_dim=3, num_classes=3, num_layers=4,
+                                      evolve=EvolveConfig(threshold=1.0))
+        thresholded = forward(sample, params, threshold_cfg, np.random.default_rng(51),
+                              mode=mode)
+        assert max(p.max() for p in thresholded.trace.edge_probs) < 1.0
+        assert [thresholded.trace.kept(k) for k in transitions] == kept
+        replay = forward(sample, params, cfg, None, mode=mode, plan=run.plan())
+        assert [replay.trace.kept(k) for k in transitions] == kept
+        assert np.array_equal(replay.combined_logits, run.combined_logits)
+        assert built == []
 
     def test_test_mode_keeps_no_backward_state(self):
         # a test-mode pass frees each layer's schedule and cache once the
@@ -452,6 +488,26 @@ class TestWaveSweep:
                         CliquePartition(np.array([0, 1, 1, 2, 2]), 3)])
         res = _assert_matches_sequential(sample, random_model(rng, cfg), cfg, plan=plan)
         assert [lv.num_nodes for lv in res.trace.levels] == [8, 5, 3]
+
+    @pytest.mark.parametrize("mode", ["train", "test"])
+    def test_permuted_plan_partition_relabels_the_level(self, mode):
+        # one node per clique but the ids permuted: not the identity, so
+        # the level is relabelled, a new graph whose states are permuted
+        rng = np.random.default_rng(52)
+        cfg = tiny_cfg(layers=3)
+        g = LevelGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        sample = Sample(g, rng.normal(size=(5, 3)), rng.integers(0, 3, size=5))
+        perm = CliquePartition(np.array([2, 0, 4, 1, 3]), 5)
+        plan = StructurePlan(visit_orders=[rng.permutation(5), rng.permutation(5),
+                                           rng.permutation(5)],
+                             partitions=[perm, CliquePartition.identity(5)])
+        res = _assert_matches_sequential(sample, random_model(rng, cfg), cfg, mode=mode,
+                                         plan=plan)
+        levels = res.trace.levels
+        assert not res.trace.kept(0) and res.trace.kept(1)
+        assert levels[1] is not g and levels[2] is levels[1]
+        assert levels[1].edges.tolist() == [[0, 2], [0, 4], [1, 3], [1, 4]]
+        assert res.amaps[1].tolist() == [2, 0, 4, 1, 3]
 
     def test_path_in_path_order_is_one_wave_per_node(self):
         # the worst case: every node waits for the one before it

@@ -12,10 +12,10 @@ them up by), so the tool sees the calls the package makes internally. A
 wrapper adds the thread CPU time and the minor page faults of each call
 to its phase. Calls of one phase inside another (aggregate_node_values
 inside the train-mode posterior of evolve_step) count in both; `other`
-is the time of an operation outside every outermost phase call. Calls
-that evolve.py makes by its own names (the quotient_graph of an accepted
-MH trial) count in their caller's phase only, so `quotient_graph` counts
-the levels that forward builds from a replayed plan.
+is the time of an operation outside every outermost phase call. forward
+makes every quotient_graph call, so `quotient_graph` counts the levels it
+builds: one per transition whose partition is not the identity, sampled,
+thresholded or replayed.
 
 The inputs are --samples generated samples (GenConfig seed --seed). In
 the first three modes one operation runs on one of them (derived rng
