@@ -30,9 +30,13 @@ The four gates are laid out gate-major: the pre-activations, the
 activated gates and their gradients are (4, B, H) arrays, one contiguous
 (B, H) block per gate in the order [u, f, o, c] of the packed weights, so
 each per-wave elementwise operation reads and writes whole blocks, and a
-wave's rows r0:r1 are the view [:, r0:r1]. Only cell_backward_batch puts
-the blocks side by side, once per layer, for the products that run over
-the packed weight rows.
+wave's rows r0:r1 are the view [:, r0:r1]. The products with the packed
+weights that make them, x @ wx, h_prev @ uh and navg @ un, run on
+contiguous (k, n, H) copies of the gate-major weight stacks, which
+cell_forward_batch builds once per layer (_gate_product): numpy runs a
+product on a transposed view of the packed rows 2-3 times slower. Only
+cell_backward_batch puts the blocks side by side, once per layer, for
+the products that run over the packed weight rows.
 
 A CellCache, which cell_forward_batch builds, holds the activations of
 all the nodes of one such layer, laid out wave by wave
@@ -136,12 +140,15 @@ class CellCache:
     cell_forward_batch builds the cache; the sweep, network.forward, fills
     a wave's `navg` rows and writes cell_forward's results over its rows
     of `hidden`, `memory` and `gates`, one wave at a time; afterwards the
-    cache is read-only. The slots' neighbor inputs, the previous hidden
-    state and the flag-selected memory of each neighbor, are not kept: a
-    sweep gathers them again from its rows for cell_backward_batch.
+    cache is read-only. It also keeps the contiguous gate-major stack of
+    the un weights for cell_forward's per-wave product (_gate_product).
+    The slots' neighbor inputs, the previous hidden state and the
+    flag-selected memory of each neighbor, are not kept: a sweep gathers
+    them again from its rows for cell_backward_batch.
     """
 
     params: CellParams
+    un: np.ndarray           # (3, H, H) contiguous gate-major stack of params.un
     owner: np.ndarray        # (S,)
     x: np.ndarray            # (B, D) inputs
     h_prev: np.ndarray       # (B, H) own previous hidden state
@@ -169,7 +176,10 @@ def cell_forward_batch(params, x, h_prev, m_prev, owner, nbr_src, nbr):
     Returns:
         The CellCache of the updates, `gates` holding the static gate
         pre-activations x @ wx.T + h_prev @ uh.T + b, gate-major (4, B, H),
-        `hidden` and `memory` copies of h_prev and m_prev, `navg` unfilled.
+        `hidden` and `memory` copies of h_prev and m_prev, `navg` unfilled,
+        and `un` the contiguous gate-major stack of params.un. The stacks
+        of wx, uh and un are copied once per call, and the products run
+        on them (_gate_product).
         A slot's forget gate is sigmoid(x_i @ w_f.T + b_f + h_j @ u_fn.T)
         for owner i and neighbor j: the last term is one product per row
         of nbr_src, gathered to the slots. BLAS gives a row of a product
@@ -180,22 +190,44 @@ def cell_forward_batch(params, x, h_prev, m_prev, owner, nbr_src, nbr):
     h = params.hidden_dim
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"input has shape {x.shape}, expected (B, {params.input_dim})")
-    pre = x @ _gate_major(params.wx, h)
+    wx, uh, un = (np.ascontiguousarray(_gate_major(w, h))
+                  for w in (params.wx, params.uh, params.un))
+    pre = _gate_product(x, params.wx, wx)
     nb_gate = (nbr_src @ params.u_fn.T).take(nbr, axis=0)
     # before the hidden-state term joins it, pre[1] is x @ w_f.T: with b_f
     # it is the input term that every neighbor forget gate of the node shares
     nb_gate += (pre[1] + params.b[h:2 * h]).take(owner, axis=0)
     sigmoid(nb_gate, out=nb_gate)
-    pre += h_prev @ _gate_major(params.uh, h)
+    pre += _gate_product(h_prev, params.uh, uh)
     pre += params.b.reshape(-1, 1, h)
-    return CellCache(params, owner, x, h_prev, m_prev, np.empty_like(h_prev), nb_gate,
+    return CellCache(params, un, owner, x, h_prev, m_prev, np.empty_like(h_prev), nb_gate,
                      sigmoid(nb_gate @ params.w_e), pre, m_prev.copy(), h_prev.copy())
 
 
 def _gate_major(weights, h):
     """The packed (kH, n) weight rows of k gates as k transposed (n, H)
-    blocks: a (B, n) @ it is the (k, B, H) gate-major product."""
+    blocks, a view: a (B, n) @ it is the (k, B, H) gate-major product.
+    np.ascontiguousarray of it is the stack that _gate_product takes."""
     return weights.reshape(-1, h, weights.shape[1]).transpose(0, 2, 1)
+
+
+def _gate_product(a, weights, stack):
+    """a @ _gate_major(weights, h), (B, n) @ (k, n, H) -> (k, B, H), run on
+    `stack`, the contiguous copy of that view, where numpy runs it 2-3
+    times faster.
+
+    It keeps the view's bits whenever the inner dimension n (D for wx, H
+    for uh and un) is at most 15, as in every test, equivalence dump case
+    and benchmark workload. On numpy's bundled OpenBLAS a product of 2 or
+    more rows has the same bits on the copy as on the view there: a scan
+    of H 1-32, D 1-40 and 2-4, 9 and 100 rows found no difference up to
+    n = 15, and from n = 16 on many (H, D) pairs differ in the last bit
+    at every row count. A 1-row product rounds differently on the copy at
+    any n, so it runs on the view.
+    """
+    if a.shape[0] == 1:
+        return a @ _gate_major(weights, stack.shape[2])
+    return a @ stack
 
 
 def _navg_rows(d_pre):
@@ -229,7 +261,7 @@ def cell_forward(cache, rows, slots, seg, inv_deg, m_sel):
     pre, navg = cache.gates[:, rows], cache.navg[rows]
     b = navg.shape[0]
     # the neighbor average enters the u, o and c gates, rows [u, o, c] of un
-    unv = navg @ _gate_major(params.un, h)
+    unv = _gate_product(navg, params.un, cache.un)
     gates = np.empty((4, b, h))
     np.add(pre[0], unv[0], out=gates[0])
     gates[1] = pre[1]

@@ -12,12 +12,27 @@ import math
 import numpy as np
 
 
+def _intp(values, what, copy=None) -> np.ndarray:
+    """`values` as an intp array (a new one with copy=True). The cast
+    would truncate a float or parse a string, so ValueError, naming
+    `what`, unless the values' own dtype is an integer one or there are
+    none (np.asarray([]) is float64). An int too wide for intp raises the
+    cast's OverflowError."""
+    # cast `values` themselves: np.asarray([0, 2**63]) is float64, whose
+    # cast to intp would not raise
+    arr = np.array(values, dtype=np.intp, copy=copy)
+    given = np.asarray(values).dtype
+    if arr.size and given.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {given}")
+    return arr
+
+
 def _pairs(edge_list) -> np.ndarray:
     """`edge_list` (pairs of node ids, or an (m, 2) array) as an (m, 2)
     intp array, or an object array of Python ints when an id does not fit
     intp: such an id is out of range, and the range checks see it exactly."""
     try:
-        pairs = np.asarray(edge_list, dtype=np.intp)
+        pairs = _intp(edge_list, "node ids")
     except OverflowError:
         pairs = np.asarray(edge_list, dtype=object)
     if pairs.size == 0:
@@ -106,7 +121,7 @@ class CliquePartition:
     __slots__ = ("assignment", "num_nodes", "num_cliques", "_sizes")
 
     def __init__(self, assignment, num_cliques: int):
-        arr = np.array(assignment, dtype=np.intp)
+        arr = _intp(assignment, "clique ids", copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("assignment must be a non-empty 1-d sequence")
         if num_cliques > arr.size or num_cliques < 1:

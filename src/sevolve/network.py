@@ -48,6 +48,7 @@ from sevolve.graph import (
     CliquePartition,
     HierarchyTrace,
     LevelGraph,
+    _intp,
     aggregate_node_values,
     quotient_graph,
     segment_ids,
@@ -143,7 +144,7 @@ class Sample:
 
     def __init__(self, graph: LevelGraph, features, labels):
         feats = np.ascontiguousarray(features, dtype=np.float64)
-        lbls = np.asarray(labels, dtype=np.intp)
+        lbls = _intp(labels, "labels")
         if feats.ndim != 2 or feats.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"features must be (num_nodes, D), got {feats.shape} for "

@@ -6,7 +6,9 @@ per-node ancestor walks instead of composed index maps, a node-by-node
 sweep with visit flags instead of waves, a wave layout by comparison
 sorts on a composite key instead of counting sorts (wave_schedule_sorted),
 the neighbor forget gates from one product over the slots instead of one
-over the nodes (static_gates_per_slot), one Metropolis-Hastings trial at
+over the nodes (static_gates_per_slot), the gate products on transposed
+views of the packed weights instead of contiguous copies of them
+(static_gates_per_slot, wave_gates), one Metropolis-Hastings trial at
 a time instead of tail draws, and a dataset loader that converts one line
 at a time and a checkpoint loader that converts one row at a time,
 load_dataset_per_line and load_checkpoint_per_row, instead of one block
@@ -154,6 +156,20 @@ def static_gates_per_slot(params, x, h_prev, owner, nbr_h_prev):
     pre += h_prev @ _gate_major(params.uh, h)
     pre += params.b.reshape(-1, 1, h)
     return nb_gate, sigmoid(nb_gate @ params.w_e), pre
+
+
+def wave_gates(params, pre, navg):
+    """cell_forward's activated gates g_u, g_f, g_o, g_c, gate-major
+    (4, B, H), from B nodes' static pre-activations (4, B, H) and neighbor
+    averages (B, H), with the neighbor term navg @ un on the transposed
+    view of the packed un rows [u, o, c], where the package multiplies by
+    a contiguous copy of it."""
+    unv = navg @ _gate_major(params.un, params.hidden_dim)
+    gates = pre.copy()
+    gates[[0, 2, 3]] += unv
+    sigmoid(gates[:3], out=gates[:3])
+    np.tanh(gates[3], out=gates[3])
+    return gates
 
 
 def propose(g, edge_probs, rng):

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sevolve.cell import CellParams, NumericError, cell_forward_batch
+from sevolve.cell import CellParams, NumericError, cell_forward, cell_forward_batch
 from sevolve.data import grid_graph
-from sevolve.graph import LevelGraph
+from sevolve.graph import LevelGraph, segment_ids
 from sevolve.network import wave_schedule
-from oracles import cell_backward, cell_update, random_connected_graph, static_gates_per_slot
+from oracles import (
+    cell_backward,
+    cell_update,
+    random_connected_graph,
+    static_gates_per_slot,
+    wave_gates,
+)
 
 
 def random_params(rng, d, h, scale=0.5):
@@ -136,9 +142,19 @@ def swept_layers(draw):
     return params, x, h_prev, schedule
 
 
+def one_node_layer(d=6, h=8, scale=2.5):
+    """A layer of one node without neighbors, laid out as swept_layers
+    lays out its layers: its products with the gate weights have 1 row."""
+    rng = np.random.default_rng(0)
+    params = random_params(rng, d, h, scale)
+    return (params, rng.normal(size=(1, d)), rng.uniform(-1.0, 1.0, (1, h)),
+            wave_schedule(np.arange(1), LevelGraph(1), h))
+
+
 class TestCellForwardBatch:
     @settings(max_examples=100, deadline=None)
     @given(swept_layers())
+    @example(layer=one_node_layer())
     def test_per_node_neighbor_term_matches_per_slot_product(self, layer):
         # the neighbor term of the forget gates from one product over the
         # nodes, gathered to the slots, has the bits of one product over
@@ -155,6 +171,31 @@ class TestCellForwardBatch:
         assert _same_bits(cache.nb_gate, nb_gate)
         assert _same_bits(cache.merge_probs, merge_probs)
         assert _same_bits(cache.gates, pre)
+
+    @settings(max_examples=100, deadline=None)
+    @given(swept_layers())
+    @example(layer=one_node_layer())
+    def test_per_wave_gates_match_view_products(self, layer):
+        # cell_forward multiplies the neighbor averages by a contiguous
+        # copy of the un stack; its activated gates keep the bits of the
+        # product on the transposed view, on each of the sweep's waves, on
+        # a block of the first row alone and on all N rows at once
+        params, x, h_prev, schedule = layer
+        n, h = h_prev.shape
+        owner = schedule.owner
+        blocks = [*schedule.waves, (0, 1, 0, int(np.searchsorted(owner, 1))),
+                  (0, n, 0, owner.size)]
+        with np.errstate(over="ignore"):
+            cache = cell_forward_batch(params, x, h_prev, np.zeros_like(h_prev), owner,
+                                       h_prev, schedule.nbr)
+            cache.navg[...] = np.random.default_rng(n).uniform(-1.0, 1.0, (n, h))
+            for r0, r1, s0, s1 in blocks:
+                rows = slice(r0, r1)
+                _, _, gates = cell_forward(
+                    cache, rows, slice(s0, s1), segment_ids(owner[s0:s1] - r0, h, r1 - r0),
+                    schedule.inv_deg[rows], np.zeros((s1 - s0, h)))
+                assert _same_bits(gates, wave_gates(params, cache.gates[:, rows],
+                                                    cache.navg[rows])), (r0, r1)
 
 
 def _loss_weights(rng, h, k):

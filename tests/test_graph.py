@@ -72,6 +72,19 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=r"edge \(0, 1180591620717411303424\) out of range"):
             LevelGraph(3, [(0, 1), (0, 2**70), (1, 1)])
 
+    def test_rejects_ids_that_are_not_integers(self):
+        # a cast to intp would truncate (0, 1.7) to the edge (0, 1)
+        for edges in ([(0, 1.7), (1, 2)], np.array([[0.0, 1.0]]), [("0", "1")],
+                      [(True, False)]):
+            with pytest.raises(ValueError, match="node ids must be integers"):
+                LevelGraph(3, edges)
+        # no edges at all is a graph, though np.asarray([]) is float64
+        assert LevelGraph(3, []).num_edges == LevelGraph(3, np.zeros((0, 2))).num_edges == 0
+        # an id too wide for intp is out of range, not of the wrong type
+        with pytest.raises(ValueError, match=r"edge \(0, 9223372036854775808\) out of range"):
+            LevelGraph(3, [(0, 2**63)])
+        assert LevelGraph(3, np.array([[2, 0]], dtype=np.uint8)).edges.tolist() == [[0, 2]]
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             LevelGraph(3, [(1, 1)])
@@ -223,6 +236,13 @@ class TestCliquePartition:
                 CliquePartition(assignment, num)
         with pytest.raises(ValueError, match="invalid"):
             CliquePartition([0, 1], 3)
+
+    def test_rejects_ids_that_are_not_integers(self):
+        # a cast to intp would make [0, 0.9, 1.5] the partition [0, 0, 1]
+        for assignment in ([0, 0.9, 1.5], ["0", "1"], np.array([0.0, 1.0]), [False, True]):
+            with pytest.raises(ValueError, match="clique ids must be integers"):
+                CliquePartition(assignment, 2)
+        assert CliquePartition(np.array([1, 0], dtype=np.int8), 2).assignment.tolist() == [1, 0]
 
     def test_sizes(self):
         sizes = CliquePartition([2, 0, 1, 0, 2, 0], 3).sizes()

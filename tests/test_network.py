@@ -69,6 +69,14 @@ class TestSample:
         (targets,) = _level_edge_targets(HierarchyTrace([g], []), s.labels, 2)
         assert targets.tolist() == [1.0, 0.0, 1.0]
 
+    def test_rejects_labels_that_are_not_integers(self):
+        # a cast to intp would make the labels [0.6, 1.9] the labels [0, 1]
+        g = LevelGraph(2, [(0, 1)])
+        for labels in ([0.6, 1.9], np.array([0.0, 1.0]), ["0", "1"]):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                Sample(g, np.zeros((2, 2)), labels)
+        assert Sample(g, np.zeros((2, 2)), np.array([1, 0], dtype=np.uint8)).labels.tolist() == [1, 0]
+
     def test_validates_coverage(self):
         g = LevelGraph(3, [(0, 1)])
         with pytest.raises(ValueError, match="features"):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -143,15 +144,45 @@ def test_phases_reports_every_phase(mode, capsys, monkeypatch):
         assert merges / len(results) == 2
 
 
+def _spin(seconds):
+    end = time.thread_time() + seconds
+    while time.thread_time() < end:
+        pass
+
+
 @pytest.mark.parametrize("mode", ["test", "train"])
 def test_phases_against_compares_two_packages_in_one_process(mode, capsys):
     from sevolve import network
 
     tool = load_tool("phases")
     ours = {k: m for k, m in sys.modules.items() if k == "sevolve" or k.startswith("sevolve.")}
-    assert tool.main(["--grid", "4", "--mode", mode, "--samples", "2", "--repeats", "2",
-                      "--against", str(TOOLS.parent)]) == 0
+    # each operation burns 50 ms of thread CPU time while its package's
+    # phases are wrapped, as a costly wrapper would: the totals must come
+    # from the unwrapped passes, and every round makes one of each per side
+    real_operations = tool.operations
+    passes = {"wrapped": 0, "unwrapped": 0}
+
+    def operations(data, network_mod, *args):
+        plain = network_mod.cell_forward
+
+        def burning(op):
+            def run():
+                if network_mod.cell_forward is plain:
+                    passes["unwrapped"] += 1
+                else:
+                    passes["wrapped"] += 1
+                    _spin(0.05)
+                op()
+            return run
+        return [burning(op) for op in real_operations(data, network_mod, *args)]
+
+    with mock.patch.object(tool, "operations", operations):
+        assert tool.main(["--grid", "4", "--mode", mode, "--samples", "2", "--repeats", "2",
+                          "--against", str(TOOLS.parent)]) == 0
     record = json.loads(capsys.readouterr().out)
+    # per side: one untimed pass, then per round one pass of each kind,
+    # over 2 inputs
+    assert passes == {"wrapped": 2 * 2 * 2, "unwrapped": 2 * (1 + 2) * 2}
     # the checkout's own modules are back, the other copy sits beside them
     # under its own name, and neither keeps a wrapper
     assert all(sys.modules[k] is m for k, m in ours.items())
@@ -167,7 +198,7 @@ def test_phases_against_compares_two_packages_in_one_process(mode, capsys):
         for stats in (side["per_operation_ms"], *side["phases"].values()):
             assert set(stats) == {"q1", "median", "q3"}
             assert 0 <= stats["q1"] <= stats["median"] <= stats["q3"]
-        assert side["per_operation_ms"]["median"] > 0
+        assert 0 < side["per_operation_ms"]["median"] <= side["per_operation_ms"]["q3"] < 50
         assert side["phases"]["cell_forward"]["median"] > 0
         assert (side["phases"]["cell_backward_batch"]["median"] > 0) == (mode == "train")
 

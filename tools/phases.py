@@ -43,11 +43,16 @@ alternating processes, or compare them in one process: --against DIR
 imports DIR/src/sevolve under the name `sevolve_against`, beside the
 `sevolve` on the import path, and runs the mode's operations of both
 packages in --repeats alternating rounds (the side that goes first
-alternates by round), each round one pass over the inputs. It prints
-per side the median and quartiles over the rounds of the thread CPU ms
-per operation and of each phase's ms per operation, and the rounds each
-side took less time in. Both sides read this checkout's benchmark
-checkpoint.
+alternates by round). A round makes two passes over the inputs per
+side: first one with no phase wrapped, timed as a whole, and then one
+with every phase wrapped, for the split. It prints per side the median
+and quartiles over the rounds of the thread CPU ms per operation, from
+the unwrapped passes, and of each phase's ms per operation, from the
+wrapped ones, and the rounds each side took less time in, by the
+unwrapped passes. The totals leave the wrappers out because each
+wrapped call costs two getrusage and two thread_time calls: in the
+totals of wrapped passes, the side that makes fewer wrapped calls
+reads faster. Both sides read this checkout's benchmark checkpoint.
 
 Minor fault counts follow the process's allocation layout (glibc's mmap
 threshold rises to the largest mmapped chunk the process has freed), not
@@ -262,32 +267,37 @@ def quartiles(values):
 
 def compare(checkout, grid, mode, samples=4, rounds=10, seed=7):
     """The record of `rounds` alternating rounds of this package and the
-    one of `checkout`, each round one pass over the inputs per side."""
+    one of `checkout`, each round an unwrapped pass over the inputs per
+    side for the totals and a wrapped one for the phases."""
     from sevolve import data, network
 
     sides = {"this": (data, network), "against": import_against(checkout)}
-    clocks, ops = {}, {}
+    clocks, ops, sites = {}, {}, {}
     round_ms = {side: [] for side in sides}
     phase_ms = {side: [] for side in sides}
-    with tempfile.TemporaryDirectory() as workdir, contextlib.ExitStack() as stack:
+    with tempfile.TemporaryDirectory() as workdir:
         for side, (data_mod, network_mod) in sides.items():
-            phases, sites = phase_sites(data_mod, network_mod, mode)
+            phases, sites[side] = phase_sites(data_mod, network_mod, mode)
             Path(workdir, side).mkdir()
             ops[side] = operations(data_mod, network_mod, grid, mode, samples, seed,
                                    Path(workdir, side))
             for op in ops[side]:
                 op()
             clocks[side] = PhaseClock(phases)
-            stack.enter_context(wrapped(sites, clocks[side]))
         for r in range(rounds):
-            for side in ("this", "against") if r % 2 == 0 else ("against", "this"):
-                clock, count = clocks[side], len(ops[side])
-                before = dict(clock.ms)
+            order = ("this", "against") if r % 2 == 0 else ("against", "this")
+            for side in order:
                 start = time.thread_time()
                 for op in ops[side]:
                     op()
-                round_ms[side].append(1e3 * (time.thread_time() - start) / count)
-                phase_ms[side].append({name: (clock.ms[name] - before[name]) / count
+                round_ms[side].append(1e3 * (time.thread_time() - start) / len(ops[side]))
+            for side in order:
+                clock = clocks[side]
+                before = dict(clock.ms)
+                with wrapped(sites[side], clock):
+                    for op in ops[side]:
+                        op()
+                phase_ms[side].append({name: (clock.ms[name] - before[name]) / len(ops[side])
                                        for name in clock.ms})
     wins = {"this": 0, "against": 0, "ties": 0}
     for this_ms, against_ms in zip(round_ms["this"], round_ms["against"]):
