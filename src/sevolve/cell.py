@@ -139,8 +139,11 @@ class CellCache:
     contiguous block of rows, and the slots follow the rows.
     cell_forward_batch builds the cache; the sweep, network.forward, fills
     a wave's `navg` rows and writes cell_forward's results over its rows
-    of `hidden`, `memory` and `gates`, one wave at a time; afterwards the
-    cache is read-only. It also keeps the contiguous gate-major stack of
+    of `hidden` and `memory`, one wave at a time; afterwards the cache is
+    read-only. Only a train-mode sweep, whose cache the backward pass
+    reads, also writes the activated gates over the wave's rows of
+    `gates`: after a test-mode sweep they hold the pre-activations
+    still. It also keeps the contiguous gate-major stack of
     the un weights for cell_forward's per-wave product (_gate_product).
     The slots' neighbor inputs, the previous hidden state and the
     flag-selected memory of each neighbor, are not kept: a sweep gathers
@@ -156,7 +159,7 @@ class CellCache:
     navg: np.ndarray         # (B, H) neighbor averages
     nb_gate: np.ndarray      # (S, H) neighbor forget gates
     merge_probs: np.ndarray  # (S,)
-    gates: np.ndarray        # (4, B, H) activated gates g_u, g_f, g_o, g_c
+    gates: np.ndarray        # (4, B, H) activated gates g_u, g_f, g_o, g_c (train mode)
     memory: np.ndarray       # (B, H) new memory
     hidden: np.ndarray       # (B, H) new hidden state
 
@@ -199,7 +202,9 @@ def cell_forward_batch(params, x, h_prev, m_prev, owner, nbr_src, nbr):
     nb_gate += (pre[1] + params.b[h:2 * h]).take(owner, axis=0)
     sigmoid(nb_gate, out=nb_gate)
     pre += _gate_product(h_prev, params.uh, uh)
-    pre += params.b.reshape(-1, 1, h)
+    # the bias as one contiguous (4, B, H) block: a broadcast add's inner
+    # loop is only H long
+    pre += np.repeat(params.b.reshape(-1, 1, h), pre.shape[1], axis=1)
     return CellCache(params, un, owner, x, h_prev, m_prev, np.empty_like(h_prev), nb_gate,
                      sigmoid(nb_gate @ params.w_e), pre, m_prev.copy(), h_prev.copy())
 

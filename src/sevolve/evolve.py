@@ -12,17 +12,20 @@ m + 1 uniform doubles, its m edge draws in canonical edge order and then
 its acceptance draw, and the trials consume them in trial order. The rng
 is left just after the accepted trial's draws, or after all trials'
 draws when none is accepted, as a loop calling rng.random(m) and then
-rng.random() per trial would leave it. On a graph of _JUMP_EDGES edges
-or more only the tail of each trial is drawn at first: its last
-_TAIL_EDGES edge draws and its acceptance draw, after a jump over its
-other edge draws. On a smaller graph one call draws every trial whole.
-The selected edges among those drawn bound the transition ratio from
-above, and a vectorised test of that bound rejects most trials at once.
-Each trial it cannot rule out is redrawn whole, from a jump to its
-start, and decided with the exact ratios. A PCG64 or PCG64DXSM
-generator jumps with bit_generator.advance, since each double is one
-64-bit output; other generators draw the skipped doubles and discard
-them. The jumps leave the generator's buffered 32-bit half as it was.
+rng.random() per trial would leave it. The trials are drawn and decided
+in blocks of _BLOCK_TRIALS, which draw what one block of all the trials
+would. On a graph of _JUMP_EDGES edges or more only the tail of each
+trial is drawn at first: its last _TAIL_EDGES edge draws and its
+acceptance draw, after a jump over its other edge draws. On a smaller
+graph one call draws a block's trials whole. Either way the selected
+edges among the tail's draws bound the transition ratio from above, and
+a vectorised test of that bound rejects most trials at once. Each trial
+it cannot rule out is decided with the exact ratios: on a whole-drawn
+graph from the row already drawn, otherwise redrawn whole, from a jump
+to its start. A PCG64 or PCG64DXSM generator jumps with
+bit_generator.advance, since each double is one 64-bit output; other
+generators draw the skipped doubles and discard them. The jumps leave
+the generator's buffered 32-bit half as it was.
 
 Each transition is logged as one TrialLog: the rng state at its start
 and, per trial, the decision and the posterior ratio. replay_trials
@@ -48,8 +51,11 @@ from sevolve.graph import quotient_graph  # noqa: F401
 # ones one call drawing every trial whole costs less than the per-trial
 # calls of the jumps
 _JUMP_EDGES = 512
-# edge draws per trial that evolve_step's prefilter reads when it jumps
+# edge draws per trial, the last ones, that evolve_step's prefilter reads
 _TAIL_EDGES = 64
+# evolve_step draws and decides the trials in blocks of this many, so its
+# arrays do not grow with max_trials; the default 50 trials are one block
+_BLOCK_TRIALS = 64
 # bit generators whose random() double is one output, so advance(k)
 # jumps over k doubles
 _JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
@@ -199,74 +205,82 @@ def evolve_step(g: LevelGraph, edge_probs, loss_eval, cfg: EvolveConfig, rng):
         # a loss of 0 is the best any candidate can reach
         ratio_cap = posterior_ratio(loss_old, 0.0)
     m = probs.size
+    j = min(_TAIL_EDGES, m)
+    tail_probs = probs[m - j:]
     # edges with p = 0 are never selected: any finite log keeps the
     # bound's matvec free of 0 * -inf
-    log_probs = np.log(probs, out=np.zeros(m), where=probs > 0.0)
+    log_tail = np.log(tail_probs, out=np.zeros(j), where=tail_probs > 0.0)
     log_cap = math.log(ratio_cap)
     # a Python int: advance raises OverflowError on a numpy integer
     trials = operator.index(cfg.max_trials)
-    j = min(_TAIL_EDGES, m) if m >= _JUMP_EDGES else m
+    jump = m >= _JUMP_EDGES
     bit_gen = rng.bit_generator
     start = bit_gen.state
     # skip(k) moves rng past k doubles as drawing them would, but for a
     # jump's cleared buffered 32-bit half (_restore_buffered_half)
     skip = bit_gen.advance if isinstance(bit_gen, _JUMPABLE) else rng.random
-    # per trial: the tail of j edge draws, then the acceptance draw
-    tails = np.empty((trials, j + 1))
-    if j == m:
-        # nothing to jump over
-        rng.random(out=tails)
-    else:
-        for row in tails:
-            skip(m - j)
-            rng.random(out=row)
-    draws = tails[:, j]
-    # the edge draws become the 0/1 selection in place, which the bound's
-    # matvec reads without a cast copy
-    chosen = tails[:, :j]
-    np.less(chosen, probs[m - j:], out=chosen, casting="unsafe")
-    # Prefilter: every factor of t_upper, the product over the selected
-    # edges, is at most 1, so the product over the selected tail edges,
-    # exp(log_upper), bounds t_upper and so the transition ratio from
-    # above; a draw >= that bound times ratio_cap rejects the trial
-    # without its posterior. Rounding: the logs are all <= 0, so each
-    # float sum lies within a relative (terms + 2) ulps of the exact sum
-    # of its exact logs (the logs of single probabilities within one ulp
-    # each), and the exact sum over all selected edges is at most the one
-    # over the selected tail edges. So _exact_trial's log t_upper lies at
-    # most (m + j + 4) <= (2m + 4) ulps of |log_upper| above log_upper,
-    # which 4m + 8 covers with room for the exp, log and product
-    # roundings. A trial marked sure is thus one that _exact_trial
-    # rejects unevaluated.
-    log_upper = chosen @ log_probs[m - j:]
-    margin = (4 * m + 8) * _EPS * (np.abs(log_upper) + abs(log_cap) + 1.0)
-    sure = draws > np.exp(log_upper + log_cap + margin)
     # per trial: accepted, posterior_evaluated, posterior_ratio, filled
     # as for a trial the prefilter rejects
     accepted = np.zeros(trials, dtype=bool)
     evaluated = np.full(trials, test_mode)
     ratios = np.full(trials, ratio_cap)
-    undecided = np.flatnonzero(~sure).tolist()
-    if undecided:
-        # redraw each undecided trial whole, from the start on
-        bit_gen.state = start
-        done = 0
+    for k0 in range(0, trials, _BLOCK_TRIALS):
+        k1 = min(k0 + _BLOCK_TRIALS, trials)
+        block_start = start if k0 == 0 else bit_gen.state
+        # per trial of the block: its tail of j edge draws after a jump,
+        # or all its m edge draws, then its acceptance draw
+        rows = np.empty((k1 - k0, j + 1 if jump else m + 1))
+        if jump:
+            for row in rows:
+                skip(m - j)
+                rng.random(out=row)
+        else:
+            rng.random(out=rows)
+        draws = rows[:, -1]
+        # Prefilter: every factor of t_upper, the product over the
+        # selected edges, is at most 1, so the product over the selected
+        # tail edges, exp(log_upper), bounds t_upper and so the transition
+        # ratio from above; a draw >= that bound times ratio_cap rejects
+        # the trial without its posterior. Rounding: the logs are all
+        # <= 0, so each float sum lies within a relative (terms + 2) ulps
+        # of the exact sum of its exact logs (the logs of single
+        # probabilities within one ulp each), and the exact sum over all
+        # selected edges is at most the one over the selected tail edges.
+        # So _exact_trial's log t_upper lies at most (m + j + 4) <= (2m + 4)
+        # ulps of |log_upper| above log_upper, which 4m + 8 covers with
+        # room for the exp, log and product roundings. A trial marked sure
+        # is thus one that _exact_trial rejects unevaluated.
+        log_upper = (rows[:, -1 - j:-1] < tail_probs) @ log_tail
+        margin = (4 * m + 8) * _EPS * (np.abs(log_upper) + abs(log_cap) + 1.0)
+        sure = draws > np.exp(log_upper + log_cap + margin)
+        undecided = (k0 + np.flatnonzero(~sure)).tolist()
+        if jump and undecided:
+            # redraw each undecided trial whole, from the block's start on
+            bit_gen.state = block_start
+        done = k0
         for k in undecided:
-            skip((k - done) * (m + 1))
-            row = rng.random(m + 1)
-            done = k + 1
+            if jump:
+                skip((k - done) * (m + 1))
+                row = rng.random(m + 1)
+                done = k + 1
+            else:
+                row = rows[k - k0]
             decided = _exact_trial(g, probs, row[:m] < probs, row[m], loss_eval, loss_old,
                                    ratio_cap)
             if decided is None:
                 continue
             part, ratios[k], evaluated[k], accepted[k] = decided
             if accepted[k]:
-                # rng is just after this trial's draws
+                if not jump:
+                    # leave rng just after this trial's draws
+                    bit_gen.state = block_start
+                    skip((k + 1 - k0) * (m + 1))
                 _restore_buffered_half(bit_gen, start)
-                return part, TrialLog(g, probs, start, None, accepted[:done],
-                                       evaluated[:done], ratios[:done])
-        skip((trials - done) * (m + 1))
-    if j < m or undecided:
+                return part, TrialLog(g, probs, start, None, accepted[:k + 1],
+                                       evaluated[:k + 1], ratios[:k + 1])
+        if jump and undecided:
+            skip((k1 - done) * (m + 1))
+    if jump:
         _restore_buffered_half(bit_gen, start)
     return keep, TrialLog(g, probs, start, None, accepted, evaluated, ratios)
 

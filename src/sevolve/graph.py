@@ -121,7 +121,11 @@ class CliquePartition:
     __slots__ = ("assignment", "num_nodes", "num_cliques", "_sizes")
 
     def __init__(self, assignment, num_cliques: int):
-        arr = _intp(assignment, "clique ids", copy=True)
+        try:
+            arr = _intp(assignment, "clique ids", copy=True)
+        except OverflowError:
+            raise ValueError("clique id out of range: ids must be dense "
+                             "0..num_cliques-1") from None
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("assignment must be a non-empty 1-d sequence")
         if num_cliques > arr.size or num_cliques < 1:
@@ -141,7 +145,17 @@ class CliquePartition:
 
     @classmethod
     def identity(cls, num_nodes: int) -> "CliquePartition":
-        return cls(np.arange(num_nodes), num_nodes)
+        """Every node its own clique, built without re-validating the
+        ids it builds."""
+        if num_nodes < 1:
+            raise ValueError("assignment must be a non-empty 1-d sequence")
+        part = object.__new__(cls)
+        part.assignment = np.arange(num_nodes)
+        part._sizes = np.ones(num_nodes, dtype=np.intp)
+        part.assignment.setflags(write=False)
+        part._sizes.setflags(write=False)
+        part.num_nodes = part.num_cliques = int(num_nodes)
+        return part
 
     def sizes(self) -> np.ndarray:
         """Member count per clique (read-only)."""

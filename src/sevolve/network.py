@@ -144,7 +144,10 @@ class Sample:
 
     def __init__(self, graph: LevelGraph, features, labels):
         feats = np.ascontiguousarray(features, dtype=np.float64)
-        lbls = _intp(labels, "labels")
+        try:
+            lbls = _intp(labels, "labels")
+        except OverflowError:
+            raise ValueError("label out of range: it does not fit intp") from None
         if feats.ndim != 2 or feats.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"features must be (num_nodes, D), got {feats.shape} for "
@@ -214,6 +217,8 @@ class WaveSchedule(NamedTuple):
     rev: (S,) the edge's other slot: owner and nbr swapped.
     later: the slots whose neighbor is visited after the owner
         (nbr > owner), ascending.
+        Only the backward pass reads rev and later, so only a schedule
+        built for a train-mode pass has them; a test-mode one holds None.
     deg, inv_deg: (n, 1) max(degree, 1) of each row's node, and its
         inverse, as float columns.
     seg: (S, width) graph.segment_ids of owner - r0 of each slot's wave:
@@ -233,10 +238,12 @@ class WaveSchedule(NamedTuple):
     seg: np.ndarray
 
 
-def wave_schedule(order, graph: LevelGraph, width: int) -> WaveSchedule:
+def wave_schedule(order, graph: LevelGraph, width: int, backward: bool = True) -> WaveSchedule:
     """Group the nodes of a sweep over `graph` in visit order `order` into
     waves, and lay the layer out in wave order, with segment ids for rows
-    of `width` values.
+    of `width` values. With `backward` False, as for a test-mode pass, the
+    backward-only `rev` and `later` are None, and neither they nor the
+    slot inverse behind `rev` are built.
 
     A node's wave is 1 plus the largest wave of its earlier-visited
     neighbors, or 0 when it has none. So no edge joins two nodes of one
@@ -290,10 +297,13 @@ def wave_schedule(order, graph: LevelGraph, width: int) -> WaveSchedule:
     by_row = np.argsort(rows.astype(small), kind="stable")
     owner = rows[by_row]
     nbr = pos[np.concatenate((a, b))[by_row]]
-    slot = np.empty(2 * m, dtype=np.intp)
-    slot[by_row] = np.arange(2 * m)
-    # the reverse slot: index j - m of `slot` wraps round to j + m when j < m
     other_end = by_row - m
+    rev = later = None
+    if backward:
+        slot = np.empty(2 * m, dtype=np.intp)
+        slot[by_row] = np.arange(2 * m)
+        # the reverse slot: index j - m of `slot` wraps round to j + m when j < m
+        rev, later = slot[other_end], np.flatnonzero(nbr > owner)
     # owner ascends, so a wave's first slot is the first with owner >= r0
     slot_off = np.searchsorted(owner, row_off)
     waves = list(zip(row_off[:-1].tolist(), row_off[1:].tolist(),
@@ -302,9 +312,8 @@ def wave_schedule(order, graph: LevelGraph, width: int) -> WaveSchedule:
     row_local = np.arange(n) - row_off[wave[perm]]
     div = np.maximum(np.bincount(owner, minlength=n), 1).astype(np.float64)[:, None]
     return WaveSchedule(perm, pos, waves, owner, nbr,
-                        np.where(other_end < 0, by_row, other_end), slot[other_end],
-                        np.flatnonzero(nbr > owner), div, 1.0 / div,
-                        segment_ids(row_local[owner], width, n))
+                        np.where(other_end < 0, by_row, other_end), rev, later, div,
+                        1.0 / div, segment_ids(row_local[owner], width, n))
 
 
 @dataclass(slots=True)
@@ -351,8 +360,14 @@ def _make_loss_eval(node_logits, amap, labels):
     # current level's head, broadcast to the base nodes, scored with the
     # same mean cross-entropy convention as the task loss. The head is
     # linear, so averaging the per-node logits over each clique gives the
-    # same values.
+    # same values. A partition into one-node cliques, the identity that
+    # evolve_step scores loss_old on, averages nothing: it reads the logits
+    # themselves, whose -0.0 entries the means would turn to 0.0, which no
+    # loss tells apart (the shifted logits of a row and its log-sum are
+    # the same either way).
     def loss_eval(partition):
+        if partition.num_cliques == partition.num_nodes:
+            return _softmax_cross_entropy(node_logits[amap], labels)[0]
         agg = aggregate_node_values(partition, node_logits)
         return _softmax_cross_entropy(agg[partition.assignment[amap]], labels)[0]
 
@@ -378,13 +393,13 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
     after the last wave: a non-finite state raises NumericError before
     the head, the transition or the next layer reads it. The cache's
     hidden and memory rows start as the previous state; a wave's neighbor
-    means go into its `navg` rows, and its new states and activated gates
-    over its rows, when the wave is updated. Every earlier-visited
-    neighbor of a node lies in an earlier wave and every later-visited one
-    in a later wave, so a neighbor enters with its new state exactly when
-    it comes earlier in the visit order, as in a node-by-node sweep. The
-    new states return to node order once, for the head and the
-    aggregation.
+    means go into its `navg` rows, and its new states, with its activated
+    gates in train mode, over its rows, when the wave is updated. Every
+    earlier-visited neighbor of a node lies in an earlier wave and every
+    later-visited one in a later wave, so a neighbor enters with its new
+    state exactly when it comes earlier in the visit order, as in a
+    node-by-node sweep. The new states return to node order once, for the
+    head and the aggregation.
 
     A transition yields a partition, sampled, thresholded or replayed.
     The identity, recognised by value, keeps the level: the graph object,
@@ -484,7 +499,7 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             order = np.arange(n)
             for r, lo, hi in zip(rngs, offsets, offsets[1:]):
                 r.shuffle(order[lo:hi])
-        schedule = wave_schedule(order, g, h_dim)
+        schedule = wave_schedule(order, g, h_dim, backward=mode == "train")
         perm, owner, nbr, seg = schedule.perm, schedule.owner, schedule.nbr, schedule.seg
         deg, inv_deg = schedule.deg, schedule.inv_deg
         x, hp, mp = (a.take(perm, axis=0) for a in (feats, h_prev, m_prev))
@@ -495,9 +510,11 @@ def forward(sample: Sample, params: ModelParams, cfg: NetworkConfig,
             nb_sum = np.bincount(ids.ravel(), h_cur.take(nbr[s0:s1], axis=0).ravel(),
                                  (r1 - r0) * h_dim)
             np.divide(nb_sum.reshape(r1 - r0, h_dim), deg[rows], out=cache.navg[rows])
-            h_cur[rows], m_cur[rows], cache.gates[:, rows] = cell_forward(
+            h_cur[rows], m_cur[rows], gates = cell_forward(
                 cache, rows, slice(s0, s1), ids, inv_deg[rows],
                 m_cur.take(nbr[s0:s1], axis=0))
+            if mode == "train":
+                cache.gates[:, rows] = gates
         check_finite(h_cur, m_cur)
         if mode == "train":
             schedules.append(schedule)

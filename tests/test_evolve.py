@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -145,6 +146,29 @@ class TestPosteriorRatio:
 
 
 class TestEvolveStep:
+    def test_memory_does_not_grow_with_the_trials(self):
+        # 4x4 grid: the three p = 1 edges of the square 0-1-5-4 are always
+        # selected, so its p = 0 edge (4, 5) is always eliminated and
+        # every trial is rejected. Besides the log (10 bytes a trial),
+        # the trials' arrays are one block's
+        g = grid_graph(4)
+        edges = g.edges.tolist()
+        probs = np.full(g.num_edges, 0.5)
+        for edge, p in (((0, 1), 1.0), ((0, 4), 1.0), ((1, 5), 1.0), ((4, 5), 0.0)):
+            probs[edges.index(list(edge))] = p
+        trials = 10 ** 5
+        tracemalloc.start()
+        try:
+            _, log = evolve_step(g, probs, None, EvolveConfig(max_trials=trials),
+                                 np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == trials and not log.accepted.any()
+        log_bytes = sum(a.nbytes for a in (log.accepted, log.posterior_evaluated,
+                                           log.posterior_ratio))
+        assert peak < log_bytes + 2 ** 18
+
     def test_certain_merge_accepted_first_trial(self):
         g = LevelGraph(5, [(0, 1), (1, 2), (3, 4)])
         cfg = EvolveConfig()
@@ -458,6 +482,8 @@ def mh_cases(draw):
         # tails from none to longer than any of their edge lists
         jump_edges=draw(st.sampled_from([0, evolve._JUMP_EDGES])),
         tail_edges=draw(st.sampled_from([0, 1, 9, evolve._TAIL_EDGES, 1000])),
+        # blocks of one trial, of a few, or as many as the default
+        block_trials=draw(st.sampled_from([1, 3, evolve._BLOCK_TRIALS])),
         generator=draw(st.sampled_from(sorted(GENERATORS))),
         # a generator left with a buffered 32-bit half, or without one
         buffered=draw(st.booleans()),
@@ -494,7 +520,9 @@ class TestEvolveStepOracle:
         loss_eval = counting_loss(g, case["labels"], case["weights"], calls)
         rng = make_rng()
         with (mock.patch.object(evolve, "_JUMP_EDGES", case["jump_edges"]),
-              mock.patch.object(evolve, "_TAIL_EDGES", case["tail_edges"])):
+              mock.patch.object(evolve, "_TAIL_EDGES", case["tail_edges"]),
+              mock.patch.object(evolve, "_BLOCK_TRIALS",
+                                case.get("block_trials", evolve._BLOCK_TRIALS))):
             part, traces = evolve_step(g, probs, loss_eval,
                                        EvolveConfig(max_trials=max_trials), rng)
         ref_rng = make_rng()
@@ -578,6 +606,21 @@ class TestEvolveStepOracle:
         traces = self.assert_matches(case, lambda: np.random.default_rng(8))
         assert traces[-1].accepted
         assert traces[-1].trial == 86
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("jump_edges", [0, 10 ** 9])
+    def test_accepts_a_trial_blocks_later(self, train, jump_edges):
+        # test_accepts_a_late_trial's 32x32 grid, with its trials drawn
+        # after jumps or whole, in blocks of 7: trial 86 is accepted in
+        # block 13, after blocks whose undecided trials are all rejected
+        g = grid_graph(32)
+        probs = np.ones(g.num_edges)
+        probs[::283] = 0.5
+        case = dict(g=g, probs=probs, labels=np.arange(g.num_nodes) % 2,
+                    weights=(0.0, 0.01) if train else None, max_trials=400,
+                    jump_edges=jump_edges, tail_edges=evolve._TAIL_EDGES, block_trials=7)
+        traces = self.assert_matches(case, lambda: np.random.default_rng(8))
+        assert traces[-1].accepted and traces[-1].trial == 86
 
     @pytest.mark.parametrize("case", ["jump", "accept", "redraw"])
     def test_keeps_the_buffered_32bit_half(self, case):

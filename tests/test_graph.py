@@ -244,6 +244,23 @@ class TestCliquePartition:
                 CliquePartition(assignment, 2)
         assert CliquePartition(np.array([1, 0], dtype=np.int8), 2).assignment.tolist() == [1, 0]
 
+    def test_rejects_ids_too_wide_for_intp(self):
+        # out of range, as in LevelGraph, not an untyped OverflowError
+        for assignment in ([2**70], [-2**70], [0, 2**63]):
+            with pytest.raises(ValueError, match="clique id out of range"):
+                CliquePartition(assignment, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_identity_is_the_validated_arange(self, n):
+        got, want = CliquePartition.identity(n), CliquePartition(np.arange(n), n)
+        assert got == want
+        assert (got.num_nodes, got.num_cliques) == (want.num_nodes, want.num_cliques)
+        for a, b in ((got.assignment, want.assignment), (got.sizes(), want.sizes())):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="non-empty"):
+            CliquePartition.identity(0)
+
     def test_sizes(self):
         sizes = CliquePartition([2, 0, 1, 0, 2, 0], 3).sizes()
         assert sizes.tolist() == [3, 1, 2]

@@ -13,7 +13,7 @@ from sevolve import network
 from sevolve.cell import CellParams, NumericError
 from sevolve.data import GenConfig, generate_sample, grid_graph
 from sevolve.evolve import EvolveConfig
-from sevolve.graph import CliquePartition, HierarchyTrace, LevelGraph
+from sevolve.graph import CliquePartition, HierarchyTrace, LevelGraph, aggregate_node_values
 from sevolve.network import (
     ModelParams,
     NetworkConfig,
@@ -21,6 +21,8 @@ from sevolve.network import (
     StructurePlan,
     WaveSchedule,
     _level_edge_targets,
+    _make_loss_eval,
+    _softmax_cross_entropy,
     backward,
     compute_loss,
     forward,
@@ -76,6 +78,12 @@ class TestSample:
             with pytest.raises(ValueError, match="labels must be integers"):
                 Sample(g, np.zeros((2, 2)), labels)
         assert Sample(g, np.zeros((2, 2)), np.array([1, 0], dtype=np.uint8)).labels.tolist() == [1, 0]
+
+    def test_rejects_labels_too_wide_for_intp(self):
+        # out of range, not an untyped OverflowError
+        for labels in ([2**70], [-2**70]):
+            with pytest.raises(ValueError, match="label out of range"):
+                Sample(LevelGraph(1), np.zeros((1, 1)), labels)
 
     def test_validates_coverage(self):
         g = LevelGraph(3, [(0, 1)])
@@ -684,6 +692,55 @@ class TestWaveScheduleOracle:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             assert a.shape == b.shape and np.array_equal(a, b), name
+        # a test-mode schedule: the same layout, without the backward-only slots
+        lean = wave_schedule(order, g, width, backward=False)
+        assert lean.rev is None and lean.later is None
+        assert lean.waves == got.waves
+        for name in ("perm", "pos", "owner", "nbr", "slot_edge", "deg", "inv_deg", "seg"):
+            assert np.array_equal(getattr(lean, name), getattr(got, name)), name
+
+
+class TestLossEval:
+    """The train-mode posterior's loss of a partition into one-node
+    cliques reads the level's logits themselves, not their means."""
+
+    @staticmethod
+    def merged_amaps():
+        # (level size, base-node map, labels) of every level of train-mode
+        # hierarchies on widened random models, where trials accept
+        out = []
+        for seed in range(20):
+            rng = np.random.default_rng([60, seed])
+            cfg = tiny_cfg(layers=4, max_trials=20)
+            sample = make_sample(rng, n=int(rng.integers(2, 14)))
+            res = forward(sample, random_model(rng, cfg), cfg, np.random.default_rng(seed),
+                          mode="train")
+            out += [(g.num_nodes, amap, sample.labels)
+                    for g, amap in zip(res.trace.levels, res.amaps, strict=True)]
+        return out
+
+    def test_identity_shortcut_is_exact(self):
+        amaps = self.merged_amaps()
+        assert sum(n < labels.size for n, _, labels in amaps) >= 10
+        rng = np.random.default_rng(61)
+        for n, amap, labels in amaps:
+            for kind in ("normal", "zeros", "equal rows"):
+                logits = rng.normal(size=(n, 3))
+                if kind == "zeros":
+                    # -0.0 and 0.0, which a clique mean turns all to 0.0
+                    logits[rng.random((n, 3)) < 0.5] = 0.0
+                    logits[rng.random((n, 3)) < 0.5] = -0.0
+                    logits[:, 0] = rng.choice([0.0, -0.0], n)
+                elif kind == "equal rows":
+                    logits[:] = logits[0]
+                    logits[:, rng.integers(3)] = -0.0
+                loss_eval = _make_loss_eval(logits, amap, labels)
+                for part in (CliquePartition.identity(n),
+                             CliquePartition(rng.permutation(n), n)):
+                    agg = aggregate_node_values(part, logits)
+                    want = _softmax_cross_entropy(agg[part.assignment[amap]], labels)[0]
+                    got = loss_eval(part)
+                    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
 class TestLoss:
